@@ -1,4 +1,4 @@
-// Ablation (Sec. 4.2 / design choices in DESIGN.md): the effect of the
+// Ablation (Sec. 4.2): the effect of the
 // hypergradient budget K on BiSMO-NMN and BiSMO-CG -- quality (final loss,
 // binarized L2) vs cost (TAT).  K = 0 reduces NMN to FD (Sec. 3.2.4),
 // making the FD column implicit in this sweep; the paper uses K = 5.

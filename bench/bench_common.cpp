@@ -93,7 +93,7 @@ SmoConfig BenchArgs::config() const {
   // The source starts from the generic conventional disc rather than the
   // paper's annular template: at bench scale (Nj = 9 vs the paper's 35)
   // the annular start is already near-optimal, which would idle the SO
-  // component all methods are compared on.  Documented in DESIGN.md.
+  // component all methods are compared on.
   cfg.initial_source.shape = SourceShape::kConventional;
   cfg.initial_source.sigma_out = 0.95;
   // A movable source at small step budgets (Table 1's j0 = 5 saturates the
@@ -125,7 +125,7 @@ void BenchArgs::print_banner(const std::string& bench_name) const {
       full ? " [--full]" : "");
   std::printf(
       "note: paper scale is Nm=2048 / Nj=35 on GPU; shapes and ratios are\n"
-      "the reproduction target, not absolute nm^2 values (see DESIGN.md).\n\n");
+      "the reproduction target, not absolute nm^2 values.\n\n");
 }
 
 BenchDatasets make_bench_datasets(const BenchArgs& args) {

@@ -3,7 +3,7 @@
 // collection, and a result cache so Table 4 reuses Table 3's runs instead
 // of recomputing them.
 //
-// Scaling note (see DESIGN.md "Substitutions"): the paper runs Nm = 2048,
+// Scaling note: the paper runs Nm = 2048,
 // Nj = 35 on an RTX 4090; the bench defaults are Nm = 64 (512 nm tile,
 // 8 nm pixels), Nj = 9 so the whole suite completes in minutes on a laptop
 // CPU.  `--full` switches to Nm = 128 / 1024 nm, where the SMO-vs-MO

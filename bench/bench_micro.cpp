@@ -175,10 +175,16 @@ void BM_AbbeDualGradientBackend(benchmark::State& state) {
   const RealGrid target = bench_target(n);
   const AbbeGradientEngine engine(abbe, target);
   const RealGrid theta_m = init_mask_params(target, {});
+  // Two alternating masks: every iteration misses the engine's image
+  // cache, so the dual gradient runs its forward and adjoint chains.
+  const RealGrid theta_m_alt = theta_m * 0.999;
   SourceSpec spec;
   const RealGrid theta_j = init_source_params(make_source(geometry, spec), {});
+  bool alt = false;
   for (auto _ : state) {
-    const SmoGradient g = engine.evaluate(theta_m, theta_j, GradRequest{});
+    alt = !alt;
+    const SmoGradient g = engine.evaluate(alt ? theta_m_alt : theta_m, theta_j,
+                                          GradRequest{});
     benchmark::DoNotOptimize(g.loss);
   }
 }
@@ -213,10 +219,16 @@ void BM_AbbeDualGradient(benchmark::State& state) {
   const RealGrid target = bench_target(n);
   const AbbeGradientEngine engine(abbe, target);
   const RealGrid theta_m = init_mask_params(target, {});
+  // Two alternating masks: every iteration misses the engine's image
+  // cache, so the dual gradient runs its forward and adjoint chains.
+  const RealGrid theta_m_alt = theta_m * 0.999;
   SourceSpec spec;
   const RealGrid theta_j = init_source_params(make_source(geometry, spec), {});
+  bool alt = false;
   for (auto _ : state) {
-    const SmoGradient g = engine.evaluate(theta_m, theta_j, GradRequest{});
+    alt = !alt;
+    const SmoGradient g = engine.evaluate(alt ? theta_m_alt : theta_m, theta_j,
+                                          GradRequest{});
     benchmark::DoNotOptimize(g.loss);
   }
 }

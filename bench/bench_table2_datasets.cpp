@@ -1,6 +1,6 @@
 // Reproduces Table 2: "Details of the Dataset" -- per-suite statistics of
 // the synthetic benchmark clips standing in for ICCAD13 / ICCAD-L / ISPD19
-// (see DESIGN.md "Substitutions" for the generator rationale).
+// (the generator rationale is in src/layout/generators.hpp).
 #include <iostream>
 
 #include "bench_common.hpp"

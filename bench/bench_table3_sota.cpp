@@ -86,6 +86,6 @@ int main(int argc, char** argv) {
                " AM(A-A) 1.41/1.46, FD 1.03/1.09, CG 1.03/1.03, NMN 1.00/1.00.\n"
                "Reproduction target: ordering MO-family > AM-family > BiSMO"
                " on the continuous objective; margins compress at bench"
-               " scale (see EXPERIMENTS.md).\n";
+               " scale.\n";
   return 0;
 }

@@ -79,6 +79,6 @@ int main(int argc, char** argv) {
                " (per-cycle TCC rebuilds); BiSMO variants clustered.  Note:"
                " our AM budgets are fixed small (not run-to-convergence), so"
                " the raw AM TAT advantage of BiSMO appears via grad-eval"
-               " efficiency instead (see EXPERIMENTS.md).\n";
+               " efficiency instead.\n";
   return 0;
 }

@@ -6,9 +6,8 @@
 //                        and no PVB term this is the NILT [7] proxy; with
 //                        coarse-to-fine levels, Q = 24 and the PVB term it
 //                        is the DAC23-MILT [10] proxy (multi-level
-//                        lithography simulation).  See DESIGN.md
-//                        "Substitutions" for why proxies stand in for the
-//                        closed-source baselines.
+//                        lithography simulation).  The proxies stand in
+//                        for the closed-source baselines.
 #ifndef BISMO_CORE_MASK_OPT_HPP
 #define BISMO_CORE_MASK_OPT_HPP
 

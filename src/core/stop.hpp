@@ -3,7 +3,7 @@
 // The paper notes (Sec. 3.2) that AM-SMO's lack of global gradient guidance
 // "complicates establishing effective early stopping criteria"; this module
 // provides the plateau detector all drivers share so that observation can
-// be studied quantitatively (see bench_ablation_k / EXPERIMENTS.md).
+// be studied quantitatively (see bench_ablation_k).
 #ifndef BISMO_CORE_STOP_HPP
 #define BISMO_CORE_STOP_HPP
 

@@ -826,6 +826,30 @@ void seed_cotangent(std::complex<double>* ga, const double* dldi,
   }
 }
 
+void axpy_real(double* acc, const double* x, std::size_t n, double w) {
+  const __m256d vw = _mm256_set1_pd(w);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(acc + i, _mm256_fmadd_pd(vw, _mm256_loadu_pd(x + i),
+                                              _mm256_loadu_pd(acc + i)));
+  }
+  for (; i < n; ++i) acc[i] += w * x[i];
+}
+
+double dot_real(const double* w, const double* x, std::size_t n) {
+  __m256d vacc = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    vacc = _mm256_fmadd_pd(_mm256_loadu_pd(w + i), _mm256_loadu_pd(x + i),
+                           vacc);
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, vacc);
+  double acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  for (; i < n; ++i) acc += w[i] * x[i];
+  return acc;
+}
+
 void add_real(double* acc, const double* x, std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -923,6 +947,8 @@ const FftKernel* avx2_kernel() {
     k.accumulate_norm = accumulate_norm;
     k.weighted_norm_sum = weighted_norm_sum;
     k.seed_cotangent = seed_cotangent;
+    k.axpy_real = axpy_real;
+    k.dot_real = dot_real;
     k.add_real = add_real;
     k.add_complex = add_complex;
     k.sigmoid = sigmoid;

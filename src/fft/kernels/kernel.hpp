@@ -115,6 +115,16 @@ struct FftKernel {
                          const std::complex<double>* a, std::size_t n,
                          double s) = nullptr;
 
+  /// acc[i] += w * x[i] -- the cached-image intensity accumulation
+  /// (sim::SourceImageCache).  Same multiply-add arithmetic as
+  /// accumulate_norm, so accumulating a stored |a|^2 reproduces it bitwise.
+  void (*axpy_real)(double* acc, const double* x, std::size_t n,
+                    double w) = nullptr;
+
+  /// sum_i w[i] * x[i] -- the cached-image source-gradient reduction.
+  double (*dot_real)(const double* w, const double* x,
+                     std::size_t n) = nullptr;
+
   /// acc[i] += x[i] (slot-order reduction combine).
   void (*add_real)(double* acc, const double* x, std::size_t n) = nullptr;
   void (*add_complex)(std::complex<double>* acc,

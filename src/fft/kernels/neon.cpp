@@ -567,6 +567,10 @@ const FftKernel* neon_kernel() {
     k.accumulate_norm = accumulate_norm;
     k.weighted_norm_sum = weighted_norm_sum;
     k.seed_cotangent = seed_cotangent;
+    // The cached-image ops reuse the scalar reference (fused multiply-add
+    // under the default contraction, like accumulate_norm above).
+    k.axpy_real = scalar_kernel().axpy_real;
+    k.dot_real = scalar_kernel().dot_real;
     k.add_real = add_real;
     k.add_complex = add_complex;
     k.sigmoid = sigmoid;

@@ -516,6 +516,16 @@ void seed_cotangent(std::complex<double>* ga, const double* dldi,
   }
 }
 
+void axpy_real(double* acc, const double* x, std::size_t n, double w) {
+  for (std::size_t i = 0; i < n; ++i) acc[i] += w * x[i];
+}
+
+double dot_real(const double* w, const double* x, std::size_t n) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) acc += w[i] * x[i];
+  return acc;
+}
+
 void add_real(double* acc, const double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += x[i];
 }
@@ -559,6 +569,8 @@ const FftKernel& scalar_kernel() {
     k.accumulate_norm = accumulate_norm;
     k.weighted_norm_sum = weighted_norm_sum;
     k.seed_cotangent = seed_cotangent;
+    k.axpy_real = axpy_real;
+    k.dot_real = dot_real;
     k.add_real = add_real;
     k.add_complex = add_complex;
     k.sigmoid = sigmoid;

@@ -31,9 +31,12 @@ AbbeGradientEngine::AbbeGradientEngine(const AbbeImaging& abbe,
 
 RealGrid AbbeGradientEngine::aerial(const RealGrid& theta_m,
                                     const RealGrid& theta_j) const {
-  const RealGrid mask = activate_mask(theta_m, activation_);
   const RealGrid source =
       activate_source(theta_j, abbe_->geometry(), activation_);
+  if (images_.holds(theta_m)) {
+    return abbe_->aerial(images_, source, source_cutoff_).intensity;
+  }
+  const RealGrid mask = activate_mask(theta_m, activation_);
   ComplexGrid o = to_complex(mask);
   fft2(o);
   return abbe_->aerial(o, source, source_cutoff_).intensity;
@@ -52,24 +55,43 @@ SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
   const auto& pts = geometry.points();
   const std::size_t n = abbe_->optics().mask_dim;
 
-  const RealGrid mask = activate_mask(theta_m, activation_);
   const RealGrid source = activate_source(theta_j, geometry, activation_);
-
-  ComplexGrid o = to_complex(mask);
-  fft2(o);
-
-  // When gradients are requested, capture each component's coherent field
-  // during the forward intensity pass so the backward sweep seeds its
-  // adjoints from the cache instead of recomputing every transform (fused
-  // pipeline mode only -- staged mode keeps the legacy double sweep).
-  // With narrow pass-bands the backward sweep runs the band-restricted
-  // direct adjoint and needs no fields, so capture stays disarmed.
   const bool want_backprop = request.mask || request.source;
+
+  // Image-cache policy: a hit serves the intensity (and the source
+  // gradient's reductions) without a transform; a miss that wants the
+  // source gradient fills the cache and then serves exactly like a hit;
+  // any other miss runs the transform path and leaves the cache alone.
+  bool cached = images_.holds(theta_m);
+  const bool fill = !cached && request.source;
+
+  // The mask spectrum feeds the transform path and the mask adjoint; a
+  // source-only or loss-only hit never needs it.
+  RealGrid mask;
+  ComplexGrid o;
+  if (!cached || request.mask) {
+    mask = activate_mask(theta_m, activation_);
+    o = to_complex(mask);
+    fft2(o);
+  }
+
+  // When a forward transform pass runs and the mask gradient is wanted,
+  // capture each component's coherent field in it so the backward sweep
+  // seeds its adjoints from the cache instead of recomputing every
+  // transform (fused pipeline mode only -- staged mode keeps the legacy
+  // double sweep).  With narrow pass-bands the backward sweep runs the
+  // band-restricted direct adjoint and needs no fields, so capture stays
+  // disarmed.
   sim::FieldCaptureScope capture(
       abbe_->workspaces(), abbe_->components(),
-      want_backprop && !sim::adjoint_uses_band_conv(*abbe_));
+      !cached && request.mask && !sim::adjoint_uses_band_conv(*abbe_));
 
-  const AbbeAerial fwd = abbe_->aerial(o, source, source_cutoff_);
+  if (fill) {
+    images_.fill(*abbe_, o, theta_m);
+    cached = true;
+  }
+  const AbbeAerial fwd = cached ? abbe_->aerial(images_, source, source_cutoff_)
+                                : abbe_->aerial(o, source, source_cutoff_);
   const double w_total = fwd.total_weight;
   if (w_total <= 0.0) {
     throw std::runtime_error("AbbeGradientEngine: source has no power");
@@ -86,42 +108,31 @@ SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
 
   const RealGrid& dldi = loss.dl_di;
 
-  // Backward sweep: one adjoint chain per needed source point, run through
-  // the unified engine layer (sim::adjoint_pass) over the per-slot
-  // workspaces -- allocation- and lock-free in steady state, statically
-  // partitioned for determinism, seeded from the captured forward fields.
-  //
-  // Mask gradients only need points that contribute to the image; the
-  // source gradient needs |A|^2 even where j ~ 0 (to revive points), so
-  // the item list covers every point either path requires.
-  const std::size_t npts = pts.size();
-  std::vector<double> gj_raw(request.source ? npts : 0, 0.0);
-  std::vector<sim::AdjointItem> items;
-  items.reserve(npts);
-  for (std::size_t k = 0; k < npts; ++k) {
-    const double jw = source(pts[k].row, pts[k].col);
-    const bool mask_path = request.mask && jw > source_cutoff_;
-    if (!mask_path && !request.source) continue;
-    sim::AdjointItem item;
-    item.component = static_cast<std::uint32_t>(k);
-    item.mask = mask_path;
-    item.scale = mask_path ? 2.0 * jw / w_total : 0.0;
-    items.push_back(item);
-  }
-
-  // The source-gradient reduction sum dL/dI * |A_s|^2 is computed inside
-  // the fused forward chain of each item (adjoint_pass's wns output), so
-  // no separate field traversal is needed.
-  std::vector<double> item_wns;
-  ComplexGrid go = sim::adjoint_pass(*abbe_, o, dldi, items,
-                                     request.source ? &item_wns : nullptr);
-  if (request.source) {
-    for (std::size_t k = 0; k < items.size(); ++k) {
-      gj_raw[items[k].component] = item_wns[k];
-    }
-  }
-
   if (request.mask) {
+    // Backward sweep: one adjoint chain per mask-path source point, run
+    // through the unified engine layer (sim::adjoint_pass) over the
+    // per-slot workspaces -- allocation- and lock-free in steady state,
+    // statically partitioned for determinism, seeded from the captured
+    // forward fields when a capture ran.
+    //
+    // A request that also wants the source gradient lists every point
+    // (source-only items do no work here: the cache serves their
+    // reductions), which keeps the slot partition -- and so the mask
+    // gradient's summation order -- independent of the cache.
+    const std::size_t npts = pts.size();
+    std::vector<sim::AdjointItem> items;
+    items.reserve(npts);
+    for (std::size_t k = 0; k < npts; ++k) {
+      const double jw = source(pts[k].row, pts[k].col);
+      const bool mask_path = jw > source_cutoff_;
+      if (!mask_path && !request.source) continue;
+      sim::AdjointItem item;
+      item.component = static_cast<std::uint32_t>(k);
+      item.mask = mask_path;
+      item.scale = mask_path ? 2.0 * jw / w_total : 0.0;
+      items.push_back(item);
+    }
+    ComplexGrid go = sim::adjoint_pass(*abbe_, o, dldi, items);
     // Every mask-path point can be below the cutoff (e.g. an all-dark
     // source); the adjoint is then exactly zero, not absent.
     if (go.empty()) go = ComplexGrid(n, n);
@@ -132,11 +143,14 @@ SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
   }
 
   if (request.source) {
-    // dL/dj_s = (sum dL/dI |A_s|^2 - sum dL/dI * I) / W, then the
-    // activation chain rule (zero at invalid sigma points).
+    // dL/dj_s = (sum dL/dI |A_s|^2 - sum dL/dI * I) / W over every valid
+    // point (a point with j ~ 0 still needs its image so SO can revive
+    // it), then the activation chain rule (zero at invalid sigma points).
+    std::vector<double> gj_raw;
+    images_.dots(*abbe_, dldi.data(), gj_raw);
     const double c_term = dot(dldi, fwd.intensity);
     RealGrid gj(geometry.dim(), geometry.dim(), 0.0);
-    for (std::size_t k = 0; k < npts; ++k) {
+    for (std::size_t k = 0; k < pts.size(); ++k) {
       gj(pts[k].row, pts[k].col) = (gj_raw[k] - c_term) / w_total;
     }
     const RealGrid dact =

@@ -26,6 +26,7 @@
 #include "litho/activation.hpp"
 #include "litho/resist.hpp"
 #include "math/grid2d.hpp"
+#include "sim/source_image_cache.hpp"
 
 namespace bismo {
 
@@ -45,8 +46,18 @@ struct GradRequest {
 };
 
 /// Differentiable Abbe-based SMO objective: forward evaluation and manual
-/// adjoint gradients.  Immutable and thread-compatible (evaluations are
-/// internally parallel over source points via the engine's pool).
+/// adjoint gradients.  Evaluations are internally parallel over source
+/// points via the engine's pool.
+///
+/// The engine owns a `sim::SourceImageCache` of the per-point images
+/// |A_s|^2 for the last theta_M it filled them for.  At that exact theta_M
+/// (bitwise) every call -- any GradRequest, `loss_only`, `aerial` -- is
+/// served from the cache without a transform.  A miss that requests the
+/// source gradient fills the cache first, then serves, so hits and misses
+/// return identical bits; a miss without it (mask-only, loss-only) runs
+/// the transform path and leaves the cache alone.  The cache is mutable
+/// state behind const methods: like the shared workspaces, it follows the
+/// one-evaluation-at-a-time contract (thread-compatible, not thread-safe).
 class AbbeGradientEngine {
  public:
   /// `abbe` is borrowed and must outlive the engine.
@@ -81,6 +92,7 @@ class AbbeGradientEngine {
   LossWeights weights_;
   ProcessWindow pw_;
   double source_cutoff_;
+  mutable sim::SourceImageCache images_;
 };
 
 }  // namespace bismo

@@ -11,7 +11,9 @@
 //
 // with eps scaled inversely to ||v|| so the perturbation magnitude is
 // controlled.  Each product costs exactly two gradient evaluations and
-// never materializes a Hessian.
+// never materializes a Hessian.  Both probes keep theta_M fixed, so the
+// engine serves their forward images from its per-source-point image
+// cache (AbbeGradientEngine) without a transform.
 #ifndef BISMO_GRAD_HVP_HPP
 #define BISMO_GRAD_HVP_HPP
 

@@ -92,16 +92,11 @@ sim::BandRef AbbeImaging::component_band(std::size_t c) const {
   return ref;
 }
 
-AbbeAerial AbbeImaging::aerial(const ComplexGrid& o, const RealGrid& j,
-                               double cutoff) const {
+double AbbeImaging::collect_active(const RealGrid& j, double cutoff) const {
   const auto& pts = geometry_.points();
   if (j.rows() != geometry_.dim() || j.cols() != geometry_.dim()) {
     throw std::invalid_argument("AbbeImaging::aerial: source shape mismatch");
   }
-  if (o.rows() != optics_.mask_dim || o.cols() != optics_.mask_dim) {
-    throw std::invalid_argument("AbbeImaging::aerial: spectrum shape mismatch");
-  }
-
   // Collect the contributing points first so the pooled pass is dense.
   // The index/weight lists live in the workspace set, so steady-state
   // evaluations reuse their capacity instead of reallocating per call.
@@ -120,16 +115,39 @@ AbbeAerial AbbeImaging::aerial(const ComplexGrid& o, const RealGrid& j,
       weights.push_back(w);
     }
   }
+  return total_weight;
+}
 
+AbbeAerial AbbeImaging::aerial(const ComplexGrid& o, const RealGrid& j,
+                               double cutoff) const {
   AbbeAerial out;
-  out.total_weight = total_weight;
-  if (active.empty() || total_weight <= 0.0) {
+  out.total_weight = collect_active(j, cutoff);
+  if (o.rows() != optics_.mask_dim || o.cols() != optics_.mask_dim) {
+    throw std::invalid_argument("AbbeImaging::aerial: spectrum shape mismatch");
+  }
+  const std::vector<std::uint32_t>& active = workspaces_->component_scratch();
+  if (active.empty() || out.total_weight <= 0.0) {
     out.intensity = RealGrid(o.rows(), o.cols(), 0.0);
     return out;
   }
+  out.intensity = sim::accumulate_intensity(*this, o, active,
+                                            workspaces_->weight_scratch());
+  out.intensity *= 1.0 / out.total_weight;
+  return out;
+}
 
-  out.intensity = sim::accumulate_intensity(*this, o, active, weights);
-  out.intensity *= 1.0 / total_weight;
+AbbeAerial AbbeImaging::aerial(const sim::SourceImageCache& images,
+                               const RealGrid& j, double cutoff) const {
+  AbbeAerial out;
+  out.total_weight = collect_active(j, cutoff);
+  const std::vector<std::uint32_t>& active = workspaces_->component_scratch();
+  if (active.empty() || out.total_weight <= 0.0) {
+    out.intensity = RealGrid(optics_.mask_dim, optics_.mask_dim, 0.0);
+    return out;
+  }
+  out.intensity =
+      images.intensity(*this, active, workspaces_->weight_scratch());
+  out.intensity *= 1.0 / out.total_weight;
   return out;
 }
 

@@ -29,6 +29,7 @@
 #include "math/grid2d.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/imaging_model.hpp"
+#include "sim/source_image_cache.hpp"
 
 namespace bismo {
 
@@ -61,6 +62,12 @@ class AbbeImaging : public sim::ImagingModel {
   /// Points with weight <= `cutoff` are skipped (they contribute nothing to
   /// the sum); pass cutoff < 0 to force evaluation of every valid point.
   AbbeAerial aerial(const ComplexGrid& o, const RealGrid& j,
+                    double cutoff = 1e-9) const;
+
+  /// The same image served from per-point images filled for this engine
+  /// (no transform): bitwise equal to `aerial(o, j, cutoff)` for the
+  /// spectrum `images` was filled from.
+  AbbeAerial aerial(const sim::SourceImageCache& images, const RealGrid& j,
                     double cutoff = 1e-9) const;
 
   /// Coherent field A_sigma for one source point (by index into
@@ -110,6 +117,10 @@ class AbbeImaging : public sim::ImagingModel {
   }
 
  private:
+  /// Fill the workspace set's component/weight scratch with the points
+  /// whose weight exceeds `cutoff` (index order); returns W = sum j.
+  double collect_active(const RealGrid& j, double cutoff) const;
+
   OpticsConfig optics_;
   SourceGeometry geometry_;
   Pupil pupil_;

@@ -33,6 +33,19 @@ inline std::size_t reduction_slots(std::size_t n) {
   return std::max<std::size_t>(1, std::min(kReductionSlots, n));
 }
 
+/// Item range [begin, end) of one reduction slot.
+struct SlotRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The static partition every pooled pass shares: slot `slot` of `slots`
+/// owns a contiguous, in-order share of `count` items.
+inline SlotRange slot_range(std::size_t slot, std::size_t slots,
+                            std::size_t count) {
+  return {slot * count / slots, (slot + 1) * count / slots};
+}
+
 /// Combine per-slot real partials into `out` in slot order: for each
 /// s in [0, nslots), out += partial(s).  `partial` returns the slot's
 /// accumulator grid (shape must match `out`).

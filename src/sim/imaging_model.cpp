@@ -9,17 +9,6 @@
 #include "parallel/reduction.hpp"
 
 namespace bismo::sim {
-namespace {
-
-/// Static slot partition shared by both passes (parallel/reduction.hpp).
-struct SlotRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-SlotRange slot_range(std::size_t slot, std::size_t slots, std::size_t count) {
-  return {slot * count / slots, (slot + 1) * count / slots};
-}
 
 void run_slots(const ImagingModel& model, std::size_t slots,
                const std::function<void(std::size_t)>& task) {
@@ -30,8 +19,6 @@ void run_slots(const ImagingModel& model, std::size_t slots,
     for (std::size_t s = 0; s < slots; ++s) task(s);
   }
 }
-
-}  // namespace
 
 bool adjoint_uses_band_conv(const ImagingModel& model) {
   if (!fusion_enabled()) return false;
@@ -164,6 +151,9 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
   const fft::FftKernel& kernel = fft::active_kernel();
   const std::size_t slots = reduction_slots(items.size());
   auto task = [&](std::size_t s) {
+    // bismo-lint: no-alloc-begin
+    // Per-slot item loop: every buffer lives in the slot workspace, so a
+    // warmed pass allocates nothing per item.
     const SlotRange range = slot_range(s, slots, items.size());
     SimWorkspace& ws = set.at(s);
     ws.ensure(n);
@@ -183,17 +173,15 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
       const std::uint32_t un = static_cast<std::uint32_t>(n);
       const double nn = static_cast<double>(n) * static_cast<double>(n);
       const double inv_n2 = 1.0 / (nn * nn);
-      std::vector<std::complex<double>> sval;
-      std::vector<std::uint32_t> brow;
-      std::vector<std::uint32_t> bcol;
       for (std::size_t k = range.begin; k < range.end; ++k) {
         const AdjointItem& item = items[k];
         if (!item.mask && wns == nullptr) continue;
         const BandRef band = model.component_band(item.component);
         const std::size_t nb = band.nbins;
-        sval.resize(nb);
-        brow.resize(nb);
-        bcol.resize(nb);
+        const SimWorkspace::BandConvScratch scratch = ws.band_conv_scratch(nb);
+        std::complex<double>* sval = scratch.vals;
+        std::uint32_t* brow = scratch.rows;
+        std::uint32_t* bcol = scratch.cols;
         for (std::size_t i = 0; i < nb; ++i) {
           const std::uint32_t bin = band.bins[i];
           brow[i] = bin / un;
@@ -230,6 +218,7 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
     }
     for (std::size_t k = range.begin; k < range.end; ++k) {
       const AdjointItem& item = items[k];
+      if (!item.mask && wns == nullptr) continue;
       const BandRef band = model.component_band(item.component);
       const ComplexGrid* cached = set.captured_field(item.component);
       if (cached != nullptr) {
@@ -243,7 +232,7 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
               *cached, dldi.data(), item.scale, band, ws.adjoint_accum(),
               wns != nullptr);
           if (wns != nullptr) (*wns)[k] = item_wns;
-        } else if (wns != nullptr) {
+        } else {
           (*wns)[k] = kernel.weighted_norm_sum(dldi.data(), cached->data(),
                                                cached->size());
         }
@@ -257,6 +246,7 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
                                    ws.adjoint_accum());
       }
     }
+    // bismo-lint: no-alloc-end
   };
   run_slots(model, slots, task);
 

@@ -25,6 +25,7 @@
 #define BISMO_SIM_IMAGING_MODEL_HPP
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "math/grid2d.hpp"
@@ -75,6 +76,12 @@ class ImagingModel {
   virtual WorkspaceSet& workspaces() const = 0;
 };
 
+/// Run `task(s)` for every reduction slot s < `slots` on the model's pool
+/// (inline when serial or single-slot).  Slots pair with
+/// `slot_range` (parallel/reduction.hpp) and the workspace `set.at(s)`.
+void run_slots(const ImagingModel& model, std::size_t slots,
+               const std::function<void(std::size_t)>& task);
+
 /// One work item of an `adjoint_pass`.
 struct AdjointItem {
   std::uint32_t component = 0;  ///< model component index
@@ -102,7 +109,9 @@ RealGrid accumulate_intensity(const ImagingModel& model, const ComplexGrid& o,
 /// sum_i dldi[i] * |field_k,i|^2 -- computed inside the forward chain when
 /// recomputing, or as one vectorized reduction over the cached field --
 /// the source-gradient reduction without a separate field transform.
-/// When `adjoint_uses_band_conv(model)` holds, the whole pass instead
+/// With `wns` null, items without `mask` do no work (they only keep the
+/// item list, and hence the slot partition, identical to a pass that
+/// wants wns).  When `adjoint_uses_band_conv(model)` holds, the whole pass instead
 /// runs the band-restricted direct adjoint: one dense FFT2 of `dldi`,
 /// then per item an O(nbins^2) circular convolution evaluated only at the
 /// band bins -- no per-item transform and no field (cached or recomputed)

@@ -22,6 +22,16 @@ void SimWorkspace::ensure(std::size_t dim) {
   }
 }
 
+SimWorkspace::BandConvScratch SimWorkspace::band_conv_scratch(
+    std::size_t nbins) {
+  if (band_vals_.size() < nbins) {
+    band_vals_.resize(nbins);
+    band_row_idx_.resize(nbins);
+    band_col_idx_.resize(nbins);
+  }
+  return {band_vals_.data(), band_row_idx_.data(), band_col_idx_.data()};
+}
+
 // bismo-lint: no-alloc-begin
 // Steady-state evaluation path: after ensure() has sized the buffers,
 // every call below must run without touching the heap (the AllocGuard

@@ -95,6 +95,18 @@ class SimWorkspace {
   /// FFT scratch sized for `plan()`.
   std::complex<double>* fft_scratch() noexcept { return fft_scratch_.data(); }
 
+  /// Per-bin scratch of the band-convolution adjoint (sim::adjoint_pass):
+  /// band products and the bins' grid rows and columns.
+  struct BandConvScratch {
+    std::complex<double>* vals;
+    std::uint32_t* rows;
+    std::uint32_t* cols;
+  };
+
+  /// Scratch for a band of `nbins` bins.  Grows on first use for a wider
+  /// band and never shrinks, so a warmed workspace does not allocate.
+  BandConvScratch band_conv_scratch(std::size_t nbins);
+
   /// Forward imaging chain through the pipeline: field() = normalized
   /// IFFT2 of `o` restricted to `band`, with the optional epilogues fused
   /// into the column pass -- `acc != nullptr` accumulates
@@ -154,6 +166,9 @@ class SimWorkspace {
   RealGrid intensity_accum_;
   std::vector<std::uint8_t> row_flags_;  ///< fused-chain row-sparsity flags
   std::vector<std::complex<double>> fft_scratch_;
+  std::vector<std::complex<double>> band_vals_;
+  std::vector<std::uint32_t> band_row_idx_;
+  std::vector<std::uint32_t> band_col_idx_;
 };
 
 /// One workspace per deterministic-reduction slot, shared by every engine

@@ -1,7 +1,9 @@
 // core::AllocGuard tests: the runtime cross-check of the static no-alloc
 // lint regions.  The guarded hot paths -- the fused/staged pipeline
 // forward+adjoint at 64x64, the JobQueue MPMC push/pop fast path -- must
-// execute with zero heap allocations once warmed up, and a steady-state
+// execute with zero heap allocations once warmed up, a warmed
+// band-convolution adjoint_pass must allocate the same for 2 items as for
+// every source point, and a steady-state
 // Session::run re-submission must allocate strictly less than the cold
 // first run (workspace leases and FFT plans are reused, per-step result
 // grids still allocate by design).
@@ -20,8 +22,10 @@
 #include "api/api.hpp"
 #include "api/job_queue.hpp"
 #include "core/alloc_guard.hpp"
+#include "litho/abbe.hpp"
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
+#include "sim/imaging_model.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/workspace.hpp"
 #include "test_util.hpp"
@@ -167,6 +171,49 @@ TEST(AllocGuardPipeline, ForwardAndAdjointAt64AreAllocationFree) {
     EXPECT_EQ(guard.allocations(), 0u)
         << (fused ? "fused" : "staged") << " pipeline allocated";
   }
+  sim::set_fusion_enabled(initial_mode);
+}
+
+TEST(AllocGuardPipeline, BandConvAdjointPassAllocationsDoNotGrowWithItems) {
+  if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
+  const bool initial_mode = sim::fusion_enabled();
+  sim::set_fusion_enabled(true);
+  OpticsConfig optics;
+  optics.mask_dim = 64;
+  optics.pixel_nm = 8.0;
+  const SourceGeometry geometry(7, optics);
+  const AbbeImaging abbe(optics, geometry);  // serial: one thread counts
+  ASSERT_TRUE(sim::adjoint_uses_band_conv(abbe));
+
+  Rng rng(23);
+  const ComplexGrid o = testing::random_complex_grid(rng, 64, 64);
+  RealGrid dldi(64, 64, 0.0);
+  for (auto& v : dldi) v = rng.uniform(-1.0, 1.0);
+  const auto items_for = [](std::size_t count) {
+    std::vector<sim::AdjointItem> items(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      items[k].component = static_cast<std::uint32_t>(k);
+      items[k].mask = k % 2 == 0;
+      items[k].scale = 0.1;
+    }
+    return items;
+  };
+  const std::vector<sim::AdjointItem> few = items_for(2);
+  const std::vector<sim::AdjointItem> all = items_for(abbe.components());
+  ASSERT_GT(all.size(), kReductionSlots);
+
+  std::vector<double> wns;
+  const auto allocations = [&](const std::vector<sim::AdjointItem>& items) {
+    AllocGuard guard;
+    (void)sim::adjoint_pass(abbe, o, dldi, items, &wns);
+    return guard.allocations();
+  };
+  // Warm both shapes: every slot's scratch reaches its widest band.
+  (void)allocations(all);
+  (void)allocations(few);
+  // Per-call grids (the transformed dldi, the returned g_O) still
+  // allocate; nothing may scale with the items or their slots.
+  EXPECT_EQ(allocations(all), allocations(few));
   sim::set_fusion_enabled(initial_mode);
 }
 

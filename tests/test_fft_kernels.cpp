@@ -217,6 +217,28 @@ TEST(FftKernels, ElementwiseOpsMatchPlainDoubleReference) {
                 1e-11 * n)
         << name;
 
+    // Cached-image ops: a stored |a|^2 (accumulated at weight 1 into
+    // zeros) re-accumulated through axpy_real reproduces accumulate_norm
+    // bitwise, and dot_real over it matches weighted_norm_sum.
+    std::vector<double> image(n, 0.0);
+    kernel.accumulate_norm(image.data(), a.data(), n, 1.0);
+    std::vector<double> direct(n, 0.5);
+    std::vector<double> served(n, 0.5);
+    kernel.accumulate_norm(direct.data(), a.data(), n, 0.37);
+    kernel.axpy_real(served.data(), image.data(), n, 0.37);
+    EXPECT_EQ(direct, served) << name;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(served[i], 0.5 + 0.37 * std::norm(a[i]), 1e-12) << name;
+    }
+    EXPECT_NEAR(kernel.dot_real(w.data(), image.data(), n), ref_sum,
+                1e-11 * n)
+        << name;
+    double ref_dot = 0.0;
+    for (std::size_t i = 0; i < n; ++i) ref_dot += w[i] * image[i];
+    EXPECT_NEAR(kernel.dot_real(w.data(), image.data(), n), ref_dot,
+                1e-12 * n)
+        << name;
+
     kernel.seed_cotangent(got.data(), w.data(), a.data(), n, 2.0);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_LT(std::abs(got[i] - 2.0 * w[i] * a[i]), 1e-12) << name;

@@ -1,0 +1,390 @@
+// Per-source-point image cache tests (sim/source_image_cache.hpp and its
+// use inside AbbeGradientEngine):
+//
+//   * the cache-served intensity is bitwise equal to AbbeImaging::aerial
+//     under every backend and in both pipeline modes;
+//   * the key is the exact bits of theta_M (plus backend and mode);
+//   * engine results do not depend on call history: shuffled sequences of
+//     full, source-only, mask-only and loss-only calls match a fresh
+//     engine bit for bit, on the band-convolution and field-capture paths;
+//   * the cached source gradient matches the uncached staged reference to
+//     1e-12 relative and passes a gradcheck;
+//   * engines sharing one WorkspaceSet keep their own images;
+//   * a short BiSMO-NMN run is bitwise identical at 1, 2 and 4 threads.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "core/bismo.hpp"
+#include "core/problem.hpp"
+#include "fft/fft.hpp"
+#include "fft/kernels/kernel.hpp"
+#include "grad/abbe_grad.hpp"
+#include "grad/gradcheck.hpp"
+#include "litho/abbe.hpp"
+#include "math/grid_ops.hpp"
+#include "math/rng.hpp"
+#include "parallel/thread_pool.hpp"
+#include "sim/pipeline.hpp"
+#include "sim/source_image_cache.hpp"
+#include "test_util.hpp"
+
+namespace bismo {
+namespace {
+
+/// Restore the process fusion mode and FFT backend on scope exit.
+class GlobalModeGuard {
+ public:
+  GlobalModeGuard()
+      : fusion_(sim::fusion_enabled()), backend_(fft::backend_name()) {}
+  ~GlobalModeGuard() {
+    sim::set_fusion_enabled(fusion_);
+    fft::set_backend(backend_);
+  }
+
+ private:
+  bool fusion_;
+  std::string backend_;
+};
+
+/// A 64x64 clip.  At 8 nm pixels the pass-bands are narrow enough for the
+/// band-convolution adjoint; at 16 nm they are too wide, so fused mode
+/// captures fields instead.
+struct Rig {
+  OpticsConfig optics;
+  SourceGeometry geometry;
+  RealGrid target;
+  RealGrid theta_m[2];
+  RealGrid theta_j[2];
+
+  explicit Rig(double pixel_nm, double defocus_nm = 0.0)
+      : optics{193.0, 1.35, 64, pixel_nm, defocus_nm},
+        geometry(7, optics),
+        target(64, 64, 0.0) {
+    for (std::size_t r = 28; r < 36; ++r) {
+      for (std::size_t c = 12; c < 52; ++c) target(r, c) = 1.0;
+    }
+    for (std::size_t r = 12; r < 52; ++r) {
+      for (std::size_t c = 28; c < 36; ++c) target(r, c) = 1.0;
+    }
+    Rng rng(404);
+    for (int i = 0; i < 2; ++i) {
+      theta_m[i] = init_mask_params(target, {});
+      for (auto& v : theta_m[i]) v += rng.uniform(-0.3, 0.3);
+      theta_j[i] = init_source_params(make_source(geometry, SourceSpec{}), {});
+      for (auto& v : theta_j[i]) v += rng.uniform(-0.5, 0.5);
+    }
+  }
+};
+
+enum class Kind { kFull, kSource, kMask, kLoss };
+
+/// Everything one engine call returns, in comparable form.
+struct Outcome {
+  double loss = 0.0;
+  double l2 = 0.0;
+  double pvb = 0.0;
+  RealGrid grad_m;
+  RealGrid grad_j;
+};
+
+Outcome call(const AbbeGradientEngine& engine, Kind kind, const RealGrid& tm,
+             const RealGrid& tj) {
+  Outcome out;
+  if (kind == Kind::kLoss) {
+    const SmoLoss l = engine.loss_only(tm, tj);
+    out.loss = l.total;
+    out.l2 = l.l2;
+    out.pvb = l.pvb;
+    return out;
+  }
+  GradRequest request;
+  request.mask = kind != Kind::kSource;
+  request.source = kind != Kind::kMask;
+  SmoGradient g = engine.evaluate(tm, tj, request);
+  out.loss = g.loss;
+  out.l2 = g.l2;
+  out.pvb = g.pvb;
+  out.grad_m = std::move(g.grad_theta_m);
+  out.grad_j = std::move(g.grad_theta_j);
+  return out;
+}
+
+void expect_bitwise(const Outcome& got, const Outcome& want,
+                    const std::string& what) {
+  EXPECT_EQ(got.loss, want.loss) << what;
+  EXPECT_EQ(got.l2, want.l2) << what;
+  EXPECT_EQ(got.pvb, want.pvb) << what;
+  EXPECT_TRUE(got.grad_m == want.grad_m) << what;
+  EXPECT_TRUE(got.grad_j == want.grad_j) << what;
+}
+
+/// The same call on a brand-new engine over a private workspace set: a
+/// mask-only or loss-only call there runs the uncached transform path.
+Outcome fresh_call(const Rig& rig, Kind kind, const RealGrid& tm,
+                   const RealGrid& tj) {
+  const AbbeImaging abbe(rig.optics, rig.geometry);
+  const AbbeGradientEngine engine(abbe, rig.target);
+  return call(engine, kind, tm, tj);
+}
+
+/// The source gradient without the cache: the adjoint pass's wns
+/// reductions (the pre-cache engine path).
+RealGrid uncached_source_gradient(const AbbeImaging& abbe,
+                                  const RealGrid& target, const RealGrid& tm,
+                                  const RealGrid& tj) {
+  const ActivationConfig act;
+  const SourceGeometry& geometry = abbe.geometry();
+  const RealGrid source = activate_source(tj, geometry, act);
+  ComplexGrid o = to_complex(activate_mask(tm, act));
+  fft2(o);
+  const AbbeAerial fwd = abbe.aerial(o, source);
+  const SmoLoss loss = evaluate_smo_loss(fwd.intensity, target, {}, {}, {},
+                                         /*want_backprop=*/true);
+  std::vector<sim::AdjointItem> items(geometry.points().size());
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    items[k].component = static_cast<std::uint32_t>(k);
+  }
+  std::vector<double> wns;
+  (void)sim::adjoint_pass(abbe, o, loss.dl_di, items, &wns);
+  const double c_term = dot(loss.dl_di, fwd.intensity);
+  RealGrid gj(geometry.dim(), geometry.dim(), 0.0);
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const SourcePoint& pt = geometry.points()[k];
+    gj(pt.row, pt.col) = (wns[k] - c_term) / fwd.total_weight;
+  }
+  return gj * source_activation_derivative(tj, source, geometry, act);
+}
+
+// ---- The cache itself --------------------------------------------------------
+
+TEST(SourceImageCache, IntensityMatchesAerialBitwiseOnEveryBackendAndMode) {
+  GlobalModeGuard guard;
+  const Rig rig(8.0);
+  ComplexGrid o = to_complex(activate_mask(rig.theta_m[0], {}));
+  fft2(o);
+  // Non-uniform weights over more points than reduction slots, with a few
+  // points dark so the active list skips components.
+  RealGrid j = activate_source(rig.theta_j[0], rig.geometry, {});
+  for (std::size_t k = 0; k < 3; ++k) {
+    const SourcePoint& pt = rig.geometry.points()[5 * k];
+    j(pt.row, pt.col) = 0.0;
+  }
+  for (const std::string& backend : fft::available_backends()) {
+    ASSERT_TRUE(fft::set_backend(backend));
+    for (const bool fused : {true, false}) {
+      sim::set_fusion_enabled(fused);
+      const AbbeImaging abbe(rig.optics, rig.geometry);
+      sim::SourceImageCache cache;
+      cache.fill(abbe, o, rig.theta_m[0]);
+      ASSERT_TRUE(cache.holds(rig.theta_m[0]));
+      const AbbeAerial direct = abbe.aerial(o, j);
+      const AbbeAerial served = abbe.aerial(cache, j);
+      EXPECT_EQ(direct.total_weight, served.total_weight);
+      EXPECT_TRUE(direct.intensity == served.intensity)
+          << backend << (fused ? " fused" : " staged")
+          << " max diff " << testing::max_diff(direct.intensity,
+                                               served.intensity);
+    }
+  }
+}
+
+TEST(SourceImageCache, KeyIsExactThetaBitsBackendAndMode) {
+  GlobalModeGuard guard;
+  const Rig rig(8.0);
+  const AbbeImaging abbe(rig.optics, rig.geometry);
+  ComplexGrid o = to_complex(activate_mask(rig.theta_m[0], {}));
+  fft2(o);
+  sim::SourceImageCache cache;
+  EXPECT_FALSE(cache.holds(rig.theta_m[0]));
+  const std::string filled_by = fft::backend_name();
+  cache.fill(abbe, o, rig.theta_m[0]);
+  EXPECT_TRUE(cache.holds(rig.theta_m[0]));
+
+  RealGrid ulp = rig.theta_m[0];
+  ulp[100] = std::nextafter(ulp[100], 1e9);
+  EXPECT_FALSE(cache.holds(ulp));
+  EXPECT_FALSE(cache.holds(rig.theta_m[1]));
+  EXPECT_FALSE(cache.holds(RealGrid(32, 32, 0.0)));
+
+  sim::set_fusion_enabled(!sim::fusion_enabled());
+  EXPECT_FALSE(cache.holds(rig.theta_m[0]));
+  sim::set_fusion_enabled(!sim::fusion_enabled());
+  EXPECT_TRUE(cache.holds(rig.theta_m[0]));
+  for (const std::string& backend : fft::available_backends()) {
+    ASSERT_TRUE(fft::set_backend(backend));
+    EXPECT_EQ(cache.holds(rig.theta_m[0]), backend == filled_by) << backend;
+  }
+}
+
+// ---- Engine policy -----------------------------------------------------------
+
+TEST(AbbeEngineImageCache, ResultsIndependentOfCallHistory) {
+  GlobalModeGuard guard;
+  const Rig narrow(8.0);
+  const Rig wide(16.0);
+  const struct {
+    const Rig* rig;
+    bool fused;
+    const char* name;
+  } configs[] = {{&narrow, true, "fused band-conv"},
+                 {&wide, true, "fused field-capture"},
+                 {&narrow, false, "staged"}};
+
+  struct Call {
+    Kind kind;
+    int m;
+    int j;
+  };
+  std::vector<Call> calls;
+  for (const Kind kind : {Kind::kFull, Kind::kSource, Kind::kMask, Kind::kLoss}) {
+    for (int m = 0; m < 2; ++m) {
+      for (int j = 0; j < 2; ++j) {
+        // Twice each, so the shuffled history mixes hits and misses.
+        calls.push_back({kind, m, j});
+        calls.push_back({kind, m, j});
+      }
+    }
+  }
+
+  for (const auto& cfg : configs) {
+    sim::set_fusion_enabled(cfg.fused);
+    const Rig& rig = *cfg.rig;
+    if (cfg.fused) {
+      const AbbeImaging probe(rig.optics, rig.geometry);
+      ASSERT_EQ(sim::adjoint_uses_band_conv(probe), &rig == &narrow)
+          << cfg.name;
+    }
+    ThreadPool pool(4);
+    const AbbeImaging abbe(rig.optics, rig.geometry, &pool);
+    const AbbeGradientEngine engine(abbe, rig.target);
+    std::mt19937 shuffle_rng(1234);
+    std::shuffle(calls.begin(), calls.end(), shuffle_rng);
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      const Call& c = calls[i];
+      const Outcome got =
+          call(engine, c.kind, rig.theta_m[c.m], rig.theta_j[c.j]);
+      const Outcome want =
+          fresh_call(rig, c.kind, rig.theta_m[c.m], rig.theta_j[c.j]);
+      expect_bitwise(got, want,
+                     std::string(cfg.name) + " call " + std::to_string(i) +
+                         " kind " + std::to_string(static_cast<int>(c.kind)));
+    }
+  }
+}
+
+TEST(AbbeEngineImageCache, OneUlpThetaMMissesAndMatchesFreshEngine) {
+  GlobalModeGuard guard;
+  sim::set_fusion_enabled(true);
+  const Rig rig(8.0);
+  const AbbeImaging abbe(rig.optics, rig.geometry);
+  const AbbeGradientEngine engine(abbe, rig.target);
+  (void)call(engine, Kind::kSource, rig.theta_m[0], rig.theta_j[0]);
+  RealGrid ulp = rig.theta_m[0];
+  for (std::size_t i = 0; i < ulp.size(); i += 7) {
+    ulp[i] = std::nextafter(ulp[i], 1e9);
+  }
+  for (const Kind kind : {Kind::kSource, Kind::kLoss, Kind::kFull}) {
+    expect_bitwise(call(engine, kind, ulp, rig.theta_j[0]),
+                   fresh_call(rig, kind, ulp, rig.theta_j[0]),
+                   "kind " + std::to_string(static_cast<int>(kind)));
+  }
+}
+
+TEST(AbbeEngineImageCache, SourceGradientMatchesStagedReferenceAndGradchecks) {
+  GlobalModeGuard guard;
+  const Rig rig(8.0);
+  const RealGrid& tm = rig.theta_m[0];
+  const RealGrid& tj = rig.theta_j[0];
+  sim::set_fusion_enabled(false);
+  const AbbeImaging staged(rig.optics, rig.geometry);
+  const RealGrid reference = uncached_source_gradient(staged, rig.target, tm, tj);
+  double scale = 0.0;
+  for (const double v : reference) scale = std::max(scale, std::abs(v));
+  ASSERT_GT(scale, 0.0);
+
+  for (const bool fused : {true, false}) {
+    sim::set_fusion_enabled(fused);
+    ThreadPool pool(4);
+    const AbbeImaging abbe(rig.optics, rig.geometry, &pool);
+    const AbbeGradientEngine engine(abbe, rig.target);
+    GradRequest source_only;
+    source_only.mask = false;
+    const SmoGradient g = engine.evaluate(tm, tj, source_only);
+    EXPECT_LE(testing::max_diff(g.grad_theta_j, reference), 1e-12 * scale)
+        << (fused ? "fused" : "staged");
+
+    Rng rng(77);
+    auto loss_j = [&](const RealGrid& t) {
+      return engine.loss_only(tm, t).total;  // every probe is a cache hit
+    };
+    const GradCheckResult r =
+        check_gradient(loss_j, tj, g.grad_theta_j, rng, 16, 1e-4);
+    EXPECT_LT(r.max_rel_error, 1e-3) << (fused ? "fused" : "staged");
+  }
+}
+
+TEST(AbbeEngineImageCache, EnginesSharingAWorkspaceSetKeepTheirOwnImages) {
+  GlobalModeGuard guard;
+  sim::set_fusion_enabled(true);
+  // Same grid, same theta bits, different optics: a cache keyed by theta
+  // alone but stored in the shared set would hand one engine the other's
+  // images.
+  const Rig focus(8.0);
+  const Rig defocus(8.0, 60.0);
+  const auto shared = std::make_shared<sim::WorkspaceSet>();
+  const AbbeImaging abbe_a(focus.optics, focus.geometry, nullptr, shared);
+  const AbbeImaging abbe_b(defocus.optics, defocus.geometry, nullptr, shared);
+  const AbbeGradientEngine engine_a(abbe_a, focus.target);
+  const AbbeGradientEngine engine_b(abbe_b, defocus.target);
+  const RealGrid& tm = focus.theta_m[0];
+  const RealGrid& tj = focus.theta_j[0];
+
+  const Outcome want_a = fresh_call(focus, Kind::kFull, tm, tj);
+  const Outcome want_b = fresh_call(defocus, Kind::kFull, tm, tj);
+  ASSERT_NE(want_a.loss, want_b.loss);
+  for (int round = 0; round < 2; ++round) {  // round 0 fills, round 1 hits
+    expect_bitwise(call(engine_a, Kind::kFull, tm, tj), want_a, "engine a");
+    expect_bitwise(call(engine_b, Kind::kFull, tm, tj), want_b, "engine b");
+  }
+  EXPECT_EQ(call(engine_a, Kind::kLoss, tm, tj).loss, want_a.loss);
+  EXPECT_EQ(call(engine_b, Kind::kLoss, tm, tj).loss, want_b.loss);
+}
+
+TEST(AbbeEngineImageCache, BismoNmnBitwiseAcrossThreadCounts) {
+  SmoConfig config;
+  config.optics = OpticsConfig{193.0, 1.35, 64, 8.0, 0.0};
+  config.source_dim = 7;
+  const Rig rig(8.0);
+  BismoOptions options;
+  options.outer_steps = 3;
+  options.unroll_steps = 2;
+  options.hyper_terms = 3;
+
+  RunResult reference;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    const SmoProblem problem(config, rig.target, &pool);
+    const RunResult run = run_bismo(problem, BismoVariant::kNmn, options);
+    ASSERT_EQ(run.trace.size(), 3u);
+    if (threads == 1) {
+      reference = run;
+      continue;
+    }
+    EXPECT_TRUE(run.theta_m == reference.theta_m) << threads << " threads";
+    EXPECT_TRUE(run.theta_j == reference.theta_j) << threads << " threads";
+    for (std::size_t s = 0; s < run.trace.size(); ++s) {
+      EXPECT_EQ(run.trace[s].loss, reference.trace[s].loss)
+          << threads << " threads, step " << s;
+    }
+    EXPECT_EQ(run.gradient_evaluations, reference.gradient_evaluations);
+  }
+}
+
+}  // namespace
+}  // namespace bismo
