@@ -7,7 +7,7 @@
 //                    gather/scatter (reimplemented here as the baseline).
 //   * scalar      -- the kernel layer's scalar backend: radix-4 stages,
 //                    batched rows, lock-step whole-row column pass.
-//   * simd        -- the best SIMD backend (AVX2/NEON) on the same path.
+//   * simd        -- the AVX2 backend on the same path.
 //   * per-row     -- the SIMD backend driven one row at a time with
 //                    gather/scatter columns, isolating the batching/
 //                    transpose win from the vector-arithmetic win.

@@ -2,7 +2,7 @@
 // BM_AbbeDualGradientBackend (bench_micro), evaluated per FFT backend in
 // both pipeline modes --
 //
-//   staged -- BISMO_FUSION=off semantics: per-stage reference chains
+//   staged -- sim::set_fusion_enabled(false): per-stage reference chains
 //             (gather, transform, epilogue as separate kernel sweeps,
 //             forward recompute in the backward pass),
 //   fused  -- plan-time-specialized kernel chains (sim/pipeline.hpp):

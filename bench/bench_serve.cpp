@@ -17,9 +17,9 @@
 // sub-millisecond jobs (32 x 32 clip, one outer step) through the sharded
 // lock-free dispatch queue, the regime this PR's serving core targets:
 //
-//   sustained_legacy        -- the pre-sharding shape of the persistent
-//                              scheduler: one exact-FIFO queue shard, no
-//                              stealing, no coalescing, no warm pools,
+//   sustained_legacy        -- the persistent scheduler without its
+//                              small-job features: no coalescing, no
+//                              warm lane-pool cache,
 //   sustained               -- the full serving core: sharded rings, work
 //                              stealing, same-key job coalescing,
 //   sustained_overload_shed -- offered load far above a small queue
@@ -28,6 +28,9 @@
 //                              sacrificed),
 //   sustained_overload_rej  -- same overload under the reject policy
 //                              (fail-fast admission).
+//
+// Part 3 -- event rate: the sustained stream again with a session-wide
+// observer of realistic per-event cost (events_batched).
 //
 // Reported per regime: jobs/sec at saturation, p50/p95/p99 queue latency
 // (JobResult::queued_ms), steal/coalesce/shed/reject counters.  The bench
@@ -262,11 +265,10 @@ int main(int argc, char** argv) {
     (void)warmup.run(tiny[0]);
   }
 
-  // The pre-sharding scheduler shape: one FIFO shard behind one mutex
-  // path, no stealing, no coalescing, no warm pool cache.
+  // The scheduler without its small-job features: no coalescing, no warm
+  // pool cache.
   api::Session::Options legacy;
   legacy.threads = args.threads;
-  legacy.work_stealing = false;
   legacy.coalesce_limit = 1;
   legacy.pool_cache_cap = 0;
   const SustainedResult legacy_run =
@@ -282,7 +284,6 @@ int main(int argc, char** argv) {
 
   // Overload: offered load far above a small queue capacity.
   api::Session::Options overload = serving;
-  overload.queue_shards = 1;
   overload.queue_capacity = quick ? 16 : 32;
   api::SubmitOptions shed_submit = coalesced_submit;
   shed_submit.queue_policy = api::QueuePolicy::kShedOldest;
@@ -324,40 +325,28 @@ int main(int argc, char** argv) {
               serving_run.jobs_per_sec() /
                   std::max(persistent_jps, 1e-9));
 
-  // -- Part 3: event-rate ceiling, locked vs batched emission. ----------
+  // -- Part 3: event rate under an observer. -----------------------------
   // A session-wide observer with a realistic per-event cost (metrics
-  // serialization, ~1 us).  With batch_events=false every lane thread
-  // runs that cost inside the emission lock, so the observer is a
-  // serialization point for the whole scheduler; with batch_events=true
-  // lanes append to a flat-combining buffer and one emitter drains it
-  // outside the lock, so lane threads never wait on the consumer.
+  // serialization, ~1 us).  Lanes append events to the session buffer and
+  // one drainer delivers them outside the emission lock.
   std::atomic<std::uint64_t> event_count{0};
-  const auto counting_observer = [&event_count](const api::JobEvent&) {
+  api::Session::Options observed;
+  observed.threads = args.threads;
+  observed.on_event = [&event_count](const api::JobEvent&) {
     event_count.fetch_add(1, std::memory_order_relaxed);
     volatile unsigned sink = 0;
     for (unsigned k = 0; k < 400; ++k) sink = sink + k;
   };
-  const auto run_event_case = [&](bool batched) {
-    api::Session::Options opts;
-    opts.threads = args.threads;
-    opts.batch_events = batched;
-    opts.on_event = counting_observer;
-    event_count.store(0, std::memory_order_relaxed);
-    SustainedResult r = run_sustained(opts, tiny, api::SubmitOptions{});
-    const double events = static_cast<double>(
-        event_count.load(std::memory_order_relaxed));
-    return std::make_pair(r, r.seconds > 0.0 ? events / r.seconds : 0.0);
-  };
-  const auto [locked_run, locked_eps] = run_event_case(/*batched=*/false);
-  const auto [batched_run, batched_eps] = run_event_case(/*batched=*/true);
+  const SustainedResult batched_run =
+      run_sustained(observed, tiny, api::SubmitOptions{});
+  const double batched_eps =
+      batched_run.seconds > 0.0
+          ? static_cast<double>(event_count.load(std::memory_order_relaxed)) /
+                batched_run.seconds
+          : 0.0;
   std::printf(
-      "events_locked           : %7.1f jobs/sec, %9.0f events/sec\n",
-      locked_run.jobs_per_sec(), locked_eps);
-  std::printf(
-      "events_batched          : %7.1f jobs/sec, %9.0f events/sec "
-      "(%4.2fx ceiling)\n",
-      batched_run.jobs_per_sec(), batched_eps,
-      batched_eps / std::max(locked_eps, 1e-9));
+      "events_batched          : %7.1f jobs/sec, %9.0f events/sec\n",
+      batched_run.jobs_per_sec(), batched_eps);
 
   BenchReport report("serve", args);
   report.add("transient", {{"jobs_per_sec", transient_jps},
@@ -367,8 +356,8 @@ int main(int argc, char** argv) {
              {{"jobs_per_sec", persistent_jps},
               {"seconds", persistent_seconds},
               {"ok", static_cast<double>(persistent_ok)},
-              {"queue_p50_ms", p50},
-              {"queue_p95_ms", p95},
+              {"queued_ms_p50", p50},
+              {"queued_ms_p95", p95},
               {"workspace_reuses",
                static_cast<double>(stats.workspace_reuses)},
               {"lane_pool_reuses",
@@ -378,9 +367,9 @@ int main(int argc, char** argv) {
         {"jobs_per_sec", r.jobs_per_sec()},
         {"seconds", r.seconds},
         {"ok", static_cast<double>(r.ok)},
-        {"queue_p50_ms", r.p50_ms},
-        {"queue_p95_ms", r.p95_ms},
-        {"queue_p99_ms", r.p99_ms},
+        {"queued_ms_p50", r.p50_ms},
+        {"queued_ms_p95", r.p95_ms},
+        {"queued_ms_p99", r.p99_ms},
         {"steals", static_cast<double>(r.stats.steals)},
         {"coalesced_jobs", static_cast<double>(r.stats.coalesced_jobs)},
         {"jobs_shed", static_cast<double>(r.stats.jobs_shed)},
@@ -391,15 +380,10 @@ int main(int argc, char** argv) {
   report.add("sustained", sustained_row(serving_run));
   report.add("sustained_overload_shed", sustained_row(shed_run));
   report.add("sustained_overload_reject", sustained_row(reject_run));
-  report.add("events_locked", {{"jobs_per_sec", locked_run.jobs_per_sec()},
-                               {"events_per_sec", locked_eps},
-                               {"seconds", locked_run.seconds}});
   report.add("events_batched",
              {{"jobs_per_sec", batched_run.jobs_per_sec()},
               {"events_per_sec", batched_eps},
-              {"seconds", batched_run.seconds},
-              {"ceiling_vs_locked",
-               batched_eps / std::max(locked_eps, 1e-9)}});
+              {"seconds", batched_run.seconds}});
   report.add("speedup",
              {{"persistent_over_transient", persistent_jps / transient_jps},
               {"sustained_over_legacy",

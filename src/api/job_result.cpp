@@ -40,7 +40,6 @@ void write_result_object(JsonWriter& w, const JobResult& r) {
   w.key("shed").value(r.shed);
   w.key("retries").value(r.retries);
   w.key("fft_backend").value(r.fft_backend);
-  w.key("fusion").value(r.fusion);
   w.key("before");
   write_metrics(w, r.before);
   w.key("after");
@@ -115,7 +114,7 @@ void write_summary_csv(std::ostream& out,
   CsvWriter csv(out);
   csv.header({"job", "method", "clip", "status", "queued_ms", "run_ms",
               "setup_seconds", "run_seconds", "total_seconds", "l2_nm2",
-              "pvb_nm2", "epe_violations", "fft_backend", "fusion"});
+              "pvb_nm2", "epe_violations", "fft_backend"});
   for (const JobResult& r : results) {
     csv.row_strings({r.job_name, r.method, r.clip, status_label(r),
                      format_double(r.queued_ms), format_double(r.run_ms),
@@ -124,8 +123,7 @@ void write_summary_csv(std::ostream& out,
                      format_double(r.total_seconds),
                      format_double(r.after.l2_nm2),
                      format_double(r.after.pvb_nm2),
-                     std::to_string(r.after.epe_violations), r.fft_backend,
-                     r.fusion});
+                     std::to_string(r.after.epe_violations), r.fft_backend});
   }
 }
 

@@ -32,10 +32,8 @@ struct JobResult {
   std::size_t retries = 0;  ///< times a cluster dispatcher resubmitted the
                             ///< job after losing its worker (0 in-process)
   std::string fft_backend;  ///< FFT kernel backend the job ran on
-                            ///< ("scalar" | "avx2" | "neon"); benches and
-                            ///< perf tracking key results by it
-  std::string fusion;       ///< imaging-pipeline mode the job ran under
-                            ///< ("fused" | "staged"; sim::fusion_mode_name)
+                            ///< ("scalar" | "avx2"); benches and perf
+                            ///< tracking key results by it
   std::string error;        ///< non-empty when the job failed
 
   bool ok() const noexcept { return error.empty(); }

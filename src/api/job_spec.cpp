@@ -1,5 +1,7 @@
 #include "api/job_spec.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <functional>
 #include <stdexcept>
@@ -7,41 +9,16 @@
 namespace bismo::api {
 namespace {
 
-double parse_double(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    throw std::invalid_argument("config override " + key + ": \"" + value +
-                                "\" is not a number");
-  }
-  return v;
-}
-
-long parse_long(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const long v = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    throw std::invalid_argument("config override " + key + ": \"" + value +
-                                "\" is not an integer");
-  }
-  return v;
-}
-
-std::size_t parse_size(const std::string& key, const std::string& value) {
-  const long v = parse_long(key, value);
-  if (v < 0) {
-    throw std::invalid_argument("config override " + key + ": \"" + value +
-                                "\" must be non-negative");
-  }
-  return static_cast<std::size_t>(v);
+[[noreturn]] void bad_value(const std::string& what, const std::string& value,
+                            const std::string& problem) {
+  throw std::invalid_argument(what + ": \"" + value + "\" " + problem);
 }
 
 OptimizerKind parse_optimizer(const std::string& key,
                               const std::string& value) {
   if (value == "adam") return OptimizerKind::kAdam;
   if (value == "sgd") return OptimizerKind::kSgd;
-  throw std::invalid_argument("config override " + key + ": \"" + value +
-                              "\" is not an optimizer (adam | sgd)");
+  bad_value(key, value, "is not an optimizer (adam | sgd)");
 }
 
 SourceShape parse_shape(const std::string& key, const std::string& value) {
@@ -51,10 +28,9 @@ SourceShape parse_shape(const std::string& key, const std::string& value) {
         SourceShape::kPoint}) {
     if (value == to_string(shape)) return shape;
   }
-  throw std::invalid_argument(
-      "config override " + key + ": \"" + value +
-      "\" is not a source shape (annular | conventional | dipole-x |"
-      " dipole-y | quasar | point)");
+  bad_value(key, value,
+            "is not a source shape (annular | conventional | dipole-x |"
+            " dipole-y | quasar | point)");
 }
 
 /// One scriptable knob: documentation + setter.
@@ -148,11 +124,11 @@ const std::vector<KeyEntry>& key_table() {
       // Bilevel hyperparameters.
       {{"unroll_steps", "T: inner SO steps per outer step"},
        [](SmoConfig& c, S v) {
-         c.unroll_steps = static_cast<int>(parse_long("unroll_steps", v));
+         c.unroll_steps = parse_int("unroll_steps", v);
        }},
       {{"hyper_terms", "K: Neumann terms / CG iterations"},
        [](SmoConfig& c, S v) {
-         c.hyper_terms = static_cast<int>(parse_long("hyper_terms", v));
+         c.hyper_terms = parse_int("hyper_terms", v);
        }},
       {{"cg_damping", "Tikhonov damping for BiSMO-CG"},
        [](SmoConfig& c, S v) { c.cg_damping = parse_double("cg_damping", v); }},
@@ -163,19 +139,19 @@ const std::vector<KeyEntry>& key_table() {
       // Iteration budgets.
       {{"outer_steps", "BiSMO outer iterations / MO-only steps"},
        [](SmoConfig& c, S v) {
-         c.outer_steps = static_cast<int>(parse_long("outer_steps", v));
+         c.outer_steps = parse_int("outer_steps", v);
        }},
       {{"am_cycles", "AM-SMO alternation cycles"},
        [](SmoConfig& c, S v) {
-         c.am_cycles = static_cast<int>(parse_long("am_cycles", v));
+         c.am_cycles = parse_int("am_cycles", v);
        }},
       {{"am_so_steps", "SO steps per AM cycle"},
        [](SmoConfig& c, S v) {
-         c.am_so_steps = static_cast<int>(parse_long("am_so_steps", v));
+         c.am_so_steps = parse_int("am_so_steps", v);
        }},
       {{"am_mo_steps", "MO steps per AM cycle"},
        [](SmoConfig& c, S v) {
-         c.am_mo_steps = static_cast<int>(parse_long("am_mo_steps", v));
+         c.am_mo_steps = parse_int("am_mo_steps", v);
        }},
       {{"socs_kernels", "Q: SOCS truncation for Hopkins baselines"},
        [](SmoConfig& c, S v) {
@@ -190,6 +166,42 @@ const std::vector<KeyEntry>& key_table() {
 }
 
 }  // namespace
+
+double parse_double(const std::string& what, const std::string& value) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0') {
+    bad_value(what, value, "is not a number");
+  }
+  return v;
+}
+
+long parse_long(const std::string& what, const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(value.c_str(), &end, 10);
+  if (end == value.c_str() || *end != '\0') {
+    bad_value(what, value, "is not an integer");
+  }
+  if (errno == ERANGE) bad_value(what, value, "is out of range");
+  return v;
+}
+
+int parse_int(const std::string& what, const std::string& value) {
+  const long v = parse_long(what, value);
+  if (v < INT_MIN || v > INT_MAX) bad_value(what, value, "is out of range");
+  return static_cast<int>(v);
+}
+
+std::size_t parse_size(const std::string& what, const std::string& value,
+                       std::size_t max) {
+  const long v = parse_long(what, value);
+  if (v < 0) bad_value(what, value, "must be non-negative");
+  if (static_cast<unsigned long>(v) > max) {
+    bad_value(what, value, "must be at most " + std::to_string(max));
+  }
+  return static_cast<std::size_t>(v);
+}
 
 ClipSource ClipSource::from_file(std::string path) {
   ClipSource out;
@@ -294,7 +306,12 @@ void apply_config_override(SmoConfig& config, const std::string& pair) {
   const std::string value = pair.substr(eq + 1);
   for (const KeyEntry& entry : key_table()) {
     if (entry.info.key == key) {
-      entry.set(config, value);
+      try {
+        entry.set(config, value);
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(std::string("config override ") +
+                                    e.what());
+      }
       return;
     }
   }

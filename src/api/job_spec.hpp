@@ -9,6 +9,7 @@
 #ifndef BISMO_API_JOB_SPEC_HPP
 #define BISMO_API_JOB_SPEC_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -91,6 +92,18 @@ void apply_config_override(SmoConfig& config, const std::string& pair);
 /// Session does this before building the problem).
 void apply_config_overrides(SmoConfig& config,
                             const std::vector<std::string>& pairs);
+
+/// Checked numeric parsers behind the config keys, shared with the tools'
+/// command-line flags.  `value` must be a number in full (no trailing
+/// text) and in range; otherwise they throw std::invalid_argument naming
+/// `what` and the value.
+double parse_double(const std::string& what, const std::string& value);
+long parse_long(const std::string& what, const std::string& value);
+/// parse_long narrowed to int, rejecting values an int cannot hold.
+int parse_int(const std::string& what, const std::string& value);
+/// parse_long for counts: rejects negatives and values above `max`.
+std::size_t parse_size(const std::string& what, const std::string& value,
+                       std::size_t max = SIZE_MAX);
 
 }  // namespace bismo::api
 

@@ -43,21 +43,8 @@ JobService::JobService(Config config)
       emit_(std::move(config.emit)),
       dispatch_end_(std::move(config.dispatch_end)),
       gate_(std::make_shared<ServiceGate>()),
-      queue_([&] {
-        JobQueue::Config qc;
-        // Stealing is what drains a shard with no lane of its own, so a
-        // no-steal service collapses to the single exact-FIFO shard.
-        qc.shards = config.steal ? (config.queue_shards > 0
-                                        ? config.queue_shards
-                                        : lane_limit_)
-                                 : 1;
-        qc.shard_capacity = config.shard_capacity;
-        return qc;
-      }()),
-      pool_cache_cap_(config.pool_cache_cap),
-      queue_slo_ms_(config.queue_slo_ms) {
-  slo_samples_.reserve(kSloWindow);
-  slo_scratch_.reserve(kSloWindow);
+      queue_(JobQueue::Config{lane_limit_, config.shard_capacity}),
+      pool_cache_cap_(config.pool_cache_cap) {
   if (queue_capacity_ == 0) {
     queue_capacity_ = queue_.shard_count() * queue_.shard_capacity();
   }
@@ -137,17 +124,7 @@ bool JobService::admit(const std::shared_ptr<JobState>& state) {
     if (queue_.size() < queue_capacity_ && queue_.try_push(state)) {
       return true;
     }
-    // Queue-latency SLO: while the rolling p95 of queued_ms exceeds the
-    // target, parking the producer (kBlock) would only let the tail grow --
-    // shed the oldest queued job instead until the latency recovers.
-    QueuePolicy policy = state->options.queue_policy;
-    bool slo_override = false;
-    if (policy == QueuePolicy::kBlock && queue_slo_ms_ > 0.0 &&
-        queue_p95_ms() > queue_slo_ms_) {
-      policy = QueuePolicy::kShedOldest;
-      slo_override = true;
-    }
-    switch (policy) {
+    switch (state->options.queue_policy) {
       case QueuePolicy::kReject: {
         rejected_.fetch_add(1, std::memory_order_relaxed);
         JobStatus expected = JobStatus::kQueued;
@@ -169,7 +146,6 @@ bool JobService::admit(const std::shared_ptr<JobState>& state) {
                   expected, JobStatus::kCancelled,
                   std::memory_order_acq_rel)) {
             shed_.fetch_add(1, std::memory_order_relaxed);
-            if (slo_override) slo_sheds_.fetch_add(1, std::memory_order_relaxed);
             JobResult result = drained_result(*victim);
             result.shed = true;
             result.queued_ms = ms_between(victim->submitted_at, Clock::now());
@@ -267,7 +243,6 @@ void JobService::run_dispatch(
     state->coalesced_dispatch = batch.size() > 1;
     const double queued_ms =
         ms_between(state->submitted_at, state->started_at);
-    record_queued_ms(queued_ms);
     if (i > 0) coalesced_.fetch_add(1, std::memory_order_relaxed);
     executing_.fetch_add(1, std::memory_order_relaxed);
 
@@ -291,25 +266,6 @@ void JobService::run_dispatch(
 
   if (pool != nullptr) release_pool(pool);
   running_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void JobService::record_queued_ms(double ms) {
-  std::lock_guard<std::mutex> lock(slo_mutex_);
-  if (slo_samples_.size() < kSloWindow) {
-    slo_samples_.push_back(ms);
-  } else {
-    slo_samples_[slo_pos_] = ms;
-    slo_pos_ = (slo_pos_ + 1) % kSloWindow;
-  }
-  // Recompute the p95 on every sample: the window is tiny (128 doubles)
-  // next to a job dispatch, and keeping the gauge exact makes the SLO
-  // switch-over deterministic in tests.
-  slo_scratch_ = slo_samples_;
-  const std::size_t nth = (slo_scratch_.size() - 1) * 95 / 100;
-  std::nth_element(slo_scratch_.begin(),
-                   slo_scratch_.begin() + static_cast<std::ptrdiff_t>(nth),
-                   slo_scratch_.end());
-  queue_p95_ms_.store(slo_scratch_[nth], std::memory_order_relaxed);
 }
 
 void JobService::cancel_job(const std::shared_ptr<JobState>& state) {

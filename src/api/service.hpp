@@ -68,24 +68,14 @@ class JobService final : public JobRouter {
     std::size_t width = 1;
     /// Idle leased ThreadPools kept warm past which LRU eviction kicks in.
     std::size_t pool_cache_cap = 4;
-    /// Dispatch-queue ring segments (0 = one per lane, the default).
-    /// Clamped to 1 when `steal` is off: an un-stolen shard with no lane
-    /// of its own would strand jobs.
-    std::size_t queue_shards = 0;
-    /// Cells per queue shard (rounded up to a power of two).
+    /// Cells per queue shard (rounded up to a power of two).  The queue
+    /// has one shard per lane; idle lanes steal from loaded neighbours.
     std::size_t shard_capacity = 1024;
     /// Queued jobs past which SubmitOptions::queue_policy kicks in
     /// (0 = shards * shard_capacity, effectively unbounded).
     std::size_t queue_capacity = 0;
     /// Maximum same-key jobs batched into one lane dispatch (1 = off).
     std::size_t coalesce_limit = 8;
-    /// Queue-latency SLO target in milliseconds (0 = off).  While the p95
-    /// of recent queued_ms samples exceeds it, kBlock admissions behave as
-    /// kShedOldest: the producer is never parked, the oldest queued job is
-    /// cancelled instead, until the tail latency recovers.
-    double queue_slo_ms = 0.0;
-    /// Let an idle lane drain a loaded neighbour's queue shard.
-    bool steal = true;
     /// Runs one job (never throws; failures land in JobResult::error).
     /// `pool` is the leased execution pool -- nullptr means width 1, run
     /// the engines serially on the lane thread.
@@ -167,16 +157,6 @@ class JobService final : public JobRouter {
   std::size_t jobs_rejected() const noexcept {
     return rejected_.load(std::memory_order_relaxed);
   }
-  /// Rolling p95 of job queue latency (ms) over the last kSloWindow
-  /// dispatched jobs; 0 until the first dispatch.
-  double queue_p95_ms() const noexcept {
-    return queue_p95_ms_.load(std::memory_order_relaxed);
-  }
-  /// Jobs shed because the queue-latency SLO auto-switched a kBlock
-  /// admission to shed-oldest.
-  std::size_t slo_sheds() const noexcept {
-    return slo_sheds_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct PoolEntry {
@@ -208,10 +188,6 @@ class JobService final : public JobRouter {
 
   /// Build the terminal result of a job that never executed.
   static JobResult drained_result(const JobState& state);
-
-  /// Fold one queue-latency sample into the rolling window and refresh the
-  /// p95 gauge.
-  void record_queued_ms(double ms);
 
   /// Store the result, flip to `status`, wake waiters, retire the job
   /// from the registry (re-arming the session token when it was the last
@@ -254,18 +230,6 @@ class JobService final : public JobRouter {
   std::atomic<std::size_t> coalesced_{0};
   std::atomic<std::size_t> shed_{0};
   std::atomic<std::size_t> rejected_{0};
-
-  /// Queue-latency SLO state: a fixed ring of recent queued_ms samples
-  /// guarded by its own mutex (touched once per dispatched job), published
-  /// as an atomic p95 gauge that admissions read lock-free.
-  static constexpr std::size_t kSloWindow = 128;
-  double queue_slo_ms_;
-  std::mutex slo_mutex_;
-  std::vector<double> slo_samples_;  ///< ring, capped at kSloWindow
-  std::vector<double> slo_scratch_;  ///< nth_element scratch
-  std::size_t slo_pos_ = 0;
-  std::atomic<double> queue_p95_ms_{0.0};
-  std::atomic<std::size_t> slo_sheds_{0};
 };
 
 }  // namespace bismo::api::detail

@@ -10,7 +10,6 @@
 
 #include "api/service.hpp"
 #include "fft/kernels/kernel.hpp"
-#include "sim/pipeline.hpp"
 
 namespace bismo::api {
 namespace {
@@ -98,17 +97,13 @@ Session::Session(Options options)
                        1, std::thread::hardware_concurrency())),
       observer_(std::move(options.on_progress)),
       event_observer_(std::move(options.on_event)),
-      batch_events_(options.batch_events),
       workspace_cache_cap_(options.workspace_cache_cap) {
   detail::JobService::Config config;
   config.lanes = options.scheduler_lanes;
   config.width = width_;
   config.pool_cache_cap = options.pool_cache_cap;
-  config.queue_shards = options.queue_shards;
   config.queue_capacity = options.queue_capacity;
   config.coalesce_limit = options.coalesce_limit;
-  config.queue_slo_ms = options.queue_slo_ms;
-  config.steal = options.work_stealing;
   config.execute = [this](detail::JobState& state, ThreadPool* pool) {
     return execute_job(state, pool);
   };
@@ -140,8 +135,6 @@ Session::Stats Session::stats() const noexcept {
   s.coalesced_jobs = service_->coalesced_jobs();
   s.jobs_shed = service_->jobs_shed();
   s.jobs_rejected = service_->jobs_rejected();
-  s.queue_p95_ms = service_->queue_p95_ms();
-  s.slo_sheds = service_->slo_sheds();
   return s;
 }
 
@@ -244,20 +237,15 @@ void Session::deliver_event(const PendingEvent& pending) {
 void Session::emit_event(const JobEvent& event,
                          const detail::JobState& state) {
   // Fast path for unobserved jobs: the sub-millisecond serving regime
-  // must not serialize every event on the observer mutex.
+  // must not serialize every event on the emission lock.
   if (observer_ == nullptr && event_observer_ == nullptr &&
       state.options.on_event == nullptr) {
     return;
   }
-  if (!batch_events_) {
-    std::lock_guard<std::recursive_mutex> lock(observer_mutex_);
-    deliver_event(PendingEvent{event, state.options.on_event});
-    return;
-  }
-  // Batched path: append under the buffer lock, then elect at most one
-  // drainer, which fans queued batches out OUTSIDE the lock until the
-  // buffer runs dry.  Lanes behind a slow observer enqueue and move on
-  // instead of convoying on the emission mutex; global FIFO order and the
+  // Append under the buffer lock, then elect at most one drainer, which
+  // fans queued batches out OUTSIDE the lock until the buffer runs dry.
+  // Lanes behind a slow observer enqueue and move on instead of convoying
+  // on the emission mutex; global FIFO order and the
   // one-observer-call-at-a-time contract are both preserved (single
   // drainer).  Re-entrant emissions (an observer cancels a job, whose
   // finished event emits on the observing thread) simply append and are
@@ -318,7 +306,6 @@ JobResult Session::execute_job(detail::JobState& state, ThreadPool* pool) {
   result.method = state.method_name;
   result.clip = state.clip_desc;
   result.fft_backend = fft::backend_name();
-  result.fusion = sim::fusion_mode_name();
   jobs_run_.fetch_add(1, std::memory_order_relaxed);
 
   RunControl control;
@@ -444,18 +431,21 @@ std::vector<JobResult> Session::run_batch(const std::vector<JobSpec>& specs,
   // so the unsubmitted remainder drains as cancelled results -- matching
   // the historical batch-drain semantics without any sticky session state.
   //
-  // The wake-up state is shared-owned by the event lambdas: results become
-  // visible (and this function may return) before the last finished event
-  // is emitted, so stack-captured sync state would dangle.
+  // A job is harvested only once its finished event has reached the
+  // per-job observer.  Delivery is FIFO through one drainer, so by then
+  // every event the job emitted has reached the session-wide observers
+  // too; harvesting on a published result alone could return while
+  // another lane's drainer still holds this batch's events.  The wake-up
+  // state is shared-owned by the event lambdas, which outlive the last
+  // harvest by the tail of the delivery call.
   struct BatchSync {
     std::mutex mutex;
     std::condition_variable finished_cv;
-    std::size_t finished = 0;
+    std::vector<std::size_t> finished;  // batch indices, delivery order
   };
   auto sync = std::make_shared<BatchSync>();
 
   std::vector<JobHandle> handles(n);
-  std::vector<bool> harvested(n, false);
   std::size_t submitted = 0;
   std::size_t collected = 0;
   std::size_t in_flight = 0;
@@ -467,11 +457,12 @@ std::vector<JobResult> Session::run_batch(const std::vector<JobSpec>& specs,
       submit_options.lanes_hint = window;
       submit_options.batch_index = submitted;
       submit_options.batch_count = n;
-      submit_options.on_event = [sync](const JobEvent& event) {
+      submit_options.on_event = [sync, index = submitted](
+                                    const JobEvent& event) {
         if (event.kind != JobEvent::Kind::kFinished) return;
         {
           std::lock_guard<std::mutex> lock(sync->mutex);
-          ++sync->finished;
+          sync->finished.push_back(index);
         }
         sync->finished_cv.notify_all();
       };
@@ -494,20 +485,19 @@ std::vector<JobResult> Session::run_batch(const std::vector<JobSpec>& specs,
       break;
     }
 
+    std::vector<std::size_t> finished;
     {
       std::unique_lock<std::mutex> lock(sync->mutex);
-      sync->finished_cv.wait(lock, [&sync] { return sync->finished > 0; });
-      sync->finished = 0;
+      sync->finished_cv.wait(lock,
+                             [&sync] { return !sync->finished.empty(); });
+      finished.swap(sync->finished);
     }
-    for (std::size_t i = 0; i < submitted; ++i) {
-      if (harvested[i]) continue;
-      if (const JobResult* r = handles[i].try_result()) {
-        results[i] = *r;
-        handles[i] = JobHandle();
-        harvested[i] = true;
-        ++collected;
-        --in_flight;
-      }
+    // finalize publishes the result before emitting the finished event.
+    for (const std::size_t i : finished) {
+      results[i] = *handles[i].try_result();
+      handles[i] = JobHandle();
+      ++collected;
+      --in_flight;
     }
   }
   return results;

@@ -17,15 +17,14 @@
 // step* -> finished) to the session-wide `Options::on_event` observer and
 // the per-job `SubmitOptions::on_event` observer.  The legacy per-step
 // ProgressObserver is an adapter over the same feed and remains supported.
-// All observer invocations are serialized by the session; by default
-// delivery is batched -- lanes append events to a buffer and one drainer
-// fans them out outside the emission lock (Options::batch_events).
+// All observer invocations are serialized by the session, and delivery is
+// batched: lanes append events to a buffer and one drainer fans them out
+// outside the emission lock, so a slow observer never stalls a lane.
 //
 // Cancellation is per job and composable: `JobHandle::cancel()` stops one
 // job without touching its siblings; `Session::request_cancel()` drains
 // exactly the work in flight at the request and then re-arms
-// automatically, so new submissions run normally (no sticky poison; the
-// old `reset_cancel()` is a deprecated no-op).
+// automatically, so new submissions run normally (no sticky poison).
 //
 // Failure containment: job-level problems (bad layout file, invalid
 // configuration, ...) never throw out of submit/run paths; the error is
@@ -92,34 +91,13 @@ class Session : public JobSubmitter {
     std::size_t workspace_cache_cap = 4;
     /// Maximum idle warm lane ThreadPools kept for reuse (LRU-evicted).
     std::size_t pool_cache_cap = 4;
-    /// Dispatch-queue ring shards (0 = one per scheduler lane).  More
-    /// shards cut producer contention; stealing keeps them all drained.
-    std::size_t queue_shards = 0;
     /// Queued jobs past which SubmitOptions::queue_policy applies
-    /// (0 = shards * 1024, effectively unbounded for the default block
+    /// (0 = lanes * 1024, effectively unbounded for the default block
     /// policy).  Size this to bound queue latency under overload.
     std::size_t queue_capacity = 0;
     /// Maximum same-key sub-millisecond jobs coalesced into one lane
     /// dispatch (1 disables; see SubmitOptions::coalesce_key).
     std::size_t coalesce_limit = 8;
-    /// Queue-latency SLO target in milliseconds (0 = off).  While the
-    /// rolling p95 of job queue latency (Stats::queue_p95_ms) exceeds the
-    /// target, full-queue admissions with the kBlock policy auto-switch to
-    /// shed-oldest: the submitter is never parked and the oldest queued
-    /// job is cancelled (JobResult::shed) instead, until the tail latency
-    /// recovers.  Jobs submitted with kReject/kShedOldest are unaffected.
-    double queue_slo_ms = 0.0;
-    /// Idle lanes steal queued jobs from loaded neighbours' shards.
-    /// Turning this off forces a single exact-FIFO queue shard.
-    bool work_stealing = true;
-    /// Batched observer delivery: producers append events to a session
-    /// buffer under a cheap lock and one drainer at a time fans batches
-    /// out to the observers OUTSIDE that lock, so lanes never stall
-    /// behind a slow observer while holding the emission mutex.  Global
-    /// FIFO order and serialized observer invocation are preserved.
-    /// false = legacy path serializing every emission on one recursive
-    /// mutex (kept for A/B measurement; see bench_serve).
-    bool batch_events = true;
   };
 
   /// Per-batch execution options for the synchronous `run_batch` wrapper.
@@ -146,8 +124,6 @@ class Session : public JobSubmitter {
     std::size_t coalesced_jobs = 0;       ///< jobs riding a shared dispatch
     std::size_t jobs_shed = 0;            ///< cancelled by shed-oldest
     std::size_t jobs_rejected = 0;        ///< refused by reject policy
-    double queue_p95_ms = 0.0;            ///< live: rolling p95 queue latency
-    std::size_t slo_sheds = 0;            ///< sheds forced by queue_slo_ms
   };
 
   Session() : Session(Options{}) {}
@@ -187,9 +163,6 @@ class Session : public JobSubmitter {
 
   /// True while a request_cancel drain is still in flight.
   bool cancel_requested() const noexcept;
-
-  /// Deprecated no-op: cancellation auto-rearms (it is no longer sticky).
-  void reset_cancel() noexcept {}
 
   Stats stats() const noexcept;
 
@@ -256,9 +229,8 @@ class Session : public JobSubmitter {
   JobResult execute_job(detail::JobState& state, ThreadPool* pool);
 
   /// Fan one event out to the session-wide and per-job observers
-  /// (detail::JobService::Config::emit).  Batched mode appends to
-  /// event_queue_ and elects at most one drainer; legacy mode delivers
-  /// inline under observer_mutex_.
+  /// (detail::JobService::Config::emit): append to event_queue_ and elect
+  /// at most one drainer.
   void emit_event(const JobEvent& event, const detail::JobState& state);
 
   /// Deliver one buffered event to the observers (drainer-serialized).
@@ -291,14 +263,8 @@ class Session : public JobSubmitter {
   std::optional<ThreadPool> pool_storage_;
   ProgressObserver observer_;
   JobEventObserver event_observer_;
-  bool batch_events_;
-  /// Legacy-path mutex serializing observer invocations across lanes.
-  /// Recursive because an observer may cancel jobs (request_cancel /
-  /// JobHandle::cancel), which finalizes queued jobs and emits their
-  /// finished events re-entrantly on the observing thread.
-  std::recursive_mutex observer_mutex_;
-  /// Batched-path emission buffer: guards event_queue_/event_draining_
-  /// only -- never held across an observer call.
+  /// Emission buffer lock: guards event_queue_/event_draining_ only --
+  /// never held across an observer call.
   std::mutex event_mutex_;
   std::vector<PendingEvent> event_queue_;
   bool event_draining_ = false;

@@ -15,7 +15,7 @@
 // odd log2) decimation-in-time transform; every other size falls back to
 // Bluestein's chirp-z algorithm, so any grid size is supported.  Butterfly
 // execution lives in the SIMD multi-backend kernel layer (fft/kernels/):
-// a scalar reference kernel plus AVX2 / NEON kernels selected once at
+// a scalar reference kernel plus an AVX2 kernel selected once at
 // startup by runtime CPU detection, overridable via the BISMO_FFT_BACKEND
 // environment variable or fft::set_backend.  A fixed backend is bitwise
 // deterministic; different backends agree to <= 1e-12 relative error.

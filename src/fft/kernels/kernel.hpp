@@ -5,12 +5,12 @@
 // that sit next to the transforms in the imaging engines -- runs through an
 // `FftKernel`: a table of function pointers with one implementation per
 // instruction set.  The scalar kernel is the portable reference; the AVX2
-// kernel (x86-64, selected when the CPU reports AVX2+FMA) and the NEON
-// kernel (aarch64) execute the same algorithms with wide arithmetic.
+// kernel (x86-64, selected when the CPU reports AVX2+FMA) executes the same
+// algorithms with wide arithmetic.  Other CPUs run the scalar kernel.
 //
 // Backend selection happens once at startup by runtime CPU detection and
 // can be overridden with the `BISMO_FFT_BACKEND` environment variable
-// (`scalar` | `avx2` | `neon` | `auto`) or programmatically via
+// (`scalar` | `avx2` | `auto`) or programmatically via
 // `set_backend` (tests and benches switch backends this way).  Every
 // kernel is deterministic: a fixed backend produces bitwise-identical
 // results run to run and across thread counts, because the kernel is pure
@@ -146,15 +146,12 @@ const FftKernel& scalar_kernel();
 /// AVX2+FMA kernel, or null when not compiled in or the CPU lacks AVX2.
 const FftKernel* avx2_kernel();
 
-/// NEON kernel, or null when not built for aarch64.
-const FftKernel* neon_kernel();
-
 /// The active kernel: resolved once at first use from the CPU and the
 /// `BISMO_FFT_BACKEND` environment variable, then read via one atomic
 /// load per call site.
 const FftKernel& active_kernel();
 
-/// Name of the active backend ("scalar", "avx2", "neon").
+/// Name of the active backend ("scalar" or "avx2").
 const char* backend_name();
 
 /// Backends usable on this machine (compiled in and CPU-supported),

@@ -28,14 +28,12 @@ const FftKernel* resolve(const char* name) {
   if (std::strcmp(name, "avx2") == 0) {
     return cpu_has_avx2() ? avx2_kernel() : nullptr;
   }
-  if (std::strcmp(name, "neon") == 0) return neon_kernel();
   return nullptr;
 }
 
-/// Best backend the machine supports: SIMD first, scalar fallback.
+/// Best backend the machine supports: AVX2 first, scalar fallback.
 const FftKernel* detect() {
   if (const FftKernel* k = resolve("avx2")) return k;
-  if (const FftKernel* k = resolve("neon")) return k;
   return &scalar_kernel();
 }
 
@@ -69,9 +67,7 @@ const char* backend_name() { return active_kernel().name; }
 
 std::vector<std::string> available_backends() {
   std::vector<std::string> out;
-  for (const char* name : {"avx2", "neon"}) {
-    if (resolve(name) != nullptr) out.emplace_back(name);
-  }
+  if (resolve("avx2") != nullptr) out.emplace_back("avx2");
   out.emplace_back("scalar");
   return out;
 }

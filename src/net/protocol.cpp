@@ -7,7 +7,6 @@ void encode_hello(WireWriter& w, const HelloMsg& msg) {
   w.str(msg.name);
   w.u64(msg.width);
   w.str(msg.fft_backend);
-  w.str(msg.fusion);
   w.boolean(msg.self_check_ok);
 }
 
@@ -17,7 +16,6 @@ HelloMsg decode_hello(WireReader& r) {
   msg.name = r.str();
   msg.width = r.u64();
   msg.fft_backend = r.str();
-  msg.fusion = r.str();
   msg.self_check_ok = r.boolean();
   r.expect_end();
   return msg;

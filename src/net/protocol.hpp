@@ -22,7 +22,6 @@ struct HelloMsg {
   std::string name;         ///< WorkerOptions::name
   std::uint64_t width = 1;  ///< the worker session's parallel width
   std::string fft_backend;  ///< fft::backend_name() of the worker process
-  std::string fusion;       ///< sim::fusion_mode_name() of the worker
   bool self_check_ok = false;  ///< wire_self_check() result at startup
 };
 

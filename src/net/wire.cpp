@@ -368,7 +368,6 @@ void encode_job_result(WireWriter& w, const api::JobResult& result) {
   w.boolean(result.shed);
   w.u64(result.retries);
   w.str(result.fft_backend);
-  w.str(result.fusion);
   w.str(result.error);
 }
 
@@ -401,7 +400,6 @@ api::JobResult decode_job_result(WireReader& r) {
   result.shed = r.boolean();
   result.retries = static_cast<std::size_t>(r.u64());
   result.fft_backend = r.str();
-  result.fusion = r.str();
   result.error = r.str();
   return result;
 }
@@ -452,8 +450,6 @@ void encode_stats(WireWriter& w, const api::Session::Stats& stats) {
   w.u64(stats.coalesced_jobs);
   w.u64(stats.jobs_shed);
   w.u64(stats.jobs_rejected);
-  w.f64(stats.queue_p95_ms);
-  w.u64(stats.slo_sheds);
 }
 
 api::Session::Stats decode_stats(WireReader& r) {
@@ -470,8 +466,6 @@ api::Session::Stats decode_stats(WireReader& r) {
   stats.coalesced_jobs = static_cast<std::size_t>(r.u64());
   stats.jobs_shed = static_cast<std::size_t>(r.u64());
   stats.jobs_rejected = static_cast<std::size_t>(r.u64());
-  stats.queue_p95_ms = r.f64();
-  stats.slo_sheds = static_cast<std::size_t>(r.u64());
   return stats;
 }
 
@@ -517,7 +511,6 @@ bool wire_self_check(std::string* error) {
     result.after.l2_nm2 = std::numeric_limits<double>::quiet_NaN();
     result.retries = 2;
     result.fft_backend = "scalar";
-    result.fusion = "fused";
 
     WireWriter result_bytes;
     encode_job_result(result_bytes, result);

@@ -34,9 +34,9 @@
 namespace bismo::net {
 
 /// Version of the frame + payload encoding.  Bump on any wire change.
-/// v2: JobResult::fusion + HelloMsg::fusion + Session::Stats queue-SLO
-/// gauges (queue_p95_ms, slo_sheds).
-constexpr std::uint16_t kProtocolVersion = 2;
+/// v2 added the imaging-pipeline mode to JobResult and HelloMsg and two
+/// queue-latency SLO gauges to Session::Stats; v3 removes all four.
+constexpr std::uint16_t kProtocolVersion = 3;
 
 /// Thrown by readers on truncated, corrupt, or out-of-range wire data.
 class WireError : public std::runtime_error {

@@ -8,7 +8,6 @@
 #include "fft/kernels/kernel.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
-#include "sim/pipeline.hpp"
 
 namespace bismo::net {
 namespace {
@@ -116,7 +115,6 @@ void Worker::reader_main(const std::shared_ptr<Connection>& conn) {
     hello.name = options_.name;
     hello.width = session_->parallel_width();
     hello.fft_backend = fft::backend_name();
-    hello.fusion = sim::fusion_mode_name();
     hello.self_check_ok = wire_self_check();
     if (!try_send(conn->write_mutex, conn->socket, MsgType::kHello,
                   [&](WireWriter& w) { encode_hello(w, hello); })) {
@@ -261,9 +259,12 @@ void Worker::reporter_main(const std::shared_ptr<Connection>& conn) {
     ResultMsg msg;
     msg.job_id = id;
     msg.result = handle.wait();  // already terminal: returns immediately
-    if (try_send(conn->write_mutex, conn->socket, MsgType::kResult,
-                 [&](WireWriter& w) { encode_result_msg(w, msg); })) {
-      jobs_served_.fetch_add(1, std::memory_order_relaxed);
+    // Counted before the send, so a client already holding the result
+    // never reads a stale count; a failed send takes it back.
+    jobs_served_.fetch_add(1, std::memory_order_relaxed);
+    if (!try_send(conn->write_mutex, conn->socket, MsgType::kResult,
+                  [&](WireWriter& w) { encode_result_msg(w, msg); })) {
+      jobs_served_.fetch_sub(1, std::memory_order_relaxed);
     }
     lock.lock();
   }

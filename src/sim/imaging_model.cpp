@@ -104,8 +104,8 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
   // and the final combine are restricted to that row set.  The pattern
   // depends only on the item list (never on the slot partition), and rows
   // outside it are exactly zero either way, so results are unchanged.
-  // Staged mode keeps the legacy dense sweeps -- BISMO_FUSION=off stays
-  // the faithful per-stage reference.
+  // Staged mode keeps the dense sweeps, so it stays the faithful
+  // per-stage reference.
   const bool sparse_combine = any_mask && fusion_enabled();
   std::vector<std::uint8_t> row_union(sparse_combine ? n : 0, 0);
   if (sparse_combine) {

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "fft/kernels/kernel.hpp"
 #include "fft/kernels/plan.hpp"
@@ -15,36 +12,16 @@ namespace bismo::sim {
 
 namespace {
 
-// -1 = unresolved (read BISMO_FUSION on first query), 0 = staged, 1 = fused.
-std::atomic<int> g_fusion_mode{-1};
-
-int resolve_fusion_mode() {
-  const char* env = std::getenv("BISMO_FUSION");
-  if (env != nullptr) {
-    std::string v(env);
-    std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-      return static_cast<char>(std::tolower(c));
-    });
-    if (v == "off" || v == "0" || v == "false" || v == "no" || v == "staged") {
-      return 0;
-    }
-  }
-  return 1;
-}
+/// Process fusion mode: fused unless a test or bench selects the staged
+/// reference with set_fusion_enabled(false).
+std::atomic<bool> g_fused{true};
 
 }  // namespace
 
-bool fusion_enabled() {
-  int mode = g_fusion_mode.load(std::memory_order_acquire);
-  if (mode < 0) {
-    mode = resolve_fusion_mode();
-    g_fusion_mode.store(mode, std::memory_order_release);
-  }
-  return mode == 1;
-}
+bool fusion_enabled() { return g_fused.load(std::memory_order_acquire); }
 
 void set_fusion_enabled(bool on) {
-  g_fusion_mode.store(on ? 1 : 0, std::memory_order_release);
+  g_fused.store(on, std::memory_order_release);
 }
 
 const char* fusion_mode_name() { return fusion_enabled() ? "fused" : "staged"; }

@@ -19,8 +19,8 @@
 //
 // The per-stage ops remain as the staged reference the fused chains are
 // verified against (tests/test_fused_pipeline.cpp), and the legacy staged
-// path stays selectable at runtime: `BISMO_FUSION=off` (or
-// `set_fusion_enabled(false)`) rebuilds pipelines in staged mode.  A fixed
+// path stays selectable in-process: `set_fusion_enabled(false)` rebuilds
+// pipelines in staged mode (tests and benches use it as the oracle).  A fixed
 // (backend, mode) pair is bitwise deterministic across thread and lane
 // counts; fused and staged agree to <= 1e-12.
 #ifndef BISMO_SIM_PIPELINE_HPP
@@ -47,8 +47,7 @@ struct BandRef {
   std::size_t nrows = 0;
 };
 
-/// Process-wide fusion mode: resolved once from the `BISMO_FUSION`
-/// environment variable (`off`/`0`/`false`/`staged` disable; default on).
+/// Process-wide fusion mode (default on).
 bool fusion_enabled();
 
 /// Override the fusion mode (tests and benches).  Pipelines built under
@@ -56,8 +55,8 @@ bool fusion_enabled();
 /// must not race with in-flight evaluations.
 void set_fusion_enabled(bool on);
 
-/// Name of the active mode ("fused" or "staged") -- surfaced in JobResult
-/// JSON/CSV and the worker hello alongside the FFT backend.
+/// Name of the active mode ("fused" or "staged") -- stamped into benchmark
+/// reports alongside the FFT backend.
 const char* fusion_mode_name();
 
 /// Plan-time-specialized kernel chains for one grid shape.  Built by

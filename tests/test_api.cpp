@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "api/api.hpp"
 #include "io/json.hpp"
@@ -66,6 +68,64 @@ TEST(JobSpecOverrides, RejectionsNameTheKey) {
                std::invalid_argument);
   EXPECT_THROW(api::apply_config_override(config, "=5"),
                std::invalid_argument);
+}
+
+TEST(JobSpecOverrides, IntegerKeysRejectMalformedAndOutOfRangeValues) {
+  SmoConfig config;
+  const int steps = config.unroll_steps;
+  const std::size_t dim = config.optics.mask_dim;
+  for (const char* pair :
+       {"unroll_steps=abc", "unroll_steps=3x", "unroll_steps=",
+        "unroll_steps=4294967297",            // wraps to 1 as an int
+        "unroll_steps=99999999999999999999",  // overflows a long
+        "mask_dim=-1", "mask_dim=99999999999999999999"}) {
+    try {
+      api::apply_config_override(config, pair);
+      FAIL() << pair << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string key = std::string(pair).substr(
+          0, std::string(pair).find('='));
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(config.unroll_steps, steps);  // a rejected value changes nothing
+  EXPECT_EQ(config.optics.mask_dim, dim);
+  api::apply_config_override(config, "unroll_steps=2147483647");
+  EXPECT_EQ(config.unroll_steps, 2147483647);
+}
+
+TEST(CheckedParsers, CountsAndPortsRejectWhatStrtoulWouldWrap) {
+  EXPECT_EQ(api::parse_size("--threads", "4"), 4u);
+  EXPECT_EQ(api::parse_size("--port", "65535", 65535), 65535u);
+  EXPECT_EQ(api::parse_int("k", "-7"), -7);
+  EXPECT_EQ(api::parse_long("k", "-9000000000"), -9000000000L);
+  EXPECT_DOUBLE_EQ(api::parse_double("--halo-nm", "96.5"), 96.5);
+  // Trailing text, empty, non-number (the error names flag and value).
+  EXPECT_THROW(api::parse_size("--threads", "4cpu"), std::invalid_argument);
+  EXPECT_THROW(api::parse_size("--threads", ""), std::invalid_argument);
+  EXPECT_THROW(api::parse_double("--halo-nm", "wide"), std::invalid_argument);
+  // Negative counts (strtoul turns -1 into ULONG_MAX).
+  EXPECT_THROW(api::parse_size("--spawn-workers", "-1"),
+               std::invalid_argument);
+  // Overflow of the underlying long.
+  EXPECT_THROW(api::parse_long("k", "9223372036854775808"),
+               std::invalid_argument);
+  EXPECT_THROW(api::parse_size("--batch", "18446744073709551617"),
+               std::invalid_argument);
+  // int narrowing.
+  EXPECT_THROW(api::parse_int("k", "2147483648"), std::invalid_argument);
+  EXPECT_THROW(api::parse_int("k", "-2147483649"), std::invalid_argument);
+  // Upper bound (a port above 65535 would wrap in a uint16_t).
+  EXPECT_THROW(api::parse_size("--port", "70000", 65535),
+               std::invalid_argument);
+  try {
+    (void)api::parse_size("--threads", "abc");
+    FAIL() << "non-number accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("abc"), std::string::npos);
+  }
 }
 
 TEST(JobSpecOverrides, InvalidConfigIsCapturedAsJobError) {
@@ -267,8 +327,6 @@ TEST(SessionCancel, ObserverCanCancelMidRun) {
   ASSERT_TRUE(next.ok()) << next.error;
   EXPECT_FALSE(next.cancelled());
   EXPECT_FALSE(next.run.trace.empty());
-  // The deprecated re-arm shim is a harmless no-op.
-  session.reset_cancel();
   EXPECT_FALSE(session.cancel_requested());
 }
 

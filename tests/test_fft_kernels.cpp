@@ -1,5 +1,5 @@
 // FFT backend equivalence suite: every compiled kernel backend (scalar,
-// AVX2, NEON) must agree with the scalar reference to <= 1e-12 relative
+// AVX2) must agree with the scalar reference to <= 1e-12 relative
 // error, satisfy the round-trip property across power-of-two, odd/prime
 // (Bluestein), and rectangular shapes, be run-to-run deterministic, and
 // pass gradient checks end to end.  The elementwise kernel ops the imaging
@@ -73,6 +73,25 @@ TEST(FftKernels, ScalarBackendAlwaysAvailable) {
   EXPECT_STREQ(fft::backend_name(), "scalar");
   EXPECT_TRUE(fft::set_backend("auto"));
   EXPECT_FALSE(fft::set_backend("no-such-backend"));
+}
+
+TEST(FftKernels, BackendsAreAvx2WhenTheCpuHasItThenScalar) {
+  std::vector<std::string> expected;
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  if (fft::avx2_kernel() != nullptr && __builtin_cpu_supports("avx2") &&
+      __builtin_cpu_supports("fma")) {
+    expected.emplace_back("avx2");
+  }
+#endif
+  expected.emplace_back("scalar");
+  EXPECT_EQ(fft::available_backends(), expected);
+
+  // There is no NEON backend: the name is unknown on every CPU and leaves
+  // the active backend as it was.
+  const std::string active = fft::backend_name();
+  EXPECT_FALSE(fft::set_backend("neon"));
+  EXPECT_EQ(fft::backend_name(), active);
 }
 
 TEST(FftKernels, CrossBackendAgreementWithin1e12) {

@@ -8,7 +8,7 @@
 //   * non-power-of-two (Bluestein) and sub-8 shapes take the exact staged
 //     fallback inside the same entry point (bitwise equal to the staged
 //     sequence);
-//   * the full engine stack under BISMO_FUSION on/off agrees to <= 1e-12,
+//   * the full engine stack with fusion on/off agrees to <= 1e-12,
 //     and each mode is bitwise deterministic across thread counts and
 //     repeated runs;
 //   * gradcheck passes through the fused adjoint chain (mask + source

@@ -164,8 +164,7 @@ TEST(JobQueueMpmc, StressDeliversEveryJobExactlyOnce) {
 }
 
 TEST(JobQueueMpmc, StressSingleShardNoStealDeliversEveryJobExactlyOnce) {
-  // The work_stealing=off service configuration collapses the queue to a
-  // single shard (Service::Config::steal -> shards=1), so every consumer
+  // A one-lane session gets a single-shard queue, so every consumer
   // contends on one ring and the steal scan never runs.  Same
   // exactly-once contract, no-steal topology; the TSan stress leg runs
   // this alongside the sharded variant.

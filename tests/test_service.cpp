@@ -262,7 +262,7 @@ TEST(ServiceCancel, PerJobCancelLeavesSiblingsUntouched) {
 
 // Regression for the sticky session-global cancellation: request_cancel
 // drains exactly the in-flight work and re-arms automatically; it no
-// longer poisons future jobs until reset_cancel.
+// longer poisons future jobs.
 TEST(ServiceCancel, SessionCancelDrainsInFlightAndAutoRearms) {
   api::Session::Options options;
   options.scheduler_lanes = 1;
@@ -289,9 +289,6 @@ TEST(ServiceCancel, SessionCancelDrainsInFlightAndAutoRearms) {
   const api::JobResult next = session.run(tiny_spec(2));
   ASSERT_TRUE(next.ok()) << next.error;
   EXPECT_FALSE(next.cancelled());
-
-  // The deprecated shim stays callable and changes nothing.
-  session.reset_cancel();
   EXPECT_FALSE(session.cancel_requested());
 }
 
@@ -490,7 +487,6 @@ TEST(ServiceCoalesce, CoalescedBatchKeepsEventStreamsAndResultIdentity) {
 TEST(ServiceBackpressure, RejectPolicyFailsFastWhenFull) {
   api::Session::Options options;
   options.scheduler_lanes = 1;
-  options.queue_shards = 1;
   options.queue_capacity = 2;
   EventLog blocker_log;  // outlives the session (events drain into it)
   api::Session session(options);
@@ -523,7 +519,6 @@ TEST(ServiceBackpressure, RejectPolicyFailsFastWhenFull) {
 TEST(ServiceBackpressure, ShedOldestMakesRoomAndCountsShed) {
   api::Session::Options options;
   options.scheduler_lanes = 1;
-  options.queue_shards = 1;
   options.queue_capacity = 2;
   EventLog blocker_log;  // outlives the session (events drain into it)
   api::Session session(options);
@@ -560,7 +555,6 @@ TEST(ServiceBackpressure, ShedOldestMakesRoomAndCountsShed) {
 TEST(ServiceBackpressure, BlockPolicyCompletesEverythingUnderOverload) {
   api::Session::Options options;
   options.scheduler_lanes = 2;
-  options.queue_shards = 1;
   options.queue_capacity = 2;  // far below the offered load
   api::Session session(options);
 
@@ -668,7 +662,6 @@ TEST(ServiceWrappers, RunBatchBitwiseIdenticalAcrossLanesAndPolicies) {
   api::Session::Options legacy;
   legacy.threads = 4;
   legacy.scheduler_lanes = 1;
-  legacy.work_stealing = false;
   legacy.coalesce_limit = 1;
   api::Session legacy_session(legacy);
   const std::vector<api::JobResult> base =
@@ -678,7 +671,6 @@ TEST(ServiceWrappers, RunBatchBitwiseIdenticalAcrossLanesAndPolicies) {
   api::Session::Options serving;
   serving.threads = 4;
   serving.scheduler_lanes = 4;
-  serving.queue_shards = 2;
   serving.queue_capacity = 8;
   api::Session serving_session(serving);
   const std::vector<api::JobResult> wide =
@@ -805,52 +797,6 @@ TEST(ServiceCoalesce, MixedPriorityJobsNeverCoalesceAcrossLevels) {
   EXPECT_LT(last_high_start, first_low_start)
       << "a priority-1 job started before the priority-2 dispatches "
          "drained: coalescing crossed priority levels";
-}
-
-TEST(ServiceSlo, QueueLatencySloShedsInsteadOfBlockingAndSurfacesGauge) {
-  api::Session::Options options;
-  options.scheduler_lanes = 1;
-  options.queue_shards = 1;
-  options.queue_capacity = 2;
-  // Any nonzero queue latency violates this target, so the very first
-  // dispatched job arms the override deterministically.
-  options.queue_slo_ms = 1e-9;
-  EventLog blocker_log;
-  api::Session session(options);
-
-  api::SubmitOptions blocker_options;
-  blocker_options.on_event = blocker_log.observer();
-  const api::JobHandle blocker =
-      session.submit(tiny_spec(300), std::move(blocker_options));
-  // The blocker has dispatched (recording its queued_ms sample), so the
-  // rolling p95 gauge is live and above the target.
-  blocker_log.await(api::JobEvent::Kind::kStep);
-  EXPECT_GT(session.stats().queue_p95_ms, options.queue_slo_ms);
-
-  const api::JobHandle oldest = session.submit(tiny_spec(2));
-  const api::JobHandle second = session.submit(tiny_spec(2));
-
-  // Default policy is kBlock; with the SLO breached the full queue must
-  // shed its oldest entry for the entrant instead of throttling it.
-  const api::JobHandle entrant = session.submit(tiny_spec(2));
-
-  const api::JobResult& shed_result = oldest.wait();
-  EXPECT_EQ(oldest.status(), api::JobStatus::kCancelled);
-  EXPECT_TRUE(shed_result.cancelled());
-  EXPECT_TRUE(shed_result.shed);
-  const api::Session::Stats stats = session.stats();
-  EXPECT_EQ(stats.jobs_shed, 1u);
-  EXPECT_EQ(stats.slo_sheds, 1u);
-  EXPECT_GT(stats.queue_p95_ms, 0.0);
-
-  blocker.cancel();
-  ASSERT_TRUE(second.wait().ok()) << second.wait().error;
-  ASSERT_TRUE(entrant.wait().ok()) << entrant.wait().error;
-
-  // Without an SLO target the same overload pattern never auto-sheds
-  // (covered by BlockPolicyCompletesEverythingUnderOverload); here just
-  // pin that the counter only moves on SLO-forced sheds.
-  EXPECT_EQ(session.stats().slo_sheds, 1u);
 }
 
 }  // namespace

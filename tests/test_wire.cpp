@@ -144,7 +144,6 @@ api::JobResult random_result(std::mt19937_64& rng) {
   result.workspaces_reused = rng() % 2 == 0;
   result.retries = rng() % 4;
   result.fft_backend = "scalar";
-  result.fusion = rng() % 2 == 0 ? "fused" : "staged";
   if (rng() % 4 == 0) result.error = random_name(rng);
   return result;
 }
@@ -319,7 +318,6 @@ TEST(WireProtocol, MessagesRoundTripByteExact) {
   hello.name = "worker-3";
   hello.width = 8;
   hello.fft_backend = "avx2";
-  hello.fusion = "fused";
   hello.self_check_ok = true;
   {
     const auto bytes = encoded(hello, net::encode_hello);
@@ -455,6 +453,25 @@ TEST(WireFrames, CorruptHeadersAndPayloadsThrow) {
   expect_corrupt(11, 0xff); // length beyond the payload cap
   expect_corrupt(12, good[12] ^ 0xaa);  // checksum
   expect_corrupt(good.size() - 1, good.back() ^ 0x01);  // payload bit flip
+
+  // Frames of any other protocol version are refused by name: v2 carried
+  // fields that v3 dropped, so its payloads would misdecode.
+  EXPECT_EQ(net::kProtocolVersion, 3);
+  for (const std::uint16_t version : {1, 2, 4}) {
+    std::vector<std::uint8_t> stale = good;
+    stale[4] = static_cast<std::uint8_t>(version & 0xff);
+    stale[5] = static_cast<std::uint8_t>(version >> 8);
+    net::Frame out;
+    std::size_t consumed = 0;
+    try {
+      net::parse_frame(stale.data(), stale.size(), &out, &consumed);
+      ADD_FAILURE() << "a v" << version << " frame was accepted";
+    } catch (const net::WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("version mismatch"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 
   // Trailing bytes after a complete frame violate exact-decode semantics.
   std::vector<std::uint8_t> trailing = good;

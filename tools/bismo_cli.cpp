@@ -24,6 +24,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,7 +70,7 @@ using namespace bismo;
       "  --coalesce N       batch up to N queued same-shape jobs into one\n"
       "                     scheduler dispatch under load (1 disables;\n"
       "                     default 8)\n"
-      "  --fft-backend B    FFT kernel backend: scalar | avx2 | neon | auto\n"
+      "  --fft-backend B    FFT kernel backend: scalar | avx2 | auto\n"
       "                     (default: auto; also via BISMO_FFT_BACKEND)\n"
       "  --workers LIST     distributed serving: execute jobs on running\n"
       "                     bismo_worker processes (\"host:port,host:port\")\n"
@@ -316,62 +317,72 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    if (flag == "--help" || flag == "-h") usage(argv[0]);
-    else if (flag == "--list-config") { print_config_keys(); return 0; }
-    else if (flag == "--layout") layout_path = next();
-    else if (flag == "--generate") generate_kind = next();
-    else if (flag == "--seed") seed = std::strtoull(next().c_str(), nullptr, 10);
-    else if (flag == "--batch") batch = std::strtoul(next().c_str(), nullptr, 10);
-    else if (flag == "--method") method_name = next();
-    else if (flag == "--config") overrides.push_back(next());
-    else if (flag == "--nm") shorthand[0] = "mask_dim=" + next();
-    else if (flag == "--nj") shorthand[1] = "source_dim=" + next();
-    else if (flag == "--steps") shorthand[2] = "outer_steps=" + next();
-    else if (flag == "--tiles") {
-      const std::string grid = next();
-      const std::size_t x = grid.find_first_of("xX");
-      if (x == std::string::npos) usage(argv[0]);
-      tile_rows = std::strtoul(grid.substr(0, x).c_str(), nullptr, 10);
-      tile_cols = std::strtoul(grid.substr(x + 1).c_str(), nullptr, 10);
-      if (tile_rows == 0 || tile_cols == 0) usage(argv[0]);
-    }
-    else if (flag == "--halo-nm") halo_nm = std::strtod(next().c_str(), nullptr);
-    else if (flag == "--lanes") lanes = std::strtoul(next().c_str(), nullptr, 10);
-    else if (flag == "--threads") threads = std::strtoul(next().c_str(), nullptr, 10);
-    else if (flag == "--queue-capacity") queue_capacity = std::strtoul(next().c_str(), nullptr, 10);
-    else if (flag == "--coalesce") coalesce_limit = std::strtoul(next().c_str(), nullptr, 10);
-    else if (flag == "--queue-policy") {
-      const std::string policy = next();
-      if (policy == "block") queue_policy = api::QueuePolicy::kBlock;
-      else if (policy == "reject") queue_policy = api::QueuePolicy::kReject;
-      else if (policy == "shed" || policy == "shed-oldest") {
-        queue_policy = api::QueuePolicy::kShedOldest;
-      } else {
-        std::fprintf(stderr, "unknown queue policy \"%s\"\n", policy.c_str());
-        usage(argv[0]);
+    // Numeric flags go through the checked api parsers: a malformed,
+    // negative or out-of-range value is a usage error, never a silent
+    // default.
+    auto count = [&]() { return api::parse_size(flag, next()); };
+    try {
+      if (flag == "--help" || flag == "-h") usage(argv[0]);
+      else if (flag == "--list-config") { print_config_keys(); return 0; }
+      else if (flag == "--layout") layout_path = next();
+      else if (flag == "--generate") generate_kind = next();
+      else if (flag == "--seed") seed = count();
+      else if (flag == "--batch") batch = count();
+      else if (flag == "--method") method_name = next();
+      else if (flag == "--config") overrides.push_back(next());
+      else if (flag == "--nm") shorthand[0] = "mask_dim=" + next();
+      else if (flag == "--nj") shorthand[1] = "source_dim=" + next();
+      else if (flag == "--steps") shorthand[2] = "outer_steps=" + next();
+      else if (flag == "--tiles") {
+        const std::string grid = next();
+        const std::size_t x = grid.find_first_of("xX");
+        if (x == std::string::npos) usage(argv[0]);
+        tile_rows = api::parse_size(flag, grid.substr(0, x));
+        tile_cols = api::parse_size(flag, grid.substr(x + 1));
+        if (tile_rows == 0 || tile_cols == 0) usage(argv[0]);
       }
-    }
-    else if (flag == "--fft-backend") {
-      const std::string backend = next();
-      if (!bismo::fft::set_backend(backend)) {
-        std::fprintf(stderr,
-                     "unknown or unavailable FFT backend \"%s\" (available:",
-                     backend.c_str());
-        for (const std::string& name : bismo::fft::available_backends()) {
-          std::fprintf(stderr, " %s", name.c_str());
+      else if (flag == "--halo-nm") halo_nm = api::parse_double(flag, next());
+      else if (flag == "--lanes") lanes = count();
+      else if (flag == "--threads") threads = count();
+      else if (flag == "--queue-capacity") queue_capacity = count();
+      else if (flag == "--coalesce") coalesce_limit = count();
+      else if (flag == "--queue-policy") {
+        const std::string policy = next();
+        if (policy == "block") queue_policy = api::QueuePolicy::kBlock;
+        else if (policy == "reject") queue_policy = api::QueuePolicy::kReject;
+        else if (policy == "shed" || policy == "shed-oldest") {
+          queue_policy = api::QueuePolicy::kShedOldest;
+        } else {
+          std::fprintf(stderr, "unknown queue policy \"%s\"\n",
+                       policy.c_str());
+          usage(argv[0]);
         }
-        std::fprintf(stderr, ")\n");
-        return 2;
       }
+      else if (flag == "--fft-backend") {
+        const std::string backend = next();
+        if (!bismo::fft::set_backend(backend)) {
+          std::fprintf(stderr,
+                       "unknown or unavailable FFT backend \"%s\" (available:",
+                       backend.c_str());
+          for (const std::string& name : bismo::fft::available_backends()) {
+            std::fprintf(stderr, " %s", name.c_str());
+          }
+          std::fprintf(stderr, ")\n");
+          return 2;
+        }
+      }
+      else if (flag == "--workers") workers_spec = next();
+      else if (flag == "--spawn-workers") spawn_workers = count();
+      else if (flag == "--json") json_path = next();
+      else if (flag == "--csv") csv_path = next();
+      else if (flag == "--progress") progress = true;
+      else if (flag == "--watch") watch = true;
+      else if (flag == "--out") out_dir = next();
+      else usage(argv[0]);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      usage(argv[0]);
     }
-    else if (flag == "--workers") workers_spec = next();
-    else if (flag == "--spawn-workers") spawn_workers = std::strtoul(next().c_str(), nullptr, 10);
-    else if (flag == "--json") json_path = next();
-    else if (flag == "--csv") csv_path = next();
-    else if (flag == "--progress") progress = true;
-    else if (flag == "--watch") watch = true;
-    else if (flag == "--out") out_dir = next();
-    else usage(argv[0]);
   }
   if (layout_path.empty() == generate_kind.empty()) {
     std::fprintf(stderr, "exactly one of --layout / --generate required\n");

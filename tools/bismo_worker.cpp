@@ -12,12 +12,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "api/job_spec.hpp"
 #include "fft/kernels/kernel.hpp"
 #include "net/worker.hpp"
-#include "sim/pipeline.hpp"
 
 namespace {
 
@@ -33,7 +34,7 @@ namespace {
       "  --heartbeat-ms N   max quiet time between frames (default 200)\n"
       "  --name S           worker name reported in the hello (default\n"
       "                     \"worker\")\n"
-      "  --fft-backend B    FFT kernel backend: scalar | avx2 | neon | auto\n"
+      "  --fft-backend B    FFT kernel backend: scalar | avx2 | auto\n"
       "  --verbose          connection lifecycle logging to stderr\n",
       argv0);
   std::exit(2);
@@ -53,37 +54,41 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    if (flag == "--help" || flag == "-h") usage(argv[0]);
-    else if (flag == "--port") options.port = static_cast<std::uint16_t>(
-        std::strtoul(next().c_str(), nullptr, 10));
-    else if (flag == "--threads") options.threads =
-        std::strtoul(next().c_str(), nullptr, 10);
-    else if (flag == "--lanes") options.lanes =
-        std::strtoul(next().c_str(), nullptr, 10);
-    else if (flag == "--coalesce") options.coalesce_limit =
-        std::strtoul(next().c_str(), nullptr, 10);
-    else if (flag == "--heartbeat-ms") options.heartbeat_seconds =
-        std::strtod(next().c_str(), nullptr) / 1000.0;
-    else if (flag == "--name") options.name = next();
-    else if (flag == "--fft-backend") {
-      const std::string backend = next();
-      if (!bismo::fft::set_backend(backend)) {
-        std::fprintf(stderr, "unknown or unavailable FFT backend \"%s\"\n",
-                     backend.c_str());
-        return 2;
+    // Numeric flags go through the checked api parsers: a malformed,
+    // negative or out-of-range value is a usage error.
+    auto count = [&]() { return bismo::api::parse_size(flag, next()); };
+    try {
+      if (flag == "--help" || flag == "-h") usage(argv[0]);
+      else if (flag == "--port") options.port = static_cast<std::uint16_t>(
+          bismo::api::parse_size(flag, next(), 65535));
+      else if (flag == "--threads") options.threads = count();
+      else if (flag == "--lanes") options.lanes = count();
+      else if (flag == "--coalesce") options.coalesce_limit = count();
+      else if (flag == "--heartbeat-ms") options.heartbeat_seconds =
+          bismo::api::parse_double(flag, next()) / 1000.0;
+      else if (flag == "--name") options.name = next();
+      else if (flag == "--fft-backend") {
+        const std::string backend = next();
+        if (!bismo::fft::set_backend(backend)) {
+          std::fprintf(stderr, "unknown or unavailable FFT backend \"%s\"\n",
+                       backend.c_str());
+          return 2;
+        }
       }
+      else if (flag == "--verbose") options.verbose = true;
+      else usage(argv[0]);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      usage(argv[0]);
     }
-    else if (flag == "--verbose") options.verbose = true;
-    else usage(argv[0]);
   }
 
   try {
     bismo::net::Worker worker(options);
     std::printf("bismo_worker listening on 127.0.0.1:%u (%s, width %zu, "
-                "fft %s, pipeline %s)\n",
+                "fft %s)\n",
                 static_cast<unsigned>(worker.port()), options.name.c_str(),
-                worker.session().width(), bismo::fft::backend_name(),
-                bismo::sim::fusion_mode_name());
+                worker.session().width(), bismo::fft::backend_name());
     std::fflush(stdout);
 
     std::signal(SIGINT, handle_signal);
