@@ -1,6 +1,7 @@
 // Engineering micro-benchmarks (google-benchmark): throughput of the
 // substrates every experiment sits on -- FFTs, Abbe/Hopkins forward
-// imaging, manual gradients, HVPs, and the TCC/SOCS build.
+// imaging, manual gradients, exact HVPs and the BiSMO hypergradient step
+// (against its finite-difference predecessor), and the TCC/SOCS build.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -8,6 +9,7 @@
 #include "fft/fft.hpp"
 #include "fft/kernels/kernel.hpp"
 #include "grad/abbe_grad.hpp"
+#include "grad/gradcheck.hpp"
 #include "grad/hvp.hpp"
 #include "litho/hopkins.hpp"
 #include "math/grid_ops.hpp"
@@ -234,26 +236,81 @@ void BM_AbbeDualGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_AbbeDualGradient)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
+/// A BiSMO outer step's hypergradient inputs at the bench shapes: 9^2
+/// source at 64^2, 11^2 at 128^2 (the perfbench bismo_128 shape).
+struct HypergradientBench {
+  explicit HypergradientBench(std::size_t n)
+      : optics(optics_for(n)),
+        geometry(n >= 128 ? 11 : 9, optics),
+        abbe(optics, geometry),
+        target(bench_target(n)),
+        engine(abbe, target),
+        theta_m(init_mask_params(target, {})),
+        theta_j(init_source_params(make_source(geometry, SourceSpec{}), {})),
+        v(geometry.dim(), geometry.dim()) {
+    Rng rng(3);
+    for (auto& x : v) x = rng.uniform(-1, 1);
+  }
+  OpticsConfig optics;
+  SourceGeometry geometry;
+  AbbeImaging abbe;
+  RealGrid target;
+  AbbeGradientEngine engine;
+  RealGrid theta_m;
+  RealGrid theta_j;
+  RealGrid v;
+};
+
 void BM_Hvp(benchmark::State& state) {
-  const std::size_t n = 64;
-  const OpticsConfig optics = optics_for(n);
-  const SourceGeometry geometry(9, optics);
-  const AbbeImaging abbe(optics, geometry);
-  const RealGrid target = bench_target(n);
-  const AbbeGradientEngine engine(abbe, target);
-  const HypergradientOps ops(engine);
-  const RealGrid theta_m = init_mask_params(target, {});
-  SourceSpec spec;
-  const RealGrid theta_j = init_source_params(make_source(geometry, spec), {});
-  Rng rng(3);
-  RealGrid v(9, 9);
-  for (auto& x : v) x = rng.uniform(-1, 1);
+  // One exact source HVP at a linearized point (the CG/Neumann inner op).
+  const HypergradientBench b(static_cast<std::size_t>(state.range(0)));
+  const HypergradientOps ops(b.engine);
+  ops.linearize(b.theta_m, b.theta_j);
+  RealGrid hv;
   for (auto _ : state) {
-    const RealGrid hv = ops.hvp_source(theta_m, theta_j, v);
+    ops.hvp(b.v, hv);
     benchmark::DoNotOptimize(hv.data());
   }
 }
-BENCHMARK(BM_Hvp)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Hvp)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+
+void BM_HypergradientStep(benchmark::State& state) {
+  // The hypergradient part of one BiSMO-NMN outer step (K = 3) at a theta_M
+  // whose images are cached, as after the step's unroll.  exact=1: one
+  // linearization, 3 exact HVPs and one two-seed sweep (core/bismo.cpp);
+  // exact=0: the finite-difference step it replaced -- a full evaluation,
+  // 3 FD HVPs and the 2-evaluation FD mixed term (grad/gradcheck oracles).
+  const HypergradientBench b(static_cast<std::size_t>(state.range(0)));
+  const bool exact = state.range(1) != 0;
+  const HypergradientOps ops(b.engine);
+  const RealGrid w = b.v * 0.1;
+  for (auto _ : state) {
+    if (exact) {
+      const SmoGradient& g = ops.linearize(b.theta_m, b.theta_j);
+      RealGrid hv = ops.hvp(g.grad_theta_j);
+      for (int k = 1; k < 3; ++k) hv = ops.hvp(hv);
+      const RealGrid hyper = ops.hypergradient(w);
+      benchmark::DoNotOptimize(hyper.data());
+    } else {
+      const SmoGradient g = b.engine.evaluate(b.theta_m, b.theta_j);
+      RealGrid hv = fd_hvp_source(b.engine, b.theta_m, b.theta_j,
+                                  g.grad_theta_j);
+      for (int k = 1; k < 3; ++k) {
+        hv = fd_hvp_source(b.engine, b.theta_m, b.theta_j, hv);
+      }
+      RealGrid hyper = g.grad_theta_m;
+      hyper -= fd_mixed_mask_source(b.engine, b.theta_m, b.theta_j, w);
+      benchmark::DoNotOptimize(hyper.data());
+    }
+  }
+}
+BENCHMARK(BM_HypergradientStep)
+    ->ArgNames({"n", "exact"})
+    ->Args({64, 0})
+    ->Args({64, 1})
+    ->Args({128, 0})
+    ->Args({128, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SocsBuild(benchmark::State& state) {
   const std::size_t n = 64;

@@ -132,10 +132,6 @@ const std::vector<KeyEntry>& key_table() {
        }},
       {{"cg_damping", "Tikhonov damping for BiSMO-CG"},
        [](SmoConfig& c, S v) { c.cg_damping = parse_double("cg_damping", v); }},
-      {{"fd_eps_scale", "finite-difference probe magnitude"},
-       [](SmoConfig& c, S v) {
-         c.fd_eps_scale = parse_double("fd_eps_scale", v);
-       }},
       // Iteration budgets.
       {{"outer_steps", "BiSMO outer iterations / MO-only steps"},
        [](SmoConfig& c, S v) {

@@ -50,7 +50,7 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
   const SmoConfig& cfg = problem.config();
   const LossWeights& w = cfg.weights;
   const AbbeGradientEngine& engine = problem.engine();
-  const HypergradientOps hyper(engine, options.fd_eps_scale);
+  const HypergradientOps hyper(engine);
 
   RunResult result;
   result.method = to_string(variant);
@@ -79,9 +79,11 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
       inner_opt->step(theta_j, g.grad_theta_j);
     }
 
-    // ---- Hypergradient (Eq. 12): direct parts first. ----
-    const SmoGradient g = engine.evaluate(theta_m, theta_j, GradRequest{});
-    ++result.gradient_evaluations;
+    // ---- Hypergradient (Eq. 12). ----
+    // Linearize once at (theta_M, theta_JT): a cache-hit source-only
+    // evaluation that also keeps what the exact HVPs and the fused sweep
+    // need (grad/hvp.hpp).
+    const SmoGradient& g = hyper.linearize(theta_m, theta_j);
     result.trace.push_back({outer, w.gamma * g.l2 + w.eta * g.pvb, g.l2,
                             g.pvb, elapsed_seconds(start)});
     control.notify(result.trace.back());
@@ -93,7 +95,7 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
       switch (variant) {
         case BismoVariant::kFd: {
           // Eq. 13: w = alpha * v (identical to the K = 0 Neumann sum).
-          const RealGrid hv = hyper.hvp_source(theta_m, theta_j, v);
+          const RealGrid hv = hyper.hvp(v);
           const double alpha = contraction_alpha(options.lr_source, v, hv);
           wvec = v * alpha;
           break;
@@ -105,12 +107,12 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
           // growing term signals a negative/over-large curvature direction,
           // in which case the partial sum so far is kept (the same
           // safeguard CG applies on negative curvature).
-          RealGrid hv = hyper.hvp_source(theta_m, theta_j, v);
+          RealGrid hv = hyper.hvp(v);
           const double alpha = contraction_alpha(options.lr_source, v, hv);
           RealGrid cur = v;
           RealGrid acc = v;
           for (int k = 0; k < options.hyper_terms; ++k) {
-            if (k > 0) hv = hyper.hvp_source(theta_m, theta_j, cur);
+            if (k > 0) hyper.hvp(cur, hv);
             cur = axpy(cur, -alpha, hv);
             const double cn = norm2(cur);
             if (!std::isfinite(cn) || cn > 1.5 * vn) break;
@@ -125,9 +127,7 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
           cg_opt.max_iterations = options.hyper_terms;
           cg_opt.damping = options.cg_damping;
           cg_opt.tolerance = 1e-10;
-          const auto apply = [&](const RealGrid& x) {
-            return hyper.hvp_source(theta_m, theta_j, x);
-          };
+          const auto apply = [&](const RealGrid& x) { return hyper.hvp(x); };
           const CgResult sol = conjugate_gradient(apply, v, cg_warm, cg_opt);
           wvec = sol.x;
           cg_warm = wvec;  // warm start the next outer step
@@ -136,16 +136,14 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
       }
     }
 
-    // Gradient fusion: hyper = dLmo/dthetaM - [d2Lso/dthetaM dthetaJ] w.
-    RealGrid hypergrad = g.grad_theta_m;
-    if (norm2(wvec) > 1e-30) {
-      const RealGrid mixed = hyper.mixed_mask_source(theta_m, theta_j, wvec);
-      hypergrad -= mixed;
-    }
+    // Gradient fusion in one backward sweep:
+    //   hyper = dLmo/dthetaM - [d2Lso/dthetaM dthetaJ] w.
+    const RealGrid hypergrad = hyper.hypergradient(wvec);
 
     // ---- Upper level: MO update (Alg. 2 line 13). ----
     outer_opt->step(theta_m, hypergrad);
   }
+  // One linearization and one backward sweep per outer step.
   result.gradient_evaluations += hyper.evaluations();
 
   result.theta_m = std::move(theta_m);

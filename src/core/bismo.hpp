@@ -12,6 +12,10 @@
 //        CG  (Eq. 18): K conjugate-gradient steps on H w = v, warm-started
 //   3. update theta_M with the outer optimizer.
 //
+// Step 2 is exact (grad/hvp.hpp): one linearization from the engine's
+// image cache, closed-form HVPs over the cached per-point images, and one
+// two-seed backward sweep that returns the whole hypergradient.
+//
 // alpha is the inner step size xi_J, capped adaptively so the Neumann
 // hypothesis ||I - alpha H|| < 1 (Lemma 2) holds along the probed
 // direction; the FD variant shares the cap, preserving the paper's
@@ -41,7 +45,6 @@ struct BismoOptions {
   double lr_mask = 0.1;       ///< xi_M
   double lr_source = 0.1;     ///< xi_J (also the Neumann/FD alpha)
   double cg_damping = 0.0;    ///< Tikhonov damping for the CG solve
-  double fd_eps_scale = 1e-2; ///< HVP probe magnitude
 };
 
 /// Run BiSMO with the chosen hypergradient variant.

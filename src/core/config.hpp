@@ -41,7 +41,10 @@ struct SmoConfig {
   int unroll_steps = 3;           ///< T: inner SO steps per outer step
   int hyper_terms = 5;            ///< K: Neumann terms / CG iterations
   double cg_damping = 0.0;        ///< Tikhonov damping for BiSMO-CG
-  double fd_eps_scale = 1e-2;     ///< finite-difference probe magnitude
+  /// Unused since the hypergradients became exact (grad/hvp.hpp); no
+  /// config key sets it.  Kept only because the benchmark program passes
+  /// it to HypergradientOps and the wire codec carries it.
+  double fd_eps_scale = 1e-2;
 
   // Iteration budgets.
   int outer_steps = 40;   ///< BiSMO outer iterations / MO-only steps

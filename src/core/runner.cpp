@@ -181,7 +181,6 @@ RunResult run_method(const SmoProblem& problem, Method method,
       opt.lr_mask = cfg.lr_mask;
       opt.lr_source = cfg.lr_source;
       opt.cg_damping = cfg.cg_damping;
-      opt.fd_eps_scale = cfg.fd_eps_scale;
       BismoVariant variant = BismoVariant::kNmn;
       if (method == Method::kBismoFd) variant = BismoVariant::kFd;
       if (method == Method::kBismoCg) variant = BismoVariant::kCg;

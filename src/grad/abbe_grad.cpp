@@ -42,6 +42,37 @@ RealGrid AbbeGradientEngine::aerial(const RealGrid& theta_m,
   return abbe_->aerial(o, source, source_cutoff_).intensity;
 }
 
+const sim::SourceImageCache& AbbeGradientEngine::source_images(
+    const RealGrid& theta_m) const {
+  if (!images_.holds(theta_m)) {
+    ComplexGrid o = to_complex(activate_mask(theta_m, activation_));
+    fft2(o);
+    images_.fill(*abbe_, o, theta_m);
+  }
+  return images_;
+}
+
+RealGrid AbbeGradientEngine::mask_adjoint(
+    const RealGrid& theta_m, const RealGrid& seed,
+    const std::vector<sim::AdjointItem>& items, const RealGrid* seed2) const {
+  const RealGrid mask = activate_mask(theta_m, activation_);
+  ComplexGrid o = to_complex(mask);
+  fft2(o);
+  return mask_gradient(theta_m, mask, o, seed, items, seed2);
+}
+
+RealGrid AbbeGradientEngine::mask_gradient(
+    const RealGrid& theta_m, const RealGrid& mask, const ComplexGrid& o,
+    const RealGrid& seed, const std::vector<sim::AdjointItem>& items,
+    const RealGrid* seed2) const {
+  ComplexGrid go = sim::adjoint_pass(*abbe_, o, seed, items, nullptr, seed2);
+  // Every mask-path point can be below the cutoff (e.g. an all-dark
+  // source); the adjoint is then exactly zero, not absent.
+  if (go.empty()) go = ComplexGrid(o.rows(), o.cols());
+  const RealGrid gm = real_part(fft2_adjoint(go));
+  return gm * mask_activation_derivative(theta_m, mask, activation_);
+}
+
 SmoLoss AbbeGradientEngine::loss_only(const RealGrid& theta_m,
                                       const RealGrid& theta_j) const {
   return evaluate_smo_loss(aerial(theta_m, theta_j), target_, resist_,
@@ -53,7 +84,6 @@ SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
                                          const GradRequest& request) const {
   const SourceGeometry& geometry = abbe_->geometry();
   const auto& pts = geometry.points();
-  const std::size_t n = abbe_->optics().mask_dim;
 
   const RealGrid source = activate_source(theta_j, geometry, activation_);
   const bool want_backprop = request.mask || request.source;
@@ -132,14 +162,7 @@ SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
       item.scale = mask_path ? 2.0 * jw / w_total : 0.0;
       items.push_back(item);
     }
-    ComplexGrid go = sim::adjoint_pass(*abbe_, o, dldi, items);
-    // Every mask-path point can be below the cutoff (e.g. an all-dark
-    // source); the adjoint is then exactly zero, not absent.
-    if (go.empty()) go = ComplexGrid(n, n);
-    const ComplexGrid gm_complex = fft2_adjoint(go);
-    const RealGrid gm = real_part(gm_complex);
-    const RealGrid dact = mask_activation_derivative(theta_m, mask, activation_);
-    out.grad_theta_m = gm * dact;
+    out.grad_theta_m = mask_gradient(theta_m, mask, o, dldi, items, nullptr);
   }
 
   if (request.source) {

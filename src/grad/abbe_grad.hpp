@@ -21,6 +21,8 @@
 #ifndef BISMO_GRAD_ABBE_GRAD_HPP
 #define BISMO_GRAD_ABBE_GRAD_HPP
 
+#include <vector>
+
 #include "grad/loss.hpp"
 #include "litho/abbe.hpp"
 #include "litho/activation.hpp"
@@ -58,6 +60,11 @@ struct GradRequest {
 /// the transform path and leaves the cache alone.  The cache is mutable
 /// state behind const methods: like the shared workspaces, it follows the
 /// one-evaluation-at-a-time contract (thread-compatible, not thread-safe).
+///
+/// BiSMO's exact second-order operators (grad/hvp.hpp) read the same
+/// cache through `source_images`: a source HVP is one weighted sum and one
+/// set of dots over the cached images, and the hypergradient is one
+/// two-seed `mask_adjoint` sweep.
 class AbbeGradientEngine {
  public:
   /// `abbe` is borrowed and must outlive the engine.
@@ -77,14 +84,35 @@ class AbbeGradientEngine {
   /// visualization; applies activations internally).
   RealGrid aerial(const RealGrid& theta_m, const RealGrid& theta_j) const;
 
+  /// The per-point images |A_s|^2 at theta_M, filling the cache on a miss
+  /// (component c is source point c of `abbe().geometry().points()`).
+  /// The reference stays valid until a call at another theta_M refills it.
+  const sim::SourceImageCache& source_images(const RealGrid& theta_m) const;
+
+  /// Mask-side backward sweep with caller-built seeds:
+  ///   Re adj( sum_k (scale_k seed + scale2_k seed2) .* A_k ) .* dM/dtheta_M
+  /// over `items` (sim::adjoint_pass; `seed2` may be null).  With
+  /// seed = dL/dI and scale_k = 2 j_k / W over the mask-path points this is
+  /// exactly the mask gradient `evaluate` returns.
+  RealGrid mask_adjoint(const RealGrid& theta_m, const RealGrid& seed,
+                        const std::vector<sim::AdjointItem>& items,
+                        const RealGrid* seed2 = nullptr) const;
+
   const AbbeImaging& abbe() const noexcept { return *abbe_; }
   const RealGrid& target() const noexcept { return target_; }
   const ResistModel& resist() const noexcept { return resist_; }
   const ActivationConfig& activation() const noexcept { return activation_; }
   const LossWeights& weights() const noexcept { return weights_; }
   const ProcessWindow& process_window() const noexcept { return pw_; }
+  /// Source weights at or below this skip the mask path (see evaluate).
+  double source_cutoff() const noexcept { return source_cutoff_; }
 
  private:
+  RealGrid mask_gradient(const RealGrid& theta_m, const RealGrid& mask,
+                         const ComplexGrid& o, const RealGrid& seed,
+                         const std::vector<sim::AdjointItem>& items,
+                         const RealGrid* seed2) const;
+
   const AbbeImaging* abbe_;
   RealGrid target_;
   ResistModel resist_;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "math/grid_ops.hpp"
+
 namespace bismo {
 
 GradCheckResult check_gradient(
@@ -45,6 +47,51 @@ GradCheckResult check_gradient(
     ++result.probes;
   }
   return result;
+}
+
+namespace {
+
+/// Central difference of one gradient component along `dir` in theta_J.
+RealGrid fd_along_source(const AbbeGradientEngine& engine,
+                         const RealGrid& theta_m, const RealGrid& theta_j,
+                         const RealGrid& dir, double eps_scale, bool mask) {
+  if (!theta_j.same_shape(dir)) {
+    throw std::invalid_argument("fd oracle: direction shape mismatch");
+  }
+  const double n = norm2(dir);
+  if (n < 1e-30) {
+    const RealGrid& shape = mask ? theta_m : theta_j;
+    return RealGrid(shape.rows(), shape.cols(), 0.0);
+  }
+  const double eps = eps_scale / n;
+  GradRequest req;
+  req.mask = mask;
+  req.source = !mask;
+  const SmoGradient plus =
+      engine.evaluate(theta_m, axpy(theta_j, eps, dir), req);
+  const SmoGradient minus =
+      engine.evaluate(theta_m, axpy(theta_j, -eps, dir), req);
+  RealGrid out = mask ? plus.grad_theta_m - minus.grad_theta_m
+                      : plus.grad_theta_j - minus.grad_theta_j;
+  out *= 1.0 / (2.0 * eps);
+  return out;
+}
+
+}  // namespace
+
+RealGrid fd_hvp_source(const AbbeGradientEngine& engine,
+                       const RealGrid& theta_m, const RealGrid& theta_j,
+                       const RealGrid& v, double eps_scale) {
+  return fd_along_source(engine, theta_m, theta_j, v, eps_scale,
+                         /*mask=*/false);
+}
+
+RealGrid fd_mixed_mask_source(const AbbeGradientEngine& engine,
+                              const RealGrid& theta_m,
+                              const RealGrid& theta_j, const RealGrid& w,
+                              double eps_scale) {
+  return fd_along_source(engine, theta_m, theta_j, w, eps_scale,
+                         /*mask=*/true);
 }
 
 }  // namespace bismo

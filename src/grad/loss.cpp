@@ -11,7 +11,7 @@ namespace bismo {
 SmoLoss evaluate_smo_loss(const RealGrid& intensity, const RealGrid& target,
                           const ResistModel& resist,
                           const LossWeights& weights, const ProcessWindow& pw,
-                          bool want_backprop) {
+                          bool want_backprop, RealGrid* d2l_di2) {
   if (!intensity.same_shape(target)) {
     throw std::invalid_argument("evaluate_smo_loss: shape mismatch");
   }
@@ -19,6 +19,9 @@ SmoLoss evaluate_smo_loss(const RealGrid& intensity, const RealGrid& target,
   const std::size_t n = intensity.size();
   if (want_backprop) out.dl_di = RealGrid(intensity.rows(), intensity.cols());
   out.z_nominal = RealGrid(intensity.rows(), intensity.cols());
+  if (d2l_di2 != nullptr && !d2l_di2->same_shape(intensity)) {
+    d2l_di2->resize(intensity.rows(), intensity.cols());
+  }
 
   const double d_min_sq = pw.dose_min * pw.dose_min;
   const double d_max_sq = pw.dose_max * pw.dose_max;
@@ -42,6 +45,12 @@ SmoLoss evaluate_smo_loss(const RealGrid& intensity, const RealGrid& target,
   double scaled[kBlock];
 
   const double inv_n = 1.0 / static_cast<double>(n);
+  // Curvature of one corner's squared error per unit (w_c 2 beta^2 d_c^4).
+  const auto corner_curvature = [](double z, double t) {
+    const double s = z * (1.0 - z);
+    return s * s + (z - t) * s * (1.0 - 2.0 * z);
+  };
+  const double beta_sq = resist.beta * resist.beta;
   for (std::size_t start = 0; start < n; start += kBlock) {
     const std::size_t len = std::min(kBlock, n - start);
     for (std::size_t i = 0; i < len; ++i) {
@@ -72,6 +81,12 @@ SmoLoss evaluate_smo_loss(const RealGrid& intensity, const RealGrid& target,
         g += weights.eta * 2.0 * diff_max * resist.beta * z_max[i] *
              (1.0 - z_max[i]) * d_max_sq;
         out.dl_di[start + i] = g * inv_n;
+      }
+      if (d2l_di2 != nullptr) {
+        double h = weights.gamma * corner_curvature(z_nom, t);
+        h += weights.eta * corner_curvature(z_min[i], t) * d_min_sq * d_min_sq;
+        h += weights.eta * corner_curvature(z_max[i], t) * d_max_sq * d_max_sq;
+        (*d2l_di2)[start + i] = 2.0 * beta_sq * h * inv_n;
       }
     }
   }

@@ -47,10 +47,16 @@ struct SmoLoss {
 /// Evaluate Lsmo from a normalized aerial image and optionally produce the
 /// fused dL/dI seed for reverse mode.  `target` must match `intensity` in
 /// shape (throws std::invalid_argument otherwise).
+///
+/// When `d2l_di2` is non-null it receives the per-pixel curvature
+/// d2L/dI2 (the loss is pixelwise in I, so its Hessian is diagonal):
+///   (1/Npx) sum_c w_c 2 beta^2 d_c^4 [ s_c^2 + (Z_c - Zt) s_c (1 - 2 Z_c) ],
+/// s_c = Z_c (1 - Z_c), built from the same resist activations as the
+/// seed.  The grid is resized only when its shape differs.
 SmoLoss evaluate_smo_loss(const RealGrid& intensity, const RealGrid& target,
                           const ResistModel& resist,
                           const LossWeights& weights, const ProcessWindow& pw,
-                          bool want_backprop);
+                          bool want_backprop, RealGrid* d2l_di2 = nullptr);
 
 }  // namespace bismo
 

@@ -20,6 +20,11 @@ double cosine_act_derivative(double x) {
   return 0.5 * kHalfPi * std::cos(x * kHalfPi);
 }
 
+double cosine_act_second_derivative(double x) {
+  if (x <= -1.0 || x >= 1.0) return 0.0;
+  return -0.5 * kHalfPi * kHalfPi * std::sin(x * kHalfPi);
+}
+
 }  // namespace
 
 RealGrid activate_mask(const RealGrid& theta_m, const ActivationConfig& cfg) {
@@ -78,6 +83,30 @@ RealGrid source_activation_derivative(const RealGrid& theta_j,
     for (std::size_t i = 0; i < d.size(); ++i) {
       d[i] = cfg.alpha_source *
              cosine_act_derivative(cfg.alpha_source * theta_j[i]);
+    }
+  }
+  d *= geometry.validity_mask();
+  return d;
+}
+
+RealGrid source_activation_second_derivative(const RealGrid& theta_j,
+                                             const RealGrid& source,
+                                             const SourceGeometry& geometry,
+                                             const ActivationConfig& cfg) {
+  if (!theta_j.same_shape(source)) {
+    throw std::invalid_argument(
+        "source_activation_second_derivative: shape mismatch");
+  }
+  const double a2 = cfg.alpha_source * cfg.alpha_source;
+  RealGrid d(theta_j.rows(), theta_j.cols(), 0.0);
+  if (cfg.kind == ActivationKind::kSigmoid) {
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      const double j = source[i];
+      d[i] = a2 * j * (1.0 - j) * (1.0 - 2.0 * j);
+    }
+  } else {
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      d[i] = a2 * cosine_act_second_derivative(cfg.alpha_source * theta_j[i]);
     }
   }
   d *= geometry.validity_mask();

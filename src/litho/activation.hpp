@@ -47,6 +47,13 @@ RealGrid source_activation_derivative(const RealGrid& theta_j,
                                       const SourceGeometry& geometry,
                                       const ActivationConfig& cfg);
 
+/// d2J/dtheta_J2 (zero at invalid points): alpha_j^2 J (1-J)(1-2J) for the
+/// sigmoid, the cosine's second derivative inside its unsaturated band.
+RealGrid source_activation_second_derivative(const RealGrid& theta_j,
+                                             const RealGrid& source,
+                                             const SourceGeometry& geometry,
+                                             const ActivationConfig& cfg);
+
 /// theta_M initialization from a binary target pattern: +m0 where the
 /// target is 1, -m0 elsewhere (Table 1; the initial mask is the target,
 /// which also seeds SRAF growth during MO).

@@ -1,7 +1,8 @@
 #include "sim/imaging_model.hpp"
 
+#include <atomic>
 #include <cmath>
-#include <functional>
+#include <stdexcept>
 
 #include "fft/fft.hpp"
 #include "fft/kernels/kernel.hpp"
@@ -10,14 +11,73 @@
 
 namespace bismo::sim {
 
-void run_slots(const ImagingModel& model, std::size_t slots,
-               const std::function<void(std::size_t)>& task) {
-  ThreadPool* pool = model.pool();
-  if (pool != nullptr && slots > 1) {
-    pool->parallel_for(slots, task);
-  } else {
-    for (std::size_t s = 0; s < slots; ++s) task(s);
+namespace {
+
+std::atomic<std::uint64_t> g_adjoint_passes{0};
+
+/// One item of the band-restricted direct adjoint (see adjoint_pass).
+/// With D = FFT2(dldi) and S = o .* vals over the band bins, evaluates
+/// U = (D (*) S)|_band, adds conj(vals) .* U * scale / N^2 into `accum`
+/// (when non-null) and returns the wns pairing (1/N^2) Re <S, U>.  With
+/// kTwoSeeds the same index walk also convolves S with D2 = FFT2(dldi2),
+/// and the scatter takes scale * U + scale2 * U2.
+template <bool kTwoSeeds>
+double band_conv_item(const BandRef& band, const ComplexGrid& o,
+                      const std::complex<double>* dd,
+                      const std::complex<double>* dd2, const AdjointItem& item,
+                      std::size_t n, SimWorkspace& ws,
+                      std::complex<double>* accum) {
+  // bismo-lint: no-alloc-begin
+  const std::uint32_t un = static_cast<std::uint32_t>(n);
+  const double nn = static_cast<double>(n) * static_cast<double>(n);
+  const double inv_n2 = 1.0 / (nn * nn);
+  const std::size_t nb = band.nbins;
+  const SimWorkspace::BandConvScratch scratch = ws.band_conv_scratch(nb);
+  std::complex<double>* sval = scratch.vals;
+  std::uint32_t* brow = scratch.rows;
+  std::uint32_t* bcol = scratch.cols;
+  for (std::size_t i = 0; i < nb; ++i) {
+    const std::uint32_t bin = band.bins[i];
+    brow[i] = bin / un;
+    bcol[i] = bin % un;
+    sval[i] =
+        band.vals != nullptr ? o.data()[bin] * band.vals[i] : o.data()[bin];
   }
+  const double go_fac = item.scale * inv_n2;
+  const double go_fac2 = item.scale2 * inv_n2;
+  double wacc = 0.0;
+  for (std::size_t i = 0; i < nb; ++i) {
+    const std::uint32_t ri = brow[i];
+    const std::uint32_t ci = bcol[i];
+    std::complex<double> u{};
+    std::complex<double> u2{};
+    for (std::size_t j = 0; j < nb; ++j) {
+      const std::uint32_t dr = ri >= brow[j] ? ri - brow[j] : ri + un - brow[j];
+      const std::uint32_t dc = ci >= bcol[j] ? ci - bcol[j] : ci + un - bcol[j];
+      const std::size_t at = std::size_t{dr} * n + dc;
+      u += sval[j] * dd[at];
+      if constexpr (kTwoSeeds) u2 += sval[j] * dd2[at];
+    }
+    wacc += sval[i].real() * u.real() + sval[i].imag() * u.imag();
+    if (accum != nullptr) {
+      const std::complex<double> v = band.vals != nullptr
+                                         ? std::conj(band.vals[i])
+                                         : std::complex<double>{1.0, 0.0};
+      if constexpr (kTwoSeeds) {
+        accum[band.bins[i]] += v * (u * go_fac + u2 * go_fac2);
+      } else {
+        accum[band.bins[i]] += v * u * go_fac;
+      }
+    }
+  }
+  return wacc * inv_n2;
+  // bismo-lint: no-alloc-end
+}
+
+}  // namespace
+
+std::uint64_t adjoint_pass_calls() {
+  return g_adjoint_passes.load(std::memory_order_relaxed);
 }
 
 bool adjoint_uses_band_conv(const ImagingModel& model) {
@@ -88,7 +148,11 @@ RealGrid accumulate_intensity(const ImagingModel& model, const ComplexGrid& o,
 ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
                          const RealGrid& dldi,
                          const std::vector<AdjointItem>& items,
-                         std::vector<double>* wns) {
+                         std::vector<double>* wns, const RealGrid* dldi2) {
+  g_adjoint_passes.fetch_add(1, std::memory_order_relaxed);
+  if (dldi2 != nullptr && wns != nullptr) {
+    throw std::invalid_argument("adjoint_pass: wns needs a single seed");
+  }
   const std::size_t n = model.grid_dim();
   if (items.empty()) {
     if (wns != nullptr) wns->clear();
@@ -142,9 +206,14 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
   // gradient engines skip arming the capture; see adjoint_uses_band_conv).
   const bool band_conv = adjoint_uses_band_conv(model);
   ComplexGrid dspec;
+  ComplexGrid dspec2;
   if (band_conv) {
     dspec = to_complex(dldi);
     fft2(dspec);
+    if (dldi2 != nullptr) {
+      dspec2 = to_complex(*dldi2);
+      fft2(dspec2);
+    }
   }
 
   WorkspaceSet& set = model.workspaces();
@@ -169,50 +238,21 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
       }
     }
     if (band_conv) {
-      const std::complex<double>* dd = dspec.data();
-      const std::uint32_t un = static_cast<std::uint32_t>(n);
-      const double nn = static_cast<double>(n) * static_cast<double>(n);
-      const double inv_n2 = 1.0 / (nn * nn);
+      const std::complex<double>* dd2 =
+          dldi2 != nullptr ? dspec2.data() : nullptr;
       for (std::size_t k = range.begin; k < range.end; ++k) {
         const AdjointItem& item = items[k];
         if (!item.mask && wns == nullptr) continue;
-        const BandRef band = model.component_band(item.component);
-        const std::size_t nb = band.nbins;
-        const SimWorkspace::BandConvScratch scratch = ws.band_conv_scratch(nb);
-        std::complex<double>* sval = scratch.vals;
-        std::uint32_t* brow = scratch.rows;
-        std::uint32_t* bcol = scratch.cols;
-        for (std::size_t i = 0; i < nb; ++i) {
-          const std::uint32_t bin = band.bins[i];
-          brow[i] = bin / un;
-          bcol[i] = bin % un;
-          sval[i] = band.vals != nullptr ? o.data()[bin] * band.vals[i]
-                                         : o.data()[bin];
-        }
         std::complex<double>* accum =
             item.mask ? ws.adjoint_accum().data() : nullptr;
-        const double go_fac = item.scale * inv_n2;
-        double wacc = 0.0;
-        for (std::size_t i = 0; i < nb; ++i) {
-          const std::uint32_t ri = brow[i];
-          const std::uint32_t ci = bcol[i];
-          std::complex<double> u{};
-          for (std::size_t j = 0; j < nb; ++j) {
-            const std::uint32_t dr =
-                ri >= brow[j] ? ri - brow[j] : ri + un - brow[j];
-            const std::uint32_t dc =
-                ci >= bcol[j] ? ci - bcol[j] : ci + un - bcol[j];
-            u += sval[j] * dd[std::size_t{dr} * n + dc];
-          }
-          wacc += sval[i].real() * u.real() + sval[i].imag() * u.imag();
-          if (accum != nullptr) {
-            const std::complex<double> v =
-                band.vals != nullptr ? std::conj(band.vals[i])
-                                     : std::complex<double>{1.0, 0.0};
-            accum[band.bins[i]] += v * u * go_fac;
-          }
-        }
-        if (wns != nullptr) (*wns)[k] = wacc * inv_n2;
+        const BandRef band = model.component_band(item.component);
+        const double item_wns =
+            dd2 != nullptr
+                ? band_conv_item<true>(band, o, dspec.data(), dd2, item, n,
+                                       ws, accum)
+                : band_conv_item<false>(band, o, dspec.data(), nullptr, item,
+                                        n, ws, accum);
+        if (wns != nullptr) (*wns)[k] = item_wns;
       }
       return;
     }
@@ -220,6 +260,18 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
       const AdjointItem& item = items[k];
       if (!item.mask && wns == nullptr) continue;
       const BandRef band = model.component_band(item.component);
+      // Two seeds combine into the slot's seed buffer (wns is null then,
+      // so every remaining item has `mask`).
+      const double* seed = dldi.data();
+      double seed_scale = item.scale;
+      if (dldi2 != nullptr) {
+        RealGrid& combined = ws.seed_scratch();
+        for (std::size_t i = 0; i < combined.size(); ++i) {
+          combined[i] = item.scale * dldi[i] + item.scale2 * (*dldi2)[i];
+        }
+        seed = combined.data();
+        seed_scale = 1.0;
+      }
       const ComplexGrid* cached = set.captured_field(item.component);
       if (cached != nullptr) {
         // The intensity pass already produced this field; the forward
@@ -229,7 +281,7 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
         // adjoint) falls back to the standalone vectorized reduction.
         if (item.mask) {
           const double item_wns = ws.adjoint_seed_accumulate(
-              *cached, dldi.data(), item.scale, band, ws.adjoint_accum(),
+              *cached, seed, seed_scale, band, ws.adjoint_accum(),
               wns != nullptr);
           if (wns != nullptr) (*wns)[k] = item_wns;
         } else {
@@ -242,7 +294,7 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
           o, band, nullptr, 0.0, wns != nullptr ? dldi.data() : nullptr);
       if (wns != nullptr) (*wns)[k] = item_wns;
       if (item.mask) {
-        ws.adjoint_seed_accumulate(ws.field(), dldi.data(), item.scale, band,
+        ws.adjoint_seed_accumulate(ws.field(), seed, seed_scale, band,
                                    ws.adjoint_accum());
       }
     }

@@ -79,14 +79,26 @@ class ImagingModel {
 /// Run `task(s)` for every reduction slot s < `slots` on the model's pool
 /// (inline when serial or single-slot).  Slots pair with
 /// `slot_range` (parallel/reduction.hpp) and the workspace `set.at(s)`.
+/// The pool sees the task through a reference wrapper, which
+/// std::function stores in place, so dispatching allocates nothing.
+template <typename Task>
 void run_slots(const ImagingModel& model, std::size_t slots,
-               const std::function<void(std::size_t)>& task);
+               const Task& task) {
+  ThreadPool* pool = model.pool();
+  if (pool != nullptr && slots > 1) {
+    pool->parallel_for(slots, std::cref(task));
+  } else {
+    for (std::size_t s = 0; s < slots; ++s) task(s);
+  }
+}
 
-/// One work item of an `adjoint_pass`.
+/// One work item of an `adjoint_pass`.  The item's cotangent seed is
+/// scale * dldi (+ scale2 * dldi2 when the pass gets a second seed grid).
 struct AdjointItem {
   std::uint32_t component = 0;  ///< model component index
-  double scale = 0.0;  ///< cotangent seed factor (2 j/W or 2 kappa)
-  bool mask = false;   ///< push this component's adjoint into g_O?
+  double scale = 0.0;   ///< first-seed factor (2 j/W or 2 kappa)
+  double scale2 = 0.0;  ///< second-seed factor (ignored without dldi2)
+  bool mask = false;    ///< push this component's adjoint into g_O?
 };
 
 /// Deterministic pooled forward pass:
@@ -117,10 +129,24 @@ RealGrid accumulate_intensity(const ImagingModel& model, const ComplexGrid& o,
 /// band bins -- no per-item transform and no field (cached or recomputed)
 /// at all.  Returns the slot-order-combined g_O, or an empty grid when no
 /// item has `mask` set.
+///
+/// A non-null `dldi2` adds a second seed grid: item k's cotangent becomes
+/// (scale * dldi + scale2 * dldi2) .* field, so one sweep returns a linear
+/// combination of two adjoints with per-item factors (BiSMO's fused
+/// hypergradient, grad/hvp.hpp).  The band-convolution path transforms
+/// both seeds once and accumulates both convolutions in the same O(nbins^2)
+/// loop; the field paths form the combined seed per item in a slot
+/// buffer.  `wns` must be null with two seeds (throws
+/// std::invalid_argument).  Single-seed calls are unchanged bit for bit.
 ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
                          const RealGrid& dldi,
                          const std::vector<AdjointItem>& items,
-                         std::vector<double>* wns = nullptr);
+                         std::vector<double>* wns = nullptr,
+                         const RealGrid* dldi2 = nullptr);
+
+/// Number of `adjoint_pass` calls made by this process so far (relaxed
+/// counter; tests use it to check how many backward sweeps a solver runs).
+std::uint64_t adjoint_pass_calls();
 
 /// True when `adjoint_pass` will run the band-restricted direct adjoint
 /// for this model: fused mode, a fused-capable (power-of-two, >= 8) grid,

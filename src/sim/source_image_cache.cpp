@@ -51,9 +51,19 @@ void SourceImageCache::fill(const ImagingModel& model, const ComplexGrid& o,
 RealGrid SourceImageCache::intensity(const ImagingModel& model,
                                      const std::vector<std::uint32_t>& comps,
                                      const std::vector<double>& weights) const {
+  RealGrid out;
+  intensity(model, comps, weights, out);
+  return out;
+}
+
+void SourceImageCache::intensity(const ImagingModel& model,
+                                 const std::vector<std::uint32_t>& comps,
+                                 const std::vector<double>& weights,
+                                 RealGrid& out) const {
   const std::size_t n = model.grid_dim();
-  RealGrid out(n, n, 0.0);
-  if (comps.empty()) return out;
+  if (out.rows() != n || out.cols() != n) out.resize(n, n);
+  out.fill(0.0);
+  if (comps.empty()) return;
 
   // Same partition, per-slot order and slot-order combine as
   // accumulate_intensity, with each fused |field|^2 epilogue replaced by
@@ -77,7 +87,6 @@ RealGrid SourceImageCache::intensity(const ImagingModel& model,
   combine_slot_partials(out, slots, [&](std::size_t s) -> const RealGrid& {
     return set.at(s).intensity_accum();
   });
-  return out;
 }
 
 void SourceImageCache::dots(const ImagingModel& model, const double* w,

@@ -56,6 +56,12 @@ class SourceImageCache {
                      const std::vector<std::uint32_t>& comps,
                      const std::vector<double>& weights) const;
 
+  /// The same sum written into `out` (resized to dim x dim when its shape
+  /// differs), so a warmed call allocates nothing.
+  void intensity(const ImagingModel& model,
+                 const std::vector<std::uint32_t>& comps,
+                 const std::vector<double>& weights, RealGrid& out) const;
+
   /// out[c] = sum_i w[i] * image(c)[i] for every component (`out` is
   /// resized to the component count).
   void dots(const ImagingModel& model, const double* w,

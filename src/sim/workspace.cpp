@@ -22,6 +22,13 @@ void SimWorkspace::ensure(std::size_t dim) {
   }
 }
 
+RealGrid& SimWorkspace::seed_scratch() {
+  if (seed_scratch_.rows() != dim_ || seed_scratch_.cols() != dim_) {
+    seed_scratch_.resize(dim_, dim_);
+  }
+  return seed_scratch_;
+}
+
 SimWorkspace::BandConvScratch SimWorkspace::band_conv_scratch(
     std::size_t nbins) {
   if (band_vals_.size() < nbins) {

@@ -92,6 +92,11 @@ class SimWorkspace {
   /// Per-slot intensity accumulator.
   RealGrid& intensity_accum() noexcept { return intensity_accum_; }
 
+  /// Per-slot real grid for a per-item combined cotangent seed (the
+  /// two-seed field paths of sim::adjoint_pass).  Sized on first use, so
+  /// workspaces that never run those paths do not hold it.
+  RealGrid& seed_scratch();
+
   /// FFT scratch sized for `plan()`.
   std::complex<double>* fft_scratch() noexcept { return fft_scratch_.data(); }
 
@@ -164,6 +169,7 @@ class SimWorkspace {
   ComplexGrid spectrum_;  ///< fused-chain gather buffer (band product)
   ComplexGrid adjoint_accum_;
   RealGrid intensity_accum_;
+  RealGrid seed_scratch_;
   std::vector<std::uint8_t> row_flags_;  ///< fused-chain row-sparsity flags
   std::vector<std::complex<double>> fft_scratch_;
   std::vector<std::complex<double>> band_vals_;

@@ -2,8 +2,9 @@
 // lint regions.  The guarded hot paths -- the fused/staged pipeline
 // forward+adjoint at 64x64, the JobQueue MPMC push/pop fast path -- must
 // execute with zero heap allocations once warmed up, a warmed
-// band-convolution adjoint_pass must allocate the same for 2 items as for
-// every source point, and a steady-state
+// band-convolution adjoint_pass (one seed or two) must allocate the same
+// for 2 items as for every source point, a warmed exact source HVP must
+// allocate nothing, and a steady-state
 // Session::run re-submission must allocate strictly less than the cold
 // first run (workspace leases and FFT plans are reused, per-step result
 // grids still allocate by design).
@@ -22,6 +23,8 @@
 #include "api/api.hpp"
 #include "api/job_queue.hpp"
 #include "core/alloc_guard.hpp"
+#include "grad/abbe_grad.hpp"
+#include "grad/hvp.hpp"
 #include "litho/abbe.hpp"
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
@@ -215,6 +218,82 @@ TEST(AllocGuardPipeline, BandConvAdjointPassAllocationsDoNotGrowWithItems) {
   // allocate; nothing may scale with the items or their slots.
   EXPECT_EQ(allocations(all), allocations(few));
   sim::set_fusion_enabled(initial_mode);
+}
+
+TEST(AllocGuardPipeline, TwoSeedBandConvAdjointPassAllocationsDoNotGrowWithItems) {
+  // BiSMO's fused hypergradient sweep: both seeds ride one per-item loop,
+  // which must allocate nothing per item or per slot once warmed.
+  if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
+  const bool initial_mode = sim::fusion_enabled();
+  sim::set_fusion_enabled(true);
+  OpticsConfig optics;
+  optics.mask_dim = 64;
+  optics.pixel_nm = 8.0;
+  const SourceGeometry geometry(7, optics);
+  const AbbeImaging abbe(optics, geometry);  // serial: one thread counts
+  ASSERT_TRUE(sim::adjoint_uses_band_conv(abbe));
+
+  Rng rng(29);
+  const ComplexGrid o = testing::random_complex_grid(rng, 64, 64);
+  RealGrid seed(64, 64, 0.0);
+  RealGrid seed2(64, 64, 0.0);
+  for (auto& v : seed) v = rng.uniform(-1.0, 1.0);
+  for (auto& v : seed2) v = rng.uniform(-1.0, 1.0);
+  const auto items_for = [](std::size_t count) {
+    std::vector<sim::AdjointItem> items(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      items[k].component = static_cast<std::uint32_t>(k);
+      items[k].mask = true;
+      items[k].scale = 0.1;
+      items[k].scale2 = -0.3;
+    }
+    return items;
+  };
+  const std::vector<sim::AdjointItem> few = items_for(2);
+  const std::vector<sim::AdjointItem> all = items_for(abbe.components());
+  ASSERT_GT(all.size(), kReductionSlots);
+
+  const auto allocations = [&](const std::vector<sim::AdjointItem>& items) {
+    AllocGuard guard;
+    (void)sim::adjoint_pass(abbe, o, seed, items, nullptr, &seed2);
+    return guard.allocations();
+  };
+  (void)allocations(all);
+  (void)allocations(few);
+  // Per-call grids (the two transformed seeds, the returned g_O) still
+  // allocate; nothing may scale with the items or their slots.
+  EXPECT_EQ(allocations(all), allocations(few));
+  sim::set_fusion_enabled(initial_mode);
+}
+
+TEST(AllocGuardHypergradient, WarmedExactHvpIsAllocationFree) {
+  // The CG/Neumann inner loop: after one linearization and one warm-up
+  // product, every exact source HVP runs on reused buffers.
+  if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
+  OpticsConfig optics;
+  optics.mask_dim = 64;
+  optics.pixel_nm = 8.0;
+  const SourceGeometry geometry(7, optics);
+  const AbbeImaging abbe(optics, geometry);  // serial: one thread counts
+  RealGrid target(64, 64, 0.0);
+  for (std::size_t r = 28; r < 36; ++r) {
+    for (std::size_t c = 16; c < 48; ++c) target(r, c) = 1.0;
+  }
+  const AbbeGradientEngine engine(abbe, target);
+  const RealGrid theta_m = init_mask_params(target, {});
+  Rng rng(31);
+  RealGrid theta_j(7, 7, 0.0);
+  for (auto& v : theta_j) v = rng.uniform(-1.0, 1.0);
+  RealGrid v(7, 7, 0.0);
+  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+
+  const HypergradientOps ops(engine);
+  ops.linearize(theta_m, theta_j);
+  RealGrid hv;
+  ops.hvp(v, hv);  // warm-up: sizes the output and the cache's scratch
+  AllocGuard guard;
+  for (int k = 0; k < 4; ++k) ops.hvp(v, hv);
+  EXPECT_EQ(guard.allocations(), 0u);
 }
 
 // ---- Session steady state ---------------------------------------------------

@@ -70,6 +70,19 @@ TEST(JobSpecOverrides, RejectionsNameTheKey) {
                std::invalid_argument);
 }
 
+TEST(JobSpecOverrides, RetiredFdEpsScaleKeyIsUnknown) {
+  // The hypergradients are exact, so the finite-difference probe magnitude
+  // is no longer a config key; an old spec that sets it fails loudly.
+  SmoConfig config;
+  try {
+    api::apply_config_override(config, "fd_eps_scale=1e-4");
+    FAIL() << "retired key accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("fd_eps_scale"), std::string::npos);
+  }
+  for (const auto& key : api::config_keys()) EXPECT_NE(key.key, "fd_eps_scale");
+}
+
 TEST(JobSpecOverrides, IntegerKeysRejectMalformedAndOutOfRangeValues) {
   SmoConfig config;
   const int steps = config.unroll_steps;

@@ -294,7 +294,9 @@ TEST(NetWorkerLifecycle, StopIsOrderlyAndIdempotent) {
   {
     net::Dispatcher dispatcher(single(worker));
     ASSERT_EQ(dispatcher.wait_for_workers(1, 30.0), 1u);
-    const api::JobResult& r = dispatcher.submit(tiny_spec(2)).wait();
+    // Keep the handle alive: wait() returns a reference into its state.
+    const api::JobHandle handle = dispatcher.submit(tiny_spec(2));
+    const api::JobResult& r = handle.wait();
     ASSERT_TRUE(r.ok()) << r.error;
   }
   worker.stop();
