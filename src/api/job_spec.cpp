@@ -3,8 +3,8 @@
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
-#include <functional>
 #include <stdexcept>
+#include <type_traits>
 
 namespace bismo::api {
 namespace {
@@ -14,151 +14,34 @@ namespace {
   throw std::invalid_argument(what + ": \"" + value + "\" " + problem);
 }
 
-OptimizerKind parse_optimizer(const std::string& key,
-                              const std::string& value) {
-  if (value == "adam") return OptimizerKind::kAdam;
-  if (value == "sgd") return OptimizerKind::kSgd;
-  bad_value(key, value, "is not an optimizer (adam | sgd)");
-}
-
-SourceShape parse_shape(const std::string& key, const std::string& value) {
-  for (SourceShape shape :
-       {SourceShape::kAnnular, SourceShape::kConventional,
-        SourceShape::kDipoleX, SourceShape::kDipoleY, SourceShape::kQuasar,
-        SourceShape::kPoint}) {
-    if (value == to_string(shape)) return shape;
+/// "a | b | c": the accepted values of an enum-valued field.
+template <typename Names>
+std::string spellings(const Names& names) {
+  std::string out;
+  for (const char* name : names) {
+    if (!out.empty()) out += " | ";
+    out += name;
   }
-  bad_value(key, value,
-            "is not a source shape (annular | conventional | dipole-x |"
-            " dipole-y | quasar | point)");
+  return out;
 }
 
-/// One scriptable knob: documentation + setter.
-struct KeyEntry {
-  ConfigKeyInfo info;
-  std::function<void(SmoConfig&, const std::string&)> set;
-};
-
-const std::vector<KeyEntry>& key_table() {
-  using S = const std::string&;
-  static const std::vector<KeyEntry> table = {
-      // Optics / discretization.
-      {{"mask_dim", "Nm: mask grid dimension (pixels per side)"},
-       [](SmoConfig& c, S v) { c.optics.mask_dim = parse_size("mask_dim", v); }},
-      {{"pixel_nm", "mask pixel pitch on the wafer plane (nm)"},
-       [](SmoConfig& c, S v) { c.optics.pixel_nm = parse_double("pixel_nm", v); }},
-      {{"wavelength_nm", "illumination wavelength lambda (nm)"},
-       [](SmoConfig& c, S v) {
-         c.optics.wavelength_nm = parse_double("wavelength_nm", v);
-       }},
-      {{"na", "numerical aperture"},
-       [](SmoConfig& c, S v) { c.optics.na = parse_double("na", v); }},
-      {{"defocus_nm", "defocus aberration (nm, 0 = nominal focus)"},
-       [](SmoConfig& c, S v) {
-         c.optics.defocus_nm = parse_double("defocus_nm", v);
-       }},
-      {{"source_dim", "Nj: source grid dimension"},
-       [](SmoConfig& c, S v) { c.source_dim = parse_size("source_dim", v); }},
-      // Initial source template.
-      {{"source_shape",
-        "initial source template: annular | conventional | dipole-x |"
-        " dipole-y | quasar | point"},
-       [](SmoConfig& c, S v) {
-         c.initial_source.shape = parse_shape("source_shape", v);
-       }},
-      {{"sigma_out", "outer partial-coherence radius of the template"},
-       [](SmoConfig& c, S v) {
-         c.initial_source.sigma_out = parse_double("sigma_out", v);
-       }},
-      {{"sigma_in", "inner partial-coherence radius (annular/dipole/quasar)"},
-       [](SmoConfig& c, S v) {
-         c.initial_source.sigma_in = parse_double("sigma_in", v);
-       }},
-      // Activation (Table 1).
-      {{"alpha_mask", "mask sigmoid steepness alpha_m"},
-       [](SmoConfig& c, S v) {
-         c.activation.alpha_mask = parse_double("alpha_mask", v);
-       }},
-      {{"mask_init", "mask parameter init magnitude m0"},
-       [](SmoConfig& c, S v) {
-         c.activation.mask_init = parse_double("mask_init", v);
-       }},
-      {{"alpha_source", "source sigmoid steepness alpha_j"},
-       [](SmoConfig& c, S v) {
-         c.activation.alpha_source = parse_double("alpha_source", v);
-       }},
-      {{"source_init", "source parameter init magnitude j0"},
-       [](SmoConfig& c, S v) {
-         c.activation.source_init = parse_double("source_init", v);
-       }},
-      // Resist and loss.
-      {{"resist_beta", "resist sigmoid steepness beta"},
-       [](SmoConfig& c, S v) { c.resist.beta = parse_double("resist_beta", v); }},
-      {{"resist_threshold", "print threshold I_tr"},
-       [](SmoConfig& c, S v) {
-         c.resist.threshold = parse_double("resist_threshold", v);
-       }},
-      {{"gamma", "weight of the nominal L2 loss term"},
-       [](SmoConfig& c, S v) { c.weights.gamma = parse_double("gamma", v); }},
-      {{"eta", "weight of the PVB loss term"},
-       [](SmoConfig& c, S v) { c.weights.eta = parse_double("eta", v); }},
-      {{"dose_min", "process-window minimum dose factor"},
-       [](SmoConfig& c, S v) {
-         c.process_window.dose_min = parse_double("dose_min", v);
-       }},
-      {{"dose_max", "process-window maximum dose factor"},
-       [](SmoConfig& c, S v) {
-         c.process_window.dose_max = parse_double("dose_max", v);
-       }},
-      {{"epe_threshold_nm", "EPE violation threshold (nm)"},
-       [](SmoConfig& c, S v) {
-         c.epe.threshold_nm = parse_double("epe_threshold_nm", v);
-       }},
-      // Optimizers and step sizes.
-      {{"optimizer", "update rule: adam | sgd"},
-       [](SmoConfig& c, S v) { c.optimizer = parse_optimizer("optimizer", v); }},
-      {{"lr_mask", "mask learning rate xi_M"},
-       [](SmoConfig& c, S v) { c.lr_mask = parse_double("lr_mask", v); }},
-      {{"lr_source", "source learning rate xi_J"},
-       [](SmoConfig& c, S v) { c.lr_source = parse_double("lr_source", v); }},
-      // Bilevel hyperparameters.
-      {{"unroll_steps", "T: inner SO steps per outer step"},
-       [](SmoConfig& c, S v) {
-         c.unroll_steps = parse_int("unroll_steps", v);
-       }},
-      {{"hyper_terms", "K: Neumann terms / CG iterations"},
-       [](SmoConfig& c, S v) {
-         c.hyper_terms = parse_int("hyper_terms", v);
-       }},
-      {{"cg_damping", "Tikhonov damping for BiSMO-CG"},
-       [](SmoConfig& c, S v) { c.cg_damping = parse_double("cg_damping", v); }},
-      // Iteration budgets.
-      {{"outer_steps", "BiSMO outer iterations / MO-only steps"},
-       [](SmoConfig& c, S v) {
-         c.outer_steps = parse_int("outer_steps", v);
-       }},
-      {{"am_cycles", "AM-SMO alternation cycles"},
-       [](SmoConfig& c, S v) {
-         c.am_cycles = parse_int("am_cycles", v);
-       }},
-      {{"am_so_steps", "SO steps per AM cycle"},
-       [](SmoConfig& c, S v) {
-         c.am_so_steps = parse_int("am_so_steps", v);
-       }},
-      {{"am_mo_steps", "MO steps per AM cycle"},
-       [](SmoConfig& c, S v) {
-         c.am_mo_steps = parse_int("am_mo_steps", v);
-       }},
-      {{"socs_kernels", "Q: SOCS truncation for Hopkins baselines"},
-       [](SmoConfig& c, S v) {
-         c.socs_kernels = parse_size("socs_kernels", v);
-       }},
-      {{"source_cutoff", "forward skip threshold for j_sigma"},
-       [](SmoConfig& c, S v) {
-         c.source_cutoff = parse_double("source_cutoff", v);
-       }},
-  };
-  return table;
+/// Parse `value` as the type of the field it will be assigned to.
+template <typename T>
+T parse_field(const std::string& key, const std::string& value) {
+  if constexpr (std::is_same_v<T, double>) {
+    return parse_double(key, value);
+  } else if constexpr (std::is_same_v<T, int>) {
+    return parse_int(key, value);
+  } else if constexpr (std::is_same_v<T, std::size_t>) {
+    return parse_size(key, value);
+  } else {
+    static_assert(std::is_enum_v<T>, "unsupported config field type");
+    const auto& names = enum_names(T{});
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (value == names[i]) return static_cast<T>(i);
+    }
+    bad_value(key, value, "is not one of: " + spellings(names));
+  }
 }
 
 }  // namespace
@@ -286,7 +169,15 @@ std::uint64_t JobSpec::coalesce_fingerprint() const {
 const std::vector<ConfigKeyInfo>& config_keys() {
   static const std::vector<ConfigKeyInfo> keys = [] {
     std::vector<ConfigKeyInfo> out;
-    for (const KeyEntry& entry : key_table()) out.push_back(entry.info);
+    const SmoConfig defaults;
+    visit_config_fields(defaults, [&out](const ConfigField& field,
+                                         const auto& value) {
+      if (field.key == nullptr) return;
+      std::string doc = field.doc;
+      using T = std::decay_t<decltype(value)>;
+      if constexpr (std::is_enum_v<T>) doc += ": " + spellings(enum_names(T{}));
+      out.push_back({field.key, doc});
+    });
     return out;
   }();
   return keys;
@@ -300,21 +191,21 @@ void apply_config_override(SmoConfig& config, const std::string& pair) {
   }
   const std::string key = pair.substr(0, eq);
   const std::string value = pair.substr(eq + 1);
-  for (const KeyEntry& entry : key_table()) {
-    if (entry.info.key == key) {
-      try {
-        entry.set(config, value);
-      } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument(std::string("config override ") +
-                                    e.what());
-      }
-      return;
+  bool found = false;
+  visit_config_fields(config, [&](const ConfigField& field, auto& member) {
+    if (found || field.key == nullptr || key != field.key) return;
+    found = true;
+    try {
+      member = parse_field<std::decay_t<decltype(member)>>(key, value);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("config override ") + e.what());
     }
-  }
+  });
+  if (found) return;
   std::string known;
-  for (const KeyEntry& entry : key_table()) {
+  for (const ConfigKeyInfo& info : config_keys()) {
     if (!known.empty()) known += ", ";
-    known += entry.info.key;
+    known += info.key;
   }
   throw std::invalid_argument("unknown config key \"" + key +
                               "\"; known keys: " + known);

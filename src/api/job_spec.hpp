@@ -80,8 +80,9 @@ struct ConfigKeyInfo {
   std::string doc;
 };
 
-/// All supported override keys with one-line documentation, in stable
-/// order (the README config-key reference is generated from this table).
+/// All supported override keys with one-line documentation, in the order
+/// of the SmoConfig field table (BISMO_SMO_CONFIG_FIELDS in
+/// core/config.hpp); `bismo_cli --list-config` prints it.
 const std::vector<ConfigKeyInfo>& config_keys();
 
 /// Apply one "key=value" override.  Throws std::invalid_argument naming

@@ -1,61 +1,50 @@
 #include "core/config.hpp"
 
+#include <cmath>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace bismo {
 namespace {
 
-/// Uniform "field = value" diagnostic so callers (CLI, api::Session) can
-/// print configuration mistakes as one-line errors naming the knob.
+/// Throw the uniform "name = value invalid (requirement)" diagnostic, so
+/// callers (CLI, api::Session) print configuration mistakes as one-line
+/// errors.  The name is the override key, with the member path when the
+/// two differ.
 template <typename T>
-[[noreturn]] void reject(const char* field, T value, const char* requirement) {
-  std::ostringstream ss;
-  ss << "SmoConfig: " << field << " = " << value << " invalid ("
-     << requirement << ")";
-  throw std::invalid_argument(ss.str());
+void check_field(const ConfigField& field, T value) {
+  if constexpr (!std::is_enum_v<T>) {
+    const double v = static_cast<double>(value);
+    const FieldBound& b = field.bound;
+    const bool has_min = b.min > kAnyValue.min;
+    const bool finite = !std::is_floating_point_v<T> || std::isfinite(v);
+    const bool bounded = b.strict ? v > b.min : v >= b.min;
+    if (finite && bounded) return;
+    std::ostringstream ss;
+    ss << "SmoConfig: ";
+    if (field.key != nullptr && std::strcmp(field.key, field.path) != 0) {
+      ss << field.key << " (" << field.path << ")";
+    } else {
+      ss << field.path;
+    }
+    ss << " = " << value << " invalid (must be ";
+    if (std::is_floating_point_v<T>) ss << "finite";
+    if (std::is_floating_point_v<T> && has_min) ss << " and ";
+    if (has_min) ss << (b.strict ? "> " : ">= ") << b.min;
+    ss << ")";
+    throw std::invalid_argument(ss.str());
+  }
 }
 
 }  // namespace
 
 void SmoConfig::validate() const {
+  visit_config_fields(*this, [](const ConfigField& field, auto value) {
+    check_field(field, value);
+  });
   optics.validate();
-  if (source_dim < 2) {
-    reject("source_dim", source_dim, "need >= 2");
-  }
-  if (lr_mask <= 0.0) {
-    reject("lr_mask", lr_mask, "learning rate must be positive");
-  }
-  if (lr_source <= 0.0) {
-    reject("lr_source", lr_source, "learning rate must be positive");
-  }
-  if (unroll_steps < 0) {
-    reject("unroll_steps", unroll_steps, "bilevel budget must be >= 0");
-  }
-  if (hyper_terms < 0) {
-    reject("hyper_terms", hyper_terms, "bilevel budget must be >= 0");
-  }
-  if (outer_steps <= 0) {
-    reject("outer_steps", outer_steps, "iteration budget must be positive");
-  }
-  if (am_cycles <= 0) {
-    reject("am_cycles", am_cycles, "iteration budget must be positive");
-  }
-  if (am_so_steps <= 0) {
-    reject("am_so_steps", am_so_steps, "iteration budget must be positive");
-  }
-  if (am_mo_steps <= 0) {
-    reject("am_mo_steps", am_mo_steps, "iteration budget must be positive");
-  }
-  if (socs_kernels == 0) {
-    reject("socs_kernels", socs_kernels, "need >= 1");
-  }
-  if (weights.gamma < 0.0) {
-    reject("weights.gamma", weights.gamma, "loss weight must be >= 0");
-  }
-  if (weights.eta < 0.0) {
-    reject("weights.eta", weights.eta, "loss weight must be >= 0");
-  }
 }
 
 }  // namespace bismo

@@ -10,7 +10,9 @@
 #ifndef BISMO_CORE_CONFIG_HPP
 #define BISMO_CORE_CONFIG_HPP
 
+#include <array>
 #include <cstddef>
+#include <limits>
 
 #include "grad/loss.hpp"
 #include "litho/activation.hpp"
@@ -55,9 +57,128 @@ struct SmoConfig {
   std::size_t socs_kernels = 24;  ///< Q for Hopkins baselines
   double source_cutoff = 1e-9;    ///< forward skip threshold for j_sigma
 
-  /// Sanity-check the composite configuration.
+  /// Check every field against its row in BISMO_SMO_CONFIG_FIELDS, then
+  /// the cross-field optics sampling (OpticsConfig::validate).  Throws
+  /// std::invalid_argument naming the key or field and its value.
   void validate() const;
 };
+
+/// Lower-bound rule of one field: value > min (strict) or value >= min.
+/// A double must also be finite; an enum field has no bound (its range
+/// is checked where it is parsed or decoded).
+struct FieldBound {
+  double min;
+  bool strict;
+};
+inline constexpr FieldBound kAnyValue{
+    -std::numeric_limits<double>::infinity(), false};
+inline constexpr FieldBound kPositive{0.0, true};
+constexpr FieldBound at_least(double min) { return {min, false}; }
+
+/// One row of the field table, as visit_config_fields hands it out.
+struct ConfigField {
+  const char* key;   ///< `key=value` override name; nullptr: no key
+  const char* path;  ///< member path, e.g. "optics.mask_dim"
+  FieldBound bound;
+  const char* doc;
+};
+
+// SmoConfig's leaf fields, one row each: X(key, member path, bound, doc).
+// The value kind is the member's type: double, int, std::size_t or an
+// enum.  From this list come the `key=value` overrides and their
+// reference (api/job_spec.cpp), the wire codec (net/wire.cpp) and the
+// per-field checks of SmoConfig::validate.  Rows are in wire order, so
+// adding, removing or reordering a row is a protocol change.  A new
+// field is its struct member plus one row here.
+//
+// The optics rows only demand finite values: OpticsConfig::validate owns
+// their bounds, because the Pupil checks an OpticsConfig on its own.
+#define BISMO_SMO_CONFIG_FIELDS(X)                                         \
+  X("wavelength_nm", optics.wavelength_nm, kAnyValue,                      \
+    "illumination wavelength lambda (nm)")                                 \
+  X("na", optics.na, kAnyValue, "numerical aperture")                      \
+  X("mask_dim", optics.mask_dim, kAnyValue,                                \
+    "Nm: mask grid dimension (pixels per side)")                           \
+  X("pixel_nm", optics.pixel_nm, kAnyValue,                                \
+    "mask pixel pitch on the wafer plane (nm)")                            \
+  X("defocus_nm", optics.defocus_nm, kAnyValue,                            \
+    "defocus aberration (nm, 0 = nominal focus)")                          \
+  X("source_dim", source_dim, at_least(2), "Nj: source grid dimension")    \
+  X("source_shape", initial_source.shape, kAnyValue,                       \
+    "initial source template")                                             \
+  X("sigma_out", initial_source.sigma_out, kAnyValue,                      \
+    "outer partial-coherence radius of the template")                      \
+  X("sigma_in", initial_source.sigma_in, kAnyValue,                        \
+    "inner partial-coherence radius (annular/dipole/quasar)")              \
+  X(nullptr, initial_source.opening_deg, kAnyValue,                        \
+    "angular half-width of each dipole/quasar pole (deg)")                 \
+  X("alpha_mask", activation.alpha_mask, kAnyValue,                        \
+    "mask sigmoid steepness alpha_m")                                      \
+  X("mask_init", activation.mask_init, kAnyValue,                          \
+    "mask parameter init magnitude m0")                                    \
+  X("alpha_source", activation.alpha_source, kAnyValue,                    \
+    "source sigmoid steepness alpha_j")                                    \
+  X("source_init", activation.source_init, kAnyValue,                      \
+    "source parameter init magnitude j0")                                  \
+  X(nullptr, activation.kind, kAnyValue, "activation function")            \
+  X("resist_beta", resist.beta, kAnyValue, "resist sigmoid steepness beta") \
+  X("resist_threshold", resist.threshold, kAnyValue,                       \
+    "print threshold I_tr")                                                \
+  X("gamma", weights.gamma, at_least(0),                                   \
+    "weight of the nominal L2 loss term")                                  \
+  X("eta", weights.eta, at_least(0), "weight of the PVB loss term")        \
+  X("dose_min", process_window.dose_min, kAnyValue,                        \
+    "process-window minimum dose factor")                                  \
+  X("dose_max", process_window.dose_max, kAnyValue,                        \
+    "process-window maximum dose factor")                                  \
+  X(nullptr, epe.sample_spacing_nm, kAnyValue,                             \
+    "distance between EPE sample points (nm)")                             \
+  X("epe_threshold_nm", epe.threshold_nm, kAnyValue,                       \
+    "EPE violation threshold (nm)")                                        \
+  X(nullptr, epe.search_range_nm, kAnyValue,                               \
+    "EPE normal-probe half range (nm)")                                    \
+  X("optimizer", optimizer, kAnyValue, "update rule")                      \
+  X("lr_mask", lr_mask, kPositive, "mask learning rate xi_M")              \
+  X("lr_source", lr_source, kPositive, "source learning rate xi_J")        \
+  X("unroll_steps", unroll_steps, at_least(0),                             \
+    "T: inner SO steps per outer step")                                    \
+  X("hyper_terms", hyper_terms, at_least(0),                               \
+    "K: Neumann terms / CG iterations")                                    \
+  X("cg_damping", cg_damping, kAnyValue, "Tikhonov damping for BiSMO-CG")  \
+  X(nullptr, fd_eps_scale, kAnyValue,                                      \
+    "FD probe scale; unused since the HVPs are exact")                     \
+  X("outer_steps", outer_steps, kPositive,                                 \
+    "BiSMO outer iterations / MO-only steps")                              \
+  X("am_cycles", am_cycles, kPositive, "AM-SMO alternation cycles")        \
+  X("am_so_steps", am_so_steps, kPositive, "SO steps per AM cycle")        \
+  X("am_mo_steps", am_mo_steps, kPositive, "MO steps per AM cycle")        \
+  X("socs_kernels", socs_kernels, kPositive,                               \
+    "Q: SOCS truncation for Hopkins baselines")                            \
+  X("source_cutoff", source_cutoff, kAnyValue,                             \
+    "forward skip threshold for j_sigma")
+
+/// Call `visit(field, value)` for each row in table order; `value` is a
+/// reference to the member, const when `Config` is.
+template <typename Config, typename Visit>
+void visit_config_fields(Config& config, Visit&& visit) {
+#define BISMO_VISIT_CONFIG_FIELD(key, path, bound, doc) \
+  visit(ConfigField{key, #path, bound, doc}, config.path);
+  BISMO_SMO_CONFIG_FIELDS(BISMO_VISIT_CONFIG_FIELD)
+#undef BISMO_VISIT_CONFIG_FIELD
+}
+
+/// Spellings of an enum-valued field, indexed by enumerator: the override
+/// parser accepts exactly these, and the wire decoder rejects a raw value
+/// past the last one.
+inline constexpr std::array<const char*, 2> kActivationKindNames = {
+    "sigmoid", "cosine"};
+inline constexpr std::array<const char*, 2> kOptimizerKindNames = {"sgd",
+                                                                   "adam"};
+constexpr const auto& enum_names(SourceShape) { return kSourceShapeNames; }
+constexpr const auto& enum_names(ActivationKind) {
+  return kActivationKindNames;
+}
+constexpr const auto& enum_names(OptimizerKind) { return kOptimizerKindNames; }
 
 }  // namespace bismo
 

@@ -110,21 +110,9 @@ RealGrid make_source(const SourceGeometry& geometry, const SourceSpec& spec) {
 }
 
 std::string to_string(SourceShape shape) {
-  switch (shape) {
-    case SourceShape::kAnnular:
-      return "annular";
-    case SourceShape::kConventional:
-      return "conventional";
-    case SourceShape::kDipoleX:
-      return "dipole-x";
-    case SourceShape::kDipoleY:
-      return "dipole-y";
-    case SourceShape::kQuasar:
-      return "quasar";
-    case SourceShape::kPoint:
-      return "point";
-  }
-  return "unknown";
+  const auto index = static_cast<std::size_t>(shape);
+  return index < kSourceShapeNames.size() ? kSourceShapeNames[index]
+                                          : "unknown";
 }
 
 double source_power(const SourceGeometry& geometry, const RealGrid& source) {

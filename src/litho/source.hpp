@@ -9,6 +9,7 @@
 #ifndef BISMO_LITHO_SOURCE_HPP
 #define BISMO_LITHO_SOURCE_HPP
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -69,6 +70,10 @@ enum class SourceShape {
   kQuasar,        ///< annular restricted to four diagonal poles
   kPoint,         ///< single on-axis point (coherent illumination)
 };
+
+/// Spelling of each shape, indexed by enumerator (logs, config keys).
+inline constexpr std::array<const char*, 6> kSourceShapeNames = {
+    "annular", "conventional", "dipole-x", "dipole-y", "quasar", "point"};
 
 /// Parameters of a template; opening_deg is the angular half-width of each
 /// pole for dipole/quasar shapes.

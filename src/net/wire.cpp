@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 namespace bismo::net {
@@ -225,90 +226,39 @@ void WireReader::expect_end() const {
   }
 }
 
-void encode_config(WireWriter& w, const SmoConfig& c) {
-  w.f64(c.optics.wavelength_nm);
-  w.f64(c.optics.na);
-  w.u64(c.optics.mask_dim);
-  w.f64(c.optics.pixel_nm);
-  w.f64(c.optics.defocus_nm);
-  w.u64(c.source_dim);
-  w.u8(static_cast<std::uint8_t>(c.initial_source.shape));
-  w.f64(c.initial_source.sigma_out);
-  w.f64(c.initial_source.sigma_in);
-  w.f64(c.initial_source.opening_deg);
-  w.f64(c.activation.alpha_mask);
-  w.f64(c.activation.mask_init);
-  w.f64(c.activation.alpha_source);
-  w.f64(c.activation.source_init);
-  w.u8(static_cast<std::uint8_t>(c.activation.kind));
-  w.f64(c.resist.beta);
-  w.f64(c.resist.threshold);
-  w.f64(c.weights.gamma);
-  w.f64(c.weights.eta);
-  w.f64(c.process_window.dose_min);
-  w.f64(c.process_window.dose_max);
-  w.f64(c.epe.sample_spacing_nm);
-  w.f64(c.epe.threshold_nm);
-  w.f64(c.epe.search_range_nm);
-  w.u8(static_cast<std::uint8_t>(c.optimizer));
-  w.f64(c.lr_mask);
-  w.f64(c.lr_source);
-  w.i32(c.unroll_steps);
-  w.i32(c.hyper_terms);
-  w.f64(c.cg_damping);
-  w.f64(c.fd_eps_scale);
-  w.i32(c.outer_steps);
-  w.i32(c.am_cycles);
-  w.i32(c.am_so_steps);
-  w.i32(c.am_mo_steps);
-  w.u64(c.socs_kernels);
-  w.f64(c.source_cutoff);
+void encode_config(WireWriter& w, const SmoConfig& config) {
+  visit_config_fields(config, [&w](const ConfigField&, auto value) {
+    using T = decltype(value);
+    if constexpr (std::is_same_v<T, double>) {
+      w.f64(value);
+    } else if constexpr (std::is_same_v<T, int>) {
+      w.i32(value);
+    } else if constexpr (std::is_same_v<T, std::size_t>) {
+      w.u64(value);
+    } else {
+      static_assert(std::is_enum_v<T>, "unsupported config field type");
+      w.u8(static_cast<std::uint8_t>(value));
+    }
+  });
 }
 
 SmoConfig decode_config(WireReader& r) {
-  SmoConfig c;
-  c.optics.wavelength_nm = r.f64();
-  c.optics.na = r.f64();
-  c.optics.mask_dim = static_cast<std::size_t>(r.u64());
-  c.optics.pixel_nm = r.f64();
-  c.optics.defocus_nm = r.f64();
-  c.source_dim = static_cast<std::size_t>(r.u64());
-  c.initial_source.shape = decode_enum<SourceShape>(
-      r, static_cast<std::uint8_t>(SourceShape::kPoint), "SourceShape");
-  c.initial_source.sigma_out = r.f64();
-  c.initial_source.sigma_in = r.f64();
-  c.initial_source.opening_deg = r.f64();
-  c.activation.alpha_mask = r.f64();
-  c.activation.mask_init = r.f64();
-  c.activation.alpha_source = r.f64();
-  c.activation.source_init = r.f64();
-  c.activation.kind = decode_enum<ActivationKind>(
-      r, static_cast<std::uint8_t>(ActivationKind::kCosine),
-      "ActivationKind");
-  c.resist.beta = r.f64();
-  c.resist.threshold = r.f64();
-  c.weights.gamma = r.f64();
-  c.weights.eta = r.f64();
-  c.process_window.dose_min = r.f64();
-  c.process_window.dose_max = r.f64();
-  c.epe.sample_spacing_nm = r.f64();
-  c.epe.threshold_nm = r.f64();
-  c.epe.search_range_nm = r.f64();
-  c.optimizer = decode_enum<OptimizerKind>(
-      r, static_cast<std::uint8_t>(OptimizerKind::kAdam), "OptimizerKind");
-  c.lr_mask = r.f64();
-  c.lr_source = r.f64();
-  c.unroll_steps = r.i32();
-  c.hyper_terms = r.i32();
-  c.cg_damping = r.f64();
-  c.fd_eps_scale = r.f64();
-  c.outer_steps = r.i32();
-  c.am_cycles = r.i32();
-  c.am_so_steps = r.i32();
-  c.am_mo_steps = r.i32();
-  c.socs_kernels = static_cast<std::size_t>(r.u64());
-  c.source_cutoff = r.f64();
-  return c;
+  SmoConfig config;
+  visit_config_fields(config, [&r](const ConfigField& field, auto& member) {
+    using T = std::decay_t<decltype(member)>;
+    if constexpr (std::is_same_v<T, double>) {
+      member = r.f64();
+    } else if constexpr (std::is_same_v<T, int>) {
+      member = r.i32();
+    } else if constexpr (std::is_same_v<T, std::size_t>) {
+      member = static_cast<std::size_t>(r.u64());
+    } else {
+      member = decode_enum<T>(
+          r, static_cast<std::uint8_t>(enum_names(T{}).size() - 1),
+          field.path);
+    }
+  });
+  return config;
 }
 
 void encode_job_spec(WireWriter& w, const api::JobSpec& spec) {

@@ -3,13 +3,18 @@
 // structured JSON/CSV result serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "api/api.hpp"
 #include "io/json.hpp"
 #include "math/grid_ops.hpp"
+#include "net/wire.hpp"
 #include "test_util.hpp"
 
 namespace bismo {
@@ -48,6 +53,48 @@ TEST(JobSpecOverrides, ApplyInOrderAndCoverEveryKey) {
     }
     EXPECT_FALSE(keys[i].doc.empty()) << keys[i].key;
   }
+
+  // Every key reaches the config: a valid non-default value changes the
+  // encoded bytes, and distinct keys change disjoint byte ranges (a key
+  // wired to another key's field would overlap it).
+  const auto encode = [](const SmoConfig& c) {
+    net::WireWriter w;
+    net::encode_config(w, c);
+    return w.take();
+  };
+  const std::vector<std::uint8_t> defaults = encode(SmoConfig{});
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;  // [first, last]
+  for (const api::ConfigKeyInfo& info : keys) {
+    bool applied = false;
+    for (const char* value : {"17", "0.37", "200", "adam", "sgd", "point"}) {
+      SmoConfig changed;
+      try {
+        api::apply_config_override(changed, info.key + "=" + value);
+        changed.validate();
+      } catch (const std::invalid_argument&) {
+        continue;  // not a valid value for this key
+      }
+      const std::vector<std::uint8_t> bytes = encode(changed);
+      ASSERT_EQ(bytes.size(), defaults.size()) << info.key;
+      if (bytes == defaults) continue;  // the default value
+      std::size_t first = bytes.size();
+      std::size_t last = 0;
+      for (std::size_t b = 0; b < bytes.size(); ++b) {
+        if (bytes[b] == defaults[b]) continue;
+        first = std::min(first, b);
+        last = b;
+      }
+      for (const auto& [other_first, other_last] : ranges) {
+        EXPECT_TRUE(last < other_first || first > other_last)
+            << info.key << " overlaps another key's bytes";
+      }
+      ranges.emplace_back(first, last);
+      applied = true;
+      break;
+    }
+    EXPECT_TRUE(applied) << info.key << " never changed the encoded config";
+  }
+  EXPECT_EQ(ranges.size(), keys.size());
 }
 
 TEST(JobSpecOverrides, RejectionsNameTheKey) {

@@ -3,6 +3,12 @@
 // (BiSMO-FD == BiSMO-NMN at K = 0).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+
 #include "core/am_smo.hpp"
 #include "core/bismo.hpp"
 #include "core/mask_opt.hpp"
@@ -53,6 +59,43 @@ TEST(SmoConfig, ValidationCatchesBadSettings) {
   cfg = small_config();
   cfg.socs_kernels = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  // Every double field must be finite; the error names the field (and
+  // its key, when it has one) and the value.
+  std::size_t doubles = 0;
+  visit_config_fields(cfg, [&doubles](const ConfigField&, const auto& v) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
+      ++doubles;
+    }
+  });
+  EXPECT_GE(doubles, 25u);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t target = 0; target < doubles; ++target) {
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+      cfg = small_config();
+      std::size_t index = 0;
+      std::string name;
+      visit_config_fields(cfg, [&](const ConfigField& field, auto& v) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
+          if (index++ == target) {
+            v = bad;
+            name = field.key != nullptr ? field.key : field.path;
+          }
+        }
+      });
+      std::ostringstream value;
+      value << bad;
+      try {
+        cfg.validate();
+        ADD_FAILURE() << name << " = " << value.str() << " accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(name), std::string::npos) << what;
+        EXPECT_NE(what.find("= " + value.str()), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 TEST(SmoProblem, RejectsTargetShapeMismatch) {

@@ -306,6 +306,21 @@ TEST(WireSpecs, GarbageAndOutOfRangeEnumsThrow) {
   }
 }
 
+TEST(WireConfig, DefaultConfigBytesArePinned) {
+  // Recorded for protocol v3.  A reordered, added or removed config field
+  // changes these; bump kProtocolVersion and re-pin together.
+  ASSERT_EQ(net::kProtocolVersion, 3);
+  const std::vector<std::uint8_t> bytes =
+      encoded(SmoConfig{}, net::encode_config);
+  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 1099511628211ull;
+  }
+  EXPECT_EQ(bytes.size(), 251u);
+  EXPECT_EQ(hash, 0x0bee99865c9beceaull);
+}
+
 TEST(WireSelfCheck, CanonicalInstancesRoundTrip) {
   std::string error;
   EXPECT_TRUE(net::wire_self_check(&error)) << error;
