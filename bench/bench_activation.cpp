@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/mask_opt.hpp"
 #include "io/table.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -31,9 +30,7 @@ int main(int argc, char** argv) {
       cfg.activation.source_init = 0.4;
     }
     const SmoProblem problem(cfg, data.suites[0].clips[0], &pool);
-    MoOptions opt;
-    opt.steps = cfg.outer_steps;
-    const RunResult run = run_abbe_mo(problem, opt);
+    const RunResult run = run_method(problem, Method::kAbbeMo);
     const SolutionMetrics m =
         problem.evaluate_solution(run.theta_m, run.theta_j);
     table.add_row({kind == ActivationKind::kSigmoid ? "sigmoid" : "cosine",

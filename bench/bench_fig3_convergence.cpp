@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/am_smo.hpp"
 #include "io/csv.hpp"
 #include "parallel/thread_pool.hpp"
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/bismo.hpp"
 #include "io/csv.hpp"
 #include "math/statistics.hpp"
 #include "parallel/thread_pool.hpp"
@@ -20,8 +19,8 @@ int main(int argc, char** argv) {
   const BenchDatasets data = make_bench_datasets(args);
   BenchReport report("fig5_meanstd", args);
 
-  const std::vector<BismoVariant> variants{
-      BismoVariant::kFd, BismoVariant::kCg, BismoVariant::kNmn};
+  const std::vector<Method> methods{Method::kBismoFd, Method::kBismoCg,
+                                    Method::kBismoNmn};
 
   for (std::size_t suite_idx : {std::size_t{0}, std::size_t{1}}) {
     const Dataset& suite = data.suites[suite_idx];
@@ -35,19 +34,12 @@ int main(int argc, char** argv) {
     std::vector<std::vector<double>> all_mean;
     std::vector<std::vector<double>> all_std;
 
-    for (BismoVariant variant : variants) {
+    for (Method method : methods) {
       // One trace per clip.
       std::vector<std::vector<double>> traces;
       for (std::size_t c = 0; c < suite.clips.size(); ++c) {
         const SmoProblem problem(cfg, suite.clips[c], &pool);
-        BismoOptions opt;
-        opt.outer_steps = cfg.outer_steps;
-        opt.unroll_steps =
-            variant == BismoVariant::kFd ? 1 : cfg.unroll_steps;
-        opt.hyper_terms = cfg.hyper_terms;
-        opt.lr_mask = cfg.lr_mask;
-        opt.lr_source = cfg.lr_source;
-        const RunResult run = run_bismo(problem, variant, opt);
+        const RunResult run = run_method(problem, method);
         std::vector<double> losses;
         losses.reserve(run.trace.size());
         for (const StepRecord& rec : run.trace) losses.push_back(rec.loss);
@@ -67,14 +59,14 @@ int main(int argc, char** argv) {
       const double final_mean = mean_curve.back();
       RunningStats overall_std;
       for (double s : std_curve) overall_std.push(s);
-      std::cout << "  " << to_string(variant) << ": final mean loss "
+      std::cout << "  " << to_string(method) << ": final mean loss "
                 << final_mean << ", avg STD " << overall_std.mean() << "\n";
-      report.add(suite.spec.name + "/" + to_string(variant),
+      report.add(suite.spec.name + "/" + to_string(method),
                  {{"final_mean_loss", final_mean},
                   {"avg_std", overall_std.mean()},
                   {"steps", static_cast<double>(steps)}});
-      names.push_back(to_string(variant) + " mean");
-      names.push_back(to_string(variant) + " std");
+      names.push_back(to_string(method) + " mean");
+      names.push_back(to_string(method) + " std");
       all_mean.push_back(std::move(mean_curve));
       all_std.push_back(std::move(std_curve));
     }
@@ -82,7 +74,7 @@ int main(int argc, char** argv) {
     std::vector<double> step_col(steps);
     for (std::size_t s = 0; s < steps; ++s) step_col[s] = static_cast<double>(s);
     columns.push_back(std::move(step_col));
-    for (std::size_t v = 0; v < variants.size(); ++v) {
+    for (std::size_t v = 0; v < methods.size(); ++v) {
       columns.push_back(std::move(all_mean[v]));
       columns.push_back(std::move(all_std[v]));
     }

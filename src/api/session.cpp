@@ -289,16 +289,6 @@ std::shared_ptr<SmoProblem> Session::make_problem(const JobSpec& spec) {
       });
 }
 
-int Session::planned_steps(Method method, const SmoConfig& config) {
-  switch (method) {
-    case Method::kAmAbbeHopkins:
-    case Method::kAmAbbeAbbe:
-      return config.am_cycles * (config.am_so_steps + config.am_mo_steps);
-    default:
-      return config.outer_steps;
-  }
-}
-
 JobResult Session::execute_job(detail::JobState& state, ThreadPool* pool) {
   const auto start = Clock::now();
   JobResult result;
@@ -355,7 +345,7 @@ JobResult Session::execute_job(detail::JobState& state, ThreadPool* pool) {
     const SmoProblem problem(config, std::move(target), pool, lease.set);
     result.setup_seconds = elapsed_seconds(start);
 
-    const int planned = planned_steps(spec.method, config);
+    const int planned = bismo::planned_steps(spec.method, config);
     const bool observed = observer_ != nullptr ||
                           event_observer_ != nullptr ||
                           state.options.on_event != nullptr;

@@ -197,9 +197,6 @@ class Session : public JobSubmitter {
   /// Throws on invalid specs.  Destroy before the session.
   std::shared_ptr<SmoProblem> make_problem(const JobSpec& spec);
 
-  /// Expected trace length of `method` under `config` (progress totals).
-  static int planned_steps(Method method, const SmoConfig& config);
-
  private:
   friend class detail::JobService;
 

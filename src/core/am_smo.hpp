@@ -12,39 +12,19 @@
 #ifndef BISMO_CORE_AM_SMO_HPP
 #define BISMO_CORE_AM_SMO_HPP
 
-#include <cstddef>
-
 #include "core/problem.hpp"
 #include "core/run_control.hpp"
+#include "core/runner.hpp"
 #include "core/trace.hpp"
-#include "opt/optimizer.hpp"
 
 namespace bismo {
 
-/// Which imaging model each AM epoch uses.
-enum class AmMode {
-  kAbbeAbbe,     ///< [12]: Abbe for both SO and MO
-  kAbbeHopkins,  ///< [13]: Abbe SO + Hopkins MO with TCC rebuilds
-};
-
-/// AM-SMO budgets.
-struct AmOptions {
-  int cycles = 4;      ///< alternation count (outer k of Algorithm 1)
-  int so_steps = 10;   ///< SO iterations per cycle
-  int mo_steps = 10;   ///< MO iterations per cycle
-  OptimizerKind optimizer = OptimizerKind::kAdam;
-  double lr_mask = 0.1;
-  double lr_source = 0.1;
-  std::size_t kernels = 24;  ///< Q for the Abbe-Hopkins MO epochs
-};
-
-/// Run AM-SMO.  The trace interleaves SO and MO steps (the zig-zag loss of
-/// the paper's Fig. 3).
-RunResult run_am_smo(const SmoProblem& problem, AmMode mode,
-                     const AmOptions& options, const RunControl& control = {});
-
-/// Human-readable mode name.
-std::string to_string(AmMode mode);
+/// Run AM-SMO as `Method::kAmAbbeAbbe` or `Method::kAmAbbeHopkins`, with
+/// `am_cycles` x (`am_so_steps` + `am_mo_steps`) from `problem.config()`.
+/// The trace interleaves SO and MO steps (the zig-zag loss of the paper's
+/// Fig. 3).
+RunResult run_am_smo(const SmoProblem& problem, Method method,
+                     const RunControl& control);
 
 }  // namespace bismo
 

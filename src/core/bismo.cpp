@@ -1,7 +1,6 @@
 #include "core/bismo.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "grad/hvp.hpp"
@@ -10,12 +9,6 @@
 
 namespace bismo {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double elapsed_seconds(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Contraction-safe Neumann step size: alpha = xi_J capped at 0.9/lambda_max
 /// where lambda_max is estimated along the seed direction v by one HVP.
@@ -32,50 +25,29 @@ double contraction_alpha(double xi, const RealGrid& v, const RealGrid& hv) {
 
 }  // namespace
 
-std::string to_string(BismoVariant variant) {
-  switch (variant) {
-    case BismoVariant::kFd:
-      return "BiSMO-FD";
-    case BismoVariant::kNmn:
-      return "BiSMO-NMN";
-    case BismoVariant::kCg:
-      return "BiSMO-CG";
-  }
-  return "BiSMO-?";
-}
-
-RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
-                    const BismoOptions& options, const RunControl& control) {
-  const auto start = Clock::now();
+RunResult run_bismo(const SmoProblem& problem, Method method,
+                    const RunControl& control) {
   const SmoConfig& cfg = problem.config();
-  const LossWeights& w = cfg.weights;
   const AbbeGradientEngine& engine = problem.engine();
   const HypergradientOps hyper(engine);
-
-  RunResult result;
-  result.method = to_string(variant);
+  RunRecorder rec(cfg, control);
+  const int unroll_steps = method == Method::kBismoFd ? 1 : cfg.unroll_steps;
 
   RealGrid theta_m = problem.initial_theta_m();
   RealGrid theta_j = problem.initial_theta_j();
-  auto outer_opt = make_optimizer(options.outer_optimizer, options.lr_mask);
-  auto inner_opt = make_optimizer(options.inner_optimizer, options.lr_source);
+  auto outer_opt = make_optimizer(cfg.optimizer, cfg.lr_mask);
+  auto inner_opt = make_optimizer(cfg.optimizer, cfg.lr_source);
 
   // CG warm start w0, re-initialized from each solve (Alg. 2 line 10).
   RealGrid cg_warm(theta_j.rows(), theta_j.cols(), 0.0);
 
-  GradRequest source_only;
-  source_only.mask = false;
-  source_only.source = true;
+  const GradRequest source_only{false, true};
 
-  for (int outer = 0; outer < options.outer_steps; ++outer) {
-    if (control.stop_requested()) {
-      result.cancelled = true;
-      break;
-    }
+  for (int outer = 0; outer < cfg.outer_steps && !rec.stopped(); ++outer) {
     // ---- Lower level: unroll T SO steps (Alg. 2 lines 2-4). ----
-    for (int t = 0; t < options.unroll_steps; ++t) {
+    for (int t = 0; t < unroll_steps; ++t) {
       const SmoGradient g = engine.evaluate(theta_m, theta_j, source_only);
-      ++result.gradient_evaluations;
+      rec.count();
       inner_opt->step(theta_j, g.grad_theta_j);
     }
 
@@ -84,23 +56,33 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
     // evaluation that also keeps what the exact HVPs and the fused sweep
     // need (grad/hvp.hpp).
     const SmoGradient& g = hyper.linearize(theta_m, theta_j);
-    result.trace.push_back({outer, w.gamma * g.l2 + w.eta * g.pvb, g.l2,
-                            g.pvb, elapsed_seconds(start)});
-    control.notify(result.trace.back());
+    rec.record(g);
     const RealGrid& v = g.grad_theta_j;  // dLmo/dthetaJ
 
     RealGrid wvec(theta_j.rows(), theta_j.cols(), 0.0);
     const double vn = norm2(v);
     if (vn > 1e-30) {
-      switch (variant) {
-        case BismoVariant::kFd: {
+      switch (method) {
+        case Method::kBismoFd: {
           // Eq. 13: w = alpha * v (identical to the K = 0 Neumann sum).
           const RealGrid hv = hyper.hvp(v);
-          const double alpha = contraction_alpha(options.lr_source, v, hv);
+          const double alpha = contraction_alpha(cfg.lr_source, v, hv);
           wvec = v * alpha;
           break;
         }
-        case BismoVariant::kNmn: {
+        case Method::kBismoCg: {
+          // Eq. 17-18: K CG steps on [d2Lso/dthetaJ^2] w = v.
+          CgOptions cg_opt;
+          cg_opt.max_iterations = cfg.hyper_terms;
+          cg_opt.damping = cfg.cg_damping;
+          cg_opt.tolerance = 1e-10;
+          const auto apply = [&](const RealGrid& x) { return hyper.hvp(x); };
+          const CgResult sol = conjugate_gradient(apply, v, cg_warm, cg_opt);
+          wvec = sol.x;
+          cg_warm = wvec;  // warm start the next outer step
+          break;
+        }
+        default: {  // Method::kBismoNmn
           // Eq. 16: w = alpha * sum_{k=0..K} (I - alpha H)^k v, evaluated
           // iteratively with one HVP per term.  The series only converges
           // where the Hessian is positive along the iterate (Lemma 2); a
@@ -108,10 +90,10 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
           // in which case the partial sum so far is kept (the same
           // safeguard CG applies on negative curvature).
           RealGrid hv = hyper.hvp(v);
-          const double alpha = contraction_alpha(options.lr_source, v, hv);
+          const double alpha = contraction_alpha(cfg.lr_source, v, hv);
           RealGrid cur = v;
           RealGrid acc = v;
-          for (int k = 0; k < options.hyper_terms; ++k) {
+          for (int k = 0; k < cfg.hyper_terms; ++k) {
             if (k > 0) hyper.hvp(cur, hv);
             cur = axpy(cur, -alpha, hv);
             const double cn = norm2(cur);
@@ -119,18 +101,6 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
             acc += cur;
           }
           wvec = acc * alpha;
-          break;
-        }
-        case BismoVariant::kCg: {
-          // Eq. 17-18: K CG steps on [d2Lso/dthetaJ^2] w = v.
-          CgOptions cg_opt;
-          cg_opt.max_iterations = options.hyper_terms;
-          cg_opt.damping = options.cg_damping;
-          cg_opt.tolerance = 1e-10;
-          const auto apply = [&](const RealGrid& x) { return hyper.hvp(x); };
-          const CgResult sol = conjugate_gradient(apply, v, cg_warm, cg_opt);
-          wvec = sol.x;
-          cg_warm = wvec;  // warm start the next outer step
           break;
         }
       }
@@ -144,12 +114,8 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
     outer_opt->step(theta_m, hypergrad);
   }
   // One linearization and one backward sweep per outer step.
-  result.gradient_evaluations += hyper.evaluations();
-
-  result.theta_m = std::move(theta_m);
-  result.theta_j = std::move(theta_j);
-  result.wall_seconds = elapsed_seconds(start);
-  return result;
+  rec.count(hyper.evaluations());
+  return rec.finish(std::move(theta_m), std::move(theta_j));
 }
 
 }  // namespace bismo

@@ -2,8 +2,9 @@
 //
 // Upper level: MO over theta_M; lower level: SO over theta_J.
 // Each outer step:
-//   1. unroll T inner SO steps to track the best-response theta_J*(theta_M)
-//      (warm-started: theta_J0 <- theta_JT, Algorithm 2 line 4);
+//   1. unroll T inner SO steps (T = 1 for FD) to track the best-response
+//      theta_J*(theta_M) (warm-started: theta_J0 <- theta_JT, Algorithm 2
+//      line 4);
 //   2. form the hypergradient (Eq. 12)
 //        dLmo/dthetaM - [d2Lso/dthetaM dthetaJ] w
 //      where w approximates [d2Lso/dthetaJ^2]^{-1} dLmo/dthetaJ by
@@ -19,41 +20,22 @@
 // alpha is the inner step size xi_J, capped adaptively so the Neumann
 // hypothesis ||I - alpha H|| < 1 (Lemma 2) holds along the probed
 // direction; the FD variant shares the cap, preserving the paper's
-// "FD == NMN at K = 0" identity exactly.
+// "FD == NMN at K = 0" identity exactly (at T = 1).
 #ifndef BISMO_CORE_BISMO_HPP
 #define BISMO_CORE_BISMO_HPP
 
-#include <string>
-
 #include "core/problem.hpp"
 #include "core/run_control.hpp"
+#include "core/runner.hpp"
 #include "core/trace.hpp"
-#include "opt/optimizer.hpp"
 
 namespace bismo {
 
-/// Hypergradient computation strategy (Sec. 3.2.1-3.2.3).
-enum class BismoVariant { kFd, kNmn, kCg };
-
-/// BiSMO budgets and hyperparameters.
-struct BismoOptions {
-  int outer_steps = 40;  ///< upper-level MO iterations
-  int unroll_steps = 3;  ///< T (the FD variant classically uses T = 1)
-  int hyper_terms = 5;   ///< K: Neumann terms / CG iterations
-  OptimizerKind outer_optimizer = OptimizerKind::kAdam;
-  OptimizerKind inner_optimizer = OptimizerKind::kAdam;
-  double lr_mask = 0.1;       ///< xi_M
-  double lr_source = 0.1;     ///< xi_J (also the Neumann/FD alpha)
-  double cg_damping = 0.0;    ///< Tikhonov damping for the CG solve
-};
-
-/// Run BiSMO with the chosen hypergradient variant.
-RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
-                    const BismoOptions& options,
-                    const RunControl& control = {});
-
-/// Human-readable variant name ("BiSMO-FD" etc.).
-std::string to_string(BismoVariant variant);
+/// Run BiSMO with the hypergradient of `Method::kBismoFd`, `kBismoCg` or
+/// `kBismoNmn`.  T, K, the step sizes, the optimizer (inner and outer)
+/// and the CG damping come from `problem.config()`; FD unrolls T = 1.
+RunResult run_bismo(const SmoProblem& problem, Method method,
+                    const RunControl& control);
 
 }  // namespace bismo
 

@@ -1,8 +1,6 @@
 #include "core/mask_opt.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <stdexcept>
 
 #include "grad/hopkins_grad.hpp"
 #include "litho/hopkins.hpp"
@@ -10,19 +8,6 @@
 
 namespace bismo {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double elapsed_seconds(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Standard-weight Lsmo for trace comparability regardless of what loss the
-/// driver optimized.
-double standard_loss(const SmoProblem& problem, double l2, double pvb) {
-  const LossWeights& w = problem.config().weights;
-  return w.gamma * l2 + w.eta * pvb;
-}
 
 /// Block-majority downsampling of a binary grid by integer factor.
 RealGrid downsample_binary(const RealGrid& grid, std::size_t factor) {
@@ -56,84 +41,61 @@ RealGrid upsample_params(const RealGrid& grid, std::size_t factor) {
 
 }  // namespace
 
-RunResult run_abbe_mo(const SmoProblem& problem, const MoOptions& options,
+RunResult run_abbe_mo(const SmoProblem& problem, Method /*method*/,
                       const RunControl& control) {
-  const auto start = Clock::now();
-  RunResult result;
-  result.method = "Abbe-MO";
-
-  // A PVB-free variant needs its own engine with eta = 0; gradients are
-  // otherwise identical.
-  LossWeights weights = problem.config().weights;
-  if (!options.use_pvb) weights.eta = 0.0;
-  const AbbeGradientEngine engine(
-      problem.abbe(), problem.target(), problem.config().resist,
-      problem.config().activation, weights, problem.config().process_window,
-      problem.config().source_cutoff);
-
+  const SmoConfig& cfg = problem.config();
+  RunRecorder rec(cfg, control);
   RealGrid theta_m = problem.initial_theta_m();
-  const RealGrid theta_j = problem.initial_theta_j();
-  auto opt = make_optimizer(options.optimizer, options.lr);
-
-  GradRequest req;
-  req.mask = true;
-  req.source = false;
-  PlateauDetector plateau(options.stop);
-  for (int step = 0; step < options.steps; ++step) {
-    if (control.stop_requested()) {
-      result.cancelled = true;
-      break;
-    }
-    const SmoGradient g = engine.evaluate(theta_m, theta_j, req);
-    ++result.gradient_evaluations;
-    const double loss = standard_loss(problem, g.l2, g.pvb);
-    result.trace.push_back({step, loss, g.l2, g.pvb,
-                            elapsed_seconds(start)});
-    control.notify(result.trace.back());
-    opt->step(theta_m, g.grad_theta_m);
-    if (plateau.should_stop(loss)) break;
-  }
-  result.theta_m = std::move(theta_m);
-  result.theta_j = theta_j;
-  result.wall_seconds = elapsed_seconds(start);
-  return result;
+  RealGrid theta_j = problem.initial_theta_j();
+  rec.descend(cfg.outer_steps, cfg.optimizer, cfg.lr_mask, theta_m,
+              &SmoGradient::grad_theta_m, [&] {
+                return problem.engine().evaluate(theta_m, theta_j,
+                                                 GradRequest{true, false});
+              });
+  return rec.finish(std::move(theta_m), std::move(theta_j));
 }
 
-RunResult run_hopkins_mo(const SmoProblem& problem,
-                         const HopkinsMoOptions& options,
+RunResult run_hopkins_mo(const SmoProblem& problem, Method method,
                          const RunControl& control) {
-  const auto start = Clock::now();
-  RunResult result;
-  result.method = options.levels > 1 ? "DAC23-MILT-proxy" : "Hopkins-MO";
-  if (options.levels < 1) {
-    throw std::invalid_argument("run_hopkins_mo: levels must be >= 1");
-  }
-
   const SmoConfig& cfg = problem.config();
+  RunRecorder rec(cfg, control);
+  // NILT: plain ILT with heavier truncation and no process-window term --
+  // the weakest baseline of Table 3, by design of the original (Hopkins,
+  // printability-only objective).  DAC23: the "multi-level" of DAC23-MILT.
+  const bool nilt = method == Method::kNiltProxy;
+  const int levels = nilt ? 1 : 2;
+  const std::size_t kernels =
+      nilt ? std::max<std::size_t>(1, cfg.socs_kernels / 3) : cfg.socs_kernels;
   LossWeights weights = cfg.weights;
-  if (!options.base.use_pvb) weights.eta = 0.0;
+  if (nilt) weights.eta = 0.0;
 
   const RealGrid theta_j = problem.initial_theta_j();
   const RealGrid source = problem.source_image(theta_j);
 
-  // Coarse-to-fine schedule: level l uses grid dim / 2^(levels-1-l).
-  const int steps_per_level =
-      std::max(1, options.base.steps / std::max(1, options.levels));
-  RealGrid theta_m;  // initialized at the coarsest level
-  int global_step = 0;
-
-  for (int level = 0; level < options.levels; ++level) {
+  // Coarse-to-fine schedule: level l uses grid dim / 2^(levels-1-l).  Each
+  // coarse level takes outer_steps / levels steps (possibly none); the
+  // final level takes the rest.
+  const int coarse_steps = cfg.outer_steps / levels;
+  RealGrid theta_m;
+  for (int level = 0; level < levels; ++level) {
     const std::size_t factor = std::size_t{1}
-                               << static_cast<std::size_t>(options.levels - 1 -
-                                                           level);
+                               << static_cast<std::size_t>(levels - 1 - level);
+    const RealGrid target =
+        factor == 1 ? problem.target()
+                    : downsample_binary(problem.target(), factor);
+    // theta_M starts at the coarsest level and is upsampled level by level,
+    // also past a cancellation, so it always fits the problem's grid.
+    theta_m = level == 0 ? init_mask_params(target, cfg.activation)
+                         : upsample_params(theta_m, 2);
+    const int steps = level + 1 < levels
+                          ? coarse_steps
+                          : cfg.outer_steps - coarse_steps * (levels - 1);
+    if (steps == 0 || rec.stopped()) continue;
+
     OpticsConfig optics = cfg.optics;
     optics.mask_dim = cfg.optics.mask_dim / factor;
     optics.pixel_nm = cfg.optics.pixel_nm * static_cast<double>(factor);
     optics.validate();
-
-    const RealGrid target =
-        factor == 1 ? problem.target()
-                    : downsample_binary(problem.target(), factor);
 
     // Coarse levels run at a different grid dimension, so they get their
     // own workspace set; the final (full-resolution) level shares the
@@ -143,55 +105,19 @@ RunResult run_hopkins_mo(const SmoProblem& problem,
         factor == 1 ? problem.workspaces()
                     : std::make_shared<sim::WorkspaceSet>();
     const AbbeImaging abbe(optics, geometry, problem.pool(), level_workspaces);
-    const SocsDecomposition socs(abbe, source, options.kernels,
-                                 cfg.source_cutoff);
+    const SocsDecomposition socs(abbe, source, kernels, cfg.source_cutoff);
     const HopkinsImaging hopkins(optics, socs, problem.pool(),
                                  level_workspaces);
     const HopkinsGradientEngine engine(hopkins, target, cfg.resist,
                                        cfg.activation, weights,
                                        cfg.process_window);
-
-    if (level == 0) {
-      theta_m = init_mask_params(target, cfg.activation);
-    }
-    auto opt = make_optimizer(options.base.optimizer, options.base.lr);
-    const int steps =
-        level == options.levels - 1
-            ? std::max(1, options.base.steps -
-                              steps_per_level * (options.levels - 1))
-            : steps_per_level;
     // Mean-reduced losses are commensurate across resolutions, so coarse
     // levels trace directly.
-    for (int step = 0; step < steps; ++step) {
-      if (control.stop_requested()) {
-        result.cancelled = true;
-        break;
-      }
-      const SmoGradient g = engine.evaluate(theta_m);
-      ++result.gradient_evaluations;
-      result.trace.push_back({global_step++,
-                              standard_loss(problem, g.l2, g.pvb), g.l2, g.pvb,
-                              elapsed_seconds(start)});
-      control.notify(result.trace.back());
-      opt->step(theta_m, g.grad_theta_m);
-    }
-    if (result.cancelled) {
-      // Cancelled at a coarse level: upsample to the full-resolution shape
-      // so the returned parameters are always usable with the problem.
-      while (theta_m.rows() < cfg.optics.mask_dim) {
-        theta_m = upsample_params(theta_m, 2);
-      }
-      break;
-    }
-    if (level + 1 < options.levels) {
-      theta_m = upsample_params(theta_m, 2);
-    }
+    rec.descend(steps, cfg.optimizer, cfg.lr_mask, theta_m,
+                &SmoGradient::grad_theta_m,
+                [&] { return engine.evaluate(theta_m); });
   }
-
-  result.theta_m = std::move(theta_m);
-  result.theta_j = theta_j;
-  result.wall_seconds = elapsed_seconds(start);
-  return result;
+  return rec.finish(std::move(theta_m), theta_j);
 }
 
 }  // namespace bismo

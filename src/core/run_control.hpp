@@ -1,21 +1,25 @@
 // Run-time control of the optimization drivers: per-step progress
-// observation and cooperative cancellation.
+// observation, cooperative cancellation, and the step bookkeeping every
+// driver loop shares.
 //
-// Every driver loop (core/bismo, core/am_smo, core/mask_opt,
-// core/source_opt) records a StepRecord per optimizer step; a RunControl
-// passed alongside the options forwards each record to an observer as it
-// is produced and lets a long run be aborted between steps.  Cancellation
-// is cooperative: the token is checked once per step, the driver keeps the
-// trace and parameters computed so far and returns with
-// `RunResult::cancelled` set.  This complements the plateau-based early
-// stopping of core/stop.hpp (which the loss stream itself triggers).
+// Every driver (core/bismo, core/am_smo, core/mask_opt) keeps its run in
+// a RunRecorder, which appends a StepRecord per optimizer step and
+// forwards it to the RunControl's observer as it is produced.
+// Cancellation is cooperative: the token is checked once per step, the
+// driver keeps the trace and parameters computed so far and returns with
+// `RunResult::cancelled` set.
 #ifndef BISMO_CORE_RUN_CONTROL_HPP
 #define BISMO_CORE_RUN_CONTROL_HPP
 
 #include <atomic>
+#include <chrono>
 #include <functional>
+#include <utility>
 
+#include "core/config.hpp"
 #include "core/trace.hpp"
+#include "grad/abbe_grad.hpp"
+#include "opt/optimizer.hpp"
 
 namespace bismo {
 
@@ -47,9 +51,8 @@ class CancelToken {
 /// immediately after the step is appended to the trace; keep it cheap.
 using StepObserver = std::function<void(const StepRecord&)>;
 
-/// Observation + cancellation bundle threaded through `run_method` and the
-/// individual drivers.  Default-constructed it is inert (no observer, no
-/// cancellation) so existing call sites are unaffected.
+/// Observation + cancellation bundle threaded through `run_method`.
+/// Default-constructed it is inert (no observer, no cancellation).
 ///
 /// Cancellation composes two scopes: `cancel` is the run's own token (one
 /// job of an api::Session, one sweep of a bench), while `session_cancel`
@@ -71,6 +74,70 @@ struct RunControl {
   void notify(const StepRecord& record) const {
     if (on_step) on_step(record);
   }
+};
+
+/// One driver run's bookkeeping: the clock, the trace (each record is
+/// forwarded to the observer), the latched cancellation and the count of
+/// backward passes.  `descend` is the shared step loop.
+class RunRecorder {
+ public:
+  RunRecorder(const SmoConfig& config, const RunControl& control)
+      : weights_(config.weights), control_(control) {}
+
+  /// True once a stop has been requested.  Latched: from then on it stays
+  /// true and the result is marked cancelled.  Poll at step boundaries.
+  bool stopped() {
+    if (!result_.cancelled) result_.cancelled = control_.stop_requested();
+    return result_.cancelled;
+  }
+
+  /// Count `n` backward passes.
+  void count(long n = 1) { result_.gradient_evaluations += n; }
+
+  /// Append the step evaluated in `g` and notify the observer.  The loss
+  /// is Lsmo at the configured weights, whatever loss the driver descends,
+  /// so every method's trace is comparable.
+  void record(const SmoGradient& g) {
+    result_.trace.push_back({static_cast<int>(result_.trace.size()),
+                             weights_.gamma * g.l2 + weights_.eta * g.pvb,
+                             g.l2, g.pvb, seconds()});
+    control_.notify(result_.trace.back());
+  }
+
+  /// Up to `steps` steps of a fresh `kind` optimizer on `params`, each one
+  /// evaluating, counting, recording and stepping along `g.*grad`.  Stops
+  /// early when a stop is requested.
+  template <typename Evaluate>
+  void descend(int steps, OptimizerKind kind, double lr, RealGrid& params,
+               RealGrid SmoGradient::*grad, Evaluate&& evaluate) {
+    const auto optimizer = make_optimizer(kind, lr);
+    for (int step = 0; step < steps && !stopped(); ++step) {
+      const SmoGradient& g = evaluate();
+      count();
+      record(g);
+      optimizer->step(params, g.*grad);
+    }
+  }
+
+  /// The finished run with its final parameters and wall time.
+  RunResult finish(RealGrid theta_m, RealGrid theta_j) {
+    result_.theta_m = std::move(theta_m);
+    result_.theta_j = std::move(theta_j);
+    result_.wall_seconds = seconds();
+    return std::move(result_);
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+
+  double seconds() const {
+    return std::chrono::duration<double>(Clock::now() - start_).count();
+  }
+
+  const Clock::time_point start_ = Clock::now();
+  const LossWeights weights_;
+  const RunControl& control_;
+  RunResult result_;
 };
 
 }  // namespace bismo

@@ -19,82 +19,57 @@ std::string lowered(const std::string& s) {
   return out;
 }
 
-/// Short CLI alias for a method (the historical bismo_cli spellings).
-std::string method_alias(Method method) {
-  switch (method) {
-    case Method::kNiltProxy:
-      return "nilt";
-    case Method::kDac23Proxy:
-      return "dac23";
-    case Method::kAbbeMo:
-      return "abbe-mo";
-    case Method::kAmAbbeHopkins:
-      return "am-ah";
-    case Method::kAmAbbeAbbe:
-      return "am-aa";
-    case Method::kBismoFd:
-      return "bismo-fd";
-    case Method::kBismoCg:
-      return "bismo-cg";
-    case Method::kBismoNmn:
-      return "bismo-nmn";
+/// One method: its Table 3 header, its CLI alias, whether it optimizes
+/// the source, and the driver that runs it.
+struct MethodRow {
+  Method method;
+  const char* name;
+  const char* alias;
+  bool optimizes_source;
+  RunResult (*run)(const SmoProblem&, Method, const RunControl&);
+};
+
+/// Every method, in Table 3 column order (the enum's order).
+constexpr MethodRow kMethods[] = {
+    {Method::kNiltProxy, "NILT-proxy", "nilt", false, run_hopkins_mo},
+    {Method::kDac23Proxy, "DAC23-MILT-proxy", "dac23", false, run_hopkins_mo},
+    {Method::kAbbeMo, "Abbe-MO", "abbe-mo", false, run_abbe_mo},
+    {Method::kAmAbbeHopkins, "AM-SMO(A-H)", "am-ah", true, run_am_smo},
+    {Method::kAmAbbeAbbe, "AM-SMO(A-A)", "am-aa", true, run_am_smo},
+    {Method::kBismoFd, "BiSMO-FD", "bismo-fd", true, run_bismo},
+    {Method::kBismoCg, "BiSMO-CG", "bismo-cg", true, run_bismo},
+    {Method::kBismoNmn, "BiSMO-NMN", "bismo-nmn", true, run_bismo},
+};
+
+const MethodRow& row(Method method) {
+  for (const MethodRow& r : kMethods) {
+    if (r.method == method) return r;
   }
-  return "?";
+  throw std::invalid_argument("unknown method");
 }
 
 }  // namespace
 
 const std::vector<Method>& all_methods() {
-  static const std::vector<Method> methods = {
-      Method::kNiltProxy,  Method::kDac23Proxy,     Method::kAbbeMo,
-      Method::kAmAbbeHopkins, Method::kAmAbbeAbbe,  Method::kBismoFd,
-      Method::kBismoCg,    Method::kBismoNmn,
-  };
+  static const std::vector<Method> methods = [] {
+    std::vector<Method> out;
+    for (const MethodRow& r : kMethods) out.push_back(r.method);
+    return out;
+  }();
   return methods;
 }
 
-std::string to_string(Method method) {
-  switch (method) {
-    case Method::kNiltProxy:
-      return "NILT-proxy";
-    case Method::kDac23Proxy:
-      return "DAC23-MILT-proxy";
-    case Method::kAbbeMo:
-      return "Abbe-MO";
-    case Method::kAmAbbeHopkins:
-      return "AM-SMO(A-H)";
-    case Method::kAmAbbeAbbe:
-      return "AM-SMO(A-A)";
-    case Method::kBismoFd:
-      return "BiSMO-FD";
-    case Method::kBismoCg:
-      return "BiSMO-CG";
-    case Method::kBismoNmn:
-      return "BiSMO-NMN";
-  }
-  return "unknown";
-}
+std::string to_string(Method method) { return row(method).name; }
 
-bool optimizes_source(Method method) {
-  switch (method) {
-    case Method::kNiltProxy:
-    case Method::kDac23Proxy:
-    case Method::kAbbeMo:
-      return false;
-    default:
-      return true;
-  }
-}
+bool optimizes_source(Method method) { return row(method).optimizes_source; }
 
 Method method_from_string(const std::string& name) {
   const std::string want = lowered(name);
-  for (Method m : all_methods()) {
-    if (want == lowered(to_string(m)) || want == method_alias(m)) return m;
-  }
   std::string known;
-  for (Method m : all_methods()) {
+  for (const MethodRow& r : kMethods) {
+    if (want == lowered(r.name) || want == r.alias) return r.method;
     if (!known.empty()) known += ", ";
-    known += to_string(m) + " (" + method_alias(m) + ")";
+    known += std::string(r.name) + " (" + r.alias + ")";
   }
   throw std::invalid_argument("unknown method \"" + name +
                               "\"; expected one of: " + known);
@@ -113,83 +88,19 @@ DatasetKind dataset_from_string(const std::string& name) {
                               "\"; expected one of: " + known);
 }
 
+int planned_steps(Method method, const SmoConfig& config) {
+  if (row(method).run == run_am_smo) {
+    return config.am_cycles * (config.am_so_steps + config.am_mo_steps);
+  }
+  return config.outer_steps;
+}
+
 RunResult run_method(const SmoProblem& problem, Method method,
                      const RunControl& control) {
-  const SmoConfig& cfg = problem.config();
-  switch (method) {
-    case Method::kNiltProxy: {
-      // Plain ILT: heavier truncation, no process-window term -- the
-      // weakest baseline of Table 3, by design of the original (Hopkins,
-      // printability-only objective).
-      HopkinsMoOptions opt;
-      opt.base.steps = cfg.outer_steps;
-      opt.base.optimizer = cfg.optimizer;
-      opt.base.lr = cfg.lr_mask;
-      opt.base.use_pvb = false;
-      opt.kernels = std::max<std::size_t>(1, cfg.socs_kernels / 3);
-      opt.levels = 1;
-      RunResult r = run_hopkins_mo(problem, opt, control);
-      r.method = to_string(method);
-      return r;
-    }
-    case Method::kDac23Proxy: {
-      HopkinsMoOptions opt;
-      opt.base.steps = cfg.outer_steps;
-      opt.base.optimizer = cfg.optimizer;
-      opt.base.lr = cfg.lr_mask;
-      opt.base.use_pvb = true;
-      opt.kernels = cfg.socs_kernels;
-      opt.levels = 2;  // the "multi-level" of DAC23-MILT
-      RunResult r = run_hopkins_mo(problem, opt, control);
-      r.method = to_string(method);
-      return r;
-    }
-    case Method::kAbbeMo: {
-      MoOptions opt;
-      opt.steps = cfg.outer_steps;
-      opt.optimizer = cfg.optimizer;
-      opt.lr = cfg.lr_mask;
-      opt.use_pvb = true;
-      return run_abbe_mo(problem, opt, control);
-    }
-    case Method::kAmAbbeHopkins:
-    case Method::kAmAbbeAbbe: {
-      AmOptions opt;
-      opt.cycles = cfg.am_cycles;
-      opt.so_steps = cfg.am_so_steps;
-      opt.mo_steps = cfg.am_mo_steps;
-      opt.optimizer = cfg.optimizer;
-      opt.lr_mask = cfg.lr_mask;
-      opt.lr_source = cfg.lr_source;
-      opt.kernels = cfg.socs_kernels;
-      const AmMode mode = method == Method::kAmAbbeAbbe
-                              ? AmMode::kAbbeAbbe
-                              : AmMode::kAbbeHopkins;
-      RunResult r = run_am_smo(problem, mode, opt, control);
-      r.method = to_string(method);
-      return r;
-    }
-    case Method::kBismoFd:
-    case Method::kBismoCg:
-    case Method::kBismoNmn: {
-      BismoOptions opt;
-      opt.outer_steps = cfg.outer_steps;
-      opt.unroll_steps = method == Method::kBismoFd ? 1 : cfg.unroll_steps;
-      opt.hyper_terms = cfg.hyper_terms;
-      opt.outer_optimizer = cfg.optimizer;
-      opt.inner_optimizer = cfg.optimizer;
-      opt.lr_mask = cfg.lr_mask;
-      opt.lr_source = cfg.lr_source;
-      opt.cg_damping = cfg.cg_damping;
-      BismoVariant variant = BismoVariant::kNmn;
-      if (method == Method::kBismoFd) variant = BismoVariant::kFd;
-      if (method == Method::kBismoCg) variant = BismoVariant::kCg;
-      RunResult r = run_bismo(problem, variant, opt, control);
-      r.method = to_string(method);
-      return r;
-    }
-  }
-  throw std::invalid_argument("run_method: unknown method");
+  const MethodRow& r = row(method);
+  RunResult result = r.run(problem, method, control);
+  result.method = r.name;
+  return result;
 }
 
 }  // namespace bismo

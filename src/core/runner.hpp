@@ -1,6 +1,7 @@
-// Unified method dispatch for the benchmark harness: every column of
-// Tables 3-4 is one `Method`, runnable on any SmoProblem with the budgets
-// taken from the problem's SmoConfig.
+// Unified method dispatch: every column of Tables 3-4 is one `Method`, one
+// row of the method table in runner.cpp (name, CLI alias, whether it
+// optimizes the source, driver).  Every driver reads its budgets and
+// hyperparameters from the problem's SmoConfig.
 #ifndef BISMO_CORE_RUNNER_HPP
 #define BISMO_CORE_RUNNER_HPP
 
@@ -46,6 +47,10 @@ Method method_from_string(const std::string& name);
 /// ("ICCAD13" / "ICCAD-L" / "ISPD19"), case-insensitive.  Throws
 /// std::invalid_argument on an unknown name.
 DatasetKind dataset_from_string(const std::string& name);
+
+/// Expected trace length of `method` under `config`: one record per AM-SMO
+/// SO/MO step, one per outer/MO step for every other method.
+int planned_steps(Method method, const SmoConfig& config);
 
 /// Run `method` on `problem` with budgets from `problem.config()`.
 /// `control` provides optional per-step progress observation and

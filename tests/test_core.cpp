@@ -9,9 +9,6 @@
 #include <string>
 #include <type_traits>
 
-#include "core/am_smo.hpp"
-#include "core/bismo.hpp"
-#include "core/mask_opt.hpp"
 #include "core/problem.hpp"
 #include "core/runner.hpp"
 #include "math/grid_ops.hpp"
@@ -149,10 +146,10 @@ TEST(SmoProblem, BuildsFromLayoutClip) {
 }
 
 TEST(MaskOpt, AbbeMoReducesLoss) {
-  const SmoProblem problem(small_config(), small_target());
-  MoOptions opt;
-  opt.steps = 8;
-  const RunResult r = run_abbe_mo(problem, opt);
+  SmoConfig cfg = small_config();
+  cfg.outer_steps = 8;
+  const SmoProblem problem(cfg, small_target());
+  const RunResult r = run_method(problem, Method::kAbbeMo);
   ASSERT_EQ(r.trace.size(), 8u);
   EXPECT_LT(r.trace.back().loss, r.trace.front().loss);
   EXPECT_EQ(r.gradient_evaluations, 8);
@@ -160,69 +157,59 @@ TEST(MaskOpt, AbbeMoReducesLoss) {
 }
 
 TEST(MaskOpt, HopkinsMoSingleLevelReducesLoss) {
-  const SmoProblem problem(small_config(), small_target());
-  HopkinsMoOptions opt;
-  opt.base.steps = 8;
-  opt.kernels = 8;
-  const RunResult r = run_hopkins_mo(problem, opt);
+  SmoConfig cfg = small_config();
+  cfg.outer_steps = 8;
+  cfg.socs_kernels = 24;  // the NILT proxy keeps Q / 3 = 8 kernels
+  const SmoProblem problem(cfg, small_target());
+  const RunResult r = run_method(problem, Method::kNiltProxy);
+  ASSERT_EQ(r.trace.size(), 8u);
   EXPECT_LT(r.trace.back().loss, r.trace.front().loss);
 }
 
 TEST(MaskOpt, HopkinsMoMultiLevelRunsAllLevels) {
-  const SmoProblem problem(small_config(), small_target());
-  HopkinsMoOptions opt;
-  opt.base.steps = 8;
-  opt.kernels = 8;
-  opt.levels = 2;
-  const RunResult r = run_hopkins_mo(problem, opt);
+  SmoConfig cfg = small_config();
+  cfg.outer_steps = 8;
+  const SmoProblem problem(cfg, small_target());
+  const RunResult r = run_method(problem, Method::kDac23Proxy);
   ASSERT_EQ(r.trace.size(), 8u);
   // Final-level loss must be finite and improving relative to the start of
   // the final level.
   EXPECT_LT(r.trace.back().loss, r.trace[4].loss * 1.5);
   EXPECT_EQ(r.theta_m.rows(), 64u);
-  EXPECT_THROW(run_hopkins_mo(problem, HopkinsMoOptions{{8}, 8, 0}),
-               std::invalid_argument);
 }
 
 TEST(AmSmo, BothModesReduceLoss) {
   const SmoProblem problem(small_config(), small_target());
-  AmOptions opt;
-  opt.cycles = 2;
-  opt.so_steps = 3;
-  opt.mo_steps = 3;
-  opt.kernels = 8;
-  for (AmMode mode : {AmMode::kAbbeAbbe, AmMode::kAbbeHopkins}) {
-    const RunResult r = run_am_smo(problem, mode, opt);
-    ASSERT_EQ(r.trace.size(), 12u) << to_string(mode);
-    EXPECT_LT(r.trace.back().loss, r.trace.front().loss) << to_string(mode);
+  for (Method m : {Method::kAmAbbeAbbe, Method::kAmAbbeHopkins}) {
+    const RunResult r = run_method(problem, m);
+    ASSERT_EQ(r.trace.size(), 12u) << to_string(m);
+    EXPECT_LT(r.trace.back().loss, r.trace.front().loss) << to_string(m);
   }
 }
 
 TEST(Bismo, AllVariantsReduceLoss) {
-  const SmoProblem problem(small_config(), small_target());
-  BismoOptions opt;
-  opt.outer_steps = 5;
-  opt.unroll_steps = 2;
-  opt.hyper_terms = 2;
-  for (BismoVariant v :
-       {BismoVariant::kFd, BismoVariant::kNmn, BismoVariant::kCg}) {
-    const RunResult r = run_bismo(problem, v, opt);
-    ASSERT_EQ(r.trace.size(), 5u) << to_string(v);
-    EXPECT_LT(r.trace.back().loss, r.trace.front().loss) << to_string(v);
-    EXPECT_GT(r.gradient_evaluations, 5) << to_string(v);
+  SmoConfig cfg = small_config();
+  cfg.outer_steps = 5;
+  const SmoProblem problem(cfg, small_target());
+  for (Method m : {Method::kBismoFd, Method::kBismoNmn, Method::kBismoCg}) {
+    const RunResult r = run_method(problem, m);
+    ASSERT_EQ(r.trace.size(), 5u) << to_string(m);
+    EXPECT_LT(r.trace.back().loss, r.trace.front().loss) << to_string(m);
+    EXPECT_GT(r.gradient_evaluations, 5) << to_string(m);
   }
 }
 
 TEST(Bismo, FdEqualsNeumannAtKZero) {
   // Paper Sec. 3.2.4: with K = 0 the Neumann hypergradient reduces to the
-  // finite-difference one.  Identical options => bitwise-identical runs.
-  const SmoProblem problem(small_config(), small_target());
-  BismoOptions opt;
-  opt.outer_steps = 3;
-  opt.unroll_steps = 1;
-  opt.hyper_terms = 0;  // K = 0
-  const RunResult fd = run_bismo(problem, BismoVariant::kFd, opt);
-  const RunResult nmn = run_bismo(problem, BismoVariant::kNmn, opt);
+  // finite-difference one.  FD unrolls T = 1, so NMN at T = 1, K = 0 must
+  // give a bitwise-identical run.
+  SmoConfig cfg = small_config();
+  cfg.outer_steps = 3;
+  cfg.unroll_steps = 1;
+  cfg.hyper_terms = 0;  // K = 0
+  const SmoProblem problem(cfg, small_target());
+  const RunResult fd = run_method(problem, Method::kBismoFd);
+  const RunResult nmn = run_method(problem, Method::kBismoNmn);
   ASSERT_EQ(fd.trace.size(), nmn.trace.size());
   for (std::size_t i = 0; i < fd.trace.size(); ++i) {
     EXPECT_DOUBLE_EQ(fd.trace[i].loss, nmn.trace[i].loss) << "step " << i;
@@ -233,10 +220,10 @@ TEST(Bismo, FdEqualsNeumannAtKZero) {
 }
 
 TEST(Bismo, SourceParametersActuallyMove) {
-  const SmoProblem problem(small_config(), small_target());
-  BismoOptions opt;
-  opt.outer_steps = 3;
-  const RunResult r = run_bismo(problem, BismoVariant::kNmn, opt);
+  SmoConfig cfg = small_config();
+  cfg.outer_steps = 3;
+  const SmoProblem problem(cfg, small_target());
+  const RunResult r = run_method(problem, Method::kBismoNmn);
   const RealGrid init = problem.initial_theta_j();
   EXPECT_GT(norm2(r.theta_j - init), 1e-6);
 }

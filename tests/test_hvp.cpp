@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "core/bismo.hpp"
 #include "core/problem.hpp"
+#include "core/runner.hpp"
 #include "grad/abbe_grad.hpp"
 #include "grad/gradcheck.hpp"
 #include "grad/hvp.hpp"
@@ -439,19 +439,20 @@ TEST(Bismo, OneAdjointPassPerOuterStep) {
   SmoConfig config;
   config.optics = tiny_optics();
   config.source_dim = 5;
+  config.outer_steps = 3;
+  config.unroll_steps = 2;
+  config.hyper_terms = 3;
   const SmoProblem problem(config, tiny_target(32));
-  BismoOptions options;
-  options.outer_steps = 3;
-  options.unroll_steps = 2;
-  options.hyper_terms = 3;
-  for (const BismoVariant variant :
-       {BismoVariant::kFd, BismoVariant::kNmn, BismoVariant::kCg}) {
+  for (const Method method :
+       {Method::kBismoFd, Method::kBismoNmn, Method::kBismoCg}) {
     const std::uint64_t before = sim::adjoint_pass_calls();
-    const RunResult run = run_bismo(problem, variant, options);
+    const RunResult run = run_method(problem, method);
     ASSERT_EQ(run.trace.size(), 3u);
-    EXPECT_EQ(sim::adjoint_pass_calls() - before, 3u) << to_string(variant);
-    // T source-only evaluations + one linearization + one sweep per step.
-    EXPECT_EQ(run.gradient_evaluations, 3 * (2 + 2)) << to_string(variant);
+    EXPECT_EQ(sim::adjoint_pass_calls() - before, 3u) << to_string(method);
+    // T source-only evaluations (FD unrolls T = 1) + one linearization +
+    // one sweep per step.
+    const int unroll = method == Method::kBismoFd ? 1 : 2;
+    EXPECT_EQ(run.gradient_evaluations, 3 * (unroll + 2)) << to_string(method);
   }
 }
 

@@ -1,4 +1,5 @@
-// I/O round trips: PGM images, comparison PPM, CSV emission, table printing.
+// I/O round trips: PGM images, comparison PPM, CSV emission, table printing,
+// grid checkpoints.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,6 +8,7 @@
 #include <sstream>
 
 #include "io/csv.hpp"
+#include "io/grid_io.hpp"
 #include "io/image_io.hpp"
 #include "io/table.hpp"
 #include "math/rng.hpp"
@@ -199,6 +201,44 @@ TEST(Table, NumFormatsFixedDigits) {
   EXPECT_EQ(TablePrinter::num(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::num(2.0, 0), "2");
   EXPECT_EQ(TablePrinter::num(-1.05, 1), "-1.1");
+}
+
+TEST(GridIo, RoundTripIsBitExact) {
+  Rng rng(9);
+  const RealGrid g = rng.uniform_grid(13, 31, -1e6, 1e6);
+  const std::string path = temp_path("bismo_test_grid.bsmg");
+  save_grid(path, g);
+  const RealGrid back = load_grid(path);
+  ASSERT_EQ(back.rows(), g.rows());
+  ASSERT_EQ(back.cols(), g.cols());
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    ASSERT_EQ(back[i], g[i]) << i;  // bitwise
+  }
+  std::remove(path.c_str());
+}
+
+TEST(GridIo, RejectsCorruptInput) {
+  const std::string path = temp_path("bismo_test_bad.bsmg");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "NOTAGRID";
+  }
+  EXPECT_THROW(load_grid(path), std::runtime_error);
+  std::remove(path.c_str());
+  EXPECT_THROW(load_grid("/nonexistent_xyz/grid.bsmg"), std::runtime_error);
+  EXPECT_THROW(save_grid("/nonexistent_xyz/grid.bsmg", RealGrid(2, 2)),
+               std::runtime_error);
+}
+
+TEST(GridIo, TruncatedPayloadThrows) {
+  Rng rng(10);
+  const RealGrid g = rng.uniform_grid(8, 8, 0.0, 1.0);
+  const std::string path = temp_path("bismo_test_trunc.bsmg");
+  save_grid(path, g);
+  // Chop the file short.
+  std::filesystem::resize_file(path, 40);
+  EXPECT_THROW(load_grid(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 }  // namespace

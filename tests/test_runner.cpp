@@ -1,11 +1,13 @@
 // Runner dispatch coverage: name parsing round-trips (method_from_string /
-// dataset_from_string as exact inverses of to_string) and an all_methods()
+// dataset_from_string as exact inverses of to_string), an all_methods()
 // smoke run on a tiny 32 x 32 clip checking every trace is finite and
 // decreasing overall, and that source-optimizing methods actually move
-// theta_J.
+// theta_J, and the per-method contracts of the method table: trace length
+// and evaluation count per budget, and cancellation after the first step.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/problem.hpp"
 #include "core/runner.hpp"
@@ -98,6 +100,60 @@ TEST(RunnerDispatch, AllMethodsProduceFiniteDecreasingTraces) {
     } else {
       EXPECT_DOUBLE_EQ(source_movement, 0.0) << "source must stay frozen";
     }
+  }
+}
+
+bool is_bismo(Method method) {
+  return method == Method::kBismoFd || method == Method::kBismoCg ||
+         method == Method::kBismoNmn;
+}
+
+TEST(Runner, TraceMatchesPlannedSteps) {
+  for (const int outer : {1, 3}) {
+    SmoConfig cfg = tiny_config();
+    cfg.outer_steps = outer;
+    cfg.unroll_steps = 2;
+    cfg.am_cycles = 1;
+    cfg.am_so_steps = 2;
+    cfg.am_mo_steps = 1;
+    const SmoProblem problem(cfg, testing::tiny_target32());
+    for (Method method : all_methods()) {
+      SCOPED_TRACE(to_string(method) + ", outer_steps " +
+                   std::to_string(outer));
+      const RunResult run = run_method(problem, method);
+      ASSERT_EQ(run.trace.size(),
+                static_cast<std::size_t>(planned_steps(method, cfg)));
+      // MO and AM: one backward pass per recorded step.  BiSMO: T inner
+      // steps (T = 1 for FD), one linearization and one sweep per outer
+      // step.
+      long want = static_cast<long>(run.trace.size());
+      if (is_bismo(method)) {
+        const int unroll = method == Method::kBismoFd ? 1 : cfg.unroll_steps;
+        want = outer * (unroll + 2);
+      }
+      EXPECT_EQ(run.gradient_evaluations, want);
+    }
+  }
+}
+
+TEST(Runner, CancelAfterFirstStepEveryMethod) {
+  const SmoConfig cfg = tiny_config();
+  const SmoProblem problem(cfg, testing::tiny_target32());
+  for (Method method : all_methods()) {
+    SCOPED_TRACE(to_string(method));
+    CancelToken token;
+    RunControl control;
+    control.cancel = &token;
+    control.on_step = [&token](const StepRecord&) { token.request(); };
+    const RunResult run = run_method(problem, method, control);
+    EXPECT_TRUE(run.cancelled);
+    EXPECT_EQ(run.trace.size(), 1u);
+    // DAC23 is cancelled on its coarse level and must still return
+    // full-resolution mask parameters.
+    EXPECT_EQ(run.theta_m.rows(), cfg.optics.mask_dim);
+    EXPECT_EQ(run.theta_m.cols(), cfg.optics.mask_dim);
+    EXPECT_EQ(run.theta_j.rows(), cfg.source_dim);
+    EXPECT_EQ(run.theta_j.cols(), cfg.source_dim);
   }
 }
 

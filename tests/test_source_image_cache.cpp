@@ -20,8 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "core/bismo.hpp"
 #include "core/problem.hpp"
+#include "core/runner.hpp"
 #include "fft/fft.hpp"
 #include "fft/kernels/kernel.hpp"
 #include "grad/abbe_grad.hpp"
@@ -360,17 +360,16 @@ TEST(AbbeEngineImageCache, BismoNmnBitwiseAcrossThreadCounts) {
   SmoConfig config;
   config.optics = OpticsConfig{193.0, 1.35, 64, 8.0, 0.0};
   config.source_dim = 7;
+  config.outer_steps = 3;
+  config.unroll_steps = 2;
+  config.hyper_terms = 3;
   const Rig rig(8.0);
-  BismoOptions options;
-  options.outer_steps = 3;
-  options.unroll_steps = 2;
-  options.hyper_terms = 3;
 
   RunResult reference;
   for (const std::size_t threads : {1u, 2u, 4u}) {
     ThreadPool pool(threads);
     const SmoProblem problem(config, rig.target, &pool);
-    const RunResult run = run_bismo(problem, BismoVariant::kNmn, options);
+    const RunResult run = run_method(problem, Method::kBismoNmn);
     ASSERT_EQ(run.trace.size(), 3u);
     if (threads == 1) {
       reference = run;

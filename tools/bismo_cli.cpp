@@ -568,8 +568,8 @@ int main(int argc, char** argv) {
       InterruptWatcher watcher(session);
       results = session.run_batch(specs);
     }
-    // Terminate the live \r progress line (early-stopped or cancelled runs
-    // never reach their planned final step).
+    // Terminate the live \r progress line (cancelled runs never reach
+    // their planned final step).
     if (progress && !watch) std::fputc('\n', stderr);
 
     int failures = 0;
