@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
       BenchArgs::parse(static_cast<int>(filtered.size()), filtered.data());
   args.print_banner("cluster: dispatcher over spawned worker processes");
 
-  // Transient-dominated job stream (bench_serve's tiny shape).
+  // Transient-dominated job stream (tiny one-step 32 px clips).
   const std::size_t n_jobs = quick ? 16 : 48;
   std::vector<api::JobSpec> jobs;
   jobs.reserve(n_jobs);

@@ -1,7 +1,5 @@
-// Shared infrastructure for the paper-reproduction benches: command-line
-// configuration, dataset construction, method execution with metric
-// collection, and a result cache so Table 4 reuses Table 3's runs instead
-// of recomputing them.
+// Shared infrastructure for the benches: command-line configuration and
+// the machine-readable `BENCH_<name>.json` report.
 //
 // Scaling note: the paper runs Nm = 2048,
 // Nj = 35 on an RTX 4090; the bench defaults are Nm = 64 (512 nm tile,
@@ -13,7 +11,6 @@
 #define BISMO_BENCH_BENCH_COMMON_HPP
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,10 +37,13 @@ struct BenchArgs {
   std::size_t threads = 0;   ///< 0 = hardware concurrency
   std::uint64_t seed = 2024;
   bool full = false;         ///< --full: paper-closer scale
-  std::string cache_path = "bismo_bench_cache.csv";
 
-  /// Parse known flags; exits with a usage message on --help / bad input.
-  static BenchArgs parse(int argc, char** argv);
+  /// Parse known flags with the checked number parsers.  Prints the usage
+  /// and exits 2 on --help, a malformed or out-of-range value, or a
+  /// configuration SmoConfig::validate rejects.  Bare words (not flags)
+  /// are appended to `operands` when it is given, and rejected otherwise.
+  static BenchArgs parse(int argc, char** argv,
+                         std::vector<std::string>* operands = nullptr);
 
   /// The SmoConfig all benches share.
   SmoConfig config() const;
@@ -52,42 +52,9 @@ struct BenchArgs {
   void print_banner(const std::string& bench_name) const;
 };
 
-/// One (method, clip) outcome.
-struct CaseResult {
-  std::string dataset;
-  std::string clip;
-  Method method = Method::kAbbeMo;
-  double l2_nm2 = 0.0;
-  double pvb_nm2 = 0.0;
-  double epe = 0.0;
-  double tat_seconds = 0.0;
-  long grad_evals = 0;
-  double final_loss = 0.0;
-};
-
-/// All three suites' clips, generated per args.
-struct BenchDatasets {
-  std::vector<Dataset> suites;
-};
-
-/// Build the ICCAD13 / ICCAD-L / ISPD19-like suites at bench scale.
-BenchDatasets make_bench_datasets(const BenchArgs& args);
-
-/// Run `method` on one clip and collect metrics.
-CaseResult run_case(const BenchArgs& args, const Dataset& suite,
-                    std::size_t clip_index, Method method, ThreadPool& pool);
-
-/// Run every method over every clip (the Table 3/4 protocol), using the
-/// cache when a compatible file exists.
-std::vector<CaseResult> run_full_comparison(const BenchArgs& args,
-                                            ThreadPool& pool);
-
-/// Cache I/O: results keyed by a configuration fingerprint.
-void save_cache(const BenchArgs& args, const std::vector<CaseResult>& results);
-std::optional<std::vector<CaseResult>> load_cache(const BenchArgs& args);
-
-/// Configuration fingerprint for cache validity.
-std::string config_fingerprint(const BenchArgs& args);
+/// Print the usage ("[case ...]" before the flags when `operands`) and
+/// exit 2.
+[[noreturn]] void usage_and_exit(const char* argv0, bool operands = false);
 
 /// Machine-readable bench results: accumulates labeled metric rows and
 /// writes `BENCH_<name>.json` (bench name + configuration + rows) so every
@@ -100,9 +67,6 @@ class BenchReport {
   /// Append one result row: a label plus (metric, value) pairs.
   void add(const std::string& label,
            std::vector<std::pair<std::string, double>> metrics);
-
-  /// Append every (method, clip) case as one row (the Table 3/4 drivers).
-  void add_case_results(const std::vector<CaseResult>& results);
 
   /// Write `BENCH_<name>.json` in the working directory and return the
   /// path; best-effort (prints a warning and returns "" on I/O failure).

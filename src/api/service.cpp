@@ -9,6 +9,12 @@ namespace {
 
 using Clock = JobState::Clock;
 
+/// Cells per queue shard.  The queue has one shard per lane; idle lanes
+/// steal from loaded neighbours.
+constexpr std::size_t kShardCapacity = 1024;
+/// Idle leased ThreadPools kept warm past which LRU eviction kicks in.
+constexpr std::size_t kIdlePoolCap = 4;
+
 double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
@@ -43,8 +49,7 @@ JobService::JobService(Config config)
       emit_(std::move(config.emit)),
       dispatch_end_(std::move(config.dispatch_end)),
       gate_(std::make_shared<ServiceGate>()),
-      queue_(JobQueue::Config{lane_limit_, config.shard_capacity}),
-      pool_cache_cap_(config.pool_cache_cap) {
+      queue_(JobQueue::Config{lane_limit_, kShardCapacity}) {
   if (queue_capacity_ == 0) {
     queue_capacity_ = queue_.shard_count() * queue_.shard_capacity();
   }
@@ -410,7 +415,7 @@ void JobService::release_pool(ThreadPool* pool) {
       }
       if (!entry.in_use && entry.pool.get() != nullptr) ++idle;
     }
-    while (idle > pool_cache_cap_) {
+    while (idle > kIdlePoolCap) {
       auto lru = pools_.end();
       for (auto it = pools_.begin(); it != pools_.end(); ++it) {
         if (it->in_use) continue;

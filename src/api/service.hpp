@@ -66,13 +66,8 @@ class JobService final : public JobRouter {
     std::size_t lanes = 0;
     /// The session's parallel width (shared out across in-flight jobs).
     std::size_t width = 1;
-    /// Idle leased ThreadPools kept warm past which LRU eviction kicks in.
-    std::size_t pool_cache_cap = 4;
-    /// Cells per queue shard (rounded up to a power of two).  The queue
-    /// has one shard per lane; idle lanes steal from loaded neighbours.
-    std::size_t shard_capacity = 1024;
     /// Queued jobs past which SubmitOptions::queue_policy kicks in
-    /// (0 = shards * shard_capacity, effectively unbounded).
+    /// (0 = lanes * 1024, effectively unbounded).
     std::size_t queue_capacity = 0;
     /// Maximum same-key jobs batched into one lane dispatch (1 = off).
     std::size_t coalesce_limit = 8;
@@ -221,7 +216,6 @@ class JobService final : public JobRouter {
   std::mutex pool_mutex_;
   std::vector<PoolEntry> pools_;
   std::uint64_t pool_tick_ = 0;
-  std::size_t pool_cache_cap_;
 
   std::atomic<std::size_t> submitted_{0};
   std::atomic<std::size_t> cancelled_{0};

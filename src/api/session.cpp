@@ -16,6 +16,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Maximum idle warm WorkspaceSets kept for reuse.  Leases checked out by
+/// running jobs never count against the cap; returning a set past it
+/// evicts the least-recently-used idle set.
+constexpr std::size_t kIdleWorkspaceCap = 4;
+
 double elapsed_seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -96,12 +101,10 @@ Session::Session(Options options)
                  : std::max<std::size_t>(
                        1, std::thread::hardware_concurrency())),
       observer_(std::move(options.on_progress)),
-      event_observer_(std::move(options.on_event)),
-      workspace_cache_cap_(options.workspace_cache_cap) {
+      event_observer_(std::move(options.on_event)) {
   detail::JobService::Config config;
   config.lanes = options.scheduler_lanes;
   config.width = width_;
-  config.pool_cache_cap = options.pool_cache_cap;
   config.queue_capacity = options.queue_capacity;
   config.coalesce_limit = options.coalesce_limit;
   config.execute = [this](detail::JobState& state, ThreadPool* pool) {
@@ -186,7 +189,7 @@ std::size_t Session::release_workspaces(WorkspaceLease lease) {
     entry.dim = lease.dim;
     entry.last_used = ++cache_tick_;
     idle_workspaces_.push_back(std::move(entry));
-    while (idle_workspaces_.size() > workspace_cache_cap_) {
+    while (idle_workspaces_.size() > kIdleWorkspaceCap) {
       auto lru = std::min_element(
           idle_workspaces_.begin(), idle_workspaces_.end(),
           [](const CacheEntry& a, const CacheEntry& b) {

@@ -85,12 +85,6 @@ class Session : public JobSubmitter {
     std::size_t scheduler_lanes = 0;
     ProgressObserver on_progress;  ///< legacy per-step observer
     JobEventObserver on_event;     ///< session-wide job event feed
-    /// Maximum idle warm WorkspaceSets kept for reuse.  Leases checked out
-    /// by running jobs never count against the cap; returning a set past
-    /// it evicts the least-recently-used idle set.
-    std::size_t workspace_cache_cap = 4;
-    /// Maximum idle warm lane ThreadPools kept for reuse (LRU-evicted).
-    std::size_t pool_cache_cap = 4;
     /// Queued jobs past which SubmitOptions::queue_policy applies
     /// (0 = lanes * 1024, effectively unbounded for the default block
     /// policy).  Size this to bound queue latency under overload.
@@ -269,7 +263,6 @@ class Session : public JobSubmitter {
   std::mutex cache_mutex_;
   std::vector<CacheEntry> idle_workspaces_;
   std::uint64_t cache_tick_ = 0;
-  std::size_t workspace_cache_cap_;
 
   std::atomic<std::size_t> jobs_run_{0};
   std::atomic<std::size_t> workspace_reuses_{0};

@@ -110,8 +110,8 @@ class TileScheduler {
   TilePlan plan_for(const Layout& layout, const api::JobSpec& base,
                     const ShardOptions& options) const;
 
-  /// The per-tile job specs `run` would execute (exposed so benches can
-  /// time the identical workload under different scheduling policies).
+  /// The per-tile job specs `run` would execute (exposed so callers can
+  /// run the identical workload under different scheduling policies).
   std::vector<api::JobSpec> tile_specs(const Layout& layout,
                                        const api::JobSpec& base,
                                        const TilePlan& plan) const;

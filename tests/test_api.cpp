@@ -301,39 +301,42 @@ TEST(SessionBatch, ConcurrentProgressEventsAreSerializedAndComplete) {
 }
 
 TEST(SessionWorkspaces, CacheEvictsLeastRecentlyUsedPastCap) {
-  api::Session::Options options;
-  options.workspace_cache_cap = 1;
-  api::Session session(options);
-
-  api::JobSpec small = tiny_spec(Method::kAbbeMo);
-  RealGrid big_target(48, 48, 0.0);
+  api::Session session;
+  const api::JobSpec small = tiny_spec(Method::kAbbeMo);
   const RealGrid tiny = testing::tiny_target32();
-  for (std::size_t r = 0; r < 32; ++r) {
-    for (std::size_t c = 0; c < 32; ++c) big_target(r + 8, c + 8) = tiny(r, c);
-  }
-  api::JobSpec big = small;
-  big.clip = api::ClipSource::from_grid(big_target);
 
   const api::JobResult first = session.run(small);
   ASSERT_TRUE(first.ok()) << first.error;
   EXPECT_FALSE(first.workspaces_reused);
   EXPECT_EQ(first.workspace_evictions, 0u);
 
-  // A different shape pushes the idle cache past cap=1: the 32-px set is
-  // the least recently used and gets evicted.
-  const api::JobResult second = session.run(big);
-  ASSERT_TRUE(second.ok()) << second.error;
-  EXPECT_FALSE(second.workspaces_reused);
-  EXPECT_EQ(second.workspace_evictions, 1u);
+  // Four more shapes (the clip padded to 40..64 px) fill the idle cache
+  // past its cap of 4: only the fifth pushes the 32-px set, the least
+  // recently used, out.
+  for (std::size_t dim = 40; dim <= 64; dim += 8) {
+    RealGrid padded(dim, dim, 0.0);
+    const std::size_t offset = (dim - 32) / 2;
+    for (std::size_t r = 0; r < 32; ++r) {
+      for (std::size_t c = 0; c < 32; ++c) {
+        padded(r + offset, c + offset) = tiny(r, c);
+      }
+    }
+    api::JobSpec spec = small;
+    spec.clip = api::ClipSource::from_grid(padded);
+    const api::JobResult result = session.run(spec);
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_FALSE(result.workspaces_reused);
+    EXPECT_EQ(result.workspace_evictions, dim == 64 ? 1u : 0u) << dim;
+  }
 
-  // The evicted shape is cold again; the cached 48-px set is warm.
-  const api::JobResult third = session.run(small);
-  EXPECT_FALSE(third.workspaces_reused);
-  const api::JobResult fourth = session.run(small);
-  EXPECT_TRUE(fourth.workspaces_reused);
+  // The evicted shape is cold again; once returned it is warm.
+  const api::JobResult again = session.run(small);
+  EXPECT_FALSE(again.workspaces_reused);
+  const api::JobResult warm = session.run(small);
+  EXPECT_TRUE(warm.workspaces_reused);
 
   const api::Session::Stats stats = session.stats();
-  EXPECT_EQ(stats.jobs_run, 4u);
+  EXPECT_EQ(stats.jobs_run, 7u);
   EXPECT_GE(stats.workspace_evictions, 2u);
 }
 

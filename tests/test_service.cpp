@@ -66,6 +66,22 @@ struct EventLog {
     for (const api::JobEvent& e : events) out.push_back(e.kind);
     return out;
   }
+
+  /// Block until job `job_id` has recorded `kind`; return its position in
+  /// delivery order (the session delivers every event in one FIFO).
+  std::size_t await_index(std::uint64_t job_id, api::JobEvent::Kind kind) {
+    std::unique_lock<std::mutex> lock(mutex);
+    std::size_t index = 0;
+    cv.wait(lock, [&] {
+      for (index = 0; index < events.size(); ++index) {
+        if (events[index].job_id == job_id && events[index].kind == kind) {
+          return true;
+        }
+      }
+      return false;
+    });
+    return index;
+  }
 };
 
 /// Session-wide record of job names in kStarted / kFinished order.
@@ -350,23 +366,28 @@ TEST(ServiceLease, MakeProblemHoldsItsWorkspaceLease) {
 TEST(ServiceTiming, QueueAndRunLatencySurfaceInResultsAndJson) {
   api::Session::Options options;
   options.scheduler_lanes = 1;
-  EventLog blocker_log;  // outlives the session (events drain into it)
+  EventLog log;  // outlives the session (events drain into it)
   api::Session session(options);
 
   api::SubmitOptions blocker_options;
-  blocker_options.on_event = blocker_log.observer();
+  blocker_options.on_event = log.observer();
   const api::JobHandle blocker =
       session.submit(tiny_spec(10), std::move(blocker_options));
-  blocker_log.await(api::JobEvent::Kind::kStep);
-  const api::JobHandle waiter = session.submit(tiny_spec(2));
+  log.await(api::JobEvent::Kind::kStep);
+  api::SubmitOptions waiter_options;
+  waiter_options.on_event = log.observer();
+  const api::JobHandle waiter =
+      session.submit(tiny_spec(2), std::move(waiter_options));
 
   const api::JobResult& blocked = waiter.wait();
   ASSERT_TRUE(blocked.ok()) << blocked.error;
-  // The waiter sat behind the blocker's remaining steps.
   EXPECT_GT(blocked.queued_ms, 0.0);
   EXPECT_GT(blocked.run_ms, 0.0);
-  const api::JobResult& first = blocker.wait();
-  EXPECT_LE(first.queued_ms, blocked.queued_ms);
+  // The waiter sat behind the blocker on the one lane: it started only
+  // after the blocker finished.  (Comparing the two queued_ms would time
+  // the lazy spawn of the first lane against the blocker's last steps.)
+  EXPECT_LT(log.await_index(blocker.id(), api::JobEvent::Kind::kFinished),
+            log.await_index(waiter.id(), api::JobEvent::Kind::kStarted));
 
   std::ostringstream json;
   api::write_json(json, blocked);

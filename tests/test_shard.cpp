@@ -211,6 +211,21 @@ TEST(TileScheduler, MultiTileSweepStitchesFullLayoutResults) {
     EXPECT_EQ(tile.after.epe_samples, 0u);
     EXPECT_FALSE(tile.run.trace.empty());
   }
+
+  // Scheduling is invisible in the results: the same tile jobs run one at
+  // a time and all four in flight give bitwise-equal parameters.
+  const std::vector<api::JobSpec> specs =
+      scheduler.tile_specs(layout, base, result.plan);
+  const std::vector<api::JobResult> sequential = session.run_batch(specs, {1});
+  const std::vector<api::JobResult> concurrent = session.run_batch(specs, {4});
+  ASSERT_EQ(sequential.size(), 4u);
+  ASSERT_EQ(concurrent.size(), 4u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(sequential[i].ok()) << sequential[i].error;
+    ASSERT_TRUE(concurrent[i].ok()) << concurrent[i].error;
+    EXPECT_TRUE(sequential[i].run.theta_m == concurrent[i].run.theta_m) << i;
+    EXPECT_TRUE(sequential[i].run.theta_j == concurrent[i].run.theta_j) << i;
+  }
 }
 
 TEST(TileScheduler, CancelDrainsTheSweep) {
