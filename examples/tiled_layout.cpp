@@ -46,10 +46,11 @@ int main() {
   base.config_overrides = {"mask_dim=256", "source_dim=9", "outer_steps=10"};
 
   api::Session::Options options;
-  options.on_progress = [](const api::Progress& p) {
-    std::fprintf(stderr, "\r[%zu/%zu %s] step %d/%d   ", p.job_index + 1,
-                 p.job_count, p.job_name.c_str(), p.step.step + 1,
-                 p.planned_steps);
+  options.on_event = [](const api::JobEvent& e) {
+    if (e.kind != api::JobEvent::Kind::kStep) return;
+    std::fprintf(stderr, "\r[%zu/%zu %s] step %d/%d   ", e.batch_index + 1,
+                 e.batch_count, e.job_name.c_str(), e.step.step + 1,
+                 e.planned_steps);
   };
   api::Session session(options);
 

@@ -1,6 +1,7 @@
 #include "api/job_handle.hpp"
 
-#include "api/service.hpp"
+#include <chrono>
+#include <utility>
 
 namespace bismo::api {
 
@@ -76,5 +77,70 @@ void JobHandle::cancel() const {
   if (state_->gate->service == nullptr) return;
   state_->gate->service->cancel_job(state_);
 }
+
+namespace detail {
+
+double ms_between(JobState::Clock::time_point from,
+                  JobState::Clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
+std::shared_ptr<JobState> new_job_state(std::uint64_t id, JobSpec spec,
+                                        SubmitOptions options,
+                                        std::shared_ptr<ServiceGate> gate) {
+  auto state = std::make_shared<JobState>();
+  state->id = id;
+  state->name = spec.display_name();
+  state->method_name = to_string(spec.method);
+  state->clip_desc = spec.clip.describe();
+  state->spec = std::move(spec);
+  state->options = std::move(options);
+  state->gate = std::move(gate);
+  state->submitted_at = JobState::Clock::now();
+  return state;
+}
+
+JobEvent make_event(const JobState& state, JobEvent::Kind kind) {
+  JobEvent event;
+  event.kind = kind;
+  event.job_id = state.id;
+  event.job_name = state.name;
+  event.method = state.method_name;
+  event.status = state.status.load(std::memory_order_acquire);
+  event.batch_index = state.options.batch_index;
+  event.batch_count = state.options.batch_count;
+  return event;
+}
+
+JobResult drained_result(const JobState& state) {
+  JobResult result;
+  result.job_name = state.name;
+  result.method = state.method_name;
+  result.clip = state.clip_desc;
+  result.run.method = state.method_name;
+  result.run.cancelled = true;
+  return result;
+}
+
+JobStatus terminal_status(const JobResult& result) {
+  if (!result.ok()) return JobStatus::kFailed;
+  return result.run.cancelled ? JobStatus::kCancelled : JobStatus::kDone;
+}
+
+JobEvent publish_result(JobState& state, JobResult result, JobStatus status) {
+  state.status.store(status, std::memory_order_release);
+  JobEvent event = make_event(state, JobEvent::Kind::kFinished);
+  event.queued_ms = result.queued_ms;
+  event.run_ms = result.run_ms;
+  {
+    std::lock_guard<std::mutex> lock(state.mutex);
+    state.result = std::move(result);
+    state.finished = true;
+  }
+  state.cv.notify_all();
+  return event;
+}
+
+}  // namespace detail
 
 }  // namespace bismo::api

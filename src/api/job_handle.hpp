@@ -7,8 +7,7 @@
 // never affects sibling jobs.  Alongside the handle, every job emits a
 // JobEvent stream (enqueued -> started -> step* -> finished) to the
 // session-wide `Session::Options::on_event` observer and the per-job
-// `SubmitOptions::on_event` observer; the legacy per-step ProgressObserver
-// is an adapter over the same feed.
+// `SubmitOptions::on_event` observer; step progress is the kStep event.
 //
 // Lifetime: handles keep the job's state alive independently of the
 // session, and the session finalizes every outstanding job on destruction
@@ -88,16 +87,14 @@ enum class QueuePolicy {
   /// Fail fast: the handle finalizes immediately as kFailed with
   /// JobResult::error naming the full queue.
   kReject,
-  /// Make room by cancelling the oldest queued job whose priority does
-  /// not exceed the incoming job's (it finalizes as kCancelled with
-  /// JobResult::shed set); falls back to accepting once room exists.
+  /// Make room by cancelling the oldest queued job (it finalizes as
+  /// kCancelled with JobResult::shed set); falls back to accepting once
+  /// room exists.
   kShedOldest,
 };
 
 /// Per-submission scheduling options.
 struct SubmitOptions {
-  /// Higher runs first; FIFO within one priority level.
-  int priority = 0;
   /// What submit does when the dispatch queue is full.
   QueuePolicy queue_policy = QueuePolicy::kBlock;
   /// Non-zero opts this job into small-job coalescing: when a lane pops
@@ -113,8 +110,8 @@ struct SubmitOptions {
   std::size_t lanes_hint = 0;
   /// Per-job event feed (in addition to the session-wide observer).
   JobEventObserver on_event;
-  /// Labeling of this job within its batch (surfaced in events and the
-  /// legacy Progress records; submit_batch fills these in).
+  /// Labeling of this job within its batch (surfaced in events;
+  /// submit_batch fills these in).
   std::size_t batch_index = 0;
   std::size_t batch_count = 1;
   /// Locality group for distributed schedulers: jobs sharing the same
@@ -140,8 +137,6 @@ class JobRouter {
   ~JobRouter() = default;
 };
 
-class JobService;
-
 /// Liveness gate between JobHandles and their scheduler: shared by the
 /// router (JobService or net::Dispatcher) and every job it created.  The
 /// router nulls `service` as the last act of its destructor (with all jobs
@@ -154,8 +149,9 @@ struct ServiceGate {
   JobRouter* service = nullptr;
 };
 
-/// Shared state of one submitted job.  Created by JobService::submit and
-/// referenced by the queue, the executing lane, and every JobHandle copy.
+/// Shared state of one submitted job.  Created by new_job_state (from
+/// JobService::submit or net::Dispatcher::submit) and referenced by the
+/// scheduler, the executing lane, and every JobHandle copy.
 struct JobState {
   using Clock = std::chrono::steady_clock;
 
@@ -241,7 +237,6 @@ class JobHandle {
   void cancel() const;
 
  private:
-  friend class detail::JobService;
   friend JobHandle detail::make_handle(std::shared_ptr<detail::JobState>);
   explicit JobHandle(std::shared_ptr<detail::JobState> state)
       : state_(std::move(state)) {}
@@ -251,12 +246,40 @@ class JobHandle {
 
 namespace detail {
 
-/// Wrap shared job state in a handle.  Entry point for alternative
-/// schedulers (net::Dispatcher) that honour the JobState contract:
-/// publish the result under state->mutex, set finished, notify cv.
+/// Wrap shared job state in a handle.
 inline JobHandle make_handle(std::shared_ptr<JobState> state) {
   return JobHandle(std::move(state));
 }
+
+// The JobState lifecycle, shared by every scheduler (JobService and
+// net::Dispatcher).  A scheduler builds the state with new_job_state,
+// emits events built by make_event, and finalizes each job exactly once
+// (its own first-finalizer guard) by publishing the terminal result.
+
+/// Milliseconds elapsed from `from` to `to`.
+double ms_between(JobState::Clock::time_point from,
+                  JobState::Clock::time_point to);
+
+/// A fresh queued job: id, precomputed names, spec, options, gate and
+/// submission time.  Scheduler-specific fields are left to the caller.
+std::shared_ptr<JobState> new_job_state(std::uint64_t id, JobSpec spec,
+                                        SubmitOptions options,
+                                        std::shared_ptr<ServiceGate> gate);
+
+/// An event of `kind` for `state`, labelled with its current status.
+JobEvent make_event(const JobState& state, JobEvent::Kind kind);
+
+/// The terminal result of a job that never executed (cancelled).
+JobResult drained_result(const JobState& state);
+
+/// The terminal status an executed result maps to: failed when it carries
+/// an error, cancelled when the run stopped early, done otherwise.
+JobStatus terminal_status(const JobResult& result);
+
+/// Publish a terminal result: store `status`, set the result and
+/// `finished` under state.mutex and wake every waiter.  Returns the
+/// finished event, which the caller delivers to its observers.
+JobEvent publish_result(JobState& state, JobResult result, JobStatus status);
 
 }  // namespace detail
 

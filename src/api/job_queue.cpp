@@ -112,10 +112,8 @@ std::shared_ptr<JobState> JobQueue::try_pop_shard(
 }
 
 void JobQueue::note_pushed(std::size_t shard_index) {
-  if (shard_index != kNoShard) {
-    occupied_.fetch_or(std::uint64_t{1} << shard_index,
-                       std::memory_order_release);
-  }
+  occupied_.fetch_or(std::uint64_t{1} << shard_index,
+                     std::memory_order_release);
   size_.fetch_add(1, std::memory_order_seq_cst);
   if (pop_waiters_.load(std::memory_order_seq_cst) > 0) {
     // Empty critical section: serializes with a consumer between its
@@ -135,27 +133,6 @@ void JobQueue::note_popped() {
 // bismo-lint: no-alloc-end
 
 bool JobQueue::try_push(const std::shared_ptr<JobState>& state) {
-  if (state->options.priority != 0) {
-    {
-      std::lock_guard<std::mutex> lock(prio_mutex_);
-      // Scan from the back: same-priority jobs keep submission order, so
-      // a steady stream at one priority inserts in O(1).
-      auto it = prio_items_.end();
-      while (it != prio_items_.begin()) {
-        auto prev = std::prev(it);
-        if ((*prev)->options.priority >= state->options.priority) break;
-        it = prev;
-      }
-      prio_items_.insert(it, state);
-      if (state->options.priority > 0) {
-        prio_pos_.fetch_add(1, std::memory_order_release);
-      } else {
-        prio_neg_.fetch_add(1, std::memory_order_release);
-      }
-    }
-    note_pushed(kNoShard);
-    return true;
-  }
   const std::size_t nshards = shards_.size();
   const std::size_t start = static_cast<std::size_t>(
       push_ticket_.fetch_add(1, std::memory_order_relaxed) % nshards);
@@ -166,42 +143,12 @@ bool JobQueue::try_push(const std::shared_ptr<JobState>& state) {
   return false;  // every ring full: the caller's admission policy decides
 }
 
-std::shared_ptr<JobState> JobQueue::pop_priority(bool positive_only) {
-  std::shared_ptr<JobState> state;
-  {
-    std::lock_guard<std::mutex> lock(prio_mutex_);
-    if (prio_items_.empty()) return nullptr;
-    if (positive_only && prio_items_.front()->options.priority <= 0) {
-      return nullptr;
-    }
-    state = std::move(prio_items_.front());
-    prio_items_.pop_front();
-    const int priority = state->options.priority;
-    if (priority > 0) {
-      prio_pos_.fetch_sub(1, std::memory_order_release);
-    } else {
-      prio_neg_.fetch_sub(1, std::memory_order_release);
-    }
-  }
-  note_popped();
-  return state;
-}
-
 std::shared_ptr<JobState> JobQueue::pop(std::size_t lane,
                                         std::size_t* shard_out,
                                         bool* stolen) {
   const std::size_t nshards = shards_.size();
   const std::size_t home = lane % nshards;
-  *shard_out = home;
-  *stolen = false;
   for (;;) {
-    if (prio_pos_.load(std::memory_order_acquire) > 0) {
-      if (auto state = pop_priority(/*positive_only=*/true)) {
-        *shard_out = kNoShard;
-        *stolen = false;
-        return state;
-      }
-    }
     if (auto state = try_pop_shard(home, nullptr)) {
       *shard_out = home;
       *stolen = false;
@@ -228,13 +175,6 @@ std::shared_ptr<JobState> JobQueue::pop(std::size_t lane,
         }
       }
     }
-    if (prio_neg_.load(std::memory_order_acquire) > 0) {
-      if (auto state = pop_priority(/*positive_only=*/false)) {
-        *shard_out = kNoShard;
-        *stolen = false;
-        return state;
-      }
-    }
     // Everything came up empty: fall back to the condvar until a push (or
     // close) arrives, then rescan.
     {
@@ -257,93 +197,26 @@ std::shared_ptr<JobState> JobQueue::try_pop_matching(
   return try_pop_shard(shard, &coalesce_key);
 }
 
-std::shared_ptr<JobState> JobQueue::try_pop_matching_priority(
-    std::uint64_t coalesce_key, int priority) {
-  if (coalesce_key == 0 || priority == 0) return nullptr;
-  std::shared_ptr<JobState> state;
-  {
-    std::lock_guard<std::mutex> lock(prio_mutex_);
-    if (prio_items_.empty()) return nullptr;
-    const JobState& front = *prio_items_.front();
-    if (front.options.priority != priority ||
-        front.options.coalesce_key != coalesce_key) {
-      return nullptr;
-    }
-    state = std::move(prio_items_.front());
-    prio_items_.pop_front();
-    if (priority > 0) {
-      prio_pos_.fetch_sub(1, std::memory_order_release);
-    } else {
-      prio_neg_.fetch_sub(1, std::memory_order_release);
-    }
-  }
-  note_popped();
-  return state;
-}
-
-std::shared_ptr<JobState> JobQueue::shed_victim(int max_priority) {
-  // Below-normal side-list tail goes first: it is the globally lowest
-  // priority when present.
-  if (prio_neg_.load(std::memory_order_acquire) > 0) {
-    std::shared_ptr<JobState> state;
-    {
-      std::lock_guard<std::mutex> lock(prio_mutex_);
-      if (!prio_items_.empty() &&
-          prio_items_.back()->options.priority < 0 &&
-          prio_items_.back()->options.priority <= max_priority) {
-        state = std::move(prio_items_.back());
-        prio_items_.pop_back();
-        prio_neg_.fetch_sub(1, std::memory_order_release);
+std::shared_ptr<JobState> JobQueue::shed_victim() {
+  // The shard whose head id snapshot is the smallest.  A few attempts
+  // absorb races with concurrent pops.
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    std::size_t best = kNoShard;
+    std::uint64_t best_id = std::numeric_limits<std::uint64_t>::max();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& shard = *shards_[s];
+      if (shard.occupancy.load(std::memory_order_acquire) == 0) continue;
+      const std::uint64_t head = shard.head.load(std::memory_order_relaxed);
+      const Cell& cell = shard.cells[head & shard_mask_];
+      if (cell.seq.load(std::memory_order_acquire) != head + 1) continue;
+      const std::uint64_t id = cell.id.load(std::memory_order_relaxed);
+      if (best == kNoShard || id < best_id) {
+        best = s;
+        best_id = id;
       }
     }
-    if (state != nullptr) {
-      note_popped();
-      return state;
-    }
-  }
-  if (max_priority >= 0) {
-    // Ring victim (priority 0): the shard whose head id snapshot is the
-    // smallest.  A few attempts absorb races with concurrent pops.
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      std::size_t best = kNoShard;
-      std::uint64_t best_id = std::numeric_limits<std::uint64_t>::max();
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        Shard& shard = *shards_[s];
-        if (shard.occupancy.load(std::memory_order_acquire) == 0) continue;
-        const std::uint64_t head = shard.head.load(std::memory_order_relaxed);
-        const Cell& cell = shard.cells[head & shard_mask_];
-        if (cell.seq.load(std::memory_order_acquire) != head + 1) continue;
-        const std::uint64_t id = cell.id.load(std::memory_order_relaxed);
-        if (best == kNoShard || id < best_id) {
-          best = s;
-          best_id = id;
-        }
-      }
-      if (best == kNoShard) break;
-      if (auto state = try_pop_shard(best, nullptr)) return state;
-    }
-  }
-  if (max_priority > 0 && prio_pos_.load(std::memory_order_acquire) > 0) {
-    // Shed a lower-priority side-list entry only for a strictly eligible
-    // higher-priority entrant.
-    std::shared_ptr<JobState> state;
-    {
-      std::lock_guard<std::mutex> lock(prio_mutex_);
-      if (!prio_items_.empty() &&
-          prio_items_.back()->options.priority <= max_priority) {
-        state = std::move(prio_items_.back());
-        prio_items_.pop_back();
-        if (state->options.priority > 0) {
-          prio_pos_.fetch_sub(1, std::memory_order_release);
-        } else if (state->options.priority < 0) {
-          prio_neg_.fetch_sub(1, std::memory_order_release);
-        }
-      }
-    }
-    if (state != nullptr) {
-      note_popped();
-      return state;
-    }
+    if (best == kNoShard) break;
+    if (auto state = try_pop_shard(best, nullptr)) return state;
   }
   return nullptr;
 }
@@ -366,16 +239,6 @@ std::vector<std::shared_ptr<JobState>> JobQueue::drain() {
       drained.push_back(std::move(state));
     }
   }
-  std::size_t side = 0;
-  {
-    std::lock_guard<std::mutex> lock(prio_mutex_);
-    side = prio_items_.size();
-    for (auto& state : prio_items_) drained.push_back(std::move(state));
-    prio_items_.clear();
-    prio_pos_.store(0, std::memory_order_release);
-    prio_neg_.store(0, std::memory_order_release);
-  }
-  if (side > 0) size_.fetch_sub(side, std::memory_order_seq_cst);
   return drained;
 }
 

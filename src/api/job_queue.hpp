@@ -4,22 +4,18 @@
 // Layout: one bounded ring segment per shard (Vyukov-style MPMC ring with
 // per-cell sequence numbers and atomic head/tail), plus a queue-level
 // occupancy bitset (one bit per shard) that consumers scan to steal from
-// loaded neighbours.  Priority-0 jobs -- the throughput path -- go through
-// the rings; jobs with a non-zero priority take a small mutex-protected
-// side list ordered by (priority desc, id asc).  The result is relaxed
-// FIFO overall (exact FIFO within a shard, and exact FIFO for single-lane
-// sessions, which get exactly one shard).
+// loaded neighbours.  The result is relaxed FIFO overall (exact FIFO
+// within a shard, and exact FIFO for single-lane sessions, which get
+// exactly one shard).
 //
-// Ordering contract: higher SubmitOptions::priority first, submission
-// order (the job id) within one priority level per shard.  Jobs cancelled
-// while queued are NOT erased -- they stay in line as terminal entries
-// that lanes skip with a failed status CAS -- so cancellation never races
-// the pop path.
+// Ordering contract: submission order (the job id) per shard.  Jobs
+// cancelled while queued are NOT erased -- they stay in line as terminal
+// entries that lanes skip with a failed status CAS -- so cancellation
+// never races the pop path.
 //
 // Blocking is the fallback, not the norm: pop() only touches the sleep
-// mutex after the priority list, its own shard, and every occupied
-// neighbour shard came up empty, and push only touches it when a consumer
-// is actually asleep.
+// mutex after its own shard and every occupied neighbour shard came up
+// empty, and push only touches it when a consumer is actually asleep.
 #ifndef BISMO_API_JOB_QUEUE_HPP
 #define BISMO_API_JOB_QUEUE_HPP
 
@@ -27,7 +23,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -52,19 +47,16 @@ class JobQueue {
   JobQueue(const JobQueue&) = delete;
   JobQueue& operator=(const JobQueue&) = delete;
 
-  /// Non-blocking push.  Priority-0 jobs round-robin over the shard rings
-  /// (spilling to the next shard when the preferred ring is full); other
-  /// priorities take the ordered side list, which never fills.  False only
-  /// when every ring is full -- admission control (block/reject/shed)
-  /// lives in the caller.
+  /// Non-blocking push.  Jobs round-robin over the shard rings (spilling to
+  /// the next shard when the preferred ring is full).  False only when
+  /// every ring is full -- admission control (block/reject/shed) lives in
+  /// the caller.
   bool try_push(const std::shared_ptr<JobState>& state);
 
   /// Block until a job is available or the queue is closed.  Returns
-  /// nullptr once closed and drained of claimable work.  Pop order:
-  /// positive-priority side list, own shard, steal from occupied
-  /// neighbours, negative-priority side list.  `*shard_out` is the ring
-  /// the job came from (undefined for side-list jobs, which report
-  /// `*stolen == false`); `*stolen` is true when it was another lane's.
+  /// nullptr once closed and drained of claimable work.  Pop order: own
+  /// shard, then steal from occupied neighbours.  `*shard_out` is the ring
+  /// the job came from; `*stolen` is true when it was another lane's.
   std::shared_ptr<JobState> pop(std::size_t lane, std::size_t* shard_out,
                                 bool* stolen);
 
@@ -75,19 +67,11 @@ class JobQueue {
   std::shared_ptr<JobState> try_pop_matching(std::size_t shard,
                                              std::uint64_t coalesce_key);
 
-  /// Side-list counterpart of try_pop_matching: pop the list front only
-  /// when it carries exactly `coalesce_key` AND exactly the same non-zero
-  /// `priority` -- jobs never coalesce across priority levels, and the
-  /// front-only claim preserves the (priority desc, id asc) pop order.
-  std::shared_ptr<JobState> try_pop_matching_priority(
-      std::uint64_t coalesce_key, int priority);
-
-  /// Non-blocking pop of the oldest lowest-priority queued job whose
-  /// priority is <= `max_priority` (shed-oldest admission policy); nullptr
-  /// when nothing sheddable is queued.  Relaxed "oldest": the ring victim
+  /// Non-blocking pop of the oldest queued job (shed-oldest admission
+  /// policy); nullptr when nothing is queued.  Relaxed "oldest": the victim
   /// is the smallest head id observed across shards, racing pops may get
   /// a close neighbour instead.
-  std::shared_ptr<JobState> shed_victim(int max_priority);
+  std::shared_ptr<JobState> shed_victim();
 
   /// Block until total occupancy drops below `below` or the queue closes
   /// (block admission policy backoff).
@@ -99,7 +83,7 @@ class JobQueue {
   /// Wake all waiters; subsequent pop() calls return nullptr.
   void close();
 
-  /// Total queued entries (rings + side list), including cancelled
+  /// Total queued entries, including cancelled
   /// entries not yet skipped by a lane.
   std::size_t size() const {
     return size_.load(std::memory_order_acquire);
@@ -134,7 +118,6 @@ class JobQueue {
   /// snapshot equals it.  nullptr when empty, contended, or mismatched.
   std::shared_ptr<JobState> try_pop_shard(std::size_t index,
                                           const std::uint64_t* want_key);
-  std::shared_ptr<JobState> pop_priority(bool positive_only);
 
   void note_pushed(std::size_t shard_index);
   void note_popped();
@@ -147,14 +130,7 @@ class JobQueue {
   /// re-set if a racing push landed meanwhile).
   std::atomic<std::uint64_t> occupied_{0};
   std::atomic<std::uint64_t> push_ticket_{0};  ///< round-robin shard pick
-  std::atomic<std::size_t> size_{0};           ///< rings + side list
-
-  /// Ordered side list for non-zero priorities (rare; the throughput path
-  /// never touches this mutex thanks to the count gates below).
-  mutable std::mutex prio_mutex_;
-  std::list<std::shared_ptr<JobState>> prio_items_;
-  std::atomic<std::size_t> prio_pos_{0};  ///< entries with priority > 0
-  std::atomic<std::size_t> prio_neg_{0};  ///< entries with priority < 0
+  std::atomic<std::size_t> size_{0};           ///< queued entries
 
   std::atomic<bool> closed_{false};
 

@@ -15,22 +15,6 @@ constexpr std::size_t kShardCapacity = 1024;
 /// Idle leased ThreadPools kept warm past which LRU eviction kicks in.
 constexpr std::size_t kIdlePoolCap = 4;
 
-double ms_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-JobEvent make_event(const JobState& state, JobEvent::Kind kind) {
-  JobEvent event;
-  event.kind = kind;
-  event.job_id = state.id;
-  event.job_name = state.name;
-  event.method = state.method_name;
-  event.status = state.status.load(std::memory_order_acquire);
-  event.batch_index = state.options.batch_index;
-  event.batch_count = state.options.batch_count;
-  return event;
-}
-
 std::size_t floor_pow2(std::size_t value) {
   std::size_t pow2 = 1;
   while (pow2 * 2 <= value) pow2 *= 2;
@@ -82,17 +66,11 @@ JobService::~JobService() {
 }
 
 JobHandle JobService::submit(JobSpec spec, SubmitOptions options) {
-  auto state = std::make_shared<JobState>();
-  state->id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  state->name = spec.display_name();
-  state->method_name = to_string(spec.method);
-  state->clip_desc = spec.clip.describe();
-  state->spec = std::move(spec);
-  state->options = std::move(options);
-  state->gate = gate_;
+  std::shared_ptr<JobState> state =
+      new_job_state(next_id_.fetch_add(1, std::memory_order_relaxed),
+                    std::move(spec), std::move(options), gate_);
   state->submit_generation =
       cancel_generation_.load(std::memory_order_acquire);
-  state->submitted_at = Clock::now();
   state->queue_depth_at_submit = queue_.size();
   submitted_.fetch_add(1, std::memory_order_relaxed);
 
@@ -114,11 +92,11 @@ JobHandle JobService::submit(JobSpec spec, SubmitOptions options) {
   if (rejected) {
     state->status.store(JobStatus::kCancelled, std::memory_order_release);
     finalize(state, drained_result(*state), JobStatus::kCancelled);
-    return JobHandle(std::move(state));
+    return make_handle(std::move(state));
   }
 
   admit(state);  // finalizes the job itself when admission fails
-  return JobHandle(std::move(state));
+  return make_handle(std::move(state));
 }
 
 bool JobService::admit(const std::shared_ptr<JobState>& state) {
@@ -145,7 +123,7 @@ bool JobService::admit(const std::shared_ptr<JobState>& state) {
         return false;
       }
       case QueuePolicy::kShedOldest: {
-        if (auto victim = queue_.shed_victim(state->options.priority)) {
+        if (auto victim = queue_.shed_victim()) {
           JobStatus expected = JobStatus::kQueued;
           if (victim->status.compare_exchange_strong(
                   expected, JobStatus::kCancelled,
@@ -185,7 +163,6 @@ void JobService::lane_main(std::size_t lane) {
 
     batch.clear();
     const std::uint64_t key = head->options.coalesce_key;
-    const int priority = head->options.priority;
     batch.push_back(std::move(head));
     if (key != 0 && coalesce_limit_ > 1) {
       // Depth-scaled budget: batch only once the queue is deeper than the
@@ -194,13 +171,7 @@ void JobService::lane_main(std::size_t lane) {
       const std::size_t budget =
           std::min(coalesce_limit_, 1 + queue_.size() / lane_limit_);
       while (batch.size() < budget) {
-        // Ring heads gather from their shard; side-list heads (non-zero
-        // priority, shard_out past the ring count) gather same-key jobs of
-        // exactly their own priority level -- never across levels.
-        std::shared_ptr<JobState> more =
-            shard < queue_.shard_count()
-                ? queue_.try_pop_matching(shard, key)
-                : queue_.try_pop_matching_priority(key, priority);
+        std::shared_ptr<JobState> more = queue_.try_pop_matching(shard, key);
         if (more == nullptr) break;
         batch.push_back(std::move(more));
       }
@@ -263,9 +234,7 @@ void JobService::run_dispatch(
     result.queued_ms = queued_ms;
     result.run_ms = ms_between(state->started_at, Clock::now());
     result.queue_depth = state->queue_depth_at_submit;
-    const JobStatus status = !result.ok() ? JobStatus::kFailed
-                             : result.run.cancelled ? JobStatus::kCancelled
-                                                    : JobStatus::kDone;
+    const JobStatus status = terminal_status(result);
     finalize(state, std::move(result), status);
   }
 
@@ -342,31 +311,8 @@ void JobService::finalize(const std::shared_ptr<JobState>& state,
       if (--drain_pending_ == 0) session_cancel_.reset();
     }
   }
-  state->status.store(status, std::memory_order_release);
-  const double queued_ms = result.queued_ms;
-  const double run_ms = result.run_ms;
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->result = std::move(result);
-    state->finished = true;
-  }
-  state->cv.notify_all();
-  if (emit_) {
-    JobEvent event = make_event(*state, JobEvent::Kind::kFinished);
-    event.queued_ms = queued_ms;
-    event.run_ms = run_ms;
-    emit_(event, *state);
-  }
-}
-
-JobResult JobService::drained_result(const JobState& state) {
-  JobResult result;
-  result.job_name = state.name;
-  result.method = state.method_name;
-  result.clip = state.clip_desc;
-  result.run.method = state.method_name;
-  result.run.cancelled = true;
-  return result;
+  const JobEvent event = publish_result(*state, std::move(result), status);
+  if (emit_) emit_(event, *state);
 }
 
 ThreadPool* JobService::acquire_pool(std::size_t width) {

@@ -22,16 +22,13 @@
 // sub-millisecond jobs.  The batch budget scales with queue depth per
 // lane, so coalescing only engages once the lanes cannot drain the queue
 // one job at a time -- a shallow queue still fans out across lanes.
-// Non-zero-priority jobs coalesce too, but strictly within their own
-// level: a side-list head gathers same-key jobs of exactly its priority
-// from the list front, so jobs never coalesce across priority levels.
 // Members keep their own JobEvent streams, results and cancel windows: a
 // lane claims each member with the same status CAS as a solo dispatch.
 //
 // Admission control: submit consults SubmitOptions::queue_policy when the
 // queue holds Config::queue_capacity entries -- block until room, reject
-// (kFailed, error set), or shed the oldest queued job at or below the
-// entrant's priority (kCancelled, JobResult::shed set).
+// (kFailed, error set), or shed the oldest queued job (kCancelled,
+// JobResult::shed set).
 //
 // Cancellation is per job: a queued job flips kQueued -> kCancelled with a
 // single CAS and finalizes immediately (the losing lane skips it); a
@@ -181,12 +178,9 @@ class JobService final : public JobRouter {
   ThreadPool* acquire_pool(std::size_t width);
   void release_pool(ThreadPool* pool);
 
-  /// Build the terminal result of a job that never executed.
-  static JobResult drained_result(const JobState& state);
-
-  /// Store the result, flip to `status`, wake waiters, retire the job
-  /// from the registry (re-arming the session token when it was the last
-  /// doomed job of a drain), and emit the finished event.
+  /// First finalizer only: retire the job from the registry (re-arming
+  /// the session token when it was the last doomed job of a drain), then
+  /// publish the result (publish_result) and emit the finished event.
   void finalize(const std::shared_ptr<JobState>& state, JobResult result,
                 JobStatus status);
 

@@ -100,7 +100,6 @@ Session::Session(Options options)
                  ? options.threads
                  : std::max<std::size_t>(
                        1, std::thread::hardware_concurrency())),
-      observer_(std::move(options.on_progress)),
       event_observer_(std::move(options.on_event)) {
   detail::JobService::Config config;
   config.lanes = options.scheduler_lanes;
@@ -221,28 +220,15 @@ void Session::flush_sticky_lease() {
 }
 
 void Session::deliver_event(const PendingEvent& pending) {
-  const JobEvent& event = pending.event;
-  if (observer_ && event.kind == JobEvent::Kind::kStep) {
-    // Legacy per-step adapter: Progress is a projection of the step event.
-    Progress progress;
-    progress.job_index = event.batch_index;
-    progress.job_count = event.batch_count;
-    progress.job_name = event.job_name;
-    progress.method = event.method;
-    progress.step = event.step;
-    progress.planned_steps = event.planned_steps;
-    observer_(progress);
-  }
-  if (event_observer_) event_observer_(event);
-  if (pending.per_job) pending.per_job(event);
+  if (event_observer_) event_observer_(pending.event);
+  if (pending.per_job) pending.per_job(pending.event);
 }
 
 void Session::emit_event(const JobEvent& event,
                          const detail::JobState& state) {
   // Fast path for unobserved jobs: the sub-millisecond serving regime
   // must not serialize every event on the emission lock.
-  if (observer_ == nullptr && event_observer_ == nullptr &&
-      state.options.on_event == nullptr) {
+  if (event_observer_ == nullptr && state.options.on_event == nullptr) {
     return;
   }
   // Append under the buffer lock, then elect at most one drainer, which
@@ -349,19 +335,9 @@ JobResult Session::execute_job(detail::JobState& state, ThreadPool* pool) {
     result.setup_seconds = elapsed_seconds(start);
 
     const int planned = bismo::planned_steps(spec.method, config);
-    const bool observed = observer_ != nullptr ||
-                          event_observer_ != nullptr ||
-                          state.options.on_event != nullptr;
-    if (observed) {
+    if (event_observer_ != nullptr || state.options.on_event != nullptr) {
       control.on_step = [this, &state, planned](const StepRecord& record) {
-        JobEvent event;
-        event.kind = JobEvent::Kind::kStep;
-        event.job_id = state.id;
-        event.job_name = state.name;
-        event.method = state.method_name;
-        event.status = JobStatus::kRunning;
-        event.batch_index = state.options.batch_index;
-        event.batch_count = state.options.batch_count;
+        JobEvent event = detail::make_event(state, JobEvent::Kind::kStep);
         event.step = record;
         event.planned_steps = planned;
         emit_event(event, state);

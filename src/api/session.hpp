@@ -4,7 +4,7 @@
 // declaratively (api::JobSpec) and enqueued with `submit`, which returns
 // immediately with a JobHandle (status / wait / try_result / per-job
 // cancel) while a persistent lane scheduler (api/service.hpp) executes
-// jobs from a priority/FIFO queue.  The scheduler load-balances the
+// jobs from a sharded FIFO queue.  The scheduler load-balances the
 // session's parallel width across the jobs in flight -- a lone job runs
 // full-width, a saturated queue shards into narrow lanes -- leasing warm
 // ThreadPools and warm sim::WorkspaceSets from LRU caches so steady-state
@@ -15,9 +15,8 @@
 //
 // Observation: every job emits a JobEvent stream (enqueued -> started ->
 // step* -> finished) to the session-wide `Options::on_event` observer and
-// the per-job `SubmitOptions::on_event` observer.  The legacy per-step
-// ProgressObserver is an adapter over the same feed and remains supported.
-// All observer invocations are serialized by the session, and delivery is
+// the per-job `SubmitOptions::on_event` observer; step progress is the
+// kStep event.  All observer invocations are serialized by the session, and delivery is
 // batched: lanes append events to a buffer and one drainer fans them out
 // outside the emission lock, so a slow observer never stalls a lane.
 //
@@ -35,11 +34,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "api/job_handle.hpp"
@@ -56,22 +53,6 @@ namespace detail {
 class JobService;
 }
 
-/// One progress event: a freshly completed optimizer step of one job.
-/// Legacy adapter over the JobEvent feed (see JobEvent::Kind::kStep).
-struct Progress {
-  std::size_t job_index = 0;  ///< position in the batch (0 for single runs)
-  std::size_t job_count = 1;  ///< batch size (1 for single runs)
-  std::string job_name;       ///< JobSpec::display_name()
-  std::string method;         ///< method being run
-  StepRecord step;            ///< the step just recorded
-  int planned_steps = 0;      ///< expected trace length for this job
-};
-
-/// Invoked after every recorded step of any job; keep cheap.  Calls are
-/// serialized by the session (jobs progress on scheduler lanes), and it is
-/// safe to call Session::request_cancel() from the observer.
-using ProgressObserver = std::function<void(const Progress&)>;
-
 /// Execution context shared by a sequence of jobs.  Implements the
 /// JobSubmitter serving contract (net::Dispatcher is the multi-process
 /// implementation of the same interface).
@@ -83,8 +64,9 @@ class Session : public JobSubmitter {
     /// (0 = parallel width).  Lanes are persistent: spawned lazily on
     /// demand and kept for the session's lifetime.
     std::size_t scheduler_lanes = 0;
-    ProgressObserver on_progress;  ///< legacy per-step observer
-    JobEventObserver on_event;     ///< session-wide job event feed
+    /// Session-wide job event feed.  Calls are serialized by the session;
+    /// it is safe to call Session::request_cancel() from the observer.
+    JobEventObserver on_event;
     /// Queued jobs past which SubmitOptions::queue_policy applies
     /// (0 = lanes * 1024, effectively unbounded for the default block
     /// policy).  Size this to bound queue latency under overload.
@@ -137,9 +119,6 @@ class Session : public JobSubmitter {
   ThreadPool& pool();
 
   /// The session's parallel width (what pool().width() will report).
-  std::size_t width() const noexcept { return width_; }
-
-  /// JobSubmitter width: same as width().
   std::size_t parallel_width() const noexcept override { return width_; }
 
   // -- Asynchronous service API ----------------------------------------
@@ -192,8 +171,6 @@ class Session : public JobSubmitter {
   std::shared_ptr<SmoProblem> make_problem(const JobSpec& spec);
 
  private:
-  friend class detail::JobService;
-
   /// A checked-out warm workspace set.
   struct WorkspaceLease {
     std::shared_ptr<sim::WorkspaceSet> set;
@@ -252,7 +229,6 @@ class Session : public JobSubmitter {
   std::size_t width_;
   std::once_flag pool_once_;
   std::optional<ThreadPool> pool_storage_;
-  ProgressObserver observer_;
   JobEventObserver event_observer_;
   /// Emission buffer lock: guards event_queue_/event_draining_ only --
   /// never held across an observer call.

@@ -14,24 +14,18 @@ namespace {
 
 using api::JobEvent;
 using api::JobStatus;
+using api::detail::drained_result;
 using api::detail::JobState;
+using api::detail::make_event;
+using api::detail::ms_between;
 using Clock = JobState::Clock;
 
-double ms_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-JobEvent make_event(const JobState& state, JobEvent::Kind kind) {
-  JobEvent event;
-  event.kind = kind;
-  event.job_id = state.id;
-  event.job_name = state.name;
-  event.method = state.method_name;
-  event.status = state.status.load(std::memory_order_acquire);
-  event.batch_index = state.options.batch_index;
-  event.batch_count = state.options.batch_count;
-  return event;
-}
+/// Reconnect backoff: initial delay, doubled per failure up to the cap.
+constexpr double kBackoffInitialSeconds = 0.025;
+constexpr double kBackoffMaxSeconds = 1.0;
+/// A job that loses its worker is resubmitted at most this many times
+/// before finalizing as failed.
+constexpr std::size_t kMaxJobRetries = 8;
 
 /// Encode + write one frame under the link's write mutex, reporting
 /// transport failure instead of throwing (the caller decides whether a
@@ -134,7 +128,7 @@ Dispatcher::~Dispatcher() {
     if (link->manager.joinable()) link->manager.join();
   }
   for (const RemoteJobPtr& job : doomed) {
-    finalize_job(job->state, drained_result(*job->state, ""),
+    finalize_job(job->state, drained_result(*job->state),
                  JobStatus::kCancelled);
   }
   // Close the JobHandle::cancel gate last, with every job finalized.
@@ -144,15 +138,9 @@ Dispatcher::~Dispatcher() {
 
 api::JobHandle Dispatcher::submit(api::JobSpec spec,
                                   api::SubmitOptions options) {
-  auto state = std::make_shared<JobState>();
-  state->id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  state->name = spec.display_name();
-  state->method_name = to_string(spec.method);
-  state->clip_desc = spec.clip.describe();
-  state->spec = std::move(spec);
-  state->options = std::move(options);
-  state->gate = gate_;
-  state->submitted_at = Clock::now();
+  std::shared_ptr<JobState> state = api::detail::new_job_state(
+      next_id_.fetch_add(1, std::memory_order_relaxed), std::move(spec),
+      std::move(options), gate_);
   submitted_.fetch_add(1, std::memory_order_relaxed);
 
   auto job = std::make_shared<RemoteJob>();
@@ -175,7 +163,7 @@ api::JobHandle Dispatcher::submit(api::JobSpec spec,
     }
   }
   if (rejected) {
-    finalize_job(state, drained_result(*state, ""), JobStatus::kCancelled);
+    finalize_job(state, drained_result(*state), JobStatus::kCancelled);
     return api::detail::make_handle(std::move(state));
   }
   pump();
@@ -277,7 +265,7 @@ void Dispatcher::cancel_job(const std::shared_ptr<JobState>& state) {
     JobStatus expected = JobStatus::kQueued;
     if (state->status.compare_exchange_strong(expected, JobStatus::kCancelled,
                                               std::memory_order_acq_rel)) {
-      api::JobResult result = drained_result(*state, "");
+      api::JobResult result = drained_result(*state);
       result.queued_ms = ms_between(state->submitted_at, Clock::now());
       finalize_job(state, std::move(result), JobStatus::kCancelled);
     }
@@ -295,7 +283,7 @@ void Dispatcher::cancel_job(const std::shared_ptr<JobState>& state) {
 }
 
 void Dispatcher::manager_main(const std::shared_ptr<WorkerLink>& link) {
-  double backoff = options_.backoff_initial_seconds;
+  double backoff = kBackoffInitialSeconds;
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -313,7 +301,7 @@ void Dispatcher::manager_main(const std::shared_ptr<WorkerLink>& link) {
       had_session = had_session || link->connected;
     }
     handle_disconnect(link);
-    if (had_session) backoff = options_.backoff_initial_seconds;
+    if (had_session) backoff = kBackoffInitialSeconds;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (stopping_) return;
@@ -321,7 +309,7 @@ void Dispatcher::manager_main(const std::shared_ptr<WorkerLink>& link) {
                    [this] { return stopping_; });
       if (stopping_) return;
     }
-    backoff = std::min(backoff * 2.0, options_.backoff_max_seconds);
+    backoff = std::min(backoff * 2.0, kBackoffMaxSeconds);
   }
 }
 
@@ -411,7 +399,7 @@ void Dispatcher::handle_disconnect(const std::shared_ptr<WorkerLink>& link) {
       if (job->state->finalized.load(std::memory_order_acquire)) continue;
       if (job->cancel_requested) {
         cancelled.push_back(job);
-      } else if (job->retries >= options_.max_job_retries) {
+      } else if (job->retries >= kMaxJobRetries) {
         exhausted.push_back(job);
       } else {
         ++job->retries;
@@ -423,15 +411,15 @@ void Dispatcher::handle_disconnect(const std::shared_ptr<WorkerLink>& link) {
   }
   cv_.notify_all();
   for (const RemoteJobPtr& job : cancelled) {
-    api::JobResult result = drained_result(*job->state, "");
+    api::JobResult result = drained_result(*job->state);
     result.retries = job->retries;
     finalize_job(job->state, std::move(result), JobStatus::kCancelled);
   }
   for (const RemoteJobPtr& job : exhausted) {
-    api::JobResult result = drained_result(
-        *job->state, "lost worker " + link->endpoint.host + ":" +
-                         std::to_string(link->endpoint.port) + " after " +
-                         std::to_string(job->retries) + " retries");
+    api::JobResult result = drained_result(*job->state);
+    result.error = "lost worker " + link->endpoint.host + ":" +
+                   std::to_string(link->endpoint.port) + " after " +
+                   std::to_string(job->retries) + " retries";
     result.run.cancelled = false;
     result.retries = job->retries;
     finalize_job(job->state, std::move(result), JobStatus::kFailed);
@@ -484,7 +472,7 @@ void Dispatcher::pump() {
       JobStatus expected = JobStatus::kQueued;
       if (job->state->status.compare_exchange_strong(
               expected, JobStatus::kCancelled, std::memory_order_acq_rel)) {
-        api::JobResult result = drained_result(*job->state, "");
+        api::JobResult result = drained_result(*job->state);
         result.retries = job->retries;
         finalize_job(job->state, std::move(result), JobStatus::kCancelled);
       }
@@ -499,7 +487,6 @@ void Dispatcher::send_submit(const std::shared_ptr<WorkerLink>& link,
   SubmitMsg msg;
   msg.job_id = job->state->id;
   msg.spec = job->state->spec;
-  msg.priority = job->state->options.priority;
   msg.coalesce_key = job->state->options.coalesce_key;
   msg.lanes_hint = job->state->options.lanes_hint;
   msg.batch_index = job->state->options.batch_index;
@@ -548,9 +535,7 @@ void Dispatcher::handle_result_frame(const std::shared_ptr<WorkerLink>& link,
     link->in_flight.erase(it);
   }
   msg.result.retries = job->retries;
-  const JobStatus status = !msg.result.ok() ? JobStatus::kFailed
-                           : msg.result.run.cancelled ? JobStatus::kCancelled
-                                                      : JobStatus::kDone;
+  const JobStatus status = api::detail::terminal_status(msg.result);
   // Count before finalizing: wait() returns the moment finalize_job
   // publishes, and stats() read right after must include this job.
   completed_.fetch_add(1, std::memory_order_relaxed);
@@ -563,19 +548,8 @@ void Dispatcher::finalize_job(const std::shared_ptr<JobState>& state,
   if (state->finalized.exchange(true, std::memory_order_acq_rel)) {
     return;  // cancel/result/disconnect race: first finalizer wins
   }
-  state->status.store(status, std::memory_order_release);
-  const double queued_ms = result.queued_ms;
-  const double run_ms = result.run_ms;
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->result = std::move(result);
-    state->finished = true;
-  }
-  state->cv.notify_all();
-  JobEvent event = make_event(*state, JobEvent::Kind::kFinished);
-  event.queued_ms = queued_ms;
-  event.run_ms = run_ms;
-  emit_event(event, state->options.on_event);
+  emit_event(api::detail::publish_result(*state, std::move(result), status),
+             state->options.on_event);
 }
 
 void Dispatcher::emit_event(const JobEvent& event,
@@ -583,18 +557,6 @@ void Dispatcher::emit_event(const JobEvent& event,
   std::lock_guard<std::recursive_mutex> lock(event_mutex_);
   if (options_.on_event) options_.on_event(event);
   if (per_job) per_job(event);
-}
-
-api::JobResult Dispatcher::drained_result(const JobState& state,
-                                          std::string error) const {
-  api::JobResult result;
-  result.job_name = state.name;
-  result.method = state.method_name;
-  result.clip = state.clip_desc;
-  result.run.method = state.method_name;
-  result.run.cancelled = true;
-  result.error = std::move(error);
-  return result;
 }
 
 }  // namespace bismo::net

@@ -60,12 +60,6 @@ struct DispatcherOptions {
   /// are retried elsewhere.  Workers heartbeat every ~200 ms by default,
   /// so seconds-scale timeouts tolerate heavy event bursts.
   double heartbeat_timeout_seconds = 3.0;
-  /// Reconnect backoff: initial delay, doubled per failure up to the cap.
-  double backoff_initial_seconds = 0.025;
-  double backoff_max_seconds = 1.0;
-  /// A job that loses its worker is resubmitted at most this many times
-  /// before finalizing as failed.
-  std::size_t max_job_retries = 8;
   /// Dispatcher-wide event feed (same semantics as Session's on_event).
   api::JobEventObserver on_event;
 };
@@ -171,14 +165,12 @@ class Dispatcher final : public api::JobSubmitter,
   void handle_result_frame(const std::shared_ptr<WorkerLink>& link,
                            const std::vector<std::uint8_t>& payload);
 
-  /// Publish a terminal result on the JobState (first finalizer wins) and
-  /// emit the finished event.  Never called with mutex_ held.
+  /// First finalizer only: publish the result (publish_result) and emit
+  /// the finished event.  Never called with mutex_ held.
   void finalize_job(const std::shared_ptr<api::detail::JobState>& state,
                     api::JobResult result, api::JobStatus status);
   void emit_event(const api::JobEvent& event,
                   const api::JobEventObserver& per_job);
-  api::JobResult drained_result(const api::detail::JobState& state,
-                                std::string error) const;
 
   DispatcherOptions options_;
   std::shared_ptr<api::detail::ServiceGate> gate_;

@@ -24,7 +24,6 @@ HelloMsg decode_hello(WireReader& r) {
 void encode_submit(WireWriter& w, const SubmitMsg& msg) {
   w.u64(msg.job_id);
   encode_job_spec(w, msg.spec);
-  w.i32(msg.priority);
   w.u64(msg.coalesce_key);
   w.u64(msg.lanes_hint);
   w.u64(msg.batch_index);
@@ -35,7 +34,6 @@ SubmitMsg decode_submit(WireReader& r) {
   SubmitMsg msg;
   msg.job_id = r.u64();
   msg.spec = decode_job_spec(r);
-  msg.priority = r.i32();
   msg.coalesce_key = r.u64();
   msg.lanes_hint = r.u64();
   msg.batch_index = r.u64();

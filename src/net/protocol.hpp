@@ -29,7 +29,6 @@ struct HelloMsg {
 struct SubmitMsg {
   std::uint64_t job_id = 0;  ///< dispatcher job id (echoed in events/results)
   api::JobSpec spec;
-  std::int32_t priority = 0;
   std::uint64_t coalesce_key = 0;
   std::uint64_t lanes_hint = 0;
   std::uint64_t batch_index = 0;

@@ -35,8 +35,9 @@ namespace bismo::net {
 
 /// Version of the frame + payload encoding.  Bump on any wire change.
 /// v2 added the imaging-pipeline mode to JobResult and HelloMsg and two
-/// queue-latency SLO gauges to Session::Stats; v3 removes all four.
-constexpr std::uint16_t kProtocolVersion = 3;
+/// queue-latency SLO gauges to Session::Stats; v3 removes all four; v4
+/// drops SubmitMsg's int32 ordering level.
+constexpr std::uint16_t kProtocolVersion = 4;
 
 /// Thrown by readers on truncated, corrupt, or out-of-range wire data.
 class WireError : public std::runtime_error {

@@ -167,7 +167,6 @@ void Worker::handle_submit(const std::shared_ptr<Connection>& conn,
   const std::uint64_t remote_id = msg.job_id;
 
   api::SubmitOptions opts;
-  opts.priority = msg.priority;
   opts.coalesce_key = msg.coalesce_key;
   opts.lanes_hint = static_cast<std::size_t>(msg.lanes_hint);
   opts.batch_index = static_cast<std::size_t>(msg.batch_index);

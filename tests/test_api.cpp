@@ -282,10 +282,11 @@ TEST(SessionBatch, ConcurrentLanesMatchSequentialBitwise) {
 }
 
 TEST(SessionBatch, ConcurrentProgressEventsAreSerializedAndComplete) {
-  std::vector<api::Progress> events;
+  std::vector<api::JobEvent> events;
   api::Session::Options options;
-  options.on_progress = [&events](const api::Progress& p) {
-    events.push_back(p);  // safe: the session serializes observer calls
+  options.on_event = [&events](const api::JobEvent& e) {
+    // Safe: the session serializes observer calls.
+    if (e.kind == api::JobEvent::Kind::kStep) events.push_back(e);
   };
   api::Session session(options);
   std::vector<api::JobSpec> specs(3, tiny_spec(Method::kAbbeMo));
@@ -297,7 +298,7 @@ TEST(SessionBatch, ConcurrentProgressEventsAreSerializedAndComplete) {
     steps += r.run.trace.size();
   }
   EXPECT_EQ(events.size(), steps);
-  for (const api::Progress& p : events) EXPECT_EQ(p.job_count, 3u);
+  for (const api::JobEvent& e : events) EXPECT_EQ(e.batch_count, 3u);
 }
 
 TEST(SessionWorkspaces, CacheEvictsLeastRecentlyUsedPastCap) {
@@ -341,10 +342,10 @@ TEST(SessionWorkspaces, CacheEvictsLeastRecentlyUsedPastCap) {
 }
 
 TEST(SessionProgress, ObserverSeesEveryStepWithJobContext) {
-  std::vector<api::Progress> events;
+  std::vector<api::JobEvent> events;
   api::Session::Options options;
-  options.on_progress = [&events](const api::Progress& p) {
-    events.push_back(p);
+  options.on_event = [&events](const api::JobEvent& e) {
+    if (e.kind == api::JobEvent::Kind::kStep) events.push_back(e);
   };
   api::Session session(options);
   const api::JobResult result = session.run(tiny_spec(Method::kAbbeMo));
@@ -353,7 +354,7 @@ TEST(SessionProgress, ObserverSeesEveryStepWithJobContext) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].step.step, static_cast<int>(i));
     EXPECT_DOUBLE_EQ(events[i].step.loss, result.run.trace[i].loss);
-    EXPECT_EQ(events[i].job_count, 1u);
+    EXPECT_EQ(events[i].batch_count, 1u);
     EXPECT_EQ(events[i].planned_steps, 4);
     EXPECT_EQ(events[i].method, "Abbe-MO");
   }
@@ -364,9 +365,10 @@ TEST(SessionCancel, ObserverCanCancelMidRun) {
   api::Session* session_ptr = nullptr;
   int seen = 0;
   bool armed = true;
-  options.on_progress = [&](const api::Progress& p) {
+  options.on_event = [&](const api::JobEvent& e) {
+    if (e.kind != api::JobEvent::Kind::kStep) return;
     ++seen;
-    if (armed && p.step.step >= 1) session_ptr->request_cancel();
+    if (armed && e.step.step >= 1) session_ptr->request_cancel();
   };
   api::Session session(options);
   session_ptr = &session;
@@ -396,8 +398,11 @@ TEST(SessionCancel, ObserverCanCancelMidRun) {
 TEST(SessionCancel, BatchDrainsRemainingJobsAsCancelled) {
   api::Session::Options options;
   api::Session* session_ptr = nullptr;
-  options.on_progress = [&](const api::Progress& p) {
-    if (p.job_index == 0 && p.step.step >= 1) session_ptr->request_cancel();
+  options.on_event = [&](const api::JobEvent& e) {
+    if (e.kind == api::JobEvent::Kind::kStep && e.batch_index == 0 &&
+        e.step.step >= 1) {
+      session_ptr->request_cancel();
+    }
   };
   api::Session session(options);
   session_ptr = &session;

@@ -1,5 +1,5 @@
-// Sharded MPMC dispatch-queue tests: single-shard FIFO and priority
-// ordering, multi-producer/multi-consumer stress (exactly-once delivery),
+// Sharded MPMC dispatch-queue tests: single-shard FIFO ordering,
+// multi-producer/multi-consumer stress (exactly-once delivery),
 // steal-path coverage, coalesce-key matched pops, shed-victim selection,
 // capacity behavior, and close/drain semantics.  Suite names start with
 // "JobQueue" so the TSan CI leg (-R '^(Service|Session|Job|TileScheduler)')
@@ -24,11 +24,10 @@ namespace {
 using api::detail::JobQueue;
 using api::detail::JobState;
 
-std::shared_ptr<JobState> make_job(std::uint64_t id, int priority = 0,
+std::shared_ptr<JobState> make_job(std::uint64_t id,
                                    std::uint64_t coalesce_key = 0) {
   auto state = std::make_shared<JobState>();
   state->id = id;
-  state->options.priority = priority;
   state->options.coalesce_key = coalesce_key;
   return state;
 }
@@ -63,21 +62,6 @@ TEST(JobQueueOrder, SingleShardIsExactFifo) {
     EXPECT_FALSE(stolen);
   }
   EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(JobQueueOrder, PriorityBeatsFifoAndNegativeYields) {
-  JobQueue queue(one_shard());
-  ASSERT_TRUE(queue.try_push(make_job(1, 0)));
-  ASSERT_TRUE(queue.try_push(make_job(2, -3)));
-  ASSERT_TRUE(queue.try_push(make_job(3, 0)));
-  ASSERT_TRUE(queue.try_push(make_job(4, 5)));
-  std::size_t shard = 0;
-  bool stolen = false;
-  // priority 5 first, FIFO priority-0 next, below-normal last.
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 4u);
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 1u);
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 3u);
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 2u);
 }
 
 TEST(JobQueueSteal, OneConsumerDrainsEveryShard) {
@@ -135,9 +119,7 @@ TEST(JobQueueMpmc, StressDeliversEveryJobExactlyOnce) {
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (std::size_t i = 0; i < per_producer; ++i) {
-        // Mostly ring traffic with a sprinkle of priority side-list jobs.
-        const int priority = (i % 97 == 0) ? 2 : 0;
-        const auto job = make_job(1 + p * per_producer + i, priority);
+        const auto job = make_job(1 + p * per_producer + i);
         while (!queue.try_push(job)) {
           std::this_thread::yield();  // ring momentarily full
         }
@@ -224,10 +206,10 @@ TEST(JobQueueMpmc, StressSingleShardNoStealDeliversEveryJobExactlyOnce) {
 
 TEST(JobQueueCoalesce, MatchedPopTakesOnlySameKeyHead) {
   JobQueue queue(one_shard());
-  ASSERT_TRUE(queue.try_push(make_job(1, 0, /*coalesce_key=*/7)));
-  ASSERT_TRUE(queue.try_push(make_job(2, 0, 7)));
-  ASSERT_TRUE(queue.try_push(make_job(3, 0, 9)));
-  ASSERT_TRUE(queue.try_push(make_job(4, 0, 7)));
+  ASSERT_TRUE(queue.try_push(make_job(1, /*coalesce_key=*/7)));
+  ASSERT_TRUE(queue.try_push(make_job(2, 7)));
+  ASSERT_TRUE(queue.try_push(make_job(3, 9)));
+  ASSERT_TRUE(queue.try_push(make_job(4, 7)));
 
   std::size_t shard = 0;
   bool stolen = false;
@@ -253,44 +235,37 @@ TEST(JobQueueCapacity, TryPushFailsOnlyWhenRingsAreFull) {
     ASSERT_TRUE(queue.try_push(make_job(id)));
   }
   EXPECT_FALSE(queue.try_push(make_job(9)));  // ring full
-  // The priority side list is unbounded.
-  EXPECT_TRUE(queue.try_push(make_job(10, 3)));
 
   std::size_t shard = 0;
   bool stolen = false;
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 10u);  // priority first
   EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 1u);
   EXPECT_TRUE(queue.try_push(make_job(9)));  // space again
 }
 
-TEST(JobQueueShed, VictimIsOldestLowestPriority) {
-  JobQueue queue(one_shard());
-  ASSERT_TRUE(queue.try_push(make_job(1, 0)));
-  ASSERT_TRUE(queue.try_push(make_job(2, 0)));
-  ASSERT_TRUE(queue.try_push(make_job(3, -2)));
-  ASSERT_TRUE(queue.try_push(make_job(4, 6)));
+TEST(JobQueueShed, VictimIsOldestQueuedJob) {
+  JobQueue::Config config;
+  config.shards = 2;
+  config.shard_capacity = 64;
+  JobQueue queue(config);
+  ASSERT_EQ(queue.shard_count(), 2u);
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    ASSERT_TRUE(queue.try_push(make_job(id)));  // alternates the shards
+  }
 
-  // Below-normal is globally lowest; then the oldest ring job.
-  const auto first = queue.shed_victim(/*max_priority=*/0);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->id, 3u);
-  const auto second = queue.shed_victim(0);
-  ASSERT_NE(second, nullptr);
-  EXPECT_EQ(second->id, 1u);
-  // A high-priority entrant may shed the priority-6 job once rings empty.
-  const auto third = queue.shed_victim(0);
-  ASSERT_NE(third, nullptr);
-  EXPECT_EQ(third->id, 2u);
-  EXPECT_EQ(queue.shed_victim(0), nullptr);  // only the prio-6 job is left
-  const auto fourth = queue.shed_victim(9);
-  ASSERT_NE(fourth, nullptr);
-  EXPECT_EQ(fourth->id, 4u);
+  // The victim is the smallest head id across shards: id order overall.
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    const auto victim = queue.shed_victim();
+    ASSERT_NE(victim, nullptr);
+    EXPECT_EQ(victim->id, id);
+  }
+  EXPECT_EQ(queue.shed_victim(), nullptr);  // nothing left to shed
+  EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(JobQueueClose, PopReturnsNullAfterDrainingAndClose) {
   JobQueue queue(one_shard());
   ASSERT_TRUE(queue.try_push(make_job(1)));
-  ASSERT_TRUE(queue.try_push(make_job(2, 4)));
+  ASSERT_TRUE(queue.try_push(make_job(2)));
   const auto drained = queue.drain();
   ASSERT_EQ(drained.size(), 2u);
   EXPECT_EQ(queue.size(), 0u);

@@ -1,6 +1,5 @@
 // Async job-service tests: submit/await handles, the persistent lane
-// scheduler (priority ordering, out-of-order completion with spec-order
-// results), per-job cancellation isolation, session-cancel drain +
+// scheduler (out-of-order completion with spec-order results), per-job cancellation isolation, session-cancel drain +
 // auto-rearm, queue/run latency surfacing, lease-safe make_problem, and
 // shutdown with outstanding handles.  These suites gate the TSan CI job.
 #include <gtest/gtest.h>
@@ -139,76 +138,32 @@ TEST(ServiceSubmit, ReturnsImmediatelyAndStreamsOrderedEvents) {
   }
 }
 
-TEST(ServicePriority, HigherPriorityRunsFirstOnOneLane) {
-  api::Session::Options options;
-  options.scheduler_lanes = 1;
-  OrderLog order;
-  options.on_event = order.observer();
-  EventLog blocker_log;  // outlives the session (events drain into it)
-  api::Session session(options);
-
-  api::SubmitOptions blocker_options;
-  blocker_options.on_event = blocker_log.observer();
-  api::JobSpec blocker = tiny_spec(300);
-  blocker.name = "blocker";
-  const api::JobHandle blocker_handle =
-      session.submit(blocker, std::move(blocker_options));
-  // The lane is provably busy before the contenders are queued.
-  blocker_log.await(api::JobEvent::Kind::kStep);
-
-  api::JobSpec low = tiny_spec(2);
-  low.name = "low";
-  api::SubmitOptions low_options;
-  low_options.priority = 0;
-  const api::JobHandle low_handle = session.submit(low, low_options);
-
-  api::JobSpec high = tiny_spec(2);
-  high.name = "high";
-  api::SubmitOptions high_options;
-  high_options.priority = 5;
-  const api::JobHandle high_handle = session.submit(high, high_options);
-
-  blocker_handle.cancel();  // free the lane
-  low_handle.wait();
-  high_handle.wait();
-
-  std::lock_guard<std::mutex> lock(order.mutex);
-  ASSERT_EQ(order.started.size(), 3u);
-  EXPECT_EQ(order.started[0], "blocker");
-  EXPECT_EQ(order.started[1], "high");  // jumped the FIFO line
-  EXPECT_EQ(order.started[2], "low");
-}
-
 TEST(ServiceSubmit, OutOfOrderCompletionKeepsResultsInSpecOrder) {
   api::Session::Options options;
-  options.scheduler_lanes = 1;
+  options.scheduler_lanes = 2;
   OrderLog order;
   options.on_event = order.observer();
-  EventLog blocker_log;  // outlives the session (events drain into it)
+  EventLog first_log;   // outlive the session (events drain into them)
+  EventLog second_log;
   api::Session session(options);
 
-  api::SubmitOptions blocker_options;
-  blocker_options.on_event = blocker_log.observer();
-  api::JobSpec blocker = tiny_spec(300);
-  blocker.name = "blocker";
-  const api::JobHandle blocker_handle =
-      session.submit(blocker, std::move(blocker_options));
-  blocker_log.await(api::JobEvent::Kind::kStep);
-
-  // Spec order [first, second]; priorities force completion order
-  // [second, first] on the single lane.
-  std::vector<api::JobSpec> specs{tiny_spec(2), tiny_spec(2)};
+  // Spec order [first, second]; `first` is long and keeps running until
+  // `second` has finished on the other lane, so completion is
+  // [second, first].
+  std::vector<api::JobSpec> specs{tiny_spec(300), tiny_spec(2)};
   specs[0].name = "first";
   specs[1].name = "second";
   std::vector<api::JobHandle> handles;
-  api::SubmitOptions low;
-  low.priority = 0;
-  handles.push_back(session.submit(specs[0], low));
-  api::SubmitOptions high;
-  high.priority = 9;
-  handles.push_back(session.submit(specs[1], high));
+  api::SubmitOptions first_options;
+  first_options.on_event = first_log.observer();
+  handles.push_back(session.submit(specs[0], std::move(first_options)));
+  first_log.await(api::JobEvent::Kind::kStep);
+  api::SubmitOptions second_options;
+  second_options.on_event = second_log.observer();
+  handles.push_back(session.submit(specs[1], std::move(second_options)));
+  second_log.await(api::JobEvent::Kind::kFinished);
 
-  blocker_handle.cancel();
+  handles[0].cancel();
   const api::JobResult r0 = handles[0].wait();
   const api::JobResult r1 = handles[1].wait();
 
@@ -725,99 +680,6 @@ TEST(ServiceWrappers, RunBatchMatchesAsyncSubmissionBitwise) {
     EXPECT_TRUE(async.run.theta_m == sync[i].run.theta_m);
     EXPECT_TRUE(async.run.theta_j == sync[i].run.theta_j);
   }
-}
-
-TEST(ServiceCoalesce, EqualNonZeroPriorityJobsStillCoalesce) {
-  api::Session::Options options;
-  options.scheduler_lanes = 1;
-  EventLog blocker_log;  // outlives the session (events drain into it)
-  api::Session session(options);
-
-  api::SubmitOptions blocker_options;
-  blocker_options.on_event = blocker_log.observer();
-  const api::JobHandle blocker =
-      session.submit(tiny_spec(300), std::move(blocker_options));
-  blocker_log.await(api::JobEvent::Kind::kStep);
-
-  // Four same-shape urgent jobs share one coalesce key AND one non-zero
-  // priority.  A shared priority level must not defeat coalescing: the
-  // gather matches key+priority together, so these batch into shared
-  // dispatches exactly like priority-0 members.
-  const api::JobSpec base = tiny_spec(2);
-  const std::uint64_t key = base.coalesce_fingerprint();
-  std::vector<api::JobHandle> handles;
-  for (std::size_t i = 0; i < 4; ++i) {
-    api::JobSpec spec = base;
-    spec.name = "urgent-" + std::to_string(i);
-    api::SubmitOptions submit;
-    submit.coalesce_key = key;
-    submit.priority = 2;
-    handles.push_back(session.submit(spec, std::move(submit)));
-  }
-  blocker.cancel();
-
-  for (api::JobHandle& handle : handles) {
-    const api::JobResult& r = handle.wait();
-    ASSERT_TRUE(r.ok()) << r.error;
-  }
-  EXPECT_GT(session.stats().coalesced_jobs, 0u);
-}
-
-TEST(ServiceCoalesce, MixedPriorityJobsNeverCoalesceAcrossLevels) {
-  api::Session::Options options;
-  options.scheduler_lanes = 1;
-  EventLog blocker_log;  // outlives the session (events drain into it)
-  OrderLog order;
-  options.on_event = order.observer();
-  api::Session session(options);
-
-  api::SubmitOptions blocker_options;
-  blocker_options.on_event = blocker_log.observer();
-  const api::JobHandle blocker =
-      session.submit(tiny_spec(300), std::move(blocker_options));
-  blocker_log.await(api::JobEvent::Kind::kStep);
-
-  // Same shape, same coalesce key, two priority levels.  If the gather
-  // ever pulled a low job into a high dispatch, a "low-" job would start
-  // before the last "high-" job: coalesced members start together, and
-  // the single lane otherwise drains strictly priority-first.
-  const api::JobSpec base = tiny_spec(2);
-  const std::uint64_t key = base.coalesce_fingerprint();
-  std::vector<api::JobHandle> handles;
-  for (std::size_t i = 0; i < 3; ++i) {
-    api::JobSpec spec = base;
-    spec.name = "low-" + std::to_string(i);
-    api::SubmitOptions submit;
-    submit.coalesce_key = key;
-    submit.priority = 1;
-    handles.push_back(session.submit(spec, std::move(submit)));
-  }
-  for (std::size_t i = 0; i < 3; ++i) {
-    api::JobSpec spec = base;
-    spec.name = "high-" + std::to_string(i);
-    api::SubmitOptions submit;
-    submit.coalesce_key = key;
-    submit.priority = 2;
-    handles.push_back(session.submit(spec, std::move(submit)));
-  }
-  blocker.cancel();
-  for (api::JobHandle& handle : handles) {
-    const api::JobResult& r = handle.wait();
-    ASSERT_TRUE(r.ok()) << r.error;
-  }
-
-  std::lock_guard<std::mutex> lock(order.mutex);
-  std::size_t last_high_start = 0;
-  std::size_t first_low_start = order.started.size();
-  for (std::size_t i = 0; i < order.started.size(); ++i) {
-    if (order.started[i].rfind("high-", 0) == 0) last_high_start = i;
-    if (order.started[i].rfind("low-", 0) == 0) {
-      first_low_start = std::min(first_low_start, i);
-    }
-  }
-  EXPECT_LT(last_high_start, first_low_start)
-      << "a priority-1 job started before the priority-2 dispatches "
-         "drained: coalescing crossed priority levels";
 }
 
 }  // namespace

@@ -234,8 +234,8 @@ TEST(TileScheduler, CancelDrainsTheSweep) {
 
   api::Session* session_ptr = nullptr;
   api::Session::Options options;
-  options.on_progress = [&session_ptr](const api::Progress&) {
-    session_ptr->request_cancel();
+  options.on_event = [&session_ptr](const api::JobEvent& e) {
+    if (e.kind == api::JobEvent::Kind::kStep) session_ptr->request_cancel();
   };
   api::Session session(options);
   session_ptr = &session;

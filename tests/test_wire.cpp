@@ -307,18 +307,26 @@ TEST(WireSpecs, GarbageAndOutOfRangeEnumsThrow) {
 }
 
 TEST(WireConfig, DefaultConfigBytesArePinned) {
-  // Recorded for protocol v3.  A reordered, added or removed config field
-  // changes these; bump kProtocolVersion and re-pin together.
-  ASSERT_EQ(net::kProtocolVersion, 3);
-  const std::vector<std::uint8_t> bytes =
+  // Config pin recorded for protocol v3, SubmitMsg pin for v4.  A
+  // reordered, added or removed config or SubmitMsg field changes these;
+  // bump kProtocolVersion and re-pin together.
+  ASSERT_EQ(net::kProtocolVersion, 4);
+  const auto fnv1a = [](const std::vector<std::uint8_t>& bytes) {
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const std::uint8_t byte : bytes) {
+      hash ^= byte;
+      hash *= 1099511628211ull;
+    }
+    return hash;
+  };
+  const std::vector<std::uint8_t> config =
       encoded(SmoConfig{}, net::encode_config);
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  EXPECT_EQ(bytes.size(), 251u);
-  EXPECT_EQ(hash, 0x0bee99865c9beceaull);
+  EXPECT_EQ(config.size(), 251u);
+  EXPECT_EQ(fnv1a(config), 0x0bee99865c9beceaull);
+  const std::vector<std::uint8_t> submit =
+      encoded(net::SubmitMsg{}, net::encode_submit);
+  EXPECT_EQ(submit.size(), 335u);
+  EXPECT_EQ(fnv1a(submit), 0x1ce5be4185c3a11aull);
 }
 
 TEST(WireSelfCheck, CanonicalInstancesRoundTrip) {
@@ -348,7 +356,6 @@ TEST(WireProtocol, MessagesRoundTripByteExact) {
   net::SubmitMsg submit;
   submit.job_id = rng();
   submit.spec = random_spec(rng);
-  submit.priority = -3;
   submit.coalesce_key = rng();
   submit.lanes_hint = 4;
   submit.batch_index = 2;
@@ -360,7 +367,6 @@ TEST(WireProtocol, MessagesRoundTripByteExact) {
     r.expect_end();
     EXPECT_EQ(encoded(back, net::encode_submit), bytes);
     EXPECT_EQ(back.job_id, submit.job_id);
-    EXPECT_EQ(back.priority, -3);
   }
 
   net::EventMsg event;
@@ -419,7 +425,7 @@ TEST(WireProtocol, MessagesRoundTripByteExact) {
 TEST(WireFrames, EveryTruncatedPrefixAsksForMoreBytes) {
   std::mt19937_64 rng(12);
   net::WireWriter w;
-  net::encode_submit(w, net::SubmitMsg{1, random_spec(rng), 0, 0, 0, 0, 1});
+  net::encode_submit(w, net::SubmitMsg{1, random_spec(rng), 0, 0, 0, 1});
   const std::vector<std::uint8_t> frame =
       net::encode_frame(net::MsgType::kSubmit, w.bytes());
 
@@ -469,10 +475,10 @@ TEST(WireFrames, CorruptHeadersAndPayloadsThrow) {
   expect_corrupt(12, good[12] ^ 0xaa);  // checksum
   expect_corrupt(good.size() - 1, good.back() ^ 0x01);  // payload bit flip
 
-  // Frames of any other protocol version are refused by name: v2 carried
-  // fields that v3 dropped, so its payloads would misdecode.
-  EXPECT_EQ(net::kProtocolVersion, 3);
-  for (const std::uint16_t version : {1, 2, 4}) {
+  // Frames of any other protocol version are refused by name: v3 carried
+  // a SubmitMsg field that v4 dropped, so its payloads would misdecode.
+  EXPECT_EQ(net::kProtocolVersion, 4);
+  for (const std::uint16_t version : {1, 2, 3, 5}) {
     std::vector<std::uint8_t> stale = good;
     stale[4] = static_cast<std::uint8_t>(version & 0xff);
     stale[5] = static_cast<std::uint8_t>(version >> 8);

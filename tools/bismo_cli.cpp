@@ -156,6 +156,58 @@ void write_images(api::Session& session, const api::JobSpec& spec,
   std::printf("outputs in %s/\n", out_dir.c_str());
 }
 
+/// The one event observer for --watch / --progress, shared by the local
+/// Session and the cluster Dispatcher.  --watch prints whole status lines
+/// per lifecycle event (step lines at coarse intervals with --progress);
+/// --progress alone prints steps: whole lines at coarse intervals for
+/// tiles, which progress concurrently and would interleave a single
+/// \r-rewritten line, else one live \r line.  Empty when neither is set.
+api::JobEventObserver make_observer(bool watch, bool progress, bool tiled) {
+  const auto print_step = [](const api::JobEvent& e) {
+    const int quarter = e.planned_steps > 4 ? e.planned_steps / 4 : 1;
+    if (e.step.step % quarter == 0 || e.step.step + 1 == e.planned_steps) {
+      std::fprintf(stderr, "[%zu/%zu %s] step %d/%d loss %.3f\n",
+                   e.batch_index + 1, e.batch_count, e.job_name.c_str(),
+                   e.step.step + 1, e.planned_steps, e.step.loss);
+    }
+  };
+  if (watch) {
+    return [progress, print_step](const api::JobEvent& e) {
+      switch (e.kind) {
+        case api::JobEvent::Kind::kEnqueued:
+          std::fprintf(stderr, "[%zu/%zu %s] queued\n", e.batch_index + 1,
+                       e.batch_count, e.job_name.c_str());
+          break;
+        case api::JobEvent::Kind::kStarted:
+          std::fprintf(stderr, "[%zu/%zu %s] started (queued %.0f ms)\n",
+                       e.batch_index + 1, e.batch_count, e.job_name.c_str(),
+                       e.queued_ms);
+          break;
+        case api::JobEvent::Kind::kStep:
+          if (progress) print_step(e);
+          break;
+        case api::JobEvent::Kind::kFinished:
+          std::fprintf(stderr, "[%zu/%zu %s] %s (run %.0f ms)\n",
+                       e.batch_index + 1, e.batch_count, e.job_name.c_str(),
+                       api::to_string(e.status), e.run_ms);
+          break;
+      }
+    };
+  }
+  if (!progress) return nullptr;
+  if (tiled) {
+    return [print_step](const api::JobEvent& e) {
+      if (e.kind == api::JobEvent::Kind::kStep) print_step(e);
+    };
+  }
+  return [](const api::JobEvent& e) {
+    if (e.kind != api::JobEvent::Kind::kStep) return;
+    std::fprintf(stderr, "\r[%zu/%zu %s] step %d/%d loss %.3f   ",
+                 e.batch_index + 1, e.batch_count, e.job_name.c_str(),
+                 e.step.step + 1, e.planned_steps, e.step.loss);
+  };
+}
+
 /// Async serving path: submit everything up front, stream status via the
 /// submitter's event observer, cancel outstanding jobs individually on ^C,
 /// and print a live status line (print_status) roughly once per second.
@@ -204,7 +256,7 @@ int run_tiled(api::Session& session, api::JobSubmitter* submitter,
               const api::JobSpec& base, const std::string& layout_path,
               const std::string& generate_kind, std::uint64_t seed,
               std::size_t rows, std::size_t cols, double halo_nm,
-              std::size_t lanes, bool progress, const std::string& json_path,
+              std::size_t lanes, const std::string& json_path,
               const std::string& out_dir) {
   Layout layout;
   if (!layout_path.empty()) {
@@ -226,11 +278,10 @@ int run_tiled(api::Session& session, api::JobSubmitter* submitter,
               "width %zu%s\n",
               plan.tile_count(), rows, cols, plan.tile_dim(), plan.halo_px(),
               submitter != nullptr ? submitter->parallel_width()
-                                   : session.width(),
+                                   : session.parallel_width(),
               submitter != nullptr ? " (cluster)" : "");
 
   const shard::ShardResult result = scheduler.run(layout, base, opts);
-  (void)progress;  // tiled progress prints whole lines; nothing to flush
 
   int failures = 0;
   for (const api::JobResult& tile : result.tiles) {
@@ -432,60 +483,7 @@ int main(int argc, char** argv) {
     options.threads = threads;
     options.queue_capacity = queue_capacity;
     options.coalesce_limit = std::max<std::size_t>(1, coalesce_limit);
-    if (watch) {
-      // Whole status lines per job-lifecycle event; step lines at coarse
-      // intervals when --progress is also given.
-      options.on_event = [progress](const api::JobEvent& e) {
-        switch (e.kind) {
-          case api::JobEvent::Kind::kEnqueued:
-            std::fprintf(stderr, "[%zu/%zu %s] queued\n", e.batch_index + 1,
-                         e.batch_count, e.job_name.c_str());
-            break;
-          case api::JobEvent::Kind::kStarted:
-            std::fprintf(stderr, "[%zu/%zu %s] started (queued %.0f ms)\n",
-                         e.batch_index + 1, e.batch_count,
-                         e.job_name.c_str(), e.queued_ms);
-            break;
-          case api::JobEvent::Kind::kStep: {
-            if (!progress) break;
-            const int quarter =
-                e.planned_steps > 4 ? e.planned_steps / 4 : 1;
-            if (e.step.step % quarter == 0 ||
-                e.step.step + 1 == e.planned_steps) {
-              std::fprintf(stderr, "[%zu/%zu %s] step %d/%d loss %.3f\n",
-                           e.batch_index + 1, e.batch_count,
-                           e.job_name.c_str(), e.step.step + 1,
-                           e.planned_steps, e.step.loss);
-            }
-            break;
-          }
-          case api::JobEvent::Kind::kFinished:
-            std::fprintf(stderr, "[%zu/%zu %s] %s (run %.0f ms)\n",
-                         e.batch_index + 1, e.batch_count,
-                         e.job_name.c_str(), api::to_string(e.status),
-                         e.run_ms);
-            break;
-        }
-      };
-    } else if (progress && tile_rows > 0) {
-      // Tiles progress concurrently, so a single \r-rewritten line would
-      // interleave different jobs; print whole lines at coarse intervals.
-      options.on_progress = [](const api::Progress& p) {
-        const int quarter = p.planned_steps > 4 ? p.planned_steps / 4 : 1;
-        if (p.step.step % quarter == 0 ||
-            p.step.step + 1 == p.planned_steps) {
-          std::fprintf(stderr, "[%zu/%zu %s] step %d/%d loss %.3f\n",
-                       p.job_index + 1, p.job_count, p.job_name.c_str(),
-                       p.step.step + 1, p.planned_steps, p.step.loss);
-        }
-      };
-    } else if (progress) {
-      options.on_progress = [](const api::Progress& p) {
-        std::fprintf(stderr, "\r[%zu/%zu %s] step %d/%d loss %.3f   ",
-                     p.job_index + 1, p.job_count, p.job_name.c_str(),
-                     p.step.step + 1, p.planned_steps, p.step.loss);
-      };
-    }
+    options.on_event = make_observer(watch, progress, tile_rows > 0);
     api::Session session(options);
     std::signal(SIGINT, handle_interrupt);
 
@@ -495,7 +493,7 @@ int main(int argc, char** argv) {
     if (!worker_endpoints.empty()) {
       net::DispatcherOptions dopts;
       dopts.workers = worker_endpoints;
-      if (watch) dopts.on_event = options.on_event;
+      dopts.on_event = options.on_event;
       dispatcher = std::make_unique<net::Dispatcher>(dopts);
       const std::size_t alive =
           dispatcher->wait_for_workers(worker_endpoints.size(), 10.0);
@@ -512,7 +510,7 @@ int main(int argc, char** argv) {
       InterruptWatcher watcher(session);
       return run_tiled(session, dispatcher.get(), base, layout_path,
                        generate_kind, seed, tile_rows, tile_cols, halo_nm,
-                       lanes, progress, json_path, out_dir);
+                       lanes, json_path, out_dir);
     }
 
     std::vector<api::JobSpec> specs;
@@ -531,7 +529,7 @@ int main(int argc, char** argv) {
     }
 
     std::printf("%zu job(s), method %s, %zu worker threads\n", specs.size(),
-                to_string(method).c_str(), session.width());
+                to_string(method).c_str(), session.parallel_width());
 
     std::vector<api::JobResult> results;
     if (watch) {

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     std::printf("bismo_worker listening on 127.0.0.1:%u (%s, width %zu, "
                 "fft %s)\n",
                 static_cast<unsigned>(worker.port()), options.name.c_str(),
-                worker.session().width(), bismo::fft::backend_name());
+                worker.session().parallel_width(), bismo::fft::backend_name());
     std::fflush(stdout);
 
     std::signal(SIGINT, handle_signal);
