@@ -1,9 +1,11 @@
 // Distributed-serving bench (src/net/): jobs/sec and tiles/sec scaling
 // from one in-process session to a spawned local worker cluster.
 //
-// Cases (all on transient-dominated jobs: tiny 32 px clips, one outer
-// step, no solution evaluation -- the regime where per-job overhead and
-// scheduling, not FFT math, dominate):
+// Cases (jobs of 64 px clips and 64 outer steps without solution
+// evaluation -- 60-75 ms each on one x86-64 core -- so each one
+// outweighs the wire round-trip and the scaling cases measure execution,
+// not dispatch latency; each scaling case streams the job list repeatedly
+// for at least kMinCaseSeconds):
 //
 //   inprocess   -- Session(threads=1) run_batch baseline,
 //   cluster_1   -- net::Dispatcher over ONE spawned worker process
@@ -27,8 +29,8 @@
 // hardware_concurrency() >= 4; advisory otherwise): cluster_4 must reach
 // >= 2.5x cluster_1 jobs/sec.
 //
-// Results land in BENCH_cluster.json.  `--quick` shrinks the streams for
-// CI smoke runs.
+// Results land in BENCH_cluster.json.  `--quick` shrinks the job list
+// (and so the fault case) for CI smoke runs.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -65,6 +67,31 @@ bool results_identical(const std::vector<bismo::api::JobResult>& a,
     if (!grids_identical(a[i].run.theta_j, b[i].run.theta_j)) return false;
   }
   return true;
+}
+
+/// Minimum wall time of one scaling case.
+constexpr double kMinCaseSeconds = 2.0;
+
+/// Jobs/sec and wall time of one scaling case: `run_pass` (one pass over
+/// the job list, returning its results) repeats until kMinCaseSeconds
+/// have elapsed.  `*identical` is cleared when any pass differs from
+/// `reference`.
+struct Rate {
+  double jobs_per_sec = 0.0;
+  double seconds = 0.0;
+};
+
+template <typename RunPass>
+Rate timed_passes(const std::vector<bismo::api::JobResult>& reference,
+                  RunPass&& run_pass, bool* identical) {
+  std::size_t jobs = 0;
+  const auto t0 = Clock::now();
+  do {
+    if (!results_identical(run_pass(), reference)) *identical = false;
+    jobs += reference.size();
+  } while (seconds_since(t0) < kMinCaseSeconds);
+  const double seconds = seconds_since(t0);
+  return Rate{static_cast<double>(jobs) / seconds, seconds};
 }
 
 }  // namespace
@@ -105,7 +132,7 @@ int main(int argc, char** argv) {
       BenchArgs::parse(static_cast<int>(filtered.size()), filtered.data());
   args.print_banner("cluster: dispatcher over spawned worker processes");
 
-  // Transient-dominated job stream (tiny one-step 32 px clips).
+  // The job list (see the file comment for its per-job cost).
   const std::size_t n_jobs = quick ? 16 : 48;
   std::vector<api::JobSpec> jobs;
   jobs.reserve(n_jobs);
@@ -115,8 +142,8 @@ int main(int argc, char** argv) {
     spec.method = Method::kAbbeMo;
     spec.config = args.config();
     spec.clip = api::ClipSource::generated(DatasetKind::kIccad13, args.seed);
-    spec.config_overrides = {"mask_dim=32", "source_dim=5", "socs_kernels=4",
-                             "outer_steps=1"};
+    spec.config_overrides = {"mask_dim=64", "source_dim=7", "socs_kernels=4",
+                             "outer_steps=64"};
     spec.evaluate_solution = false;
     jobs.push_back(std::move(spec));
   }
@@ -126,20 +153,23 @@ int main(int argc, char** argv) {
 
   // -- inprocess baseline (width 1: same resources as one worker). -------
   std::vector<api::JobResult> reference;
-  double inprocess_seconds = 0.0;
+  Rate inprocess;
   {
     api::Session::Options so;
     so.threads = 1;
     api::Session session(so);
-    (void)session.run(jobs[0]);  // warm the workspace/pool caches
-    const auto t0 = Clock::now();
-    reference = session.run_batch(jobs);
-    inprocess_seconds = seconds_since(t0);
+    reference = session.run_batch(jobs);  // also warms the caches
+    bool identical = true;
+    inprocess = timed_passes(
+        reference, [&] { return session.run_batch(jobs); }, &identical);
+    if (!identical) {
+      std::printf("GATE FAILED: repeated in-process passes differ\n");
+      gate_ok = false;
+    }
   }
-  const double inprocess_jps =
-      static_cast<double>(n_jobs) / std::max(inprocess_seconds, 1e-9);
-  std::printf("inprocess  : %6.1f jobs/sec (%.2f s)\n", inprocess_jps,
-              inprocess_seconds);
+  const double inprocess_jps = inprocess.jobs_per_sec;
+  std::printf("inprocess  : %6.1f jobs/sec (%.2f s, %.0f ms/job)\n",
+              inprocess_jps, inprocess.seconds, 1e3 / inprocess_jps);
 
   // -- cluster over 1 and 4 spawned workers. -----------------------------
   double cluster1_jps = 0.0;
@@ -161,14 +191,15 @@ int main(int argc, char** argv) {
       std::vector<api::JobSpec> warm(n_workers - 1, jobs[0]);
       (void)dispatcher.run_batch(warm);
     }
-    const auto t0 = Clock::now();
-    const std::vector<api::JobResult> results = dispatcher.run_batch(jobs);
-    const double seconds = seconds_since(t0);
-    const double jps = static_cast<double>(n_jobs) / std::max(seconds, 1e-9);
+    bool identical = true;
+    const Rate rate = timed_passes(
+        reference, [&] { return dispatcher.run_batch(jobs); }, &identical);
+    const double jps = rate.jobs_per_sec;
+    const double seconds = rate.seconds;
     (n_workers == 1 ? cluster1_jps : cluster4_jps) = jps;
     std::printf("cluster_%zu  : %6.1f jobs/sec (%.2f s)\n", n_workers, jps,
                 seconds);
-    if (!results_identical(results, reference)) {
+    if (!identical) {
       std::printf("GATE FAILED: cluster_%zu results differ from the "
                   "in-process run\n",
                   n_workers);
@@ -251,7 +282,7 @@ int main(int argc, char** argv) {
       // deterministic, however fast the tiny batch drains.
       api::JobSpec anchor_spec = jobs.front();
       anchor_spec.name = "anchor";
-      anchor_spec.config_overrides.push_back("outer_steps=300");
+      anchor_spec.config_overrides.push_back("outer_steps=1000");
       std::atomic<bool> anchor_running{false};
       api::SubmitOptions anchor_submit;
       anchor_submit.placement_hint = 2;  // 2 % 2 workers == the victim
@@ -318,7 +349,7 @@ int main(int argc, char** argv) {
   }
 
   report.add("inprocess", {{"jobs_per_sec", inprocess_jps},
-                           {"seconds", inprocess_seconds}});
+                           {"seconds", inprocess.seconds}});
   report.add("scaling",
              {{"cluster4_over_cluster1",
                cluster4_jps / std::max(cluster1_jps, 1e-9)},

@@ -69,7 +69,7 @@ const JobResult* JobHandle::try_result() const {
 void JobHandle::cancel() const {
   if (state_ == nullptr) return;
   // The gate pins the scheduler for the duration of the call: if the
-  // session is being destroyed concurrently, either the service is still
+  // session is being destroyed concurrently, either the scheduler is still
   // alive here (its destructor body blocks on the gate before returning)
   // or it is gone and this job is already finalized -- never a dangling
   // dereference.
@@ -139,6 +139,32 @@ JobEvent publish_result(JobState& state, JobResult result, JobStatus status) {
   }
   state.cv.notify_all();
   return event;
+}
+
+void EventFeed::emit(const JobEvent& event, const JobEventObserver& per_job) {
+  if (!observed(per_job)) return;  // the unobserved serving fast path
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(Pending{event, per_job});
+    if (draining_) return;
+    draining_ = true;
+  }
+  std::vector<Pending> batch;
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (queue_.empty()) {
+        draining_ = false;
+        return;
+      }
+      batch.clear();
+      batch.swap(queue_);
+    }
+    for (const Pending& pending : batch) {
+      if (observer_) observer_(pending.event);
+      if (pending.per_job) pending.per_job(pending.event);
+    }
+  }
 }
 
 }  // namespace detail

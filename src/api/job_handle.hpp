@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "api/job_result.hpp"
 #include "api/job_spec.hpp"
@@ -126,8 +127,8 @@ namespace detail {
 
 struct JobState;
 
-/// Cancellation sink behind a ServiceGate.  The in-process JobService and
-/// the remote net::Dispatcher both implement it, so JobHandle::cancel
+/// Cancellation sink behind a ServiceGate.  The in-process Session and the
+/// remote net::Dispatcher both implement it, so JobHandle::cancel
 /// routes identically whether the job runs locally or on a worker.
 class JobRouter {
  public:
@@ -138,7 +139,7 @@ class JobRouter {
 };
 
 /// Liveness gate between JobHandles and their scheduler: shared by the
-/// router (JobService or net::Dispatcher) and every job it created.  The
+/// router (Session or net::Dispatcher) and every job it created.  The
 /// router nulls `service` as the last act of its destructor (with all jobs
 /// already finalized), so a handle can safely route `cancel()` through the
 /// gate no matter which thread is tearing the session down.  Recursive: an
@@ -150,7 +151,7 @@ struct ServiceGate {
 };
 
 /// Shared state of one submitted job.  Created by new_job_state (from
-/// JobService::submit or net::Dispatcher::submit) and referenced by the
+/// Session::submit or net::Dispatcher::submit) and referenced by the
 /// scheduler, the executing lane, and every JobHandle copy.
 struct JobState {
   using Clock = std::chrono::steady_clock;
@@ -165,10 +166,10 @@ struct JobState {
   std::shared_ptr<ServiceGate> gate;  ///< scheduler liveness (see above)
   CancelToken cancel;             ///< this job's private token
   std::atomic<JobStatus> status{JobStatus::kQueued};
-  /// Set under the service registry lock by a session-wide cancel; the
+  /// Set under the session registry lock by a session-wide cancel; the
   /// session token re-arms when the last doomed job finalizes.
   bool doomed = false;
-  /// Service cancel generation at submission: the session-wide drain
+  /// Session cancel generation at submission: the session-wide drain
   /// token is composed into this job's RunControl only when a cancel was
   /// requested AFTER submission (jobs submitted during a still-settling
   /// drain run normally).
@@ -180,10 +181,6 @@ struct JobState {
   /// Queue depth observed at submission (surfaced in JobResult JSON so
   /// overload shows up next to the latency it caused).
   std::size_t queue_depth_at_submit = 0;
-  /// Set by the executing lane when this job shares a coalesced dispatch:
-  /// the session then parks its workspace lease for the next member
-  /// instead of a cache round-trip.  Only the owning lane touches it.
-  bool coalesced_dispatch = false;
 
   /// First-finalizer-wins guard (a per-job cancel can race the lane).
   std::atomic<bool> finalized{false};
@@ -251,10 +248,11 @@ inline JobHandle make_handle(std::shared_ptr<JobState> state) {
   return JobHandle(std::move(state));
 }
 
-// The JobState lifecycle, shared by every scheduler (JobService and
+// The JobState lifecycle, shared by every scheduler (Session and
 // net::Dispatcher).  A scheduler builds the state with new_job_state,
-// emits events built by make_event, and finalizes each job exactly once
-// (its own first-finalizer guard) by publishing the terminal result.
+// emits events built by make_event through its EventFeed, and finalizes
+// each job exactly once (its own first-finalizer guard) by publishing the
+// terminal result.
 
 /// Milliseconds elapsed from `from` to `to`.
 double ms_between(JobState::Clock::time_point from,
@@ -280,6 +278,40 @@ JobStatus terminal_status(const JobResult& result);
 /// `finished` under state.mutex and wake every waiter.  Returns the
 /// finished event, which the caller delivers to its observers.
 JobEvent publish_result(JobState& state, JobResult result, JobStatus status);
+
+/// A scheduler's serialized event delivery: the feed-wide observer plus
+/// each event's per-job observer.  Emitters append under a buffer lock and
+/// at most one drainer fans the buffer out OUTSIDE the lock until it runs
+/// dry, so global FIFO order and the one-observer-call-at-a-time contract
+/// both hold while a slow observer never stalls an emitting thread.  A
+/// re-entrant emission (an observer cancels a job, whose finished event
+/// emits on the observing thread) appends for the running drain loop
+/// instead of recursing.  Unobserved events never touch the lock.
+class EventFeed {
+ public:
+  explicit EventFeed(JobEventObserver observer)
+      : observer_(std::move(observer)) {}
+
+  /// True when an event carrying `per_job` reaches any observer.
+  bool observed(const JobEventObserver& per_job) const noexcept {
+    return observer_ != nullptr || per_job != nullptr;
+  }
+
+  void emit(const JobEvent& event, const JobEventObserver& per_job);
+
+ private:
+  /// One buffered delivery: the event plus a copy of the per-job observer
+  /// (the JobState may be released before a drainer gets to it).
+  struct Pending {
+    JobEvent event;
+    JobEventObserver per_job;
+  };
+
+  JobEventObserver observer_;
+  std::mutex mutex_;  ///< guards queue_/draining_; never held in a call
+  std::vector<Pending> queue_;
+  bool draining_ = false;
+};
 
 }  // namespace detail
 

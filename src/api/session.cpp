@@ -8,18 +8,28 @@
 #include <thread>
 #include <utility>
 
-#include "api/service.hpp"
 #include "fft/kernels/kernel.hpp"
 
 namespace bismo::api {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using detail::drained_result;
+using detail::JobState;
+using detail::make_event;
+using detail::ms_between;
+using Clock = JobState::Clock;
 
-/// Maximum idle warm WorkspaceSets kept for reuse.  Leases checked out by
-/// running jobs never count against the cap; returning a set past it
-/// evicts the least-recently-used idle set.
-constexpr std::size_t kIdleWorkspaceCap = 4;
+/// Cells per queue shard.  The queue has one shard per lane; idle lanes
+/// steal from loaded neighbours.
+constexpr std::size_t kShardCapacity = 1024;
+/// Most same-key jobs one dispatch coalesces.
+constexpr std::size_t kCoalesceLimit = 8;
+
+std::size_t floor_pow2(std::size_t value) {
+  std::size_t pow2 = 1;
+  while (pow2 * 2 <= value) pow2 *= 2;
+  return pow2;
+}
 
 double elapsed_seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -100,23 +110,42 @@ Session::Session(Options options)
                  ? options.threads
                  : std::max<std::size_t>(
                        1, std::thread::hardware_concurrency())),
-      event_observer_(std::move(options.on_event)) {
-  detail::JobService::Config config;
-  config.lanes = options.scheduler_lanes;
-  config.width = width_;
-  config.queue_capacity = options.queue_capacity;
-  config.coalesce_limit = options.coalesce_limit;
-  config.execute = [this](detail::JobState& state, ThreadPool* pool) {
-    return execute_job(state, pool);
-  };
-  config.emit = [this](const JobEvent& event, const detail::JobState& state) {
-    emit_event(event, state);
-  };
-  config.dispatch_end = [this] { flush_sticky_lease(); };
-  service_ = std::make_unique<detail::JobService>(std::move(config));
+      lane_limit_(options.scheduler_lanes > 0 ? options.scheduler_lanes
+                                              : width_),
+      queue_capacity_(options.queue_capacity),
+      events_(std::move(options.on_event)),
+      gate_(std::make_shared<detail::ServiceGate>()),
+      queue_(detail::JobQueue::Config{lane_limit_, kShardCapacity}) {
+  if (queue_capacity_ == 0) {
+    queue_capacity_ = queue_.shard_count() * queue_.shard_capacity();
+  }
+  gate_->service = this;
 }
 
-Session::~Session() = default;
+Session::~Session() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    shutdown_ = true;
+  }
+  // Stop running jobs at their next step boundary and finalize everything
+  // still queued, so outstanding JobHandles unblock with cancelled results
+  // instead of dangling.
+  request_cancel();
+  for (const std::shared_ptr<JobState>& state : queue_.drain()) {
+    JobStatus expected = JobStatus::kQueued;
+    if (state->status.compare_exchange_strong(expected, JobStatus::kCancelled,
+                                              std::memory_order_acq_rel)) {
+      finalize(state, drained_result(*state), JobStatus::kCancelled);
+    }
+  }
+  queue_.close();
+  for (std::thread& lane : lanes_) lane.join();
+  // Close the JobHandle::cancel gate last: a concurrent cancel either
+  // entered before this and finishes against the still-live session
+  // (this statement blocks on the gate), or enters after and sees null.
+  std::lock_guard<std::recursive_mutex> lock(gate_->mutex);
+  gate_->service = nullptr;
+}
 
 ThreadPool& Session::pool() {
   std::call_once(pool_once_, [this] { pool_storage_.emplace(width_); });
@@ -125,25 +154,19 @@ ThreadPool& Session::pool() {
 
 Session::Stats Session::stats() const noexcept {
   Stats s;
-  s.jobs_submitted = service_->jobs_submitted();
+  s.jobs_submitted = submitted_.load(std::memory_order_relaxed);
   s.jobs_run = jobs_run_.load(std::memory_order_relaxed);
-  s.jobs_cancelled = service_->jobs_cancelled();
+  s.jobs_cancelled = cancelled_.load(std::memory_order_relaxed);
   s.workspace_reuses = workspace_reuses_.load(std::memory_order_relaxed);
   s.workspace_evictions = workspace_evictions_.load(std::memory_order_relaxed);
-  s.lane_pool_reuses = service_->pool_reuses();
-  s.queue_depth = service_->queue_depth();
-  s.jobs_executing = service_->jobs_executing();
-  s.steals = service_->steals();
-  s.coalesced_jobs = service_->coalesced_jobs();
-  s.jobs_shed = service_->jobs_shed();
-  s.jobs_rejected = service_->jobs_rejected();
+  s.lane_pool_reuses = pool_reuses_.load(std::memory_order_relaxed);
+  s.queue_depth = queue_.size();
+  s.jobs_executing = executing_.load(std::memory_order_relaxed);
+  s.steals = steals_.load(std::memory_order_relaxed);
+  s.coalesced_jobs = coalesced_.load(std::memory_order_relaxed);
+  s.jobs_shed = shed_.load(std::memory_order_relaxed);
+  s.jobs_rejected = rejected_.load(std::memory_order_relaxed);
   return s;
-}
-
-void Session::request_cancel() noexcept { service_->cancel_all(); }
-
-bool Session::cancel_requested() const noexcept {
-  return service_->cancel_draining();
 }
 
 SmoConfig Session::resolve_config(const JobSpec& spec) const {
@@ -151,113 +174,291 @@ SmoConfig Session::resolve_config(const JobSpec& spec) const {
   return resolve_config_impl(spec, layout_ptr(layout));
 }
 
+// -- Submission and admission ------------------------------------------
+
+JobHandle Session::submit(JobSpec spec, SubmitOptions options) {
+  std::shared_ptr<JobState> state =
+      detail::new_job_state(next_id_.fetch_add(1, std::memory_order_relaxed),
+                            std::move(spec), std::move(options), gate_);
+  state->submit_generation =
+      cancel_generation_.load(std::memory_order_acquire);
+  state->queue_depth_at_submit = queue_.size();
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+
+  // Emit BEFORE registering: once the job is in active_ a concurrent
+  // request_cancel may finalize it, and the finished event must never
+  // precede the enqueued event.
+  events_.emit(make_event(*state, JobEvent::Kind::kEnqueued),
+               state->options.on_event);
+
+  bool rejected = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (shutdown_) {
+      rejected = true;
+    } else {
+      active_.push_back(state);
+      spawn_lanes_locked();
+    }
+  }
+  if (rejected) {
+    state->status.store(JobStatus::kCancelled, std::memory_order_release);
+    finalize(state, drained_result(*state), JobStatus::kCancelled);
+  } else {
+    admit(state);
+  }
+  return detail::make_handle(std::move(state));
+}
+
+void Session::admit(const std::shared_ptr<JobState>& state) {
+  for (;;) {
+    if (state->status.load(std::memory_order_acquire) != JobStatus::kQueued) {
+      return;  // a concurrent drain/shutdown finalized it meanwhile
+    }
+    if (queue_.size() < queue_capacity_ && queue_.try_push(state)) return;
+    switch (state->options.queue_policy) {
+      case QueuePolicy::kReject: {
+        rejected_.fetch_add(1, std::memory_order_relaxed);
+        JobStatus expected = JobStatus::kQueued;
+        if (state->status.compare_exchange_strong(
+                expected, JobStatus::kFailed, std::memory_order_acq_rel)) {
+          JobResult result = drained_result(*state);
+          result.run.cancelled = false;
+          result.error = "rejected: dispatch queue full (" +
+                         std::to_string(queue_capacity_) + " jobs)";
+          result.queue_depth = state->queue_depth_at_submit;
+          finalize(state, std::move(result), JobStatus::kFailed);
+        }
+        return;
+      }
+      case QueuePolicy::kShedOldest: {
+        if (auto victim = queue_.shed_victim()) {
+          JobStatus expected = JobStatus::kQueued;
+          if (victim->status.compare_exchange_strong(
+                  expected, JobStatus::kCancelled,
+                  std::memory_order_acq_rel)) {
+            shed_.fetch_add(1, std::memory_order_relaxed);
+            JobResult result = drained_result(*victim);
+            result.shed = true;
+            result.queued_ms = ms_between(victim->submitted_at, Clock::now());
+            result.queue_depth = victim->queue_depth_at_submit;
+            finalize(victim, std::move(result), JobStatus::kCancelled);
+          }
+        }
+        continue;  // room was made (or racing pops already made some)
+      }
+      case QueuePolicy::kBlock:
+        queue_.wait_space(queue_capacity_);
+        continue;
+    }
+  }
+}
+
+void Session::spawn_lanes_locked() {
+  while (lanes_.size() < lane_limit_ && lanes_.size() < active_.size()) {
+    const std::size_t lane = lanes_.size();
+    lanes_.emplace_back([this, lane] { lane_main(lane); });
+  }
+}
+
+// -- Lanes and dispatch -------------------------------------------------
+
+void Session::lane_main(std::size_t lane) {
+  std::vector<std::shared_ptr<JobState>> batch;
+  for (;;) {
+    std::size_t shard = 0;
+    bool stolen = false;
+    std::shared_ptr<JobState> head = queue_.pop(lane, &shard, &stolen);
+    if (head == nullptr) return;  // closed: shutting down
+    if (stolen) steals_.fetch_add(1, std::memory_order_relaxed);
+
+    batch.clear();
+    const std::uint64_t key = head->options.coalesce_key;
+    batch.push_back(std::move(head));
+    if (key != 0) {
+      // Depth-scaled budget: batch only once the queue is deeper than the
+      // lane set can drain one job at a time, so a shallow stream still
+      // fans out across lanes at full width instead of serializing on one.
+      const std::size_t budget =
+          std::min(kCoalesceLimit, 1 + queue_.size() / lane_limit_);
+      while (batch.size() < budget) {
+        std::shared_ptr<JobState> more = queue_.try_pop_matching(shard, key);
+        if (more == nullptr) break;
+        batch.push_back(std::move(more));
+      }
+    }
+    run_dispatch(batch);
+  }
+}
+
+void Session::run_dispatch(
+    const std::vector<std::shared_ptr<JobState>>& batch) {
+  const std::size_t in_flight =
+      running_.fetch_add(1, std::memory_order_acq_rel) + 1;
+
+  // Load-balanced width: share the session's parallel width over the
+  // dispatches in flight, never below the caller's expected sibling count
+  // (lanes_hint, scaled down by the members now sharing this dispatch) so
+  // the head of a batch does not monopolize the machine before its
+  // siblings start.  An in-flight count of one IS the re-absorbed
+  // full-width single-job run.
+  std::size_t divisor = in_flight;
+  const std::size_t hint = batch.front()->options.lanes_hint;
+  if (hint > 0) {
+    const std::size_t scaled = (hint + batch.size() - 1) / batch.size();
+    divisor = std::max(divisor, std::min(scaled, lane_limit_));
+  }
+  std::size_t width = width_;
+  if (divisor > 1) {
+    // Quantized so a fluctuating in-flight count re-requests the same few
+    // widths and keeps hitting warm pools instead of minting new ones.
+    width = floor_pow2(std::max<std::size_t>(1, width_ / divisor));
+  }
+  std::unique_ptr<ThreadPool> pool;
+  if (width > 1) {
+    pool = pools_.checkout(width);
+    if (pool != nullptr) {
+      pool_reuses_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      pool = std::make_unique<ThreadPool>(width);  // spawns threads
+    }
+  }
+
+  // A coalesced dispatch holds one workspace lease across its members and
+  // returns it once they are all finalized; a solo job returns its own
+  // lease in execute_job, which attributes evictions to its result.
+  const bool coalesced = batch.size() > 1;
+  WorkspaceLease lease;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::shared_ptr<JobState>& state = batch[i];
+    JobStatus expected = JobStatus::kQueued;
+    if (!state->status.compare_exchange_strong(expected, JobStatus::kRunning,
+                                               std::memory_order_acq_rel)) {
+      continue;  // cancelled while queued; the cancelling thread finalized
+    }
+
+    state->started_at = Clock::now();
+    const double queued_ms =
+        ms_between(state->submitted_at, state->started_at);
+    if (i > 0) coalesced_.fetch_add(1, std::memory_order_relaxed);
+    executing_.fetch_add(1, std::memory_order_relaxed);
+
+    if (events_.observed(state->options.on_event)) {
+      JobEvent event = make_event(*state, JobEvent::Kind::kStarted);
+      event.queued_ms = queued_ms;
+      events_.emit(event, state->options.on_event);
+    }
+
+    JobResult result = execute_job(*state, pool.get(), lease, coalesced);
+    executing_.fetch_sub(1, std::memory_order_relaxed);
+
+    result.queued_ms = queued_ms;
+    result.run_ms = ms_between(state->started_at, Clock::now());
+    result.queue_depth = state->queue_depth_at_submit;
+    const JobStatus status = detail::terminal_status(result);
+    finalize(state, std::move(result), status);
+  }
+
+  if (lease.set != nullptr) release_workspaces(std::move(lease));
+  if (pool != nullptr) {
+    const std::size_t pool_width = pool->width();
+    // The evicted pool (if any) joins its workers outside the cache lock.
+    pools_.give_back(pool_width, std::move(pool));
+  }
+  running_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+// -- Cancellation and finalization --------------------------------------
+
+void Session::cancel_job(const std::shared_ptr<JobState>& state) {
+  JobStatus expected = JobStatus::kQueued;
+  if (state->status.compare_exchange_strong(expected, JobStatus::kCancelled,
+                                            std::memory_order_acq_rel)) {
+    JobResult result = drained_result(*state);
+    result.queued_ms = ms_between(state->submitted_at, Clock::now());
+    finalize(state, std::move(result), JobStatus::kCancelled);
+    return;
+  }
+  // Running (or about to be): the private token stops it at the next step
+  // boundary.  Harmless on terminal jobs.
+  state->cancel.request();
+}
+
+void Session::request_cancel() noexcept {
+  std::vector<std::shared_ptr<JobState>> snapshot;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    snapshot = active_;
+    std::size_t doomed = 0;
+    for (const std::shared_ptr<JobState>& state : snapshot) {
+      // Skip jobs already doomed by an overlapping cancel: counting one
+      // job twice would leak drain_pending_ and leave the session token
+      // raised forever.
+      if (state->doomed) continue;
+      if (state->status.load(std::memory_order_acquire) ==
+          JobStatus::kRunning) {
+        state->doomed = true;
+        ++doomed;
+      }
+    }
+    if (doomed > 0) {
+      drain_pending_ += doomed;
+      // Raised only for the drain window; finalize() re-arms it when the
+      // last doomed job retires, so cancellation is never sticky.
+      session_cancel_.request();
+    }
+    cancel_generation_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  for (const std::shared_ptr<JobState>& state : snapshot) cancel_job(state);
+}
+
+bool Session::cancel_requested() const noexcept {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return drain_pending_ > 0;
+}
+
+void Session::finalize(const std::shared_ptr<JobState>& state,
+                       JobResult result, JobStatus status) {
+  if (state->finalized.exchange(true, std::memory_order_acq_rel)) {
+    return;  // cancel/lane race: first finalizer wins
+  }
+  if (status == JobStatus::kCancelled) {
+    cancelled_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Retire from the registry BEFORE waking waiters: a caller observing the
+  // job as finished must also observe the session token re-armed when this
+  // was the last doomed job of a drain.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    active_.erase(std::remove(active_.begin(), active_.end(), state),
+                  active_.end());
+    if (state->doomed) {
+      state->doomed = false;
+      if (--drain_pending_ == 0) session_cancel_.reset();
+    }
+  }
+  events_.emit(detail::publish_result(*state, std::move(result), status),
+               state->options.on_event);
+}
+
+// -- Execution ----------------------------------------------------------
+
 Session::WorkspaceLease Session::acquire_workspaces(std::size_t mask_dim) {
   WorkspaceLease lease;
   lease.dim = mask_dim;
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    // Prefer the most recently used idle set of this dimension (warmest
-    // caches, freshest FFT plans).
-    auto best = idle_workspaces_.end();
-    for (auto it = idle_workspaces_.begin(); it != idle_workspaces_.end();
-         ++it) {
-      if (it->dim != mask_dim) continue;
-      if (best == idle_workspaces_.end() || it->last_used > best->last_used) {
-        best = it;
-      }
-    }
-    if (best != idle_workspaces_.end()) {
-      lease.set = std::move(best->set);
-      lease.reused = true;
-      idle_workspaces_.erase(best);
-      return lease;
-    }
-  }
-  // Cold path outside the lock: WorkspaceSet construction allocates.
-  lease.set = std::make_shared<sim::WorkspaceSet>();
-  lease.reused = false;
+  lease.set = workspaces_.checkout(mask_dim);
+  lease.reused = lease.set != nullptr;
+  // Cold path outside the cache lock: WorkspaceSet construction allocates.
+  if (!lease.reused) lease.set = std::make_shared<sim::WorkspaceSet>();
   return lease;
 }
 
 std::size_t Session::release_workspaces(WorkspaceLease lease) {
-  std::size_t evictions = 0;
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    CacheEntry entry;
-    entry.set = std::move(lease.set);
-    entry.dim = lease.dim;
-    entry.last_used = ++cache_tick_;
-    idle_workspaces_.push_back(std::move(entry));
-    while (idle_workspaces_.size() > kIdleWorkspaceCap) {
-      auto lru = std::min_element(
-          idle_workspaces_.begin(), idle_workspaces_.end(),
-          [](const CacheEntry& a, const CacheEntry& b) {
-            return a.last_used < b.last_used;
-          });
-      idle_workspaces_.erase(lru);
-      ++evictions;
-    }
+  if (workspaces_.give_back(lease.dim, std::move(lease.set)) == nullptr) {
+    return 0;
   }
-  if (evictions > 0) {
-    workspace_evictions_.fetch_add(evictions, std::memory_order_relaxed);
-  }
-  return evictions;
-}
-
-Session::StickyLease& Session::sticky_slot() {
-  static thread_local StickyLease slot;
-  return slot;
-}
-
-void Session::flush_sticky_lease() {
-  StickyLease& slot = sticky_slot();
-  if (slot.owner != this) return;
-  slot.owner = nullptr;
-  if (slot.lease.set != nullptr) {
-    release_workspaces(std::move(slot.lease));
-  }
-  slot.lease = WorkspaceLease{};
-}
-
-void Session::deliver_event(const PendingEvent& pending) {
-  if (event_observer_) event_observer_(pending.event);
-  if (pending.per_job) pending.per_job(pending.event);
-}
-
-void Session::emit_event(const JobEvent& event,
-                         const detail::JobState& state) {
-  // Fast path for unobserved jobs: the sub-millisecond serving regime
-  // must not serialize every event on the emission lock.
-  if (event_observer_ == nullptr && state.options.on_event == nullptr) {
-    return;
-  }
-  // Append under the buffer lock, then elect at most one drainer, which
-  // fans queued batches out OUTSIDE the lock until the buffer runs dry.
-  // Lanes behind a slow observer enqueue and move on instead of convoying
-  // on the emission mutex; global FIFO order and the
-  // one-observer-call-at-a-time contract are both preserved (single
-  // drainer).  Re-entrant emissions (an observer cancels a job, whose
-  // finished event emits on the observing thread) simply append and are
-  // picked up by the already-running drain loop -- no recursion.
-  {
-    std::lock_guard<std::mutex> lock(event_mutex_);
-    event_queue_.push_back(PendingEvent{event, state.options.on_event});
-    if (event_draining_) return;
-    event_draining_ = true;
-  }
-  std::vector<PendingEvent> batch;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(event_mutex_);
-      if (event_queue_.empty()) {
-        event_draining_ = false;
-        return;
-      }
-      batch.clear();
-      batch.swap(event_queue_);
-    }
-    for (const PendingEvent& pending : batch) deliver_event(pending);
-  }
+  workspace_evictions_.fetch_add(1, std::memory_order_relaxed);
+  return 1;
 }
 
 std::shared_ptr<SmoProblem> Session::make_problem(const JobSpec& spec) {
@@ -278,7 +479,8 @@ std::shared_ptr<SmoProblem> Session::make_problem(const JobSpec& spec) {
       });
 }
 
-JobResult Session::execute_job(detail::JobState& state, ThreadPool* pool) {
+JobResult Session::execute_job(JobState& state, ThreadPool* pool,
+                               WorkspaceLease& lease, bool keep_lease) {
   const auto start = Clock::now();
   JobResult result;
   result.job_name = state.name;
@@ -292,8 +494,9 @@ JobResult Session::execute_job(detail::JobState& state, ThreadPool* pool) {
   // Compose the session-wide drain token only into jobs that were already
   // submitted when the cancel was requested; work submitted during a
   // still-settling drain runs normally (auto-rearm contract).
-  if (state.submit_generation < service_->cancel_generation()) {
-    control.session_cancel = service_->session_token();
+  if (state.submit_generation <
+      cancel_generation_.load(std::memory_order_acquire)) {
+    control.session_cancel = &session_cancel_;
   }
 
   // A pending cancel drains the job before any setup work (clip loading,
@@ -307,22 +510,16 @@ JobResult Session::execute_job(detail::JobState& state, ThreadPool* pool) {
   }
 
   const JobSpec& spec = state.spec;
-  WorkspaceLease lease;
   try {
     const std::optional<Layout> layout = load_layout(spec.clip);
     const SmoConfig config = resolve_config_impl(spec, layout_ptr(layout));
-    // A lease parked by the previous member of this lane's coalesced
-    // dispatch is the warmest possible set -- take it without touching
-    // the cache lock.  A parked lease of the wrong dimension flushes.
-    StickyLease& slot = sticky_slot();
-    if (slot.owner == this && slot.lease.set != nullptr &&
-        slot.lease.dim == config.optics.mask_dim) {
-      lease = std::move(slot.lease);
+    // A lease held over from the previous member of this coalesced
+    // dispatch is the warmest possible set; one of another dimension goes
+    // back to the cache first.
+    if (lease.set != nullptr && lease.dim == config.optics.mask_dim) {
       lease.reused = true;
-      slot.owner = nullptr;
-      slot.lease = WorkspaceLease{};
     } else {
-      flush_sticky_lease();
+      if (lease.set != nullptr) release_workspaces(std::move(lease));
       lease = acquire_workspaces(config.optics.mask_dim);
     }
     result.workspaces_reused = lease.reused;
@@ -335,12 +532,12 @@ JobResult Session::execute_job(detail::JobState& state, ThreadPool* pool) {
     result.setup_seconds = elapsed_seconds(start);
 
     const int planned = bismo::planned_steps(spec.method, config);
-    if (event_observer_ != nullptr || state.options.on_event != nullptr) {
+    if (events_.observed(state.options.on_event)) {
       control.on_step = [this, &state, planned](const StepRecord& record) {
-        JobEvent event = detail::make_event(state, JobEvent::Kind::kStep);
+        JobEvent event = make_event(state, JobEvent::Kind::kStep);
         event.step = record;
         event.planned_steps = planned;
-        emit_event(event, state);
+        events_.emit(event, state.options.on_event);
       };
     }
 
@@ -356,27 +553,11 @@ JobResult Session::execute_job(detail::JobState& state, ThreadPool* pool) {
   } catch (const std::exception& e) {
     result.error = e.what();
   }
-  if (lease.set != nullptr) {
-    // A coalesced-dispatch member parks the lease for its successor
-    // instead of a cache round-trip; the service flushes it after the
-    // dispatch.  Solo dispatches release in-job, so per-result eviction
-    // accounting is unchanged.
-    StickyLease& slot = sticky_slot();
-    if (state.coalesced_dispatch && slot.owner == nullptr &&
-        slot.lease.set == nullptr) {
-      slot.owner = this;
-      slot.lease = std::move(lease);
-      slot.lease.reused = false;
-    } else {
-      result.workspace_evictions = release_workspaces(std::move(lease));
-    }
+  if (lease.set != nullptr && !keep_lease) {
+    result.workspace_evictions = release_workspaces(std::move(lease));
   }
   result.total_seconds = elapsed_seconds(start);
   return result;
-}
-
-JobHandle Session::submit(JobSpec spec, SubmitOptions options) {
-  return service_->submit(std::move(spec), std::move(options));
 }
 
 JobResult Session::run(const JobSpec& spec) {
@@ -392,7 +573,8 @@ std::vector<JobResult> Session::run_batch(const std::vector<JobSpec>& specs,
   if (n == 0) return results;
   const std::size_t window =
       std::max<std::size_t>(1, std::min(options.concurrency, n));
-  const std::uint64_t generation = service_->cancel_generation();
+  const std::uint64_t generation =
+      cancel_generation_.load(std::memory_order_acquire);
 
   // Sliding submission window: keep up to `window` jobs of this batch in
   // flight, refilling as any of them completes (a straggler never blocks
@@ -421,7 +603,7 @@ std::vector<JobResult> Session::run_batch(const std::vector<JobSpec>& specs,
 
   while (collected < n) {
     while (submitted < n && in_flight < window &&
-           service_->cancel_generation() == generation) {
+           cancel_generation_.load(std::memory_order_acquire) == generation) {
       SubmitOptions submit_options;
       submit_options.lanes_hint = window;
       submit_options.batch_index = submitted;

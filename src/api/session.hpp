@@ -3,26 +3,46 @@
 // A Session is an asynchronous job service.  Work is described
 // declaratively (api::JobSpec) and enqueued with `submit`, which returns
 // immediately with a JobHandle (status / wait / try_result / per-job
-// cancel) while a persistent lane scheduler (api/service.hpp) executes
-// jobs from a sharded FIFO queue.  The scheduler load-balances the
-// session's parallel width across the jobs in flight -- a lone job runs
-// full-width, a saturated queue shards into narrow lanes -- leasing warm
-// ThreadPools and warm sim::WorkspaceSets from LRU caches so steady-state
-// serving never tears execution state down between jobs.  `run` and
-// `run_batch` are thin synchronous wrappers over submit+wait and preserve
-// their historical semantics (results in spec order, failures contained
-// per job, bitwise-identical results for any concurrency).
+// cancel).  `run` and `run_batch` are thin synchronous wrappers over
+// submit+wait and preserve their historical semantics (results in spec
+// order, failures contained per job, bitwise-identical results for any
+// concurrency).
+//
+// Scheduling: submitted jobs enter a sharded, mostly-lock-free JobQueue
+// (one ring per lane; see api/job_queue.hpp).  Long-lived lane threads,
+// spawned lazily up to a fixed limit, pop from their own shard first and
+// steal from loaded neighbours.  Each dispatch shares the session's
+// parallel width over the dispatches in flight -- width = session width /
+// max(in-flight, lanes_hint), quantized to a power of two -- so an idle
+// machine re-absorbs into full-width single-job runs and a saturated one
+// shards into one-worker lanes.  Warm ThreadPools and warm
+// sim::WorkspaceSets come from one kind of LRU cache (api/idle_cache.hpp),
+// so steady-state serving never tears execution state down between jobs.
+// Width never changes results: engine reductions are partitioned over the
+// fixed slots of parallel/reduction.hpp.
+//
+// Coalescing: a popped job carrying a non-zero SubmitOptions::coalesce_key
+// gathers queued same-key neighbours from its shard into the one dispatch
+// (at most 8 jobs), which holds a single workspace lease across
+// its members.  The batch budget scales with queue depth per lane, so
+// coalescing engages only once the lanes cannot drain the queue one job at
+// a time.  Members keep their own events, results and cancel windows.
+//
+// Admission control: past Options::queue_capacity queued jobs, submit
+// applies SubmitOptions::queue_policy -- block until room, reject
+// (kFailed, error set), or shed the oldest queued job (kCancelled,
+// JobResult::shed set).
 //
 // Observation: every job emits a JobEvent stream (enqueued -> started ->
 // step* -> finished) to the session-wide `Options::on_event` observer and
-// the per-job `SubmitOptions::on_event` observer; step progress is the
-// kStep event.  All observer invocations are serialized by the session, and delivery is
-// batched: lanes append events to a buffer and one drainer fans them out
-// outside the emission lock, so a slow observer never stalls a lane.
+// the per-job `SubmitOptions::on_event` observer through one
+// detail::EventFeed: calls are serialized, and a slow observer never
+// stalls a lane.
 //
 // Cancellation is per job and composable: `JobHandle::cancel()` stops one
-// job without touching its siblings; `Session::request_cancel()` drains
-// exactly the work in flight at the request and then re-arms
+// job without touching its siblings (a queued job finalizes at once, a
+// running one stops at its next step boundary); `Session::request_cancel()`
+// drains exactly the work in flight at the request and then re-arms
 // automatically, so new submissions run normally (no sticky poison).
 //
 // Failure containment: job-level problems (bad layout file, invalid
@@ -37,9 +57,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
 
+#include "api/idle_cache.hpp"
 #include "api/job_handle.hpp"
+#include "api/job_queue.hpp"
 #include "api/job_result.hpp"
 #include "api/job_spec.hpp"
 #include "api/submitter.hpp"
@@ -49,14 +72,10 @@
 
 namespace bismo::api {
 
-namespace detail {
-class JobService;
-}
-
 /// Execution context shared by a sequence of jobs.  Implements the
 /// JobSubmitter serving contract (net::Dispatcher is the multi-process
 /// implementation of the same interface).
-class Session : public JobSubmitter {
+class Session : public JobSubmitter, private detail::JobRouter {
  public:
   struct Options {
     std::size_t threads = 0;       ///< parallel width (0 = hardware)
@@ -71,9 +90,6 @@ class Session : public JobSubmitter {
     /// (0 = lanes * 1024, effectively unbounded for the default block
     /// policy).  Size this to bound queue latency under overload.
     std::size_t queue_capacity = 0;
-    /// Maximum same-key sub-millisecond jobs coalesced into one lane
-    /// dispatch (1 disables; see SubmitOptions::coalesce_key).
-    std::size_t coalesce_limit = 8;
   };
 
   /// Per-batch execution options for the synchronous `run_batch` wrapper.
@@ -108,7 +124,7 @@ class Session : public JobSubmitter {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Finalizes every outstanding job as cancelled and joins the scheduler;
+  /// Finalizes every outstanding job as cancelled and joins the lanes;
   /// outstanding JobHandles stay safe to query afterwards.
   ~Session() override;
 
@@ -123,8 +139,9 @@ class Session : public JobSubmitter {
 
   // -- Asynchronous service API ----------------------------------------
 
-  /// Enqueue one job and return immediately.  Job-level validation errors
-  /// surface in the eventual JobResult::error, never as exceptions.
+  /// Enqueue one job and return immediately (unless the queue is at
+  /// capacity and the job's policy is kBlock).  Job-level validation
+  /// errors surface in the eventual JobResult::error, never as exceptions.
   /// (submit_batch is inherited from JobSubmitter.)
   JobHandle submit(JobSpec spec, SubmitOptions options = {}) override;
 
@@ -178,75 +195,77 @@ class Session : public JobSubmitter {
     bool reused = false;  ///< served from the idle cache
   };
 
-  /// One idle (checked-in) warm set.
-  struct CacheEntry {
-    std::shared_ptr<sim::WorkspaceSet> set;
-    std::size_t dim = 0;
-    std::uint64_t last_used = 0;  ///< LRU tick
-  };
+  /// Per-job cancel (JobHandle::cancel): CAS a queued job terminal, or
+  /// request a running job's token.
+  void cancel_job(const std::shared_ptr<detail::JobState>& state) override;
 
-  /// One buffered observer delivery: the event plus a copy of the job's
-  /// per-job observer (the JobState may be finalized and released by the
-  /// time a drainer gets to it).
-  struct PendingEvent {
-    JobEvent event;
-    JobEventObserver per_job;
-  };
+  /// Spawn lanes up to min(lane_limit, outstanding jobs).  Registry lock
+  /// held by the caller.
+  void spawn_lanes_locked();
 
-  /// Scheduler-lane job execution (detail::JobService::Config::execute).
-  JobResult execute_job(detail::JobState& state, ThreadPool* pool);
+  /// Apply the job's admission policy until the queue accepts it; a job
+  /// refused (or drained while waiting) is finalized here.
+  void admit(const std::shared_ptr<detail::JobState>& state);
 
-  /// Fan one event out to the session-wide and per-job observers
-  /// (detail::JobService::Config::emit): append to event_queue_ and elect
-  /// at most one drainer.
-  void emit_event(const JobEvent& event, const detail::JobState& state);
+  void lane_main(std::size_t lane);
 
-  /// Deliver one buffered event to the observers (drainer-serialized).
-  void deliver_event(const PendingEvent& pending);
+  /// Execute `batch` as one dispatch: claim each member with the queued ->
+  /// running CAS, share one leased pool and one workspace lease.
+  void run_dispatch(
+      const std::vector<std::shared_ptr<detail::JobState>>& batch);
+
+  /// Run one job on `pool` (nullptr = width 1, serial on the lane).  A
+  /// held `lease` of the job's dimension is reused; any other is returned
+  /// first.  The lease is returned after the job unless `keep_lease`.
+  JobResult execute_job(detail::JobState& state, ThreadPool* pool,
+                        WorkspaceLease& lease, bool keep_lease);
+
+  /// First finalizer only: retire the job from the registry (re-arming
+  /// the session token when it was the last doomed job of a drain), then
+  /// publish the result and emit the finished event.
+  void finalize(const std::shared_ptr<detail::JobState>& state,
+                JobResult result, JobStatus status);
 
   /// Check a warm set for `mask_dim` out of the cache (or create a cold
-  /// one).  Thread-safe.
+  /// one).
   WorkspaceLease acquire_workspaces(std::size_t mask_dim);
 
-  /// Return a lease to the idle cache; evicts least-recently-used idle
-  /// sets past the cap.  Returns the number of evictions performed.
-  /// Thread-safe.
+  /// Return a lease to the idle cache; returns the evictions (0 or 1).
   std::size_t release_workspaces(WorkspaceLease lease);
 
-  /// Lane-thread parking slot for one lease: consecutive members of a
-  /// coalesced dispatch hand the same warm WorkspaceSet to each other
-  /// without a cache round-trip.  Thread-local, so no lock is involved.
-  struct StickyLease {
-    Session* owner = nullptr;  ///< sessions never share a parked lease
-    WorkspaceLease lease;
-  };
-  static StickyLease& sticky_slot();
-
-  /// Return this lane's parked lease (when it is ours) to the idle cache;
-  /// the service calls this after every dispatch (Config::dispatch_end).
-  void flush_sticky_lease();
-
   std::size_t width_;
+  std::size_t lane_limit_;
+  std::size_t queue_capacity_;
   std::once_flag pool_once_;
   std::optional<ThreadPool> pool_storage_;
-  JobEventObserver event_observer_;
-  /// Emission buffer lock: guards event_queue_/event_draining_ only --
-  /// never held across an observer call.
-  std::mutex event_mutex_;
-  std::vector<PendingEvent> event_queue_;
-  bool event_draining_ = false;
+  detail::EventFeed events_;
+  detail::IdleCache<std::unique_ptr<ThreadPool>> pools_{2};
+  detail::IdleCache<std::shared_ptr<sim::WorkspaceSet>> workspaces_{1};
+  std::shared_ptr<detail::ServiceGate> gate_;  ///< JobHandle::cancel liveness
+  detail::JobQueue queue_;
 
-  std::mutex cache_mutex_;
-  std::vector<CacheEntry> idle_workspaces_;
-  std::uint64_t cache_tick_ = 0;
+  mutable std::mutex mutex_;  ///< registry, lanes, drain bookkeeping
+  std::vector<std::shared_ptr<detail::JobState>> active_;  ///< queued+running
+  std::vector<std::thread> lanes_;
+  std::size_t drain_pending_ = 0;  ///< doomed jobs still finalizing
+  bool shutdown_ = false;
 
+  CancelToken session_cancel_;  ///< composed into doomed jobs' RunControl
+  std::atomic<std::uint64_t> cancel_generation_{0};
+  std::atomic<std::uint64_t> next_id_{1};
+  std::atomic<std::size_t> running_{0};    ///< dispatches in flight
+  std::atomic<std::size_t> executing_{0};  ///< jobs in flight
+
+  std::atomic<std::size_t> submitted_{0};
   std::atomic<std::size_t> jobs_run_{0};
+  std::atomic<std::size_t> cancelled_{0};
   std::atomic<std::size_t> workspace_reuses_{0};
   std::atomic<std::size_t> workspace_evictions_{0};
-
-  // Declared last so it is destroyed first: lanes may still be executing
-  // jobs that touch the members above.
-  std::unique_ptr<detail::JobService> service_;
+  std::atomic<std::size_t> pool_reuses_{0};
+  std::atomic<std::size_t> steals_{0};
+  std::atomic<std::size_t> coalesced_{0};
+  std::atomic<std::size_t> shed_{0};
+  std::atomic<std::size_t> rejected_{0};
 };
 
 }  // namespace bismo::api

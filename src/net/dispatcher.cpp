@@ -87,6 +87,7 @@ std::vector<Endpoint> parse_endpoints(const std::string& spec) {
 
 Dispatcher::Dispatcher(DispatcherOptions options)
     : options_(std::move(options)),
+      events_(std::move(options_.on_event)),
       gate_(std::make_shared<api::detail::ServiceGate>()) {
   if (options_.workers.empty()) {
     throw std::invalid_argument(
@@ -146,11 +147,11 @@ api::JobHandle Dispatcher::submit(api::JobSpec spec,
   auto job = std::make_shared<RemoteJob>();
   job->state = state;
 
-  // Emit BEFORE registering, mirroring JobService::submit: once the job
-  // is visible a racing finalizer may emit finished, and the finished
-  // event must never precede the enqueued event.
-  emit_event(make_event(*state, JobEvent::Kind::kEnqueued),
-             state->options.on_event);
+  // Emit BEFORE registering, mirroring Session::submit: once the job is
+  // visible a racing finalizer may emit finished, and the finished event
+  // must never precede the enqueued event.
+  events_.emit(make_event(*state, JobEvent::Kind::kEnqueued),
+               state->options.on_event);
 
   bool rejected = false;
   {
@@ -519,7 +520,7 @@ void Dispatcher::handle_event_frame(const std::shared_ptr<WorkerLink>& link,
   JobEvent event = msg.event;
   event.job_id = state->id;
   event.status = state->status.load(std::memory_order_acquire);
-  emit_event(event, state->options.on_event);
+  events_.emit(event, state->options.on_event);
 }
 
 void Dispatcher::handle_result_frame(const std::shared_ptr<WorkerLink>& link,
@@ -548,15 +549,9 @@ void Dispatcher::finalize_job(const std::shared_ptr<JobState>& state,
   if (state->finalized.exchange(true, std::memory_order_acq_rel)) {
     return;  // cancel/result/disconnect race: first finalizer wins
   }
-  emit_event(api::detail::publish_result(*state, std::move(result), status),
-             state->options.on_event);
-}
-
-void Dispatcher::emit_event(const JobEvent& event,
-                            const api::JobEventObserver& per_job) {
-  std::lock_guard<std::recursive_mutex> lock(event_mutex_);
-  if (options_.on_event) options_.on_event(event);
-  if (per_job) per_job(event);
+  const JobEvent finished =
+      api::detail::publish_result(*state, std::move(result), status);
+  events_.emit(finished, state->options.on_event);
 }
 
 }  // namespace bismo::net

@@ -169,10 +169,11 @@ class Dispatcher final : public api::JobSubmitter,
   /// the finished event.  Never called with mutex_ held.
   void finalize_job(const std::shared_ptr<api::detail::JobState>& state,
                     api::JobResult result, api::JobStatus status);
-  void emit_event(const api::JobEvent& event,
-                  const api::JobEventObserver& per_job);
 
   DispatcherOptions options_;
+  /// Serialized observer delivery; an observer may cancel handles of this
+  /// dispatcher (the re-entrant finished event queues behind it).
+  api::detail::EventFeed events_;
   std::shared_ptr<api::detail::ServiceGate> gate_;
 
   mutable std::mutex mutex_;  ///< pending_, in_flight maps, link liveness
@@ -180,10 +181,6 @@ class Dispatcher final : public api::JobSubmitter,
   std::deque<RemoteJobPtr> pending_;
   std::vector<std::shared_ptr<WorkerLink>> links_;
   bool stopping_ = false;
-
-  /// Serializes observer invocations; recursive because an observer may
-  /// cancel handles of this dispatcher (finalizing re-entrantly).
-  std::recursive_mutex event_mutex_;
 
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::size_t> submitted_{0};

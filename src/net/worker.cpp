@@ -36,7 +36,6 @@ api::Session::Options Worker::session_options(const WorkerOptions& options) {
   so.threads = options.threads;
   so.scheduler_lanes = options.lanes;
   so.queue_capacity = options.queue_capacity;
-  so.coalesce_limit = options.coalesce_limit;
   return so;
 }
 

@@ -42,7 +42,6 @@ struct WorkerOptions {
                               ///< process count, not thread oversubscription
   std::size_t lanes = 0;      ///< scheduler lanes (0 = threads)
   std::size_t queue_capacity = 0;
-  std::size_t coalesce_limit = 8;
   double heartbeat_seconds = 0.2;  ///< max quiet time between frames
   std::string name = "worker";
   bool verbose = false;  ///< connection lifecycle logging to stderr

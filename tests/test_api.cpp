@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "api/idle_cache.hpp"
 #include "io/json.hpp"
 #include "math/grid_ops.hpp"
 #include "net/wire.hpp"
@@ -339,6 +341,57 @@ TEST(SessionWorkspaces, CacheEvictsLeastRecentlyUsedPastCap) {
   const api::Session::Stats stats = session.stats();
   EXPECT_EQ(stats.jobs_run, 7u);
   EXPECT_GE(stats.workspace_evictions, 2u);
+}
+
+// The one warm-object cache behind the session's pools and workspace sets.
+using IntCache = api::detail::IdleCache<std::unique_ptr<int>>;
+
+int value_of(const std::unique_ptr<int>& p) { return p != nullptr ? *p : -1; }
+
+TEST(SessionIdleCache, ExactKeyBeatsNearOne) {
+  IntCache cache(2);
+  EXPECT_EQ(cache.give_back(2, std::make_unique<int>(2)), nullptr);
+  EXPECT_EQ(cache.give_back(3, std::make_unique<int>(3)), nullptr);
+  // The exact entry wins although the near one is more recently used.
+  EXPECT_EQ(value_of(cache.checkout(2)), 2);
+  EXPECT_EQ(value_of(cache.checkout(2)), 3);
+  EXPECT_EQ(cache.checkout(2), nullptr);
+}
+
+TEST(SessionIdleCache, MostRecentlyUsedBreaksTies) {
+  IntCache cache(1);
+  (void)cache.give_back(8, std::make_unique<int>(1));
+  (void)cache.give_back(8, std::make_unique<int>(2));
+  EXPECT_EQ(value_of(cache.checkout(8)), 2);
+  EXPECT_EQ(value_of(cache.checkout(8)), 1);
+}
+
+TEST(SessionIdleCache, NearEntryIsNeverMoreThanStretchTimesTheKey) {
+  IntCache pools(2);
+  (void)pools.give_back(9, std::make_unique<int>(9));
+  (void)pools.give_back(3, std::make_unique<int>(3));
+  EXPECT_EQ(pools.checkout(4), nullptr);  // 9 > 2 x 4, and 3 is narrower
+  EXPECT_EQ(value_of(pools.checkout(5)), 9);
+  EXPECT_EQ(value_of(pools.checkout(2)), 3);
+
+  IntCache workspaces(1);  // exact dimensions only
+  (void)workspaces.give_back(64, std::make_unique<int>(64));
+  EXPECT_EQ(workspaces.checkout(32), nullptr);
+  EXPECT_EQ(workspaces.checkout(48), nullptr);
+  EXPECT_EQ(value_of(workspaces.checkout(64)), 64);
+}
+
+TEST(SessionIdleCache, EvictsLeastRecentlyUsedPastCapForTheCaller) {
+  IntCache cache(1);
+  for (int key = 1; key <= static_cast<int>(IntCache::kCapacity); ++key) {
+    EXPECT_EQ(cache.give_back(key, std::make_unique<int>(key)), nullptr);
+  }
+  // A checkout + return refreshes key 1, so key 2 is now the LRU entry.
+  (void)cache.give_back(1, cache.checkout(1));
+  EXPECT_EQ(value_of(cache.give_back(5, std::make_unique<int>(5))), 2);
+  EXPECT_EQ(value_of(cache.give_back(6, std::make_unique<int>(6))), 3);
+  EXPECT_EQ(value_of(cache.checkout(1)), 1);
+  EXPECT_EQ(cache.checkout(2), nullptr);
 }
 
 TEST(SessionProgress, ObserverSeesEveryStepWithJobContext) {

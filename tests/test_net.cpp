@@ -4,16 +4,21 @@
 // streaming across the wire, two-worker fan-out, placement-hint locality,
 // fault injection (a worker hard-killed mid-run; every job completes via
 // retry with bitwise-identical results and a recorded retry count),
-// cancellation of pending remote jobs, and dispatcher teardown with
-// outstanding handles.  These suites gate the cluster-smoke CI job
-// (ctest -R '^(Wire|Net)').
+// cancellation of pending remote jobs, dispatcher teardown with
+// outstanding handles, and the dispatcher's serialized event feed (an
+// observer may cancel a sibling from inside a callback).  These suites
+// gate the cluster-smoke CI job (ctest -R '^(Wire|Net)').
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/api.hpp"
@@ -203,6 +208,89 @@ TEST(NetLoopback, FanOutAndPlacementHintsLandJobsOnPreferredWorkers) {
   // Both alive: placement is honored exactly, 3 jobs each.
   EXPECT_EQ(a.jobs_served(), 3u);
   EXPECT_EQ(b.jobs_served(), 3u);
+}
+
+TEST(NetEvents, ObserverCallsNeverOverlapAndMayCancelASibling) {
+  net::Worker a(net::WorkerOptions{});
+  net::Worker b(net::WorkerOptions{});
+  a.start();
+  b.start();
+
+  // The dispatcher-wide observer counts how many of its calls are open at
+  // once and, on the first step event after `victim` is set, cancels that
+  // sibling from inside the callback.
+  struct Feed {
+    std::atomic<int> inside{0};
+    std::atomic<int> max_inside{0};
+    std::mutex mutex;
+    std::map<std::uint64_t, std::vector<api::JobEvent::Kind>> streams;
+    api::JobHandle victim;
+    bool cancel_sent = false;
+  } feed;
+
+  net::DispatcherOptions options;
+  options.workers = {net::Endpoint{"127.0.0.1", a.port()},
+                     net::Endpoint{"127.0.0.1", b.port()}};
+  options.window = 1;  // the two long jobs fill both workers
+  options.on_event = [&feed](const api::JobEvent& event) {
+    const int depth = feed.inside.fetch_add(1) + 1;
+    int seen = feed.max_inside.load();
+    while (depth > seen &&
+           !feed.max_inside.compare_exchange_weak(seen, depth)) {
+    }
+    api::JobHandle victim;
+    {
+      std::lock_guard<std::mutex> lock(feed.mutex);
+      feed.streams[event.job_id].push_back(event.kind);
+      if (event.kind == api::JobEvent::Kind::kStep && feed.victim.valid() &&
+          !feed.cancel_sent) {
+        victim = feed.victim;
+        feed.cancel_sent = true;
+      }
+    }
+    if (victim.valid()) victim.cancel();
+    feed.inside.fetch_sub(1);
+  };
+  net::Dispatcher dispatcher(options);
+  ASSERT_EQ(dispatcher.wait_for_workers(2, 30.0), 2u);
+
+  const api::JobHandle long0 = dispatcher.submit(tiny_spec(300, "long-0"));
+  const api::JobHandle long1 = dispatcher.submit(tiny_spec(300, "long-1"));
+  const api::JobHandle victim = dispatcher.submit(tiny_spec(3, "victim"));
+  {
+    std::lock_guard<std::mutex> lock(feed.mutex);
+    feed.victim = victim;
+  }
+  ASSERT_TRUE(victim.wait_for(60.0)) << "cancel from an observer deadlocked";
+  long0.cancel();
+  long1.cancel();
+  ASSERT_TRUE(long0.wait_for(60.0));
+  ASSERT_TRUE(long1.wait_for(60.0));
+  EXPECT_EQ(victim.status(), api::JobStatus::kCancelled);
+
+  EXPECT_EQ(feed.max_inside.load(), 1) << "observer calls overlapped";
+  // Delivery is asynchronous to wait(): the finished events may still be
+  // queued behind the drainer for a moment.
+  const auto finished = [&feed](std::uint64_t id) {
+    std::lock_guard<std::mutex> lock(feed.mutex);
+    const auto& kinds = feed.streams[id];
+    return !kinds.empty() && kinds.back() == api::JobEvent::Kind::kFinished;
+  };
+  for (int i = 0; i < 6000 && !(finished(victim.id()) &&
+                                finished(long0.id()) && finished(long1.id()));
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::lock_guard<std::mutex> lock(feed.mutex);
+  const std::vector<api::JobEvent::Kind>& stream = feed.streams[victim.id()];
+  ASSERT_FALSE(stream.empty());
+  EXPECT_EQ(stream.front(), api::JobEvent::Kind::kEnqueued);
+  EXPECT_EQ(stream.back(), api::JobEvent::Kind::kFinished);
+  for (const api::JobHandle& handle : {long0, long1}) {
+    const std::vector<api::JobEvent::Kind>& kinds = feed.streams[handle.id()];
+    ASSERT_FALSE(kinds.empty());
+    EXPECT_EQ(kinds.back(), api::JobEvent::Kind::kFinished);
+  }
 }
 
 TEST(NetFault, KilledWorkerJobsRetryElsewhereBitwiseIdentical) {

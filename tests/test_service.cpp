@@ -448,6 +448,13 @@ TEST(ServiceCoalesce, CoalescedBatchKeepsEventStreamsAndResultIdentity) {
     EXPECT_EQ(kinds.back(), api::JobEvent::Kind::kFinished);
   }
   EXPECT_GT(session.stats().coalesced_jobs, 0u);
+  // Members behind a dispatch's head reuse the workspace set the batch
+  // already holds, so every coalesced job reports a warm lease.
+  std::size_t reused = 0;
+  for (const api::JobHandle& handle : handles) {
+    if (handle.wait().workspaces_reused) ++reused;
+  }
+  EXPECT_GE(reused, session.stats().coalesced_jobs);
 
   // A coalesced member's optimization is bitwise identical to the same
   // spec run solo in a fresh session.
@@ -638,7 +645,6 @@ TEST(ServiceWrappers, RunBatchBitwiseIdenticalAcrossLanesAndPolicies) {
   api::Session::Options legacy;
   legacy.threads = 4;
   legacy.scheduler_lanes = 1;
-  legacy.coalesce_limit = 1;
   api::Session legacy_session(legacy);
   const std::vector<api::JobResult> base =
       legacy_session.run_batch(specs, api::Session::BatchOptions{1});

@@ -67,9 +67,6 @@ using namespace bismo;
       "  --queue-policy P   admission policy at capacity: block | reject |\n"
       "                     shed (shed-oldest); applies to --watch\n"
       "                     submissions (default block)\n"
-      "  --coalesce N       batch up to N queued same-shape jobs into one\n"
-      "                     scheduler dispatch under load (1 disables;\n"
-      "                     default 8)\n"
       "  --fft-backend B    FFT kernel backend: scalar | avx2 | auto\n"
       "                     (default: auto; also via BISMO_FFT_BACKEND)\n"
       "  --workers LIST     distributed serving: execute jobs on running\n"
@@ -346,7 +343,6 @@ int main(int argc, char** argv) {
   std::size_t batch = 0;
   std::size_t threads = 0;
   std::size_t queue_capacity = 0;
-  std::size_t coalesce_limit = 8;
   api::QueuePolicy queue_policy = api::QueuePolicy::kBlock;
   bool progress = false;
   bool watch = false;
@@ -396,7 +392,6 @@ int main(int argc, char** argv) {
       else if (flag == "--lanes") lanes = count();
       else if (flag == "--threads") threads = count();
       else if (flag == "--queue-capacity") queue_capacity = count();
-      else if (flag == "--coalesce") coalesce_limit = count();
       else if (flag == "--queue-policy") {
         const std::string policy = next();
         if (policy == "block") queue_policy = api::QueuePolicy::kBlock;
@@ -482,7 +477,6 @@ int main(int argc, char** argv) {
     api::Session::Options options;
     options.threads = threads;
     options.queue_capacity = queue_capacity;
-    options.coalesce_limit = std::max<std::size_t>(1, coalesce_limit);
     options.on_event = make_observer(watch, progress, tile_rows > 0);
     api::Session session(options);
     std::signal(SIGINT, handle_interrupt);
@@ -537,7 +531,7 @@ int main(int argc, char** argv) {
       submit_base.queue_policy = queue_policy;
       // Generated batch clips share one structural shape, so one
       // fingerprint opts the whole stream into small-job coalescing.
-      if (options.coalesce_limit > 1 && specs.size() > 1) {
+      if (specs.size() > 1) {
         submit_base.coalesce_key = specs.front().coalesce_fingerprint();
       }
       if (dispatcher != nullptr) {

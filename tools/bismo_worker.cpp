@@ -29,8 +29,6 @@ namespace {
       "  --threads N        session parallel width (default 1; cluster\n"
       "                     deployments scale by worker count instead)\n"
       "  --lanes N          scheduler lanes (default: threads)\n"
-      "  --coalesce N       same-shape jobs coalesced per dispatch "
-      "(default 8)\n"
       "  --heartbeat-ms N   max quiet time between frames (default 200)\n"
       "  --name S           worker name reported in the hello (default\n"
       "                     \"worker\")\n"
@@ -63,7 +61,6 @@ int main(int argc, char** argv) {
           bismo::api::parse_size(flag, next(), 65535));
       else if (flag == "--threads") options.threads = count();
       else if (flag == "--lanes") options.lanes = count();
-      else if (flag == "--coalesce") options.coalesce_limit = count();
       else if (flag == "--heartbeat-ms") options.heartbeat_seconds =
           bismo::api::parse_double(flag, next()) / 1000.0;
       else if (flag == "--name") options.name = next();
