@@ -1,29 +1,10 @@
 #include "core/bismo.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "grad/hvp.hpp"
-#include "linalg/cg.hpp"
+#include "grad/inverse_hvp.hpp"
 #include "math/grid_ops.hpp"
 
 namespace bismo {
-namespace {
-
-/// Contraction-safe Neumann step size: alpha = xi_J capped at 0.9/lambda_max
-/// where lambda_max is estimated along the seed direction v by one HVP.
-/// Without the cap, alpha * H with our sum-scaled loss (gamma = 1000 over
-/// all pixels) has spectral radius >> 1 and the series diverges; ref. [14]
-/// applies the same learning-rate-scaled series.
-double contraction_alpha(double xi, const RealGrid& v, const RealGrid& hv) {
-  const double nv = norm2(v);
-  const double nhv = norm2(hv);
-  if (nv < 1e-30 || nhv < 1e-30) return xi;
-  const double lambda_est = nhv / nv;
-  return std::min(xi, 0.9 / lambda_est);
-}
-
-}  // namespace
 
 RunResult run_bismo(const SmoProblem& problem, Method method,
                     const RunControl& control) {
@@ -31,17 +12,23 @@ RunResult run_bismo(const SmoProblem& problem, Method method,
   const AbbeGradientEngine& engine = problem.engine();
   const HypergradientOps hyper(engine);
   RunRecorder rec(cfg, control);
-  const int unroll_steps = method == Method::kBismoFd ? 1 : cfg.unroll_steps;
+  // FD is Neumann at K = 0, T = 1; CG warm-starts from w (Alg. 2 line 10).
+  const bool fd = method == Method::kBismoFd;
+  const int unroll_steps = fd ? 1 : cfg.unroll_steps;
+  const int hyper_terms = fd ? 0 : cfg.hyper_terms;
 
   RealGrid theta_m = problem.initial_theta_m();
   RealGrid theta_j = problem.initial_theta_j();
   auto outer_opt = make_optimizer(cfg.optimizer, cfg.lr_mask);
   auto inner_opt = make_optimizer(cfg.optimizer, cfg.lr_source);
-
-  // CG warm start w0, re-initialized from each solve (Alg. 2 line 10).
-  RealGrid cg_warm(theta_j.rows(), theta_j.cols(), 0.0);
-
   const GradRequest source_only{false, true};
+
+  InverseHvp solver;
+  RealGrid w(theta_j.rows(), theta_j.cols(), 0.0);
+  const RealGrid zero = w;
+  const auto hvp = [&hyper](const RealGrid& x, RealGrid& out) {
+    hyper.hvp(x, out);
+  };
 
   for (int outer = 0; outer < cfg.outer_steps && !rec.stopped(); ++outer) {
     // ---- Lower level: unroll T SO steps (Alg. 2 lines 2-4). ----
@@ -59,56 +46,17 @@ RunResult run_bismo(const SmoProblem& problem, Method method,
     rec.record(g);
     const RealGrid& v = g.grad_theta_j;  // dLmo/dthetaJ
 
-    RealGrid wvec(theta_j.rows(), theta_j.cols(), 0.0);
-    const double vn = norm2(v);
-    if (vn > 1e-30) {
-      switch (method) {
-        case Method::kBismoFd: {
-          // Eq. 13: w = alpha * v (identical to the K = 0 Neumann sum).
-          const RealGrid hv = hyper.hvp(v);
-          const double alpha = contraction_alpha(cfg.lr_source, v, hv);
-          wvec = v * alpha;
-          break;
-        }
-        case Method::kBismoCg: {
-          // Eq. 17-18: K CG steps on [d2Lso/dthetaJ^2] w = v.
-          CgOptions cg_opt;
-          cg_opt.max_iterations = cfg.hyper_terms;
-          cg_opt.damping = cfg.cg_damping;
-          cg_opt.tolerance = 1e-10;
-          const auto apply = [&](const RealGrid& x) { return hyper.hvp(x); };
-          const CgResult sol = conjugate_gradient(apply, v, cg_warm, cg_opt);
-          wvec = sol.x;
-          cg_warm = wvec;  // warm start the next outer step
-          break;
-        }
-        default: {  // Method::kBismoNmn
-          // Eq. 16: w = alpha * sum_{k=0..K} (I - alpha H)^k v, evaluated
-          // iteratively with one HVP per term.  The series only converges
-          // where the Hessian is positive along the iterate (Lemma 2); a
-          // growing term signals a negative/over-large curvature direction,
-          // in which case the partial sum so far is kept (the same
-          // safeguard CG applies on negative curvature).
-          RealGrid hv = hyper.hvp(v);
-          const double alpha = contraction_alpha(cfg.lr_source, v, hv);
-          RealGrid cur = v;
-          RealGrid acc = v;
-          for (int k = 0; k < cfg.hyper_terms; ++k) {
-            if (k > 0) hyper.hvp(cur, hv);
-            cur = axpy(cur, -alpha, hv);
-            const double cn = norm2(cur);
-            if (!std::isfinite(cn) || cn > 1.5 * vn) break;
-            acc += cur;
-          }
-          wvec = acc * alpha;
-          break;
-        }
-      }
+    // w ~ [d2Lso/dthetaJ^2]^{-1} v; a vanishing v sweeps with w = 0.
+    const bool solve = norm2(v) > 1e-30;
+    if (solve && method == Method::kBismoCg) {
+      solver.cg(hvp, v, hyper_terms, cfg.cg_damping, 1e-10, w);
+    } else if (solve) {
+      solver.neumann(hvp, v, cfg.lr_source, hyper_terms, w);
     }
 
     // Gradient fusion in one backward sweep:
     //   hyper = dLmo/dthetaM - [d2Lso/dthetaM dthetaJ] w.
-    const RealGrid hypergrad = hyper.hypergradient(wvec);
+    const RealGrid hypergrad = hyper.hypergradient(solve ? w : zero);
 
     // ---- Upper level: MO update (Alg. 2 line 13). ----
     outer_opt->step(theta_m, hypergrad);

@@ -7,20 +7,20 @@
 //      line 4);
 //   2. form the hypergradient (Eq. 12)
 //        dLmo/dthetaM - [d2Lso/dthetaM dthetaJ] w
-//      where w approximates [d2Lso/dthetaJ^2]^{-1} dLmo/dthetaJ by
-//        FD  (Eq. 13): w = alpha * v                      (K = 0 Neumann)
-//        NMN (Eq. 16): w = alpha * sum_{k<=K} (I - alpha H)^k v
-//        CG  (Eq. 18): K conjugate-gradient steps on H w = v, warm-started
+//      where w ~ [d2Lso/dthetaJ^2]^{-1} dLmo/dthetaJ is one InverseHvp
+//      solve (grad/inverse_hvp.hpp):
+//        NMN (Eq. 16): neumann, w = alpha * sum_{k<=K} (I - alpha H)^k v
+//        FD  (Eq. 13): neumann at K = 0 (and T = 1), w = alpha * v
+//        CG  (Eq. 18): cg, K steps on (H + damping I) w = v, warm-started
 //   3. update theta_M with the outer optimizer.
 //
 // Step 2 is exact (grad/hvp.hpp): one linearization from the engine's
 // image cache, closed-form HVPs over the cached per-point images, and one
 // two-seed backward sweep that returns the whole hypergradient.
 //
-// alpha is the inner step size xi_J, capped adaptively so the Neumann
-// hypothesis ||I - alpha H|| < 1 (Lemma 2) holds along the probed
-// direction; the FD variant shares the cap, preserving the paper's
-// "FD == NMN at K = 0" identity exactly (at T = 1).
+// alpha is the inner step size xi_J, capped so the Neumann hypothesis
+// ||I - alpha H|| < 1 (Lemma 2) holds along v; FD, the same sum at K = 0,
+// shares the cap.
 #ifndef BISMO_CORE_BISMO_HPP
 #define BISMO_CORE_BISMO_HPP
 

@@ -144,7 +144,7 @@ struct ConfigField {
     "T: inner SO steps per outer step")                                    \
   X("hyper_terms", hyper_terms, at_least(0),                               \
     "K: Neumann terms / CG iterations")                                    \
-  X("cg_damping", cg_damping, kAnyValue, "Tikhonov damping for BiSMO-CG")  \
+  X("cg_damping", cg_damping, at_least(0), "BiSMO-CG Tikhonov damping")    \
   X(nullptr, fd_eps_scale, kAnyValue,                                      \
     "FD probe scale; unused since the HVPs are exact")                     \
   X("outer_steps", outer_steps, kPositive,                                 \

@@ -3,11 +3,11 @@
 // forward+adjoint at 64x64, the JobQueue MPMC push/pop fast path -- must
 // execute with zero heap allocations once warmed up, a warmed
 // band-convolution adjoint_pass (one seed or two) must allocate the same
-// for 2 items as for every source point, a warmed exact source HVP must
-// allocate nothing, and a steady-state
-// Session::run re-submission must allocate strictly less than the cold
-// first run (workspace leases and FFT plans are reused, per-step result
-// grids still allocate by design).
+// for 2 items as for every source point, a warmed exact source HVP and a
+// warmed InverseHvp solve (Neumann or CG) must allocate nothing, and a
+// steady-state Session::run re-submission must allocate strictly less
+// than the cold first run (workspace leases and FFT plans are reused,
+// per-step result grids still allocate by design).
 //
 // Every assertion is gated on AllocGuard::enforced(): under ASan/TSan the
 // sanitizer runtime owns the allocator and interposition is compiled out.
@@ -25,6 +25,7 @@
 #include "core/alloc_guard.hpp"
 #include "grad/abbe_grad.hpp"
 #include "grad/hvp.hpp"
+#include "grad/inverse_hvp.hpp"
 #include "litho/abbe.hpp"
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
@@ -266,33 +267,67 @@ TEST(AllocGuardPipeline, TwoSeedBandConvAdjointPassAllocationsDoNotGrowWithItems
   sim::set_fusion_enabled(initial_mode);
 }
 
+/// An exact-HVP operator linearized at 64^2 with a 7 x 7 source.
+struct LinearizedHvp {
+  OpticsConfig optics = [] {
+    OpticsConfig o;
+    o.mask_dim = 64;
+    o.pixel_nm = 8.0;
+    return o;
+  }();
+  SourceGeometry geometry{7, optics};
+  AbbeImaging abbe{optics, geometry};  // serial: one thread counts
+  RealGrid target = [] {
+    RealGrid t(64, 64, 0.0);
+    for (std::size_t r = 28; r < 36; ++r) {
+      for (std::size_t c = 16; c < 48; ++c) t(r, c) = 1.0;
+    }
+    return t;
+  }();
+  AbbeGradientEngine engine{abbe, target};
+  HypergradientOps ops{engine};
+  RealGrid v{7, 7, 0.0};
+
+  LinearizedHvp() {
+    const RealGrid theta_m = init_mask_params(target, {});
+    Rng rng(31);
+    RealGrid theta_j(7, 7, 0.0);
+    for (auto& x : theta_j) x = rng.uniform(-1.0, 1.0);
+    for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+    ops.linearize(theta_m, theta_j);
+  }
+};
+
 TEST(AllocGuardHypergradient, WarmedExactHvpIsAllocationFree) {
   // The CG/Neumann inner loop: after one linearization and one warm-up
   // product, every exact source HVP runs on reused buffers.
   if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
-  OpticsConfig optics;
-  optics.mask_dim = 64;
-  optics.pixel_nm = 8.0;
-  const SourceGeometry geometry(7, optics);
-  const AbbeImaging abbe(optics, geometry);  // serial: one thread counts
-  RealGrid target(64, 64, 0.0);
-  for (std::size_t r = 28; r < 36; ++r) {
-    for (std::size_t c = 16; c < 48; ++c) target(r, c) = 1.0;
-  }
-  const AbbeGradientEngine engine(abbe, target);
-  const RealGrid theta_m = init_mask_params(target, {});
-  Rng rng(31);
-  RealGrid theta_j(7, 7, 0.0);
-  for (auto& v : theta_j) v = rng.uniform(-1.0, 1.0);
-  RealGrid v(7, 7, 0.0);
-  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
-
-  const HypergradientOps ops(engine);
-  ops.linearize(theta_m, theta_j);
+  const LinearizedHvp at;
   RealGrid hv;
-  ops.hvp(v, hv);  // warm-up: sizes the output and the cache's scratch
+  at.ops.hvp(at.v, hv);  // warm-up: sizes the output and the cache's scratch
   AllocGuard guard;
-  for (int k = 0; k < 4; ++k) ops.hvp(v, hv);
+  for (int k = 0; k < 4; ++k) at.ops.hvp(at.v, hv);
+  EXPECT_EQ(guard.allocations(), 0u);
+}
+
+TEST(AllocGuardHypergradient, WarmedInverseHvpSolveIsAllocationFree) {
+  // One warm-up of each variant sizes the solver's buffers and w; every
+  // later Neumann or warm-started CG solve then runs in place.
+  if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
+  const LinearizedHvp at;
+  const auto hvp = [&at](const RealGrid& x, RealGrid& out) {
+    at.ops.hvp(x, out);
+  };
+  InverseHvp solver;
+  RealGrid w_neumann;
+  RealGrid w_cg = at.v * 1e-3;
+  solver.neumann(hvp, at.v, 0.1, 5, w_neumann);
+  solver.cg(hvp, at.v, 5, 1.0, 1e-10, w_cg);
+  AllocGuard guard;
+  for (int k = 0; k < 3; ++k) {
+    solver.neumann(hvp, at.v, 0.1, 5, w_neumann);
+    solver.cg(hvp, at.v, 5, 1.0, 1e-10, w_cg);
+  }
   EXPECT_EQ(guard.allocations(), 0u);
 }
 

@@ -56,6 +56,12 @@ TEST(SmoConfig, ValidationCatchesBadSettings) {
   cfg = small_config();
   cfg.socs_kernels = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // A negative Tikhonov shift would make CG's operator indefinite.
+  cfg = small_config();
+  cfg.cg_damping = -5.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.cg_damping = 0.0;
+  EXPECT_NO_THROW(cfg.validate());
 
   // Every double field must be finite; the error names the field (and
   // its key, when it has one) and the value.

@@ -2,14 +2,17 @@
 // grad/hvp.hpp against their finite-difference oracles (grad/gradcheck),
 // a densely assembled Hessian and the symmetric cross-derivative; operator
 // properties (symmetry, linearity) that BiSMO-NMN/CG rely on; the fused
-// one-sweep hypergradient; the two-seed adjoint_pass it runs on; the loss
-// curvature d2L/dI2; and thread-count determinism.
+// one-sweep hypergradient; the two-seed adjoint_pass it runs on; the
+// InverseHvp solves against the allocating loops they replaced (bitwise);
+// the loss curvature d2L/dI2; and thread-count determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "grad/abbe_grad.hpp"
 #include "grad/gradcheck.hpp"
 #include "grad/hvp.hpp"
+#include "grad/inverse_hvp.hpp"
 #include "grad/loss.hpp"
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
@@ -394,6 +398,171 @@ TEST(Hvp, BitwiseAcrossThreadCounts) {
     }
     EXPECT_TRUE(hv == ref_hv);
     EXPECT_TRUE(hyper == ref_hyper);
+  }
+}
+
+// ---- Inverse HVP solver ----------------------------------------------------
+
+// The allocating solves InverseHvp replaced, kept verbatim as its bitwise
+// reference: the Neumann sum as run_bismo wrote it (FD is K = 0) and the
+// conjugate-gradient solver of the former linalg/cg module.
+double contraction_alpha(double xi, const RealGrid& v, const RealGrid& hv) {
+  const double nv = norm2(v);
+  const double nhv = norm2(hv);
+  if (nv < 1e-30 || nhv < 1e-30) return xi;
+  const double lambda_est = nhv / nv;
+  return std::min(xi, 0.9 / lambda_est);
+}
+
+RealGrid reference_neumann(const HypergradientOps& hyper, const RealGrid& v,
+                           double xi, int hyper_terms) {
+  const double vn = norm2(v);
+  RealGrid hv = hyper.hvp(v);
+  const double alpha = contraction_alpha(xi, v, hv);
+  RealGrid cur = v;
+  RealGrid acc = v;
+  for (int k = 0; k < hyper_terms; ++k) {
+    if (k > 0) hyper.hvp(cur, hv);
+    cur = axpy(cur, -alpha, hv);
+    const double cn = norm2(cur);
+    if (!std::isfinite(cn) || cn > 1.5 * vn) break;
+    acc += cur;
+  }
+  return acc * alpha;
+}
+
+struct CgResult {
+  RealGrid x;
+  double residual_norm = 0.0;
+  int iterations = 0;
+  bool converged = false;
+};
+
+struct CgOptions {
+  int max_iterations = 5;
+  double tolerance = 1e-10;
+  double damping = 0.0;
+};
+
+CgResult conjugate_gradient(
+    const std::function<RealGrid(const RealGrid&)>& apply, const RealGrid& b,
+    const RealGrid& x0, const CgOptions& options) {
+  if (!b.same_shape(x0)) {
+    throw std::invalid_argument("conjugate_gradient: b/x0 shape mismatch");
+  }
+  auto apply_damped = [&](const RealGrid& v) {
+    RealGrid av = apply(v);
+    if (options.damping != 0.0) av += v * options.damping;
+    return av;
+  };
+
+  CgResult result;
+  result.x = x0;
+  RealGrid r = b - apply_damped(result.x);
+  RealGrid p = r;
+  double rs = dot(r, r);
+  const double b_norm = std::max(norm2(b), 1e-300);
+
+  for (int it = 0; it < options.max_iterations; ++it) {
+    if (std::sqrt(rs) / b_norm <= options.tolerance) {
+      result.converged = true;
+      break;
+    }
+    const RealGrid ap = apply_damped(p);
+    const double p_ap = dot(p, ap);
+    if (p_ap <= 0.0 || !std::isfinite(p_ap)) {
+      break;
+    }
+    const double alpha = rs / p_ap;
+    result.x = axpy(result.x, alpha, p);
+    r = axpy(r, -alpha, ap);
+    const double rs_next = dot(r, r);
+    const double beta = rs_next / rs;
+    p = axpy(r, beta, p);
+    rs = rs_next;
+    ++result.iterations;
+  }
+  result.residual_norm = std::sqrt(rs);
+  if (std::sqrt(rs) / b_norm <= options.tolerance) result.converged = true;
+  return result;
+}
+
+TEST(InverseHvp, MatchesTheAllocatingReferenceBitwise) {
+  // v = dL/dthetaJ at a desaturated linearization, as run_bismo solves
+  // it: at 32^2 with a 5 x 5 source and at 64^2 with a 7 x 7 one.
+  HvpRig rig(nullptr, ActivationKind::kSigmoid, SourceState::kDesaturated);
+  OpticsConfig optics64 = tiny_optics();
+  optics64.mask_dim = 64;
+  const AbbeImaging abbe64(optics64, SourceGeometry(7, optics64));
+  const RealGrid target64 = tiny_target(64);
+  const AbbeGradientEngine engine64(abbe64, target64);
+  Rng rng(96);
+  RealGrid theta_j64(7, 7);
+  for (auto& x : theta_j64) x = rng.uniform(-0.8, 0.8);
+
+  struct Point {
+    const AbbeGradientEngine* engine;
+    RealGrid theta_m;
+    RealGrid theta_j;
+  };
+  const Point points[] = {
+      {&rig.engine, rig.theta_m, rig.theta_j},
+      {&engine64, init_mask_params(target64, {}), theta_j64}};
+  const double xi = SmoConfig{}.lr_source;
+  InverseHvp solver;  // one solver across every solve, as in run_bismo
+  for (const Point& at : points) {
+    const HypergradientOps ops(*at.engine);
+    const RealGrid v = ops.linearize(at.theta_m, at.theta_j).grad_theta_j;
+    ASSERT_GT(norm2(v), 1e-30);
+    const auto hvp = [&ops](const RealGrid& x, RealGrid& out) {
+      ops.hvp(x, out);
+    };
+    const std::string size = std::to_string(v.rows()) + "^2 source";
+
+    RealGrid w;
+    RealGrid w_k0;
+    for (const int k : {0, 3, 5}) {
+      solver.neumann(hvp, v, xi, k, w);
+      EXPECT_TRUE(w == reference_neumann(ops, v, xi, k))
+          << size << " Neumann K=" << k;
+      if (k == 0) w_k0 = w;
+    }
+    EXPECT_FALSE(w == w_k0) << size << ": the series must add terms";
+
+    const RealGrid warm = v * 1e-3;
+    for (const int k : {1, 3, 5}) {
+      for (const double damping : {0.0, 1.0}) {
+        for (const bool warmed : {false, true}) {
+          const RealGrid x0 =
+              warmed ? warm : RealGrid(v.rows(), v.cols(), 0.0);
+          w = x0;
+          const SolveReport report =
+              solver.cg(hvp, v, k, damping, 1e-10, w);
+          CgOptions options;
+          options.max_iterations = k;
+          options.damping = damping;
+          const CgResult ref = conjugate_gradient(
+              [&ops](const RealGrid& x) { return ops.hvp(x); }, v, x0,
+              options);
+          const std::string label = size + " CG K=" + std::to_string(k) +
+                                    " damping=" + std::to_string(damping) +
+                                    (warmed ? " warm" : " cold");
+          EXPECT_TRUE(w == ref.x) << label;
+          EXPECT_EQ(report.iterations, ref.iterations) << label;
+          EXPECT_EQ(report.residual, ref.residual_norm) << label;
+          EXPECT_EQ(report.exit == SolveExit::kConverged, ref.converged)
+              << label;
+          // H is indefinite along v here, so only the damped system
+          // iterates; the undamped one stops on its first curvature test.
+          EXPECT_EQ(report.exit == SolveExit::kCurvature,
+                    !ref.converged && ref.iterations < k)
+              << label;
+          if (damping > 0.0) {
+            EXPECT_GT(report.iterations, 0) << label;
+          }
+        }
+      }
+    }
   }
 }
 

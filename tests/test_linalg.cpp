@@ -1,10 +1,12 @@
-// Linear algebra validation: Jacobi Hermitian eigendecomposition and the
-// matrix-free conjugate-gradient solver.
+// Linear algebra validation: Jacobi Hermitian eigendecomposition, and the
+// hypergradient solver's conjugate-gradient and Neumann solves
+// (grad/inverse_hvp.hpp) on small fake operators, exit reasons included.
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <vector>
 
-#include "linalg/cg.hpp"
+#include "grad/inverse_hvp.hpp"
 #include "linalg/cmatrix.hpp"
 #include "linalg/hermitian_eig.hpp"
 #include "math/grid_ops.hpp"
@@ -112,6 +114,15 @@ TEST_P(HermitianEigProperty, ReconstructsMatrix) {
 INSTANTIATE_TEST_SUITE_P(Sizes, HermitianEigProperty,
                          ::testing::Values<std::size_t>(1, 2, 3, 5, 8, 16, 40));
 
+// ---- InverseHvp (grad/inverse_hvp.hpp) on small fake operators -----------
+
+/// An operator out = A x given as a grid-returning function, the form a
+/// fake is easiest to write in.
+template <typename Apply>
+auto as_hvp(Apply apply) {
+  return [apply](const RealGrid& x, RealGrid& out) { out = apply(x); };
+}
+
 TEST(ConjugateGradient, SolvesDiagonalSystem) {
   RealGrid b(2, 2);
   b[0] = 2.0;
@@ -126,27 +137,30 @@ TEST(ConjugateGradient, SolvesDiagonalSystem) {
     out[3] *= 0.5;
     return out;
   };
-  CgOptions opt;
-  opt.max_iterations = 20;
-  opt.tolerance = 1e-12;
-  const CgResult res =
-      conjugate_gradient(apply, b, RealGrid(2, 2, 0.0), opt);
-  EXPECT_TRUE(res.converged);
-  EXPECT_NEAR(res.x[0], 2.0, 1e-9);
-  EXPECT_NEAR(res.x[1], 3.0, 1e-9);
-  EXPECT_NEAR(res.x[2], -1.0, 1e-9);
-  EXPECT_NEAR(res.x[3], 2.0, 1e-9);
+  RealGrid x(2, 2, 0.0);
+  InverseHvp solver;
+  const SolveReport res = solver.cg(as_hvp(apply), b, 20, 0.0, 1e-12, x);
+  EXPECT_EQ(res.exit, SolveExit::kConverged);
+  EXPECT_NEAR(x[0], 2.0, 1e-9);
+  EXPECT_NEAR(x[1], 3.0, 1e-9);
+  EXPECT_NEAR(x[2], -1.0, 1e-9);
+  EXPECT_NEAR(x[3], 2.0, 1e-9);
+  EXPECT_LE(res.residual, 1e-12 * norm2(b));
 }
 
-TEST(ConjugateGradient, ConvergesInAtMostDimensionSteps) {
-  Rng rng(777);
-  const std::size_t n = 6;
-  // SPD matrix A = B^T B + I over flat vectors stored as 1 x n grids.
-  std::vector<std::vector<double>> bmat(n, std::vector<double>(n));
-  for (auto& row : bmat) {
-    for (auto& v : row) v = rng.uniform(-1, 1);
+/// SPD A = B^T B + I over flat vectors stored as 1 x n grids.
+struct SpdOperator {
+  std::vector<std::vector<double>> bmat;
+
+  SpdOperator(Rng& rng, std::size_t n)
+      : bmat(n, std::vector<double>(n)) {
+    for (auto& row : bmat) {
+      for (auto& v : row) v = rng.uniform(-1, 1);
+    }
   }
-  auto apply = [&](const RealGrid& v) {
+
+  RealGrid operator()(const RealGrid& v) const {
+    const std::size_t n = bmat.size();
     std::vector<double> bv(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) bv[i] += bmat[i][j] * v[j];
@@ -157,16 +171,39 @@ TEST(ConjugateGradient, ConvergesInAtMostDimensionSteps) {
       out[i] += v[i];
     }
     return out;
-  };
+  }
+};
+
+TEST(ConjugateGradient, ConvergesInAtMostDimensionSteps) {
+  Rng rng(777);
+  const std::size_t n = 6;
+  const SpdOperator apply(rng, n);
   RealGrid b(1, n);
   for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-2, 2);
-  CgOptions opt;
-  opt.max_iterations = static_cast<int>(n) + 2;
-  opt.tolerance = 1e-10;
-  const CgResult res = conjugate_gradient(apply, b, RealGrid(1, n, 0.0), opt);
-  EXPECT_TRUE(res.converged);
-  const RealGrid residual = b - apply(res.x);
+  RealGrid x(1, n, 0.0);
+  InverseHvp solver;
+  const SolveReport res =
+      solver.cg(as_hvp(apply), b, static_cast<int>(n) + 2, 0.0, 1e-10, x);
+  EXPECT_EQ(res.exit, SolveExit::kConverged);
+  const RealGrid residual = b - apply(x);
   EXPECT_LT(norm2(residual), 1e-8);
+}
+
+TEST(ConjugateGradient, StopsAtTheIterationBudget) {
+  // Fewer steps than the dimension cannot reach 1e-10 on a generic SPD
+  // system: the solve reports its budget and the residual it left.
+  Rng rng(777);
+  const std::size_t n = 6;
+  const SpdOperator apply(rng, n);
+  RealGrid b(1, n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-2, 2);
+  RealGrid x(1, n, 0.0);
+  InverseHvp solver;
+  const SolveReport res = solver.cg(as_hvp(apply), b, 2, 0.0, 1e-10, x);
+  EXPECT_EQ(res.exit, SolveExit::kBudget);
+  EXPECT_EQ(res.iterations, 2);
+  EXPECT_GT(res.residual, 1e-10 * norm2(b));
+  EXPECT_LT(res.residual, norm2(b));
 }
 
 TEST(ConjugateGradient, WarmStartAtSolutionConvergesImmediately) {
@@ -175,38 +212,64 @@ TEST(ConjugateGradient, WarmStartAtSolutionConvergesImmediately) {
   b[1] = 2.0;
   b[2] = 3.0;
   auto apply = [](const RealGrid& v) { return v; };  // identity
-  const CgResult res = conjugate_gradient(apply, b, b, {});
-  EXPECT_TRUE(res.converged);
+  RealGrid x = b;
+  InverseHvp solver;
+  const SolveReport res = solver.cg(as_hvp(apply), b, 5, 0.0, 1e-10, x);
+  EXPECT_EQ(res.exit, SolveExit::kConverged);
   EXPECT_EQ(res.iterations, 0);
 }
 
 TEST(ConjugateGradient, DampingShiftsTheSystem) {
   RealGrid b(1, 2, 1.0);
   auto apply = [](const RealGrid& v) { return v; };  // A = I
-  CgOptions opt;
-  opt.damping = 1.0;  // solves (I + I) x = b -> x = 0.5
-  opt.max_iterations = 5;
-  opt.tolerance = 1e-12;
-  const CgResult res = conjugate_gradient(apply, b, RealGrid(1, 2, 0.0), opt);
-  EXPECT_NEAR(res.x[0], 0.5, 1e-10);
-  EXPECT_NEAR(res.x[1], 0.5, 1e-10);
+  // Damping 1 solves (I + I) x = b -> x = 0.5.
+  RealGrid x(1, 2, 0.0);
+  InverseHvp solver;
+  solver.cg(as_hvp(apply), b, 5, 1.0, 1e-12, x);
+  EXPECT_NEAR(x[0], 0.5, 1e-10);
+  EXPECT_NEAR(x[1], 0.5, 1e-10);
 }
 
 TEST(ConjugateGradient, StopsOnNegativeCurvature) {
   RealGrid b(1, 2, 1.0);
   auto apply = [](const RealGrid& v) { return v * -1.0; };  // negative definite
-  const CgResult res = conjugate_gradient(apply, b, RealGrid(1, 2, 0.0), {});
+  RealGrid x(1, 2, 0.0);
+  InverseHvp solver;
+  const SolveReport res = solver.cg(as_hvp(apply), b, 5, 0.0, 1e-10, x);
   // Must not blow up; returns the (zero) iterate untouched.
   EXPECT_EQ(res.iterations, 0);
-  EXPECT_FALSE(res.converged);
-  EXPECT_DOUBLE_EQ(res.x[0], 0.0);
+  EXPECT_EQ(res.exit, SolveExit::kCurvature);
+  EXPECT_DOUBLE_EQ(x[0], 0.0);
 }
 
 TEST(ConjugateGradient, ShapeMismatchThrows) {
   auto apply = [](const RealGrid& v) { return v; };
-  EXPECT_THROW(
-      conjugate_gradient(apply, RealGrid(1, 2), RealGrid(2, 2), {}),
-      std::invalid_argument);
+  RealGrid x(2, 2);
+  InverseHvp solver;
+  EXPECT_THROW(solver.cg(as_hvp(apply), RealGrid(1, 2), 5, 0.0, 1e-10, x),
+               std::invalid_argument);
+}
+
+TEST(Neumann, GrowingTermKeepsThePartialSum) {
+  // H = diag(1, -1), v = (1, 1): lambda = ||Hv|| / ||v|| = 1, so alpha =
+  // min(0.5, 0.9) = 0.5.  Term 1, (I - alpha H) v = (0.5, 1.5), stays
+  // below 1.5 ||v||; term 2, (0.25, 2.25), grows past it along the
+  // negative direction.  The sum stops there: w = alpha (v + term 1).
+  auto apply = [](const RealGrid& x) {
+    RealGrid out = x;
+    out[1] = -x[1];
+    return out;
+  };
+  const RealGrid v(1, 2, 1.0);
+  RealGrid w;
+  InverseHvp solver;
+  const SolveReport res = solver.neumann(as_hvp(apply), v, 0.5, 5, w);
+  EXPECT_EQ(res.exit, SolveExit::kDiverged);
+  EXPECT_EQ(res.iterations, 1);
+  EXPECT_GT(res.residual, 1.5 * norm2(v));
+  ASSERT_EQ(w.size(), 2u);
+  EXPECT_EQ(w[0], 0.75);
+  EXPECT_EQ(w[1], 1.25);
 }
 
 }  // namespace
