@@ -16,6 +16,7 @@ namespace bismo {
 namespace {
 
 using fft_detail::BluesteinPlan;
+using fft_detail::MixedPlan;
 using fft_detail::Pow2Plan;
 using fft_detail::Pow2Stage;
 
@@ -23,13 +24,23 @@ constexpr double kPi = 3.141592653589793238462643383279502884;
 
 bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
+/// Largest odd factor a mixed-radix plan takes; lengths whose odd part is
+/// larger run Bluestein.
+constexpr std::size_t kMaxOddFactor = 15;
+
+std::size_t odd_part(std::size_t n) {
+  while (n % 2 == 0) n /= 2;
+  return n;
+}
+
 std::size_t next_power_of_two(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
 }
 
-/// Plan-cache lookup shared by the power-of-two and Bluestein caches:
+/// Plan-cache lookup shared by the power-of-two, mixed-radix and Bluestein
+/// caches:
 /// existing plans are served under a shared lock (the common case after
 /// warm-up); only a first-time build takes the exclusive lock.
 template <typename Plan, typename Build>
@@ -85,6 +96,55 @@ const Pow2Plan* pow2_plan(std::size_t n) {
       }
       plan->stages.push_back(std::move(stage));
       q *= 4;
+    }
+    return plan;
+  });
+}
+
+const MixedPlan* mixed_plan(std::size_t n) {
+  static std::shared_mutex mu;
+  static std::map<std::size_t, std::unique_ptr<MixedPlan>> cache;
+  return cached_plan(mu, cache, n, [n] {
+    auto plan = std::make_unique<MixedPlan>();
+    const std::size_t r = odd_part(n);
+    const std::size_t m = n / r;
+    plan->n = n;
+    plan->r = r;
+    plan->m = m;
+    plan->sub = pow2_plan(m);
+    plan->tw.resize(n);
+    for (std::size_t n1 = 0; n1 < r; ++n1) {
+      for (std::size_t k2 = 0; k2 < m; ++k2) {
+        // n1 * k2 < n, so the angle needs no reduction.
+        const double ang = -2.0 * kPi * static_cast<double>(n1 * k2) /
+                           static_cast<double>(n);
+        plan->tw[n1 * m + k2] = {std::cos(ang), std::sin(ang)};
+      }
+    }
+    const std::size_t h = (r - 1) / 2;
+    plan->cosr.resize(h * h);
+    plan->sinr.resize(h * h);
+    for (std::size_t p = 1; p <= h; ++p) {
+      for (std::size_t k = 1; k <= h; ++k) {
+        const double ang = 2.0 * kPi * static_cast<double>((p * k) % r) /
+                           static_cast<double>(r);
+        plan->cosr[(p - 1) * h + (k - 1)] = std::cos(ang);
+        plan->sinr[(p - 1) * h + (k - 1)] = std::sin(ang);
+      }
+    }
+    // Position p = n1*m + n2 takes input perm[p] = n1 + r*n2.  Each cycle
+    // c0 <- c1 <- ... of perm becomes the swaps (c0, c1), (c1, c2), ...:
+    // after them position c_i holds the old c_{i+1}.
+    const auto perm = [r, m](std::size_t p) { return p / m + r * (p % m); };
+    std::vector<bool> done(n, false);
+    for (std::size_t start = 0; start < n; ++start) {
+      if (done[start]) continue;
+      done[start] = true;
+      for (std::size_t at = start; perm(at) != start; at = perm(at)) {
+        plan->swaps.push_back(static_cast<std::uint32_t>(at));
+        plan->swaps.push_back(static_cast<std::uint32_t>(perm(at)));
+        done[perm(at)] = true;
+      }
     }
     return plan;
   });
@@ -148,16 +208,92 @@ void bluestein_run(const BluesteinPlan& plan, std::complex<double>* x,
   }
 }
 
+// bismo-lint: no-alloc-begin
+// Mixed-radix execution (see fft_detail::MixedPlan): every step runs in
+// place on caller data, so a warmed transform allocates nothing.
+
+/// Step 1 in place on `n` grid rows `stride` apart, each `width` long:
+/// the swap sequence realizes the digit reversal.
+void mixed_permute_rows(const MixedPlan& plan, std::complex<double>* data,
+                        std::size_t width, std::size_t stride) {
+  const std::uint32_t* sw = plan.swaps.data();
+  const std::size_t count = plan.swaps.size();
+  for (std::size_t i = 0; i < count; i += 2) {
+    std::complex<double>* a = data + std::size_t{sw[i]} * stride;
+    std::swap_ranges(a, a + width, data + std::size_t{sw[i + 1]} * stride);
+  }
+}
+
+/// One in-place mixed-radix transform of a contiguous length-n row; the
+/// digit reversal gathers back from a copy in `scratch` (n elements),
+/// which beats chained swaps on a row that sits in L1.
+void mixed_row(const MixedPlan& plan, std::complex<double>* x, bool inverse,
+               std::complex<double>* scratch) {
+  const fft::FftKernel& kernel = fft::active_kernel();
+  const std::size_t r = plan.r;
+  const std::size_t m = plan.m;
+  std::copy(x, x + plan.n, scratch);
+  for (std::size_t n1 = 0; n1 < r; ++n1) {
+    for (std::size_t n2 = 0; n2 < m; ++n2) {
+      x[n1 * m + n2] = scratch[n1 + r * n2];
+    }
+  }
+  kernel.pow2_many(*plan.sub, x, r, m, inverse);
+  kernel.mixed_odd(plan, x, 1, 1, inverse, nullptr);
+}
+
+/// Steps 2 and 3 of a lock-step column transform whose input is already
+/// digit-reversed: the r power-of-two blocks of m rows, then the odd pass
+/// (with the fused epilogue when `epilogue` is non-null).
+void mixed_cols_blocks(const MixedPlan& plan, std::complex<double>* data,
+                       std::size_t width, std::size_t stride, bool inverse,
+                       const fft_detail::ColsFusion* epilogue) {
+  const fft::FftKernel& kernel = fft::active_kernel();
+  for (std::size_t b = 0; b < plan.r; ++b) {
+    kernel.pow2_cols(*plan.sub, data + b * plan.m * stride, width, stride,
+                     inverse);
+  }
+  kernel.mixed_odd(plan, data, width, stride, inverse, epilogue);
+}
+
+/// Fused mixed-radix column pass: the ColsFusion input side (row flags,
+/// cotangent seed, seeded wns reduction) rides the digit-reversing copy
+/// from `fusion.src` into `dst`, and the output epilogue rides the odd
+/// pass's stores.
+void mixed_cols_fused(const MixedPlan& plan,
+                      const fft_detail::ColsFusion& fusion,
+                      std::complex<double>* dst, std::size_t width,
+                      std::size_t stride, bool inverse) {
+  const fft::FftKernel& kernel = fft::active_kernel();
+  const bool in_wns = fusion.seed && fusion.wns_out && !fusion.wns_weights;
+  double iwns = 0.0;
+  // Row n1*m + n2 of `dst` takes source row n1 + r*n2.
+  for (std::size_t p = 0; p < plan.n; ++p) {
+    const std::size_t j = p / plan.m + plan.r * (p % plan.m);
+    std::complex<double>* out = dst + p * stride;
+    if (fusion.row_nonzero != nullptr && !fusion.row_nonzero[j]) {
+      std::fill(out, out + width, std::complex<double>{0.0, 0.0});
+      continue;
+    }
+    const std::complex<double>* in = fusion.src + j * stride;
+    if (fusion.seed != nullptr) {
+      const double* seed = fusion.seed + j * width;
+      if (in_wns) iwns += kernel.weighted_norm_sum(seed, in, width);
+      kernel.seed_cotangent(out, seed, in, width, fusion.seed_scale);
+    } else {
+      std::copy(in, in + width, out);
+    }
+  }
+  mixed_cols_blocks(plan, dst, width, stride, inverse, &fusion);
+  if (in_wns) *fusion.wns_out = iwns;
+}
+// bismo-lint: no-alloc-end
+
 void transform_1d(std::complex<double>* x, std::size_t n, bool inverse) {
   if (n == 0) throw std::invalid_argument("fft: zero length");
-  if (n == 1) return;
-  if (is_power_of_two(n)) {
-    fft::active_kernel().pow2_many(*pow2_plan(n), x, 1, n, inverse);
-  } else {
-    const BluesteinPlan* plan = bluestein_plan(n);
-    std::vector<std::complex<double>> scratch(plan->m);
-    bluestein_run(*plan, x, inverse, scratch.data());
-  }
+  const Fft1dPlan plan(n);
+  std::vector<std::complex<double>> scratch(plan.scratch_size());
+  plan.transform(x, inverse, scratch.data());
 }
 
 }  // namespace
@@ -169,13 +305,16 @@ Fft1dPlan::Fft1dPlan(std::size_t n) : n_(n) {
   if (n == 1) return;
   if (is_power_of_two(n)) {
     pow2_ = pow2_plan(n);
+  } else if (odd_part(n) <= kMaxOddFactor) {
+    mixed_ = mixed_plan(n);
   } else {
     bluestein_ = bluestein_plan(n);
   }
 }
 
 std::size_t Fft1dPlan::scratch_size() const noexcept {
-  return bluestein_ != nullptr ? bluestein_->m : 0;
+  if (bluestein_ != nullptr) return bluestein_->m;
+  return mixed_ != nullptr ? n_ : 0;
 }
 
 void Fft1dPlan::transform(std::complex<double>* data, bool inverse,
@@ -183,6 +322,8 @@ void Fft1dPlan::transform(std::complex<double>* data, bool inverse,
   if (n_ <= 1) return;
   if (pow2_ != nullptr) {
     fft::active_kernel().pow2_many(*pow2_, data, 1, n_, inverse);
+  } else if (mixed_ != nullptr) {
+    mixed_row(*mixed_, data, inverse, scratch);
   } else {
     bluestein_run(*bluestein_, data, inverse, scratch);
   }
@@ -194,6 +335,11 @@ void Fft1dPlan::transform_many(std::complex<double>* data, std::size_t count,
   if (n_ <= 1 || count == 0) return;
   if (pow2_ != nullptr) {
     fft::active_kernel().pow2_many(*pow2_, data, count, stride, inverse);
+  } else if (mixed_ != nullptr) {
+    // Row by row, so each row stays in L1 across the three steps.
+    for (std::size_t r = 0; r < count; ++r) {
+      mixed_row(*mixed_, data + r * stride, inverse, scratch);
+    }
   } else {
     for (std::size_t r = 0; r < count; ++r) {
       bluestein_run(*bluestein_, data + r * stride, inverse, scratch);
@@ -205,23 +351,38 @@ void Fft1dPlan::transform_columns(std::complex<double>* data,
                                   std::size_t width, std::size_t stride,
                                   bool inverse) const {
   if (n_ <= 1 || width == 0) return;
-  if (pow2_ == nullptr) {
+  if (pow2_ != nullptr) {
+    fft::active_kernel().pow2_cols(*pow2_, data, width, stride, inverse);
+  } else if (mixed_ != nullptr) {
+    mixed_permute_rows(*mixed_, data, width, stride);
+    mixed_cols_blocks(*mixed_, data, width, stride, inverse, nullptr);
+  } else {
     throw std::logic_error(
-        "Fft1dPlan::transform_columns: power-of-two lengths only");
+        "Fft1dPlan::transform_columns: Bluestein lengths have no lock-step "
+        "column transform");
   }
-  fft::active_kernel().pow2_cols(*pow2_, data, width, stride, inverse);
+}
+
+bool Fft1dPlan::fused_columns() const noexcept {
+  return mixed_ != nullptr || (pow2_ != nullptr && n_ >= 8);
 }
 
 void Fft1dPlan::transform_columns_fused(const fft_detail::ColsFusion& fusion,
                                         std::complex<double>* dst,
                                         std::size_t width, std::size_t stride,
                                         bool inverse) const {
-  if (pow2_ == nullptr || n_ < 8) {
+  if (!fused_columns()) {
     throw std::logic_error(
-        "Fft1dPlan::transform_columns_fused: power-of-two lengths >= 8 only");
+        "Fft1dPlan::transform_columns_fused: mixed-radix lengths and "
+        "power-of-two lengths >= 8 only");
   }
-  fft::active_kernel().pow2_cols_fused(*pow2_, fusion, dst, width, stride,
-                                       inverse);
+  if (width == 0) return;
+  if (mixed_ != nullptr) {
+    mixed_cols_fused(*mixed_, fusion, dst, width, stride, inverse);
+  } else {
+    fft::active_kernel().pow2_cols_fused(*pow2_, fusion, dst, width, stride,
+                                         inverse);
+  }
 }
 
 Fft2dPlan::Fft2dPlan(std::size_t rows, std::size_t cols)
@@ -248,14 +409,14 @@ void Fft2dPlan::transform_cols(ComplexGrid& g, bool inverse,
                                std::complex<double>* scratch) const {
   const std::size_t r_count = rows();
   const std::size_t c_count = cols();
-  if (col_plan_.is_pow2()) {
+  if (col_plan_.lockstep_columns()) {
     // All columns in lock-step over whole rows: unit-stride butterflies
     // with broadcast twiddles, no gather/scatter.
     col_plan_.transform_columns(g.data(), c_count, c_count, inverse);
     return;
   }
-  // Bluestein fallback (non-power-of-two row count): per-column
-  // gather/scatter through the leading `rows()` scratch elements.
+  // Bluestein fallback: per-column gather/scatter through the leading
+  // `rows()` scratch elements.
   std::complex<double>* col = scratch;
   std::complex<double>* scratch_1d = scratch + r_count;
   for (std::size_t c = 0; c < c_count; ++c) {
@@ -266,7 +427,7 @@ void Fft2dPlan::transform_cols(ComplexGrid& g, bool inverse,
 }
 
 bool Fft2dPlan::fused_cols() const noexcept {
-  return rows() >= 8 && col_plan_.is_pow2();
+  return col_plan_.fused_columns();
 }
 
 void Fft2dPlan::transform_cols_fused(const fft_detail::ColsFusion& fusion,
@@ -276,14 +437,14 @@ void Fft2dPlan::transform_cols_fused(const fft_detail::ColsFusion& fusion,
   const std::size_t r_count = rows();
   const std::size_t c_count = cols();
   const std::size_t size = r_count * c_count;
-  if (fused_cols() && kernel.pow2_cols_fused != nullptr) {
+  if (fused_cols()) {
     col_plan_.transform_columns_fused(fusion, dst.data(), c_count, c_count,
                                       inverse);
     return;
   }
-  // Staged fallback (Bluestein row counts, tiny grids, or a kernel
-  // without the fused entry): materialize the gathered/seeded input into
-  // `dst`, run the staged column pass, then the epilogue per-stage ops.
+  // Staged fallback (Bluestein row counts and power-of-two counts below
+  // 8): materialize the gathered/seeded input into `dst`, run the staged
+  // column pass, then the epilogue per-stage ops.
   if (fusion.row_nonzero != nullptr) {
     for (std::size_t r = 0; r < r_count; ++r) {
       std::complex<double>* out_row = dst.data() + r * c_count;

@@ -12,13 +12,17 @@
 // which `fft2_adjoint` / `ifft2_adjoint` implement directly.
 //
 // Power-of-two sizes run an iterative radix-4 (plus one radix-2 stage for
-// odd log2) decimation-in-time transform; every other size falls back to
-// Bluestein's chirp-z algorithm, so any grid size is supported.  Butterfly
-// execution lives in the SIMD multi-backend kernel layer (fft/kernels/):
-// a scalar reference kernel plus an AVX2 kernel selected once at
-// startup by runtime CPU detection, overridable via the BISMO_FFT_BACKEND
-// environment variable or fft::set_backend.  A fixed backend is bitwise
-// deterministic; different backends agree to <= 1e-12 relative error.
+// odd log2) decimation-in-time transform.  Sizes r * 2^k with odd r <= 15
+// (12, 24, 80, 96, 120, ...) run a mixed-radix plan: a digit reversal, the
+// power-of-two kernels on the r sub-blocks, then one odd-factor pass.
+// Every other size (odd part above 15: primes >= 17, 34, 100, ...) falls
+// back to Bluestein's chirp-z algorithm, so any grid size is supported.
+// Butterfly execution lives in the SIMD multi-backend kernel layer
+// (fft/kernels/): a scalar reference kernel plus an AVX2 kernel selected
+// once at startup by runtime CPU detection, overridable via the
+// BISMO_FFT_BACKEND environment variable or fft::set_backend.  A fixed
+// backend is bitwise deterministic; different backends agree to <= 1e-12
+// relative error.
 //
 // All entry points are thread-safe (the plan cache is shared_mutex-guarded:
 // lookups of existing plans take a shared lock, first-time plan construction
@@ -31,10 +35,10 @@
 // (Bluestein scratch is caller-provided).  `Fft2dPlan` executes all row
 // transforms of a pass in one batched kernel call (`transform_rows`) and
 // runs the column pass with all columns in lock-step over whole rows
-// (any power-of-two row count; no per-column gather/scatter, no
-// transpose).  `sim::SimWorkspace` holds one `Fft2dPlan` plus scratch per
-// worker slot, which is how the imaging engines keep their steady-state
-// loops allocation- and lock-free.
+// (any power-of-two or mixed-radix row count; no per-column
+// gather/scatter, no transpose).  `sim::SimWorkspace` holds one
+// `Fft2dPlan` plus scratch per worker slot, which is how the imaging
+// engines keep their steady-state loops allocation- and lock-free.
 #ifndef BISMO_FFT_FFT_HPP
 #define BISMO_FFT_FFT_HPP
 
@@ -48,6 +52,7 @@ namespace bismo {
 
 namespace fft_detail {
 struct Pow2Plan;
+struct MixedPlan;
 struct BluesteinPlan;
 struct ColsFusion;
 }  // namespace fft_detail
@@ -69,7 +74,8 @@ class Fft1dPlan {
   std::size_t length() const noexcept { return n_; }
 
   /// Scratch elements `transform` needs: 0 for power-of-two lengths, the
-  /// padded Bluestein length otherwise.
+  /// length itself for mixed-radix ones (the digit reversal's copy), the
+  /// padded length for Bluestein ones.
   std::size_t scratch_size() const noexcept;
 
   /// In-place transform of `data[0..length())`.  Forward is unnormalized;
@@ -81,26 +87,32 @@ class Fft1dPlan {
 
   /// In-place transforms of `count` rows of `length()` elements each,
   /// consecutive rows `stride` elements apart.  Power-of-two lengths run
-  /// in one batched kernel call; Bluestein lengths loop per row.
+  /// in one batched kernel call; other lengths loop per row.
   void transform_many(std::complex<double>* data, std::size_t count,
                       std::size_t stride, bool inverse,
                       std::complex<double>* scratch = nullptr) const;
 
-  /// True when the planned length is a power of two (the lock-step column
-  /// transform below is available).
-  bool is_pow2() const noexcept { return n_ <= 1 || pow2_ != nullptr; }
+  /// True when `transform_columns` is available: every length except the
+  /// Bluestein ones.
+  bool lockstep_columns() const noexcept { return bluestein_ == nullptr; }
 
   /// In-place transforms of `width` interleaved sequences ("columns"):
   /// element j of sequence c is `data[j * stride + c]`.  All columns run
   /// in lock-step over whole rows (no gather/scatter, no transpose).
-  /// Power-of-two lengths only (`is_pow2()`).
+  /// Requires `lockstep_columns()`.
   void transform_columns(std::complex<double>* data, std::size_t width,
                          std::size_t stride, bool inverse) const;
 
+  /// True when `transform_columns_fused` is available: mixed-radix
+  /// lengths and power-of-two lengths >= 8.
+  bool fused_columns() const noexcept;
+
   /// Fused out-of-place column transform (see fft_detail::ColsFusion):
-  /// reads `fusion.src` through the bit-reversal permutation inside the
-  /// first butterfly stage and applies the scale / weighted-norm epilogue
-  /// inside the last.  Power-of-two lengths >= 8 only (callers go through
+  /// reads `fusion.src` through the input permutation (inside the first
+  /// butterfly stage for power-of-two lengths, in the digit-reversing
+  /// copy for mixed-radix ones) and applies the scale / weighted-norm
+  /// epilogue inside the last stage or the odd pass.  Requires
+  /// `fused_columns()` (callers go through
   /// `Fft2dPlan::transform_cols_fused`, which falls back to the staged
   /// sequence for other shapes).
   void transform_columns_fused(const fft_detail::ColsFusion& fusion,
@@ -110,17 +122,18 @@ class Fft1dPlan {
  private:
   std::size_t n_ = 0;
   const fft_detail::Pow2Plan* pow2_ = nullptr;
+  const fft_detail::MixedPlan* mixed_ = nullptr;
   const fft_detail::BluesteinPlan* bluestein_ = nullptr;
 };
 
 /// Preplanned 2-D DFT for a fixed (rows x cols) grid shape.
 ///
 /// The scratch buffer layout is: `rows()` elements for the column
-/// gather/scatter fallback (non-power-of-two row counts only) followed by
-/// the worst-case 1-D scratch.  A single buffer of `scratch_size()`
-/// elements serves every method.  Power-of-two row counts never touch the
-/// gather area: their column pass runs all columns in lock-step over whole
-/// rows through the batched kernel layer.
+/// gather/scatter fallback (Bluestein row counts only) followed by the
+/// worst-case 1-D scratch.  A single buffer of `scratch_size()` elements
+/// serves every method.  Power-of-two and mixed-radix row counts never
+/// touch the gather area: their column pass runs all columns in lock-step
+/// over whole rows through the batched kernel layer.
 class Fft2dPlan {
  public:
   Fft2dPlan() = default;
@@ -159,17 +172,19 @@ class Fft2dPlan {
   void transform_cols(ComplexGrid& g, bool inverse,
                       std::complex<double>* scratch) const;
 
-  /// True when the fused column-pass kernels handle this shape (power-of-
-  /// two row count of at least 8).  `transform_cols_fused` works either
-  /// way; this only tells callers which path it will take.
+  /// True when the fused column pass handles this shape: a mixed-radix
+  /// row count, or a power-of-two one of at least 8.  `transform_cols_fused`
+  /// works either way; this tells callers which path it will take, and is
+  /// the one shape gate of the imaging pipeline (sim::ImagingPipeline,
+  /// sim::adjoint_uses_band_conv).
   bool fused_cols() const noexcept;
 
   /// Fused out-of-place column pass (see fft_detail::ColsFusion):
   /// `fusion.src` is a rows() x cols() grid (same stride as `dst`) read
-  /// through the bit-reversal permutation -- rows flagged zero are never
+  /// through the input permutation -- rows flagged zero are never
   /// touched, the optional cotangent seed is applied on the fly -- every
   /// column is transformed into `dst`, and the scale / weighted-norm
-  /// epilogue runs inside the final butterfly stage.  For shapes without
+  /// epilogue runs inside the final stage's stores.  For shapes without
   /// fused kernels (`!fused_cols()`) the equivalent staged sequence runs
   /// instead: materialize the input into `dst`, `transform_cols`, then
   /// the per-stage epilogue ops.  Either way the result matches the

@@ -666,6 +666,243 @@ void pow2_cols_fused(const Pow2Plan& plan,
   }
 }
 
+// ---- mixed-radix odd pass --------------------------------------------------
+//
+// The length-r DFT runs on 2 complex lanes (__m256d) in the vector body and
+// on 1 complex lane (__m128d) in the tails, through the same overloads, so
+// every lane gets the same arithmetic.  See the scalar kernel for the
+// reference semantics.
+
+inline __m256d vadd(__m256d a, __m256d b) { return _mm256_add_pd(a, b); }
+inline __m128d vadd(__m128d a, __m128d b) { return _mm_add_pd(a, b); }
+inline __m256d vsub(__m256d a, __m256d b) { return _mm256_sub_pd(a, b); }
+inline __m128d vsub(__m128d a, __m128d b) { return _mm_sub_pd(a, b); }
+
+/// c * a + b with a real scalar c broadcast over every slot.
+inline __m256d vfmadd(double c, __m256d a, __m256d b) {
+  return _mm256_fmadd_pd(_mm256_set1_pd(c), a, b);
+}
+inline __m128d vfmadd(double c, __m128d a, __m128d b) {
+  return _mm_fmadd_pd(_mm_set1_pd(c), a, b);
+}
+
+/// x * w (forward) or x * conj(w) (inverse), w one complex per lane.
+template <bool kInv>
+inline __m256d vtwiddle(__m256d x, __m256d w) {
+  return kInv ? cmul2_conj(x, w) : cmul2(x, w);
+}
+template <bool kInv>
+inline __m128d vtwiddle(__m128d x, __m128d w) {
+  const __m128d xr = _mm_movedup_pd(x);
+  const __m128d xi = _mm_permute_pd(x, 0x3);
+  const __m128d ws = _mm_permute_pd(w, 0x1);
+  return kInv ? _mm_fmsubadd_pd(xi, ws, _mm_mul_pd(xr, w))
+              : _mm_fmaddsub_pd(xr, w, _mm_mul_pd(xi, ws));
+}
+
+/// -i*b (forward) or +i*b (inverse): swap re/im, flip one sign.
+template <bool kInv>
+inline __m256d vrot(__m256d b) {
+  const __m256d mask = kInv ? neg_even_mask() : neg_odd_mask();
+  return _mm256_xor_pd(_mm256_permute_pd(b, 0x5), mask);
+}
+template <bool kInv>
+inline __m128d vrot(__m128d b) {
+  const __m128d mask = kInv ? _mm256_castpd256_pd128(neg_even_mask())
+                            : _mm256_castpd256_pd128(neg_odd_mask());
+  return _mm_xor_pd(_mm_permute_pd(b, 0x1), mask);
+}
+
+inline __m256d vload(const double* p, __m256d /*tag*/) {
+  return _mm256_loadu_pd(p);
+}
+inline __m128d vload(const double* p, __m128d /*tag*/) {
+  return _mm_loadu_pd(p);
+}
+inline void vstore(double* p, __m256d v) { _mm256_storeu_pd(p, v); }
+inline void vstore(double* p, __m128d v) { _mm_storeu_pd(p, v); }
+
+/// Length-R DFT of the twiddled lanes x[0..R) in place, in the paired
+/// form of fft_detail::MixedPlan.
+template <int R, bool kInv, typename V>
+inline void odd_dft(V* x, const double* cosr, const double* sinr) {
+  constexpr int kH = (R - 1) / 2;
+  V sum[kH];
+  V dif[kH];
+  V y0 = x[0];
+  for (int p = 1; p <= kH; ++p) {
+    sum[p - 1] = vadd(x[p], x[R - p]);
+    dif[p - 1] = vsub(x[p], x[R - p]);
+    y0 = vadd(y0, sum[p - 1]);
+  }
+  V y[R];
+  y[0] = y0;
+  for (int k = 1; k <= kH; ++k) {
+    V a = x[0];
+    V b{};
+    for (int p = 1; p <= kH; ++p) {
+      a = vfmadd(cosr[(p - 1) * kH + (k - 1)], sum[p - 1], a);
+      b = vfmadd(sinr[(p - 1) * kH + (k - 1)], dif[p - 1], b);
+    }
+    const V ib = vrot<kInv>(b);
+    y[k] = vadd(a, ib);
+    y[R - k] = vsub(a, ib);
+  }
+  for (int k = 0; k < R; ++k) x[k] = y[k];
+}
+
+/// Rows (width = stride = 1, no epilogue): the m points of a sub-block
+/// are the lanes, each with its own twiddle from plan.tw.
+template <int R, bool kInv, typename V>
+inline void odd_rows_at(const fft_detail::MixedPlan& plan, double* d,
+                        std::size_t k2) {
+  const std::size_t m = plan.m;
+  const auto* tw = reinterpret_cast<const double*>(plan.tw.data());
+  V x[R];
+  x[0] = vload(d + 2 * k2, V{});
+  for (int n1 = 1; n1 < R; ++n1) {
+    const std::size_t at = 2 * (n1 * m + k2);
+    x[n1] = vtwiddle<kInv>(vload(d + at, V{}), vload(tw + at, V{}));
+  }
+  odd_dft<R, kInv>(x, plan.cosr.data(), plan.sinr.data());
+  for (int k1 = 0; k1 < R; ++k1) vstore(d + 2 * (k1 * m + k2), x[k1]);
+}
+
+template <int R, bool kInv>
+void odd_rows(const fft_detail::MixedPlan& plan, double* d) {
+  std::size_t k2 = 0;
+  for (; k2 + 2 <= plan.m; k2 += 2) odd_rows_at<R, kInv, __m256d>(plan, d, k2);
+  for (; k2 < plan.m; ++k2) odd_rows_at<R, kInv, __m128d>(plan, d, k2);
+}
+
+/// Epilogue of one 1-complex tail store (already scaled): the scalar
+/// counterpart of fused_epilogue2.
+template <int kMode>
+inline void odd_epilogue1(__m128d y, double* acc, const double* wns_w,
+                          double w, double* twns) {
+  if (kMode == 0) return;
+  const __m128d p = _mm_mul_pd(y, y);
+  const double norm = _mm_cvtsd_f64(_mm_hadd_pd(p, p));
+  if (kMode == 1) {
+    *acc += w * norm;
+  } else {
+    *twns += *wns_w * norm;
+  }
+}
+
+/// Columns: whole grid rows are the lanes; the twiddle of (n1, k2) is
+/// broadcast along the row.  kMode as in fused_stage_last (0 none, 1
+/// norm_acc, 2 wns_weights); kEpi applies the scale.
+template <int R, bool kInv, bool kEpi, int kMode>
+void odd_cols(const fft_detail::MixedPlan& plan, double* d,
+              std::size_t width, std::size_t stride,
+              const fft_detail::ColsFusion* f) {
+  const std::size_t m = plan.m;
+  const std::size_t dwidth = 2 * width;
+  const double s = kEpi ? f->scale : 1.0;
+  const __m256d vs = _mm256_set1_pd(s);
+  const __m128d vs1 = _mm_set1_pd(s);
+  const double w = kMode == 1 ? f->norm_weight : 0.0;
+  const __m128d vw = _mm_set1_pd(w);
+  __m128d vwns = _mm_setzero_pd();
+  double twns = 0.0;
+  for (std::size_t k2 = 0; k2 < m; ++k2) {
+    double* row[R];
+    __m256d tw2[R];
+    __m128d tw1[R];
+    for (int n1 = 0; n1 < R; ++n1) {
+      row[n1] = d + 2 * (n1 * m + k2) * stride;
+      const std::complex<double> t = plan.tw[n1 * m + k2];
+      tw2[n1] = _mm256_setr_pd(t.real(), t.imag(), t.real(), t.imag());
+      tw1[n1] = _mm_setr_pd(t.real(), t.imag());
+    }
+    std::size_t c = 0;
+    for (; c + 4 <= dwidth; c += 4) {
+      __m256d x[R];
+      x[0] = _mm256_loadu_pd(row[0] + c);
+      for (int n1 = 1; n1 < R; ++n1) {
+        x[n1] = vtwiddle<kInv>(_mm256_loadu_pd(row[n1] + c), tw2[n1]);
+      }
+      odd_dft<R, kInv>(x, plan.cosr.data(), plan.sinr.data());
+      for (int k1 = 0; k1 < R; ++k1) {
+        const __m256d y = kEpi ? _mm256_mul_pd(x[k1], vs) : x[k1];
+        _mm256_storeu_pd(row[k1] + c, y);
+        const std::size_t at = (k1 * m + k2) * width;
+        fused_epilogue2<kMode>(y, kMode == 1 ? f->norm_acc + at : nullptr,
+                               kMode == 2 ? f->wns_weights + at : nullptr, c,
+                               vw, &vwns);
+      }
+    }
+    for (; c < dwidth; c += 2) {
+      __m128d x[R];
+      x[0] = _mm_loadu_pd(row[0] + c);
+      for (int n1 = 1; n1 < R; ++n1) {
+        x[n1] = vtwiddle<kInv>(_mm_loadu_pd(row[n1] + c), tw1[n1]);
+      }
+      odd_dft<R, kInv>(x, plan.cosr.data(), plan.sinr.data());
+      for (int k1 = 0; k1 < R; ++k1) {
+        const __m128d y = kEpi ? _mm_mul_pd(x[k1], vs1) : x[k1];
+        _mm_storeu_pd(row[k1] + c, y);
+        const std::size_t at = (k1 * m + k2) * width + c / 2;
+        odd_epilogue1<kMode>(y, kMode == 1 ? f->norm_acc + at : nullptr,
+                             kMode == 2 ? f->wns_weights + at : nullptr, w,
+                             &twns);
+      }
+    }
+  }
+  if (kMode == 2) {
+    alignas(16) double lanes[2];
+    _mm_store_pd(lanes, vwns);
+    *f->wns_out = (lanes[0] + lanes[1]) + twns;
+  }
+}
+
+template <int R, bool kInv>
+void mixed_odd_r(const fft_detail::MixedPlan& plan, double* d,
+                 std::size_t width, std::size_t stride,
+                 const fft_detail::ColsFusion* f) {
+  if (f == nullptr) {
+    if (width == 1 && stride == 1) {
+      odd_rows<R, kInv>(plan, d);
+    } else {
+      odd_cols<R, kInv, false, 0>(plan, d, width, stride, f);
+    }
+  } else if (f->norm_acc != nullptr) {
+    odd_cols<R, kInv, true, 1>(plan, d, width, stride, f);
+  } else if (f->wns_weights != nullptr && f->wns_out != nullptr) {
+    odd_cols<R, kInv, true, 2>(plan, d, width, stride, f);
+  } else {
+    odd_cols<R, kInv, true, 0>(plan, d, width, stride, f);
+  }
+}
+
+template <bool kInv>
+void mixed_odd_dispatch(const fft_detail::MixedPlan& plan, double* d,
+                        std::size_t width, std::size_t stride,
+                        const fft_detail::ColsFusion* f) {
+  switch (plan.r) {
+    case 3: return mixed_odd_r<3, kInv>(plan, d, width, stride, f);
+    case 5: return mixed_odd_r<5, kInv>(plan, d, width, stride, f);
+    case 7: return mixed_odd_r<7, kInv>(plan, d, width, stride, f);
+    case 9: return mixed_odd_r<9, kInv>(plan, d, width, stride, f);
+    case 11: return mixed_odd_r<11, kInv>(plan, d, width, stride, f);
+    case 13: return mixed_odd_r<13, kInv>(plan, d, width, stride, f);
+    default: return mixed_odd_r<15, kInv>(plan, d, width, stride, f);  // 15
+  }
+}
+
+void mixed_odd(const fft_detail::MixedPlan& plan, std::complex<double>* data,
+               std::size_t width, std::size_t stride, bool inverse,
+               const fft_detail::ColsFusion* epilogue) {
+  if (width == 0) return;
+  auto* d = reinterpret_cast<double*>(data);
+  if (inverse) {
+    mixed_odd_dispatch<true>(plan, d, width, stride, epilogue);
+  } else {
+    mixed_odd_dispatch<false>(plan, d, width, stride, epilogue);
+  }
+}
+
 // ---- elementwise hot loops -------------------------------------------------
 
 void scale(std::complex<double>* x, std::size_t n, double s) {
@@ -939,6 +1176,7 @@ const FftKernel* avx2_kernel() {
     k.pow2_many = pow2_many;
     k.pow2_cols = pow2_cols;
     k.pow2_cols_fused = pow2_cols_fused;
+    k.mixed_odd = mixed_odd;
     k.scale = scale;
     k.cmul = cmul;
     k.cmul_inplace = cmul_inplace;

@@ -1,8 +1,9 @@
 // The SIMD multi-backend FFT kernel layer.
 //
-// Everything below the `Fft1dPlan`/`Fft2dPlan` planning API -- butterfly
-// execution, twiddle multiplication, and the per-pixel elementwise loops
-// that sit next to the transforms in the imaging engines -- runs through an
+// Everything below the `Fft1dPlan`/`Fft2dPlan` planning API -- the
+// power-of-two butterflies, the odd-factor pass of mixed-radix lengths,
+// twiddle multiplication, and the per-pixel elementwise loops that sit
+// next to the transforms in the imaging engines -- runs through an
 // `FftKernel`: a table of function pointers with one implementation per
 // instruction set.  The scalar kernel is the portable reference; the AVX2
 // kernel (x86-64, selected when the CPU reports AVX2+FMA) executes the same
@@ -68,7 +69,8 @@ struct FftKernel {
   /// elementwise stages costs one read and one write of the grid instead
   /// of one per stage.  Precondition: `plan.n >= 8` (first and last
   /// stages are distinct); `Fft2dPlan::transform_cols_fused` runs the
-  /// equivalent staged sequence for smaller or non-pow2 shapes.
+  /// mixed-radix pass for lengths r * 2^k and the equivalent staged
+  /// sequence for Bluestein and sub-8 power-of-two shapes.
   /// Arithmetic is per-element identical to the staged sequence (gather,
   /// pow2_cols, scale, accumulate_norm / weighted_norm_sum), except that
   /// rows flagged zero produce literal +0.0 where the staged path may
@@ -77,6 +79,23 @@ struct FftKernel {
                           const fft_detail::ColsFusion& fusion,
                           std::complex<double>* dst, std::size_t width,
                           std::size_t stride, bool inverse) = nullptr;
+
+  /// Odd-factor pass of a mixed-radix transform (fft_detail::MixedPlan,
+  /// step 3), in place over `width` interleaved lanes: point p of lane c
+  /// is `data[p * stride + c]`.  On entry point n1*m + k2 holds the
+  /// sub-transform value Z_{n1}[k2]; for every (k2, lane) the pass
+  /// multiplies Z_{n1}[k2] by W_n^{n1*k2} (conjugated for `inverse`), takes
+  /// the length-r DFT over n1, and stores output k1 at point k1*m + k2,
+  /// which is natural order.  Rows pass `width = stride = 1` and vector
+  /// backends then use the m points of a sub-block as lanes; the lock-step
+  /// column pass uses whole grid rows as lanes.  A non-null `epilogue`
+  /// applies the fused column pass's output epilogue (ColsFusion `scale`,
+  /// then `norm_acc` or `wns_weights`/`wns_out`, real arrays indexed
+  /// p * width + c) to every store; its input-side fields are ignored.
+  void (*mixed_odd)(const fft_detail::MixedPlan& plan,
+                    std::complex<double>* data, std::size_t width,
+                    std::size_t stride, bool inverse,
+                    const fft_detail::ColsFusion* epilogue) = nullptr;
 
   /// x[i] *= s.
   void (*scale)(std::complex<double>* x, std::size_t n, double s) = nullptr;

@@ -7,6 +7,11 @@
 // consecutive radix-2 stages, the input permutation stays the plain base-2
 // bit reversal.
 //
+// A length n = r * 2^k with odd r <= 15 is a mixed-radix plan: one
+// odd-factor pass over r power-of-two sub-transforms that run through the
+// power-of-two kernels unchanged.  Every other length is a Bluestein plan
+// (a chirp convolution through a padded power-of-two transform).
+//
 // Twiddles are stored per stage in structure-of-arrays layout (w1/w2/w3,
 // indexed by the butterfly offset k) so vector kernels load them with
 // contiguous unit-stride reads instead of the strided `tw[k * step]` walk
@@ -50,7 +55,10 @@ struct Pow2Plan {
 /// out-of-place lock-step column transform whose input permutation,
 /// optional cotangent seeding, and output epilogue are folded into the
 /// first and last butterfly stages, so the pass touches each grid exactly
-/// once instead of round-tripping through memory between stages.
+/// once instead of round-tripping through memory between stages.  A
+/// mixed-radix column pass (Fft1dPlan::transform_columns_fused) folds the
+/// same input side into its digit-reversing copy and the same epilogue
+/// into the odd pass's stores (FftKernel::mixed_odd).
 ///
 /// Input (folded into the first stage, which reads `src` rows through the
 /// bit-reversal permutation and writes `dst`):
@@ -95,6 +103,35 @@ struct ColsFusion {
   double norm_weight = 0.0;
   const double* wns_weights = nullptr;
   double* wns_out = nullptr;
+};
+
+/// Mixed-radix plan for n = r * m with odd r in [3, 15] and m = 2^k
+/// (m may be 1), decimated in time over the odd factor.  With input index
+/// n1 + r*n2 and output index k1*m + k2 (n1, k1 < r; n2, k2 < m):
+///   X[k1*m + k2] = sum_{n1} W_r^{n1*k1} W_n^{n1*k2} Z_{n1}[k2],
+///   Z_{n1}[k2]   = sum_{n2} W_m^{n2*k2} x[n1 + r*n2].
+/// A transform runs in three steps:
+///   1. the digit reversal moves input n1 + r*n2 to position n1*m + n2
+///      (in place over grid rows as the swap sequence `swaps`), so each
+///      Z_{n1}'s input is a contiguous sub-block of length m;
+///   2. the power-of-two kernels transform the r sub-blocks (`sub`);
+///   3. the odd pass (FftKernel::mixed_odd) multiplies Z_{n1}[k2] by the
+///      twiddle `tw[n1*m + k2]` = W_n^{n1*k2} and takes the length-r DFT
+///      over n1, storing X in natural order in place.
+/// The length-r DFT pairs inputs p and r-p: with s_p = t_p + t_{r-p},
+/// d_p = t_p - t_{r-p} and h = (r-1)/2, output k in [1, h] is
+///   a_k = t_0 + sum_p cos_pk * s_p,  b_k = sum_p sin_pk * d_p,
+///   X_k = a_k - i*b_k,  X_{r-k} = a_k + i*b_k   (forward; inverse flips i),
+/// with `cosr[(p-1)*h + (k-1)]` = cos(2*pi*p*k/r) and `sinr` likewise.
+struct MixedPlan {
+  std::size_t n = 0;
+  std::size_t r = 0;
+  std::size_t m = 0;
+  const Pow2Plan* sub = nullptr;  // length m
+  std::vector<std::complex<double>> tw;  // length n, forward sign
+  std::vector<double> cosr;              // h * h
+  std::vector<double> sinr;              // h * h
+  std::vector<std::uint32_t> swaps;      // (a, b) pairs, step 1 in place
 };
 
 /// Bluestein (chirp-z) data for arbitrary length n: chirp[j] =

@@ -430,6 +430,105 @@ void pow2_cols_fused(const Pow2Plan& plan,
   if (fusion.wns_out) *fusion.wns_out = in_wns ? iwns : wns;
 }
 
+// ---- Mixed-radix odd pass ---------------------------------------------
+
+// Length-r DFT in the paired form of fft_detail::MixedPlan: (xr, xi) hold
+// the twiddled inputs t_0..t_{r-1}; the outputs are written to (yr, yi).
+// cs = -1 for the inverse transform flips the sign of i.
+void odd_dft(const fft_detail::MixedPlan& plan, const double* xr,
+             const double* xi, double* yr, double* yi, double cs) {
+  const std::size_t r = plan.r;
+  const std::size_t h = (r - 1) / 2;
+  double sr[7], si[7], dr[7], di[7];
+  double y0r = xr[0];
+  double y0i = xi[0];
+  for (std::size_t p = 1; p <= h; ++p) {
+    sr[p - 1] = xr[p] + xr[r - p];
+    si[p - 1] = xi[p] + xi[r - p];
+    dr[p - 1] = xr[p] - xr[r - p];
+    di[p - 1] = xi[p] - xi[r - p];
+    y0r += sr[p - 1];
+    y0i += si[p - 1];
+  }
+  yr[0] = y0r;
+  yi[0] = y0i;
+  for (std::size_t k = 1; k <= h; ++k) {
+    double ar = xr[0], ai = xi[0], br = 0.0, bi = 0.0;
+    for (std::size_t p = 1; p <= h; ++p) {
+      const double c = plan.cosr[(p - 1) * h + (k - 1)];
+      const double sn = plan.sinr[(p - 1) * h + (k - 1)];
+      ar += c * sr[p - 1];
+      ai += c * si[p - 1];
+      br += sn * dr[p - 1];
+      bi += sn * di[p - 1];
+    }
+    // -i*b forward, +i*b inverse.
+    const double ibr = cs * bi;
+    const double ibi = -cs * br;
+    yr[k] = ar + ibr;
+    yi[k] = ai + ibi;
+    yr[r - k] = ar - ibr;
+    yi[r - k] = ai - ibi;
+  }
+}
+
+void mixed_odd(const fft_detail::MixedPlan& plan, std::complex<double>* data,
+               std::size_t width, std::size_t stride, bool inverse,
+               const fft_detail::ColsFusion* epilogue) {
+  const std::size_t r = plan.r;
+  const std::size_t m = plan.m;
+  const double cs = inverse ? -1.0 : 1.0;
+  auto* d = reinterpret_cast<double*>(data);
+  const double s = epilogue != nullptr ? epilogue->scale : 1.0;
+  double* acc = epilogue != nullptr ? epilogue->norm_acc : nullptr;
+  const double* wns_w =
+      epilogue != nullptr && acc == nullptr && epilogue->wns_out != nullptr
+          ? epilogue->wns_weights
+          : nullptr;
+  double wns = 0.0;
+  double xr[15], xi[15], yr[15], yi[15];
+  for (std::size_t k2 = 0; k2 < m; ++k2) {
+    for (std::size_t c = 0; c < width; ++c) {
+      for (std::size_t n1 = 0; n1 < r; ++n1) {
+        const std::size_t at = 2 * ((n1 * m + k2) * stride + c);
+        const double vr = d[at];
+        const double vi = d[at + 1];
+        if (n1 == 0) {
+          xr[0] = vr;
+          xi[0] = vi;
+          continue;
+        }
+        const std::complex<double> w = plan.tw[n1 * m + k2];
+        const double wr = w.real();
+        const double wi = cs * w.imag();
+        xr[n1] = vr * wr - vi * wi;
+        xi[n1] = vr * wi + vi * wr;
+      }
+      odd_dft(plan, xr, xi, yr, yi, cs);
+      for (std::size_t k1 = 0; k1 < r; ++k1) {
+        const std::size_t p = k1 * m + k2;
+        const std::size_t at = 2 * (p * stride + c);
+        if (epilogue == nullptr) {
+          d[at] = yr[k1];
+          d[at + 1] = yi[k1];
+          continue;
+        }
+        const double vr = yr[k1] * s;
+        const double vi = yi[k1] * s;
+        d[at] = vr;
+        d[at + 1] = vi;
+        if (acc != nullptr) {
+          acc[p * width + c] +=
+              epilogue->norm_weight * (vr * vr + vi * vi);
+        } else if (wns_w != nullptr) {
+          wns += wns_w[p * width + c] * (vr * vr + vi * vi);
+        }
+      }
+    }
+  }
+  if (wns_w != nullptr) *epilogue->wns_out = wns;
+}
+
 void scale(std::complex<double>* x, std::size_t n, double s) {
   auto* d = reinterpret_cast<double*>(x);
   for (std::size_t i = 0; i < 2 * n; ++i) d[i] *= s;
@@ -561,6 +660,7 @@ const FftKernel& scalar_kernel() {
     k.pow2_many = pow2_many;
     k.pow2_cols = pow2_cols;
     k.pow2_cols_fused = pow2_cols_fused;
+    k.mixed_odd = mixed_odd;
     k.scale = scale;
     k.cmul = cmul;
     k.cmul_inplace = cmul_inplace;

@@ -40,10 +40,10 @@ TilePlan TilePlan::make(double layout_nm, std::size_t full_dim,
   // sides, capped at the full grid.  Sharing one side across all tiles
   // (even for non-square cores of an R != C grid) is what keeps every tile
   // job the same shape.
-  // Note on FFT cost: non-power-of-two windows run on the Bluestein path
-  // (several times a radix-2 transform of similar length), so per-tile
-  // throughput is best when core + 2*halo_px lands on a power of two;
-  // correctness does not depend on it.
+  // Note on FFT cost: windows whose side is not r * 2^k with odd r <= 15
+  // run on the Bluestein path (several times a radix-2 transform of
+  // similar length), so per-tile throughput is best when core + 2*halo_px
+  // has that form; correctness does not depend on it.
   plan.tile_dim_ =
       std::min(full_dim, std::max(core_h, core_w) + 2 * plan.halo_px_);
 

@@ -30,8 +30,7 @@ void ImagingPipeline::build(std::size_t dim) {
   dim_ = dim;
   plan_ = Fft2dPlan(dim, dim);
   built_mode_ = fusion_enabled();
-  fused_ = built_mode_ && plan_.fused_cols() &&
-           fft::active_kernel().pow2_cols_fused != nullptr;
+  fused_ = built_mode_ && plan_.fused_cols();
 }
 
 bool ImagingPipeline::stale() const noexcept {

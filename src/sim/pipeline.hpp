@@ -12,10 +12,15 @@
 //     bit-reversal gather, the optional cotangent seed, the 1/N scale and
 //     the per-scenario weighted-norm epilogues all fold into the first and
 //     last butterfly stages, so the column pass touches each grid once;
+//   * mixed-radix grids (side r * 2^k, odd r <= 15, e.g. 96) fold the same
+//     gather and seed into the digit-reversing copy and the same
+//     epilogues into the odd-factor pass (`Fft2dPlan::transform_cols_fused`);
 //   * the row-sparsity pattern of the pass-band (tracked as per-row flags)
 //     lets the fused gather skip rows that are exactly zero;
-//   * Bluestein and sub-8 shapes fall back to the equivalent staged
-//     sequence inside the same entry points, so callers never branch.
+//   * Bluestein shapes (odd part above 15) and power-of-two shapes below 8
+//     fall back to the equivalent staged sequence inside the same entry
+//     points, so callers never branch.  `Fft2dPlan::fused_cols()` is the
+//     one gate that decides which.
 //
 // The per-stage ops remain as the staged reference the fused chains are
 // verified against (tests/test_fused_pipeline.cpp), and the legacy staged
@@ -75,7 +80,7 @@ class ImagingPipeline {
   const Fft2dPlan& plan() const noexcept { return plan_; }
 
   /// True when the fused chains were selected at build time (mode on and
-  /// the shape has fused kernels).
+  /// `plan().fused_cols()`).
   bool fused() const noexcept { return fused_; }
 
   /// True when the process fusion mode changed since `build` (the owning

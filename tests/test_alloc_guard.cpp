@@ -1,7 +1,8 @@
 // core::AllocGuard tests: the runtime cross-check of the static no-alloc
 // lint regions.  The guarded hot paths -- the fused/staged pipeline
-// forward+adjoint at 64x64, the JobQueue MPMC push/pop fast path -- must
-// execute with zero heap allocations once warmed up, a warmed
+// forward+adjoint at 64x64 (power of two) and 96x96 (mixed radix), the
+// JobQueue MPMC push/pop fast path -- must execute with zero heap
+// allocations once warmed up, a warmed
 // band-convolution adjoint_pass (one seed or two) must allocate the same
 // for 2 items as for every source point, a warmed exact source HVP and a
 // warmed InverseHvp solve (Neumann or CG) must allocate nothing, and a
@@ -124,18 +125,18 @@ TEST(AllocGuardJobQueue, PushPopFastPathIsAllocationFree) {
 
 // ---- Fused pipeline ---------------------------------------------------------
 
-/// A dense low band over the first 8 rows of a 64x64 spectrum: sorted
+/// A dense low band over the first 8 rows of a dim x dim spectrum: sorted
 /// row-major bins plus the matching occupied-row list, the shape the Abbe
 /// engine feeds the pipeline.
 struct TestBand {
   std::vector<std::uint32_t> bins;
   std::vector<std::uint32_t> rows;
 
-  TestBand() {
+  explicit TestBand(std::uint32_t dim) {
     for (std::uint32_t row = 0; row < 8; ++row) {
       rows.push_back(row);
-      for (std::uint32_t col = 0; col < 64; ++col) {
-        bins.push_back(row * 64 + col);
+      for (std::uint32_t col = 0; col < dim; ++col) {
+        bins.push_back(row * dim + col);
       }
     }
   }
@@ -146,21 +147,22 @@ struct TestBand {
   }
 };
 
-TEST(AllocGuardPipeline, ForwardAndAdjointAt64AreAllocationFree) {
-  if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
+/// Warmed forward + adjoint chains at dim x dim allocate nothing, in the
+/// fused and the staged mode.
+void expect_pipeline_allocation_free(std::size_t dim) {
   const bool initial_mode = sim::fusion_enabled();
   Rng rng(17);
-  const ComplexGrid o = testing::random_complex_grid(rng, 64, 64);
-  RealGrid dldi(64, 64, 0.0);
+  const ComplexGrid o = testing::random_complex_grid(rng, dim, dim);
+  RealGrid dldi(dim, dim, 0.0);
   for (auto& v : dldi) v = rng.uniform(-1.0, 1.0);
-  const TestBand band;
+  const TestBand band(static_cast<std::uint32_t>(dim));
 
   for (const bool fused : {true, false}) {
     sim::set_fusion_enabled(fused);
     sim::SimWorkspace ws;
-    ws.ensure(64);
-    ComplexGrid go(64, 64);
-    RealGrid acc(64, 64, 0.0);
+    ws.ensure(dim);
+    ComplexGrid go(dim, dim);
+    RealGrid acc(dim, dim, 0.0);
 
     // Warm-up pass sizes every buffer and exercises both directions.
     ws.forward_field(o, band.ref(), &acc, 0.5, nullptr);
@@ -173,9 +175,20 @@ TEST(AllocGuardPipeline, ForwardAndAdjointAt64AreAllocationFree) {
                                  go);
     }
     EXPECT_EQ(guard.allocations(), 0u)
-        << (fused ? "fused" : "staged") << " pipeline allocated";
+        << (fused ? "fused" : "staged") << " pipeline allocated at " << dim;
   }
   sim::set_fusion_enabled(initial_mode);
+}
+
+TEST(AllocGuardPipeline, ForwardAndAdjointAt64AreAllocationFree) {
+  if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
+  expect_pipeline_allocation_free(64);
+}
+
+TEST(AllocGuardPipeline, ForwardAndAdjointAt96AreAllocationFree) {
+  // 96 = 3 * 32: the mixed-radix plan, fused and staged.
+  if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
+  expect_pipeline_allocation_free(96);
 }
 
 TEST(AllocGuardPipeline, BandConvAdjointPassAllocationsDoNotGrowWithItems) {

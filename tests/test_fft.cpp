@@ -1,4 +1,4 @@
-// FFT engine validation: reference-DFT agreement (including non-power-of-two
+// FFT engine validation: reference-DFT agreement (including mixed-radix and
 // Bluestein sizes), round trips, Parseval, linearity, the shift theorem, and
 // the adjoint identities the manual gradients depend on.
 #include <gtest/gtest.h>
@@ -59,12 +59,15 @@ TEST_P(Fft1dAgainstNaive, RoundTripIsIdentity) {
   }
 }
 
-// Power-of-two sizes exercise radix-2; the rest exercise Bluestein,
-// including primes (7, 13, 31) and composites (6, 12, 20, 48).
+// Power-of-two sizes exercise radix-2/4.  Sizes r * 2^k with odd r <= 15
+// run the mixed-radix plan: every odd factor 3..15, alone (3, 5, 7, 13) or
+// over power-of-two blocks (6 ... 192).  Sizes whose odd part exceeds 15
+// run Bluestein: primes (17, 31) and composites (34, 100).
 INSTANTIATE_TEST_SUITE_P(Sizes, Fft1dAgainstNaive,
-                         ::testing::Values<std::size_t>(1, 2, 3, 4, 5, 6, 7, 8,
-                                                        12, 13, 16, 20, 31, 32,
-                                                        48, 64, 100, 128));
+                         ::testing::Values<std::size_t>(
+                             1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 16, 17, 20, 24,
+                             31, 32, 34, 36, 40, 44, 48, 64, 80, 96, 100, 104,
+                             112, 120, 128, 160, 192));
 
 TEST(Fft1d, DeltaTransformsToConstant) {
   std::vector<std::complex<double>> x(8, {0.0, 0.0});

@@ -1,7 +1,7 @@
 // FFT backend equivalence suite: every compiled kernel backend (scalar,
 // AVX2) must agree with the scalar reference to <= 1e-12 relative
-// error, satisfy the round-trip property across power-of-two, odd/prime
-// (Bluestein), and rectangular shapes, be run-to-run deterministic, and
+// error, satisfy the round-trip property across power-of-two, mixed-radix,
+// Bluestein, and rectangular shapes, be run-to-run deterministic, and
 // pass gradient checks end to end.  The elementwise kernel ops the imaging
 // engines use are validated against plain double references.
 #include <gtest/gtest.h>
@@ -54,13 +54,15 @@ double max_rel_diff(const ComplexGrid& a, const ComplexGrid& b) {
   return diff / scale;
 }
 
-/// Shapes covering radix-4 (even log2), radix-2+4 (odd log2), Bluestein
-/// (odd/prime), and rectangular mixes of all three.
+/// Shapes covering radix-4 (even log2), radix-2+4 (odd log2), mixed radix
+/// (r * 2^k, odd r <= 15), Bluestein (odd part above 15), and rectangular
+/// mixes of all of them.
 const std::vector<std::pair<std::size_t, std::size_t>>& test_shapes() {
   static const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
-      {4, 4},  {8, 8},   {16, 16}, {32, 32}, {64, 64}, {128, 128},
-      {7, 7},  {31, 31}, {12, 20}, {16, 12}, {5, 64},  {64, 5},
-      {2, 2},  {1, 1},   {8, 32},
+      {4, 4},   {8, 8},    {16, 16},  {32, 32},  {64, 64}, {128, 128},
+      {7, 7},   {31, 31},  {12, 20},  {16, 12},  {5, 64},  {64, 5},
+      {2, 2},   {1, 1},    {8, 32},   {96, 96},  {80, 160}, {192, 24},
+      {120, 40}, {34, 100},
   };
   return shapes;
 }
@@ -140,7 +142,7 @@ TEST(FftKernels, EveryBackendMatchesNaiveReference) {
     ASSERT_TRUE(guard.ok()) << name;
     for (const auto& [rows, cols] :
          {std::pair<std::size_t, std::size_t>{8, 8}, {4, 6}, {5, 7},
-          {16, 16}}) {
+          {16, 16}, {13, 28}, {36, 44}}) {
       Rng rng(2000 + 10 * rows + cols);
       const ComplexGrid g = random_complex_grid(rng, rows, cols);
       const ComplexGrid expect = testing::naive_dft2(g, false);
@@ -155,11 +157,45 @@ TEST(FftKernels, BackendsAreRunToRunDeterministic) {
   for (const std::string& name : fft::available_backends()) {
     BackendGuard guard(name);
     ASSERT_TRUE(guard.ok()) << name;
-    Rng rng(77);
-    const ComplexGrid g = random_complex_grid(rng, 64, 64);
-    const ComplexGrid first = fft2_copy(g);
-    const ComplexGrid second = fft2_copy(g);
-    EXPECT_EQ(first, second) << name;  // bitwise
+    for (const auto& [rows, cols] : test_shapes()) {
+      Rng rng(77 + rows + cols);
+      const ComplexGrid g = random_complex_grid(rng, rows, cols);
+      const ComplexGrid first = fft2_copy(g);
+      const ComplexGrid second = fft2_copy(g);
+      EXPECT_EQ(first, second) << name << " " << rows << "x" << cols;
+    }
+  }
+}
+
+TEST(FftKernels, MixedRadixMatchesNaiveWithin1e12) {
+  // Every odd factor 3..15, alone and over power-of-two blocks, on every
+  // backend, relative to the largest reference bin.
+  for (const std::string& name : fft::available_backends()) {
+    BackendGuard guard(name);
+    ASSERT_TRUE(guard.ok()) << name;
+    for (const std::size_t n : {3u, 7u, 13u, 24u, 36u, 44u, 80u, 96u, 104u,
+                                112u, 120u, 192u}) {
+      Rng rng(4000 + n);
+      std::vector<std::complex<double>> x(n);
+      for (auto& v : x) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      for (const bool inverse : {false, true}) {
+        const auto expect = testing::naive_dft(x, inverse);
+        auto got = x;
+        if (inverse) {
+          ifft_1d(got);
+        } else {
+          fft_1d(got);
+        }
+        double scale = 0.0;
+        double diff = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          scale = std::max(scale, std::abs(expect[i]));
+          diff = std::max(diff, std::abs(got[i] - expect[i]));
+        }
+        EXPECT_LE(diff / scale, 1e-12)
+            << name << " n=" << n << " inverse=" << inverse;
+      }
+    }
   }
 }
 

@@ -5,7 +5,8 @@
 //     in one kernel chain) agrees with the staged per-stage sequence to
 //     <= 1e-12 on every available backend, across square, rectangular,
 //     seeded-adjoint, and row-sparse configurations;
-//   * non-power-of-two (Bluestein) and sub-8 shapes take the exact staged
+//   * mixed-radix shapes (r * 2^k, odd r <= 15) run the fused mixed pass,
+//     and Bluestein and sub-8 power-of-two shapes take the exact staged
 //     fallback inside the same entry point (bitwise equal to the staged
 //     sequence);
 //   * the full engine stack with fusion on/off agrees to <= 1e-12,
@@ -32,6 +33,7 @@
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sim/imaging_model.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/workspace.hpp"
 #include "test_util.hpp"
@@ -134,7 +136,8 @@ TEST(FusedColsPass, MatchesStagedAcrossBackendsAndShapes) {
   GlobalModeGuard guard;
   const struct {
     std::size_t rows, cols;
-  } shapes[] = {{8, 8}, {16, 8}, {32, 16}, {64, 64}};
+  } shapes[] = {{8, 8},   {16, 8},  {32, 16}, {64, 64},
+                {24, 24}, {48, 16}, {96, 96}, {24, 5}};
 
   for (const std::string& backend : fft::available_backends()) {
     ASSERT_TRUE(fft::set_backend(backend));
@@ -184,7 +187,7 @@ TEST(FusedColsPass, SeededAdjointAndWnsMatchStagedAcrossBackends) {
   GlobalModeGuard guard;
   for (const std::string& backend : fft::available_backends()) {
     ASSERT_TRUE(fft::set_backend(backend));
-    for (std::size_t n : {8u, 16u, 64u}) {
+    for (std::size_t n : {8u, 16u, 64u, 24u, 48u, 96u}) {
       Rng rng(23 + n);
       const ComplexGrid field = random_complex_grid(rng, n, n);
       const RealGrid dldi = random_real_grid(rng, n, n);
@@ -231,10 +234,22 @@ TEST(FusedColsPass, SeededAdjointAndWnsMatchStagedAcrossBackends) {
   }
 }
 
+TEST(FusedColsPass, FusedColsGateCoversMixedRadixShapes) {
+  // Mixed-radix row counts take the fused pass; Bluestein ones (odd part
+  // above 15) and power-of-two ones below 8 do not.
+  for (const std::size_t rows : {24u, 80u, 96u, 8u, 64u}) {
+    EXPECT_TRUE(Fft2dPlan(rows, 16).fused_cols()) << rows;
+  }
+  for (const std::size_t rows : {34u, 100u, 4u}) {
+    EXPECT_FALSE(Fft2dPlan(rows, 16).fused_cols()) << rows;
+  }
+}
+
 TEST(FusedColsPass, BluesteinAndTinyShapesTakeExactStagedFallback) {
-  // Shapes without fused kernels (non-pow2 rows, rows < 8) run the staged
-  // sequence inside transform_cols_fused -- bitwise, not approximately.
-  for (std::size_t rows : {4u, 12u, 48u}) {
+  // Shapes without a fused pass (Bluestein rows, power-of-two rows < 8)
+  // run the staged sequence inside transform_cols_fused -- bitwise, not
+  // approximately.
+  for (std::size_t rows : {4u, 34u, 50u}) {
     Rng rng(31 + rows);
     const std::size_t cols = 16;
     const ComplexGrid src = random_complex_grid(rng, rows, cols);
@@ -320,12 +335,15 @@ TEST(FusedPipeline, WorkspaceRebuildsWhenModeToggles) {
   EXPECT_FALSE(ws.pipeline().stale());
 }
 
-TEST(FusedPipeline, AerialAndGradientAgreeAcrossModes) {
+/// Aerial, loss and gradients of a dim x dim Abbe engine agree between
+/// the fused and the staged mode (1e-12 on aerial and loss, 1e-10 on the
+/// gradients).
+void expect_modes_agree(std::size_t dim, std::uint64_t seed) {
   GlobalModeGuard guard;
-  const OpticsConfig optics = small_optics();
+  const OpticsConfig optics = small_optics(dim);
   const SourceGeometry geometry(7, optics);
-  const RealGrid target = cross_target(64);
-  Rng rng(51);
+  const RealGrid target = cross_target(dim);
+  Rng rng(seed);
   RealGrid theta_m = init_mask_params(target, {});
   for (auto& v : theta_m) v += rng.uniform(-0.3, 0.3);
   RealGrid theta_j =
@@ -352,24 +370,30 @@ TEST(FusedPipeline, AerialAndGradientAgreeAcrossModes) {
                                                   GradRequest{});
   }
 
-  EXPECT_LE(max_diff(aerial_by_mode[0], aerial_by_mode[1]), 1e-12);
+  EXPECT_LE(max_diff(aerial_by_mode[0], aerial_by_mode[1]), 1e-12) << dim;
   for (const SmoGradient* g : {by_mode, mask_by_mode}) {
     EXPECT_NEAR(g[0].loss, g[1].loss,
-                1e-12 * std::max(1.0, std::abs(g[0].loss)));
-    EXPECT_LE(max_diff(g[0].grad_theta_m, g[1].grad_theta_m), 1e-10);
+                1e-12 * std::max(1.0, std::abs(g[0].loss)))
+        << dim;
+    EXPECT_LE(max_diff(g[0].grad_theta_m, g[1].grad_theta_m), 1e-10) << dim;
   }
   EXPECT_LE(max_diff(by_mode[0].grad_theta_j, by_mode[1].grad_theta_j),
-            1e-10);
+            1e-10)
+      << dim;
+}
+
+TEST(FusedPipeline, AerialAndGradientAgreeAcrossModes) {
+  expect_modes_agree(64, 51);
 }
 
 TEST(FusedPipeline, BluesteinGridFallsBackIdenticallyInBothModes) {
-  // 48 is not a power of two: the pipeline has no fused chain for it, so
+  // 50 = 25 * 2 runs Bluestein: the pipeline has no fused chain for it, so
   // fused mode must take the exact staged path -- bitwise equal results.
   GlobalModeGuard guard;
-  const OpticsConfig optics = small_optics(48);
+  const OpticsConfig optics = small_optics(50);
   const SourceGeometry geometry(7, optics);
   Rng rng(61);
-  const ComplexGrid o = random_complex_grid(rng, 48, 48);
+  const ComplexGrid o = random_complex_grid(rng, 50, 50);
   const RealGrid source = make_source(geometry, SourceSpec{});
 
   RealGrid by_mode[2];
@@ -379,6 +403,21 @@ TEST(FusedPipeline, BluesteinGridFallsBackIdenticallyInBothModes) {
     by_mode[fused] = abbe.aerial(o, source).intensity;
   }
   EXPECT_EQ(by_mode[0], by_mode[1]);
+}
+
+TEST(FusedPipeline, MixedRadixGridRunsFused) {
+  // 96 = 3 * 32 runs the mixed-radix plan: the pipeline is fused, the
+  // adjoint takes the band convolution, and aerial and gradients match
+  // the staged mode as closely as at 64^2.
+  GlobalModeGuard guard;
+  sim::set_fusion_enabled(true);
+  const OpticsConfig optics = small_optics(96);
+  sim::SimWorkspace ws;
+  ws.ensure(96);
+  EXPECT_TRUE(ws.pipeline().fused());
+  EXPECT_TRUE(sim::adjoint_uses_band_conv(
+      AbbeImaging(optics, SourceGeometry(7, optics))));
+  expect_modes_agree(96, 63);
 }
 
 // ---- Determinism ------------------------------------------------------------
