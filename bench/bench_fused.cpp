@@ -7,8 +7,8 @@
 //             forward recompute in the backward pass),
 //   fused  -- plan-time-specialized kernel chains (sim/pipeline.hpp):
 //             bit-reversal gather + cotangent seeding folded into the
-//             first column stage, |field|^2 / wns epilogues into the
-//             last, per-evaluation field capture, and the
+//             first column stage, the scale and |field|^2 epilogues
+//             into the last, per-evaluation field capture, and the
 //             band-restricted direct adjoint for narrow pass-bands.
 //
 // Before timing, both modes are checked for agreement (loss and both

@@ -257,16 +257,13 @@ void mixed_cols_blocks(const MixedPlan& plan, std::complex<double>* data,
 }
 
 /// Fused mixed-radix column pass: the ColsFusion input side (row flags,
-/// cotangent seed, seeded wns reduction) rides the digit-reversing copy
-/// from `fusion.src` into `dst`, and the output epilogue rides the odd
-/// pass's stores.
+/// cotangent seed) rides the digit-reversing copy from `fusion.src` into
+/// `dst`, and the output epilogue rides the odd pass's stores.
 void mixed_cols_fused(const MixedPlan& plan,
                       const fft_detail::ColsFusion& fusion,
                       std::complex<double>* dst, std::size_t width,
                       std::size_t stride, bool inverse) {
   const fft::FftKernel& kernel = fft::active_kernel();
-  const bool in_wns = fusion.seed && fusion.wns_out && !fusion.wns_weights;
-  double iwns = 0.0;
   // Row n1*m + n2 of `dst` takes source row n1 + r*n2.
   for (std::size_t p = 0; p < plan.n; ++p) {
     const std::size_t j = p / plan.m + plan.r * (p % plan.m);
@@ -277,15 +274,13 @@ void mixed_cols_fused(const MixedPlan& plan,
     }
     const std::complex<double>* in = fusion.src + j * stride;
     if (fusion.seed != nullptr) {
-      const double* seed = fusion.seed + j * width;
-      if (in_wns) iwns += kernel.weighted_norm_sum(seed, in, width);
-      kernel.seed_cotangent(out, seed, in, width, fusion.seed_scale);
+      kernel.seed_cotangent(out, fusion.seed + j * width, in, width,
+                            fusion.seed_scale);
     } else {
       std::copy(in, in + width, out);
     }
   }
   mixed_cols_blocks(plan, dst, width, stride, inverse, &fusion);
-  if (in_wns) *fusion.wns_out = iwns;
 }
 // bismo-lint: no-alloc-end
 
@@ -471,28 +466,6 @@ void Fft2dPlan::transform_cols_fused(const fft_detail::ColsFusion& fusion,
   if (fusion.norm_acc != nullptr) {
     kernel.accumulate_norm(fusion.norm_acc, dst.data(), size,
                            fusion.norm_weight);
-  }
-  if (fusion.wns_out != nullptr) {
-    if (fusion.wns_weights != nullptr) {
-      *fusion.wns_out =
-          kernel.weighted_norm_sum(fusion.wns_weights, dst.data(), size);
-    } else if (fusion.seed != nullptr) {
-      // Seeded input reduction: sum seed[i] * |src_i|^2 over the logical
-      // (row-masked) source, matching the fused pass's semantics.
-      double acc = 0.0;
-      if (fusion.row_nonzero != nullptr) {
-        for (std::size_t r = 0; r < r_count; ++r) {
-          if (!fusion.row_nonzero[r]) continue;
-          acc += kernel.weighted_norm_sum(fusion.seed + r * c_count,
-                                          fusion.src + r * c_count, c_count);
-        }
-      } else {
-        acc = kernel.weighted_norm_sum(fusion.seed, fusion.src, size);
-      }
-      *fusion.wns_out = acc;
-    } else {
-      *fusion.wns_out = 0.0;
-    }
   }
 }
 

@@ -315,50 +315,35 @@ inline const double* fused_row(const fft_detail::ColsFusion& f, std::size_t j,
 
 /// One 2-complex chunk of a gathered source row: zero when the row is
 /// flagged zero, seeded with s * dldi broadcast per complex otherwise.
-/// kWns (seeded only) folds the input reduction seed[i] * |src_i|^2 into
-/// the load: the raw norms are fmadd-ed with the seed pair into *vwns.
-template <bool kSeed, bool kWns>
+template <bool kSeed>
 inline __m256d fused_load(const double* row, const double* seed_row,
-                          __m256d vss, std::size_t c, __m128d* vwns) {
+                          __m256d vss, std::size_t c) {
   if (!row) return _mm256_setzero_pd();
   const __m256d x = _mm256_loadu_pd(row + c);
   if (!kSeed) return x;
   const __m128d dl = _mm_loadu_pd(seed_row + c / 2);
-  if (kWns) {
-    const __m256d p = _mm256_mul_pd(x, x);
-    const __m256d h = _mm256_hadd_pd(p, p);
-    const __m128d norms = _mm_unpacklo_pd(_mm256_castpd256_pd128(h),
-                                          _mm256_extractf128_pd(h, 1));
-    *vwns = _mm_fmadd_pd(dl, norms, *vwns);
-  }
   const __m256d f = _mm256_mul_pd(
       vss, _mm256_permute4x64_pd(_mm256_castpd128_pd256(dl), 0x50));
   return _mm256_mul_pd(f, x);
 }
 
-/// Scalar-tail load of one double of a gathered source row.  kWns adds
-/// seed * x^2 per half (re + im halves of one complex sum to the full
-/// seed * |x|^2 term, kept in the separate tail accumulator).
-template <bool kSeed, bool kWns>
+/// Scalar-tail load of one double of a gathered source row.
+template <bool kSeed>
 inline double fused_load_1(const double* row, const double* seed_row,
-                           double ss, std::size_t c, double* twns) {
+                           double ss, std::size_t c) {
   if (!row) return 0.0;
   const double x = row[c];
   if (!kSeed) return x;
-  if (kWns) *twns += seed_row[c / 2] * x * x;
   return (ss * seed_row[c / 2]) * x;
 }
 
 /// Gathered leading radix-2 stage.
-template <bool kSeed, bool kWns>
+template <bool kSeed>
 void fused_stage_r2(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
-                    double* out, std::size_t dwidth, std::size_t dstride,
-                    double* wns) {
+                    double* out, std::size_t dwidth, std::size_t dstride) {
   const std::size_t n = plan.n;
   const double ss = f.seed_scale;
   const __m256d vss = _mm256_set1_pd(ss);
-  __m128d vwns = _mm_setzero_pd();
-  double twns = 0.0;
   for (std::size_t r = 0; r < n; r += 2) {
     const std::size_t j0 = plan.bitrev[r];
     const std::size_t j1 = plan.bitrev[r + 1];
@@ -370,37 +355,30 @@ void fused_stage_r2(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
     double* o1 = o0 + dstride;
     std::size_t c = 0;
     for (; c + 4 <= dwidth; c += 4) {
-      const __m256d a = fused_load<kSeed, kWns>(u, su, vss, c, &vwns);
-      const __m256d b = fused_load<kSeed, kWns>(v, sv, vss, c, &vwns);
+      const __m256d a = fused_load<kSeed>(u, su, vss, c);
+      const __m256d b = fused_load<kSeed>(v, sv, vss, c);
       _mm256_storeu_pd(o0 + c, _mm256_add_pd(a, b));
       _mm256_storeu_pd(o1 + c, _mm256_sub_pd(a, b));
     }
     for (; c < dwidth; ++c) {
-      const double a = fused_load_1<kSeed, kWns>(u, su, ss, c, &twns);
-      const double b = fused_load_1<kSeed, kWns>(v, sv, ss, c, &twns);
+      const double a = fused_load_1<kSeed>(u, su, ss, c);
+      const double b = fused_load_1<kSeed>(v, sv, ss, c);
       o0[c] = a + b;
       o1[c] = a - b;
     }
   }
-  if (kWns) {
-    alignas(16) double lanes[2];
-    _mm_store_pd(lanes, vwns);
-    *wns = (lanes[0] + lanes[1]) + twns;
-  }
 }
 
 /// Gathered first radix-4 stage (q == 1, unity twiddles).
-template <bool kInv, bool kSeed, bool kWns>
+template <bool kInv, bool kSeed>
 void fused_stage_r4_first(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
-                          double* out, std::size_t dwidth, std::size_t dstride,
-                          double* wns) {
+                          double* out, std::size_t dwidth,
+                          std::size_t dstride) {
   const std::size_t n = plan.n;
   const double ss = f.seed_scale;
   const __m256d vss = _mm256_set1_pd(ss);
   const double cs = kInv ? -1.0 : 1.0;
   const __m256d mask = kInv ? neg_even_mask() : neg_odd_mask();
-  __m128d vwns = _mm_setzero_pd();
-  double twns = 0.0;
   for (std::size_t b = 0; b < n; b += 4) {
     const double* x[4];
     const double* sx[4] = {nullptr, nullptr, nullptr, nullptr};
@@ -415,10 +393,10 @@ void fused_stage_r4_first(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
     double* o3 = o2 + dstride;
     std::size_t c = 0;
     for (; c + 4 <= dwidth; c += 4) {
-      const __m256d x0 = fused_load<kSeed, kWns>(x[0], sx[0], vss, c, &vwns);
-      const __m256d x1 = fused_load<kSeed, kWns>(x[1], sx[1], vss, c, &vwns);
-      const __m256d x2 = fused_load<kSeed, kWns>(x[2], sx[2], vss, c, &vwns);
-      const __m256d x3 = fused_load<kSeed, kWns>(x[3], sx[3], vss, c, &vwns);
+      const __m256d x0 = fused_load<kSeed>(x[0], sx[0], vss, c);
+      const __m256d x1 = fused_load<kSeed>(x[1], sx[1], vss, c);
+      const __m256d x2 = fused_load<kSeed>(x[2], sx[2], vss, c);
+      const __m256d x3 = fused_load<kSeed>(x[3], sx[3], vss, c);
       const __m256d a = _mm256_add_pd(x0, x1);
       const __m256d bb = _mm256_sub_pd(x0, x1);
       const __m256d cc = _mm256_add_pd(x2, x3);
@@ -432,8 +410,8 @@ void fused_stage_r4_first(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
     for (; c < dwidth; c += 2) {
       double xr[4], xi[4];
       for (int t = 0; t < 4; ++t) {
-        xr[t] = fused_load_1<kSeed, kWns>(x[t], sx[t], ss, c, &twns);
-        xi[t] = fused_load_1<kSeed, kWns>(x[t], sx[t], ss, c + 1, &twns);
+        xr[t] = fused_load_1<kSeed>(x[t], sx[t], ss, c);
+        xi[t] = fused_load_1<kSeed>(x[t], sx[t], ss, c + 1);
       }
       const double ar = xr[0] + xr[1];
       const double ai = xi[0] + xi[1];
@@ -453,39 +431,29 @@ void fused_stage_r4_first(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
       o3[c + 1] = bi - d4i;
     }
   }
-  if (kWns) {
-    alignas(16) double lanes[2];
-    _mm_store_pd(lanes, vwns);
-    *wns = (lanes[0] + lanes[1]) + twns;
-  }
 }
 
-/// Per-row epilogue on one 2-complex chunk y (already scaled): kMode 1
-/// accumulates w * |y|^2 into acc_row, kMode 2 reduces
-/// wns_row[i] * |y|^2 into vwns.  Norms of the two complex lanes are
-/// built with the same mul/hadd arithmetic as accumulate_norm.
-template <int kMode>
-inline void fused_epilogue2(__m256d y, double* acc_row, const double* wns_row,
-                            std::size_t c, __m128d vw, __m128d* vwns) {
-  if (kMode == 0) return;
+/// Per-row epilogue on one 2-complex chunk y (already scaled): kNorm
+/// accumulates w * |y|^2 into acc_row.  Norms of the two complex lanes
+/// are built with the same mul/hadd arithmetic as accumulate_norm.
+template <bool kNorm>
+inline void fused_epilogue2(__m256d y, double* acc_row, std::size_t c,
+                            __m128d vw) {
+  if (!kNorm) return;
   const __m256d p = _mm256_mul_pd(y, y);
   const __m256d h = _mm256_hadd_pd(p, p);
   const __m128d norms = _mm_unpacklo_pd(_mm256_castpd256_pd128(h),
                                         _mm256_extractf128_pd(h, 1));
-  if (kMode == 1) {
-    _mm_storeu_pd(acc_row + c / 2,
-                  _mm_fmadd_pd(vw, norms, _mm_loadu_pd(acc_row + c / 2)));
-  } else {
-    *vwns = _mm_fmadd_pd(_mm_loadu_pd(wns_row + c / 2), norms, *vwns);
-  }
+  _mm_storeu_pd(acc_row + c / 2,
+                _mm_fmadd_pd(vw, norms, _mm_loadu_pd(acc_row + c / 2)));
 }
 
 /// Final radix-4 stage with the scale / weighted-norm epilogue fused
 /// into the stores.
-template <bool kInv, int kMode>
+template <bool kInv, bool kNorm>
 void fused_stage_last(const Pow2Stage& st, const fft_detail::ColsFusion& f,
                       double* base_d, std::size_t n, std::size_t dstride,
-                      std::size_t dwidth, double* wns_out) {
+                      std::size_t dwidth) {
   const double cs = kInv ? -1.0 : 1.0;
   const __m256d mask = kInv ? neg_even_mask() : neg_odd_mask();
   const std::size_t q = st.q;
@@ -493,8 +461,6 @@ void fused_stage_last(const Pow2Stage& st, const fft_detail::ColsFusion& f,
   const double s = f.scale;
   const __m256d vs = _mm256_set1_pd(s);
   const __m128d vw = _mm_set1_pd(f.norm_weight);
-  __m128d vwns = _mm_setzero_pd();
-  double twns = 0.0;  // scalar-tail reduction, kept separate for fixed order
   for (std::size_t base = 0; base < n; base += 4 * q) {
     for (std::size_t k = 0; k < q; ++k) {
       const __m256d W1 = _mm256_setr_pd(
@@ -511,14 +477,10 @@ void fused_stage_last(const Pow2Stage& st, const fft_detail::ColsFusion& f,
       double* r1 = r0 + q * dstride;
       double* r2 = r1 + q * dstride;
       double* r3 = r2 + q * dstride;
-      double* a0 = kMode == 1 ? f.norm_acc + row0 * rw : nullptr;
-      double* a1 = kMode == 1 ? a0 + q * rw : nullptr;
-      double* a2 = kMode == 1 ? a1 + q * rw : nullptr;
-      double* a3 = kMode == 1 ? a2 + q * rw : nullptr;
-      const double* g0 = kMode == 2 ? f.wns_weights + row0 * rw : nullptr;
-      const double* g1 = kMode == 2 ? g0 + q * rw : nullptr;
-      const double* g2 = kMode == 2 ? g1 + q * rw : nullptr;
-      const double* g3 = kMode == 2 ? g2 + q * rw : nullptr;
+      double* a0 = kNorm ? f.norm_acc + row0 * rw : nullptr;
+      double* a1 = kNorm ? a0 + q * rw : nullptr;
+      double* a2 = kNorm ? a1 + q * rw : nullptr;
+      double* a3 = kNorm ? a2 + q * rw : nullptr;
       std::size_t c = 0;
       for (; c + 4 <= dwidth; c += 4) {
         const __m256d x0 = _mm256_loadu_pd(r0 + c);
@@ -538,10 +500,10 @@ void fused_stage_last(const Pow2Stage& st, const fft_detail::ColsFusion& f,
         _mm256_storeu_pd(r1 + c, y1);
         _mm256_storeu_pd(r2 + c, y2);
         _mm256_storeu_pd(r3 + c, y3);
-        fused_epilogue2<kMode>(y0, a0, g0, c, vw, &vwns);
-        fused_epilogue2<kMode>(y1, a1, g1, c, vw, &vwns);
-        fused_epilogue2<kMode>(y2, a2, g2, c, vw, &vwns);
-        fused_epilogue2<kMode>(y3, a3, g3, c, vw, &vwns);
+        fused_epilogue2<kNorm>(y0, a0, c, vw);
+        fused_epilogue2<kNorm>(y1, a1, c, vw);
+        fused_epilogue2<kNorm>(y2, a2, c, vw);
+        fused_epilogue2<kNorm>(y3, a3, c, vw);
       }
       for (; c < dwidth; c += 2) {
         const double w1r = st.w1[k].real();
@@ -580,56 +542,40 @@ void fused_stage_last(const Pow2Stage& st, const fft_detail::ColsFusion& f,
         r2[c + 1] = y2i;
         r3[c] = y3r;
         r3[c + 1] = y3i;
-        if (kMode == 1) {
+        if (kNorm) {
           const double w = f.norm_weight;
           a0[c / 2] += w * (y0r * y0r + y0i * y0i);
           a1[c / 2] += w * (y1r * y1r + y1i * y1i);
           a2[c / 2] += w * (y2r * y2r + y2i * y2i);
           a3[c / 2] += w * (y3r * y3r + y3i * y3i);
-        } else if (kMode == 2) {
-          twns += g0[c / 2] * (y0r * y0r + y0i * y0i);
-          twns += g1[c / 2] * (y1r * y1r + y1i * y1i);
-          twns += g2[c / 2] * (y2r * y2r + y2i * y2i);
-          twns += g3[c / 2] * (y3r * y3r + y3i * y3i);
         }
       }
     }
   }
-  if (kMode == 2) {
-    alignas(16) double lanes[2];
-    _mm_store_pd(lanes, vwns);
-    *wns_out = (lanes[0] + lanes[1]) + twns;
-  }
 }
 
-template <bool kInv, bool kSeed, bool kWns>
+template <bool kInv, bool kSeed>
 void pow2_cols_fused_impl(const Pow2Plan& plan,
                           const fft_detail::ColsFusion& fusion, double* base_d,
                           std::size_t dwidth, std::size_t dstride) {
   const std::size_t n = plan.n;
-  double iwns = 0.0;  // seeded input reduction (see ColsFusion)
   std::size_t first = 0;
   if (plan.leading_radix2) {
-    fused_stage_r2<kSeed, kWns>(plan, fusion, base_d, dwidth, dstride, &iwns);
+    fused_stage_r2<kSeed>(plan, fusion, base_d, dwidth, dstride);
   } else {
-    fused_stage_r4_first<kInv, kSeed, kWns>(plan, fusion, base_d, dwidth,
-                                            dstride, &iwns);
+    fused_stage_r4_first<kInv, kSeed>(plan, fusion, base_d, dwidth, dstride);
     first = 1;
   }
   const std::size_t last = plan.stages.size() - 1;
   for (std::size_t si = first; si < last; ++si) {
     cols_stage_radix4<kInv>(plan.stages[si], base_d, n, dstride, dwidth);
   }
-  double wns = 0.0;
   const Pow2Stage& st = plan.stages[last];
   if (fusion.norm_acc) {
-    fused_stage_last<kInv, 1>(st, fusion, base_d, n, dstride, dwidth, &wns);
-  } else if (fusion.wns_weights && fusion.wns_out) {
-    fused_stage_last<kInv, 2>(st, fusion, base_d, n, dstride, dwidth, &wns);
+    fused_stage_last<kInv, true>(st, fusion, base_d, n, dstride, dwidth);
   } else {
-    fused_stage_last<kInv, 0>(st, fusion, base_d, n, dstride, dwidth, &wns);
+    fused_stage_last<kInv, false>(st, fusion, base_d, n, dstride, dwidth);
   }
-  if (fusion.wns_out) *fusion.wns_out = kWns ? iwns : wns;
 }
 
 template <bool kInv>
@@ -638,16 +584,9 @@ void pow2_cols_fused_dispatch(const Pow2Plan& plan,
                               double* base_d, std::size_t dwidth,
                               std::size_t dstride) {
   if (fusion.seed) {
-    if (fusion.wns_out && !fusion.wns_weights) {
-      pow2_cols_fused_impl<kInv, true, true>(plan, fusion, base_d, dwidth,
-                                             dstride);
-    } else {
-      pow2_cols_fused_impl<kInv, true, false>(plan, fusion, base_d, dwidth,
-                                              dstride);
-    }
+    pow2_cols_fused_impl<kInv, true>(plan, fusion, base_d, dwidth, dstride);
   } else {
-    pow2_cols_fused_impl<kInv, false, false>(plan, fusion, base_d, dwidth,
-                                             dstride);
+    pow2_cols_fused_impl<kInv, false>(plan, fusion, base_d, dwidth, dstride);
   }
 }
 
@@ -777,23 +716,17 @@ void odd_rows(const fft_detail::MixedPlan& plan, double* d) {
 
 /// Epilogue of one 1-complex tail store (already scaled): the scalar
 /// counterpart of fused_epilogue2.
-template <int kMode>
-inline void odd_epilogue1(__m128d y, double* acc, const double* wns_w,
-                          double w, double* twns) {
-  if (kMode == 0) return;
+template <bool kNorm>
+inline void odd_epilogue1(__m128d y, double* acc, double w) {
+  if (!kNorm) return;
   const __m128d p = _mm_mul_pd(y, y);
-  const double norm = _mm_cvtsd_f64(_mm_hadd_pd(p, p));
-  if (kMode == 1) {
-    *acc += w * norm;
-  } else {
-    *twns += *wns_w * norm;
-  }
+  *acc += w * _mm_cvtsd_f64(_mm_hadd_pd(p, p));
 }
 
 /// Columns: whole grid rows are the lanes; the twiddle of (n1, k2) is
-/// broadcast along the row.  kMode as in fused_stage_last (0 none, 1
-/// norm_acc, 2 wns_weights); kEpi applies the scale.
-template <int R, bool kInv, bool kEpi, int kMode>
+/// broadcast along the row.  kEpi applies the scale and kNorm the
+/// norm_acc accumulation, as in fused_stage_last.
+template <int R, bool kInv, bool kEpi, bool kNorm>
 void odd_cols(const fft_detail::MixedPlan& plan, double* d,
               std::size_t width, std::size_t stride,
               const fft_detail::ColsFusion* f) {
@@ -802,10 +735,8 @@ void odd_cols(const fft_detail::MixedPlan& plan, double* d,
   const double s = kEpi ? f->scale : 1.0;
   const __m256d vs = _mm256_set1_pd(s);
   const __m128d vs1 = _mm_set1_pd(s);
-  const double w = kMode == 1 ? f->norm_weight : 0.0;
+  const double w = kNorm ? f->norm_weight : 0.0;
   const __m128d vw = _mm_set1_pd(w);
-  __m128d vwns = _mm_setzero_pd();
-  double twns = 0.0;
   for (std::size_t k2 = 0; k2 < m; ++k2) {
     double* row[R];
     __m256d tw2[R];
@@ -828,9 +759,7 @@ void odd_cols(const fft_detail::MixedPlan& plan, double* d,
         const __m256d y = kEpi ? _mm256_mul_pd(x[k1], vs) : x[k1];
         _mm256_storeu_pd(row[k1] + c, y);
         const std::size_t at = (k1 * m + k2) * width;
-        fused_epilogue2<kMode>(y, kMode == 1 ? f->norm_acc + at : nullptr,
-                               kMode == 2 ? f->wns_weights + at : nullptr, c,
-                               vw, &vwns);
+        fused_epilogue2<kNorm>(y, kNorm ? f->norm_acc + at : nullptr, c, vw);
       }
     }
     for (; c < dwidth; c += 2) {
@@ -844,16 +773,9 @@ void odd_cols(const fft_detail::MixedPlan& plan, double* d,
         const __m128d y = kEpi ? _mm_mul_pd(x[k1], vs1) : x[k1];
         _mm_storeu_pd(row[k1] + c, y);
         const std::size_t at = (k1 * m + k2) * width + c / 2;
-        odd_epilogue1<kMode>(y, kMode == 1 ? f->norm_acc + at : nullptr,
-                             kMode == 2 ? f->wns_weights + at : nullptr, w,
-                             &twns);
+        odd_epilogue1<kNorm>(y, kNorm ? f->norm_acc + at : nullptr, w);
       }
     }
-  }
-  if (kMode == 2) {
-    alignas(16) double lanes[2];
-    _mm_store_pd(lanes, vwns);
-    *f->wns_out = (lanes[0] + lanes[1]) + twns;
   }
 }
 
@@ -865,14 +787,12 @@ void mixed_odd_r(const fft_detail::MixedPlan& plan, double* d,
     if (width == 1 && stride == 1) {
       odd_rows<R, kInv>(plan, d);
     } else {
-      odd_cols<R, kInv, false, 0>(plan, d, width, stride, f);
+      odd_cols<R, kInv, false, false>(plan, d, width, stride, f);
     }
   } else if (f->norm_acc != nullptr) {
-    odd_cols<R, kInv, true, 1>(plan, d, width, stride, f);
-  } else if (f->wns_weights != nullptr && f->wns_out != nullptr) {
-    odd_cols<R, kInv, true, 2>(plan, d, width, stride, f);
+    odd_cols<R, kInv, true, true>(plan, d, width, stride, f);
   } else {
-    odd_cols<R, kInv, true, 0>(plan, d, width, stride, f);
+    odd_cols<R, kInv, true, false>(plan, d, width, stride, f);
   }
 }
 

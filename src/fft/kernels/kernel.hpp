@@ -72,7 +72,7 @@ struct FftKernel {
   /// mixed-radix pass for lengths r * 2^k and the equivalent staged
   /// sequence for Bluestein and sub-8 power-of-two shapes.
   /// Arithmetic is per-element identical to the staged sequence (gather,
-  /// pow2_cols, scale, accumulate_norm / weighted_norm_sum), except that
+  /// pow2_cols, scale, accumulate_norm), except that
   /// rows flagged zero produce literal +0.0 where the staged path may
   /// round to -0.0.
   void (*pow2_cols_fused)(const fft_detail::Pow2Plan& plan,
@@ -90,8 +90,8 @@ struct FftKernel {
   /// backends then use the m points of a sub-block as lanes; the lock-step
   /// column pass uses whole grid rows as lanes.  A non-null `epilogue`
   /// applies the fused column pass's output epilogue (ColsFusion `scale`,
-  /// then `norm_acc` or `wns_weights`/`wns_out`, real arrays indexed
-  /// p * width + c) to every store; its input-side fields are ignored.
+  /// then `norm_acc`, indexed p * width + c) to every store; its
+  /// input-side fields are ignored.
   void (*mixed_odd)(const fft_detail::MixedPlan& plan,
                     std::complex<double>* data, std::size_t width,
                     std::size_t stride, bool inverse,

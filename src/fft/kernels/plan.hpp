@@ -79,20 +79,8 @@ struct Pow2Plan {
 ///   * `scale`     -- y *= scale (1.0 = identity, bitwise).
 ///   * `norm_acc`/`norm_weight` -- norm_acc[i] += norm_weight * |y_i|^2
 ///                    (the per-scenario intensity accumulation).
-///   * `wns_weights`/`wns_out`  -- *wns_out = sum_i wns_weights[i]*|y_i|^2
-///                    (the source-gradient reduction; summation order is
-///                    the final-stage store order, deterministic per
-///                    backend).  norm and wns are mutually exclusive.
-///
-/// Seeded input reduction: when `seed` and `wns_out` are both set (and
-/// `wns_weights` is null), the pass instead reduces over the *input*,
-///   *wns_out = sum_i seed[i] * |src_i|^2
-/// (unscaled by `seed_scale`; zero-flagged rows contribute nothing),
-/// accumulated during the first-stage loads in bit-reversed row order --
-/// the adjoint pass reads each cached field once for both the cotangent
-/// seed and the source-gradient reduction.
-/// Real-valued arrays (`seed`, `norm_acc`, `wns_weights`) are dense with
-/// row pitch `width`.
+/// Real-valued arrays (`seed`, `norm_acc`) are dense with row pitch
+/// `width`.
 struct ColsFusion {
   const std::complex<double>* src = nullptr;
   const std::uint8_t* row_nonzero = nullptr;
@@ -101,8 +89,6 @@ struct ColsFusion {
   double scale = 1.0;
   double* norm_acc = nullptr;
   double norm_weight = 0.0;
-  const double* wns_weights = nullptr;
-  double* wns_out = nullptr;
 };
 
 /// Mixed-radix plan for n = r * m with odd r in [3, 15] and m = 2^k

@@ -192,15 +192,12 @@ inline const double* fused_row(const fft_detail::ColsFusion& f, std::size_t j,
 }
 
 // Gathered leading radix-2 stage: output rows (r, r+1) combine source
-// rows bitrev[r], bitrev[r+1].  kWns (seeded only) accumulates the input
-// reduction sum seed[i] * |src_i|^2 into *wns as the rows are read.
-template <bool kSeed, bool kWns>
+// rows bitrev[r], bitrev[r+1].
+template <bool kSeed>
 void fused_stage_r2(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
-                    double* out, std::size_t width, std::size_t dstride,
-                    double* wns) {
+                    double* out, std::size_t width, std::size_t dstride) {
   const std::size_t n = plan.n;
   const double ss = f.seed_scale;
-  double wacc = 0.0;
   for (std::size_t r = 0; r < n; r += 2) {
     const std::size_t j0 = plan.bitrev[r];
     const std::size_t j1 = plan.bitrev[r + 1];
@@ -213,13 +210,11 @@ void fused_stage_r2(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
     for (std::size_t c = 0; c < 2 * width; c += 2) {
       double ur = 0.0, ui = 0.0, vr = 0.0, vi = 0.0;
       if (u) {
-        if (kWns) wacc += su[c / 2] * (u[c] * u[c] + u[c + 1] * u[c + 1]);
         const double fu = kSeed ? ss * su[c / 2] : 1.0;
         ur = kSeed ? fu * u[c] : u[c];
         ui = kSeed ? fu * u[c + 1] : u[c + 1];
       }
       if (v) {
-        if (kWns) wacc += sv[c / 2] * (v[c] * v[c] + v[c + 1] * v[c + 1]);
         const double fv = kSeed ? ss * sv[c / 2] : 1.0;
         vr = kSeed ? fv * v[c] : v[c];
         vi = kSeed ? fv * v[c + 1] : v[c + 1];
@@ -230,19 +225,17 @@ void fused_stage_r2(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
       o1[c + 1] = ui - vi;
     }
   }
-  if (kWns) *wns = wacc;
 }
 
 // Gathered first radix-4 stage (q == 1, unity twiddles -- bitwise equal
 // to the staged multiply by W^0): output rows (b..b+3) combine source
 // rows bitrev[b..b+3].
-template <bool kSeed, bool kWns>
+template <bool kSeed>
 void fused_stage_r4_first(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
                           double* out, std::size_t width, std::size_t dstride,
-                          double cs, double* wns) {
+                          double cs) {
   const std::size_t n = plan.n;
   const double ss = f.seed_scale;
-  double wacc = 0.0;
   for (std::size_t b = 0; b < n; b += 4) {
     const double* x[4];
     const double* sx[4] = {nullptr, nullptr, nullptr, nullptr};
@@ -259,10 +252,6 @@ void fused_stage_r4_first(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
       double xr[4], xi[4];
       for (int t = 0; t < 4; ++t) {
         if (x[t]) {
-          if (kWns) {
-            wacc += sx[t][c / 2] *
-                    (x[t][c] * x[t][c] + x[t][c + 1] * x[t][c + 1]);
-          }
           const double fx = kSeed ? ss * sx[t][c / 2] : 1.0;
           xr[t] = kSeed ? fx * x[t][c] : x[t][c];
           xi[t] = kSeed ? fx * x[t][c + 1] : x[t][c + 1];
@@ -289,18 +278,15 @@ void fused_stage_r4_first(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
       o3[c + 1] = bi - d4i;
     }
   }
-  if (kWns) *wns = wacc;
 }
 
 // Final radix-4 stage with the epilogue fused into the stores: scale
-// (always; 1.0 is a bitwise identity), then kMode 1 accumulates
-// norm_weight * |y|^2 into norm_acc, kMode 2 reduces
-// wns_weights[i] * |y|^2 into *wns (rows r0..r3 in butterfly store
-// order -- deterministic for a fixed shape).
-template <int kMode>
+// (always; 1.0 is a bitwise identity), then kNorm accumulates
+// norm_weight * |y|^2 into norm_acc.
+template <bool kNorm>
 void fused_stage_last(const Pow2Stage& st, const fft_detail::ColsFusion& f,
                       double* base_d, std::size_t n, std::size_t dstride,
-                      std::size_t width, double cs, double* wns) {
+                      std::size_t width, double cs) {
   const double s = f.scale;
   const double w = f.norm_weight;
   const std::size_t q = st.q;
@@ -317,14 +303,10 @@ void fused_stage_last(const Pow2Stage& st, const fft_detail::ColsFusion& f,
       double* r1 = r0 + q * dstride;
       double* r2 = r1 + q * dstride;
       double* r3 = r2 + q * dstride;
-      double* a0 = kMode == 1 ? f.norm_acc + row0 * width : nullptr;
-      double* a1 = kMode == 1 ? a0 + q * width : nullptr;
-      double* a2 = kMode == 1 ? a1 + q * width : nullptr;
-      double* a3 = kMode == 1 ? a2 + q * width : nullptr;
-      const double* g0 = kMode == 2 ? f.wns_weights + row0 * width : nullptr;
-      const double* g1 = kMode == 2 ? g0 + q * width : nullptr;
-      const double* g2 = kMode == 2 ? g1 + q * width : nullptr;
-      const double* g3 = kMode == 2 ? g2 + q * width : nullptr;
+      double* a0 = kNorm ? f.norm_acc + row0 * width : nullptr;
+      double* a1 = kNorm ? a0 + q * width : nullptr;
+      double* a2 = kNorm ? a1 + q * width : nullptr;
+      double* a3 = kNorm ? a2 + q * width : nullptr;
       for (std::size_t c = 0; c < 2 * width; c += 2) {
         const double t1r = r1[c] * w2r - r1[c + 1] * w2i;
         const double t1i = r1[c] * w2i + r1[c + 1] * w2r;
@@ -356,16 +338,11 @@ void fused_stage_last(const Pow2Stage& st, const fft_detail::ColsFusion& f,
         r2[c + 1] = y2i;
         r3[c] = y3r;
         r3[c + 1] = y3i;
-        if (kMode == 1) {
+        if (kNorm) {
           a0[c / 2] += w * (y0r * y0r + y0i * y0i);
           a1[c / 2] += w * (y1r * y1r + y1i * y1i);
           a2[c / 2] += w * (y2r * y2r + y2i * y2i);
           a3[c / 2] += w * (y3r * y3r + y3i * y3i);
-        } else if (kMode == 2) {
-          *wns += g0[c / 2] * (y0r * y0r + y0i * y0i);
-          *wns += g1[c / 2] * (y1r * y1r + y1i * y1i);
-          *wns += g2[c / 2] * (y2r * y2r + y2i * y2i);
-          *wns += g3[c / 2] * (y3r * y3r + y3i * y3i);
         }
       }
     }
@@ -381,36 +358,18 @@ void pow2_cols_fused(const Pow2Plan& plan,
   auto* base_d = reinterpret_cast<double*>(dst);
   const std::size_t dstride = 2 * stride;
   const double cs = inverse ? -1.0 : 1.0;
-  // Seeded input reduction (see ColsFusion): fold the wns sum into the
-  // first-stage loads instead of the final-stage stores.
-  const bool in_wns = fusion.seed && fusion.wns_out && !fusion.wns_weights;
-  double iwns = 0.0;
   std::size_t first = 0;
   if (plan.leading_radix2) {
     if (fusion.seed) {
-      if (in_wns) {
-        fused_stage_r2<true, true>(plan, fusion, base_d, width, dstride,
-                                   &iwns);
-      } else {
-        fused_stage_r2<true, false>(plan, fusion, base_d, width, dstride,
-                                    &iwns);
-      }
+      fused_stage_r2<true>(plan, fusion, base_d, width, dstride);
     } else {
-      fused_stage_r2<false, false>(plan, fusion, base_d, width, dstride,
-                                   &iwns);
+      fused_stage_r2<false>(plan, fusion, base_d, width, dstride);
     }
   } else {
     if (fusion.seed) {
-      if (in_wns) {
-        fused_stage_r4_first<true, true>(plan, fusion, base_d, width, dstride,
-                                         cs, &iwns);
-      } else {
-        fused_stage_r4_first<true, false>(plan, fusion, base_d, width, dstride,
-                                          cs, &iwns);
-      }
+      fused_stage_r4_first<true>(plan, fusion, base_d, width, dstride, cs);
     } else {
-      fused_stage_r4_first<false, false>(plan, fusion, base_d, width, dstride,
-                                         cs, &iwns);
+      fused_stage_r4_first<false>(plan, fusion, base_d, width, dstride, cs);
     }
     first = 1;
   }
@@ -418,16 +377,12 @@ void pow2_cols_fused(const Pow2Plan& plan,
   for (std::size_t si = first; si < last; ++si) {
     cols_stage_radix4(plan.stages[si], base_d, n, dstride, width, cs);
   }
-  double wns = 0.0;
   const Pow2Stage& st = plan.stages[last];
   if (fusion.norm_acc) {
-    fused_stage_last<1>(st, fusion, base_d, n, dstride, width, cs, &wns);
-  } else if (fusion.wns_weights && fusion.wns_out) {
-    fused_stage_last<2>(st, fusion, base_d, n, dstride, width, cs, &wns);
+    fused_stage_last<true>(st, fusion, base_d, n, dstride, width, cs);
   } else {
-    fused_stage_last<0>(st, fusion, base_d, n, dstride, width, cs, &wns);
+    fused_stage_last<false>(st, fusion, base_d, n, dstride, width, cs);
   }
-  if (fusion.wns_out) *fusion.wns_out = in_wns ? iwns : wns;
 }
 
 // ---- Mixed-radix odd pass ---------------------------------------------
@@ -481,11 +436,6 @@ void mixed_odd(const fft_detail::MixedPlan& plan, std::complex<double>* data,
   auto* d = reinterpret_cast<double*>(data);
   const double s = epilogue != nullptr ? epilogue->scale : 1.0;
   double* acc = epilogue != nullptr ? epilogue->norm_acc : nullptr;
-  const double* wns_w =
-      epilogue != nullptr && acc == nullptr && epilogue->wns_out != nullptr
-          ? epilogue->wns_weights
-          : nullptr;
-  double wns = 0.0;
   double xr[15], xi[15], yr[15], yi[15];
   for (std::size_t k2 = 0; k2 < m; ++k2) {
     for (std::size_t c = 0; c < width; ++c) {
@@ -520,13 +470,10 @@ void mixed_odd(const fft_detail::MixedPlan& plan, std::complex<double>* data,
         if (acc != nullptr) {
           acc[p * width + c] +=
               epilogue->norm_weight * (vr * vr + vi * vi);
-        } else if (wns_w != nullptr) {
-          wns += wns_w[p * width + c] * (vr * vr + vi * vi);
         }
       }
     }
   }
-  if (wns_w != nullptr) *epilogue->wns_out = wns;
 }
 
 void scale(std::complex<double>* x, std::size_t n, double s) {

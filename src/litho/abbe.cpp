@@ -34,9 +34,12 @@ AbbeImaging::AbbeImaging(const OpticsConfig& optics,
   }
 }
 
-void AbbeImaging::apply_passband(const ComplexGrid& o,
-                                 std::size_t point_index,
-                                 ComplexGrid& out) const {
+void AbbeImaging::field(const ComplexGrid& o, std::size_t point_index,
+                        ComplexGrid& out) const {
+  if (o.rows() != optics_.mask_dim || o.cols() != optics_.mask_dim) {
+    throw std::invalid_argument("AbbeImaging::field: spectrum shape mismatch");
+  }
+  // out = H_sigma .* o over contiguous bin runs, then the inverse transform.
   const PassBand& band = passbands_[point_index];
   if (!out.same_shape(o)) out.resize(o.rows(), o.cols());
   out.fill(std::complex<double>{});
@@ -56,21 +59,6 @@ void AbbeImaging::apply_passband(const ComplexGrid& o,
                       band.values.data() + k, len);
         });
   }
-}
-
-ComplexGrid AbbeImaging::apply_passband(const ComplexGrid& o,
-                                        std::size_t point_index) const {
-  ComplexGrid masked;
-  apply_passband(o, point_index, masked);
-  return masked;
-}
-
-void AbbeImaging::field(const ComplexGrid& o, std::size_t point_index,
-                        ComplexGrid& out) const {
-  if (o.rows() != optics_.mask_dim || o.cols() != optics_.mask_dim) {
-    throw std::invalid_argument("AbbeImaging::field: spectrum shape mismatch");
-  }
-  apply_passband(o, point_index, out);
   ifft2(out);
 }
 

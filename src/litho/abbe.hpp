@@ -92,16 +92,6 @@ class AbbeImaging : public sim::ImagingModel {
   const OpticsConfig& optics() const noexcept { return optics_; }
   const Pupil& pupil() const noexcept { return pupil_; }
 
-  /// Apply a pass-band mask to a spectrum: out = H_sigma .* o (dense out).
-  ComplexGrid apply_passband(const ComplexGrid& o,
-                             std::size_t point_index) const;
-
-  /// Scratch-reusing variant of `apply_passband`: `out` is resized to the
-  /// spectrum shape on first use and reused afterwards; the band product
-  /// runs through the vectorized kernel layer over contiguous bin runs.
-  void apply_passband(const ComplexGrid& o, std::size_t point_index,
-                      ComplexGrid& out) const;
-
   // ---- sim::ImagingModel ----
   std::size_t grid_dim() const noexcept override { return optics_.mask_dim; }
   std::size_t components() const noexcept override {
@@ -110,11 +100,6 @@ class AbbeImaging : public sim::ImagingModel {
   sim::BandRef component_band(std::size_t c) const override;
   ThreadPool* pool() const noexcept override { return pool_; }
   sim::WorkspaceSet& workspaces() const override { return *workspaces_; }
-
-  /// The shared workspace set, for engines layered on this model.
-  const std::shared_ptr<sim::WorkspaceSet>& workspace_set() const noexcept {
-    return workspaces_;
-  }
 
  private:
   /// Fill the workspace set's component/weight scratch with the points

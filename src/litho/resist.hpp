@@ -25,11 +25,6 @@ struct ResistModel {
     return z;
   }
 
-  /// dZ/dI evaluated from the already-computed resist image.
-  RealGrid derivative_from_output(const RealGrid& z) const {
-    return map(z, [this](double s) { return beta * s * (1.0 - s); });
-  }
-
   /// Hard-thresholded binary print (for metrics): I > threshold.
   RealGrid print(const RealGrid& intensity) const {
     return map(intensity,

@@ -121,16 +121,6 @@ inline RealGrid sigmoid_activation(const RealGrid& theta, double alpha) {
   return out;
 }
 
-/// Elementwise cosine activation out = 0.5 * (1 + cos(pi * (1 - x))) mapped
-/// through steepness `alpha`; the alternative the paper mentions in Sec. 3.1
-/// (and rejects for training stability).  Provided for the ablation bench.
-inline RealGrid cosine_activation(const RealGrid& theta, double alpha) {
-  return map(theta, [alpha](double x) {
-    const double t = std::clamp(alpha * x, -1.0, 1.0);
-    return 0.5 * (1.0 + std::sin(t * 1.5707963267948966));
-  });
-}
-
 /// Binarize a real grid at `threshold` to exact {0,1}.
 inline RealGrid binarize(const RealGrid& g, double threshold = 0.5) {
   return map(g, [threshold](double v) { return v > threshold ? 1.0 : 0.0; });

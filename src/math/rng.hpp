@@ -72,13 +72,6 @@ class Rng {
     return g;
   }
 
-  /// Grid of i.i.d. normal(0, sigma) values.
-  RealGrid normal_grid(std::size_t rows, std::size_t cols, double sigma) {
-    RealGrid g(rows, cols);
-    for (auto& v : g) v = normal(0.0, sigma);
-    return g;
-  }
-
   /// Access the raw engine (for std::shuffle etc.).
   std::mt19937_64& engine() noexcept { return engine_; }
 

@@ -15,6 +15,14 @@ constexpr std::size_t kMaxString = std::size_t{1} << 20;    // 1 MiB
 constexpr std::size_t kMaxGridSide = std::size_t{1} << 14;  // 16384 px
 constexpr std::size_t kMaxList = std::size_t{1} << 20;
 
+/// Reject a decoded count whose entries, at no fewer than `min_bytes`
+/// each, would need more than the bytes left in the payload -- checked
+/// before anything is sized from the count.
+void check_count_fits(const WireReader& r, std::size_t count,
+                      std::size_t min_bytes, const char* message) {
+  if (count > r.remaining() / min_bytes) throw WireError(message);
+}
+
 template <typename Enum>
 Enum decode_enum(WireReader& r, std::uint8_t max_value, const char* what) {
   const std::uint8_t raw = r.u8();
@@ -214,6 +222,8 @@ RealGrid WireReader::grid() {
     throw WireError("wire: degenerate grid shape");
   }
   if (rows == 0) return RealGrid();
+  check_count_fits(*this, std::size_t{rows} * cols, sizeof(double),
+                   "wire: grid larger than the payload");
   RealGrid value(rows, cols);
   for (std::size_t i = 0; i < value.size(); ++i) value.data()[i] = f64();
   return value;
@@ -283,6 +293,8 @@ api::JobSpec decode_job_spec(WireReader& r) {
   spec.config = decode_config(r);
   const std::uint32_t overrides = r.u32();
   if (overrides > kMaxList) throw WireError("wire: implausible override count");
+  check_count_fits(r, overrides, 4,  // a u32 length each
+                   "wire: override count larger than the payload");
   spec.config_overrides.reserve(overrides);
   for (std::uint32_t i = 0; i < overrides; ++i) {
     spec.config_overrides.push_back(r.str());
@@ -331,6 +343,8 @@ api::JobResult decode_job_result(WireReader& r) {
   result.run.theta_j = r.grid();
   const std::uint32_t steps = r.u32();
   if (steps > kMaxList) throw WireError("wire: implausible trace length");
+  check_count_fits(r, steps, 36,  // i32 + 4 x f64 each
+                   "wire: trace length larger than the payload");
   result.run.trace.reserve(steps);
   for (std::uint32_t i = 0; i < steps; ++i) {
     result.run.trace.push_back(decode_step(r));

@@ -68,8 +68,9 @@ class WireWriter {
 };
 
 /// Bounds-checked reader over a byte span; throws WireError on truncation
-/// and on implausible sizes (strings/grids are capped so a corrupt length
-/// cannot trigger a giant allocation).
+/// and on implausible sizes (strings/grids are capped, and a grid must fit
+/// in the bytes left, so a corrupt length cannot trigger a giant
+/// allocation).
 class WireReader {
  public:
   WireReader(const std::uint8_t* data, std::size_t size)

@@ -101,14 +101,7 @@ bool adjoint_uses_band_conv(const ImagingModel& model) {
 
 void ImagingModel::field_into(const ComplexGrid& o, std::size_t c,
                               SimWorkspace& ws) const {
-  ws.forward_field(o, component_band(c), nullptr, 0.0, nullptr);
-}
-
-void ImagingModel::adjoint_accumulate(std::size_t c, SimWorkspace& ws,
-                                      ComplexGrid& go) const {
-  const BandRef band = component_band(c);
-  ws.adjoint_band_accumulate(band.bins, band.vals, band.nbins, band.rows,
-                             band.nrows, go);
+  ws.forward_field(o, component_band(c), nullptr, 0.0);
 }
 
 RealGrid accumulate_intensity(const ImagingModel& model, const ComplexGrid& o,
@@ -134,7 +127,7 @@ RealGrid accumulate_intensity(const ImagingModel& model, const ComplexGrid& o,
       ComplexGrid* dest =
           set.capturing() ? &set.capture_slot(comps[k]) : nullptr;
       ws.forward_field(o, model.component_band(comps[k]), &acc, weights[k],
-                       nullptr, dest);
+                       dest);
     }
   };
   run_slots(model, slots, task);
@@ -271,29 +264,18 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
         seed = combined.data();
         seed_scale = 1.0;
       }
-      const ComplexGrid* cached = set.captured_field(item.component);
-      if (cached != nullptr) {
-        // The intensity pass already produced this field; the forward
-        // transform is skipped entirely.  The adjoint chain's seeded
-        // loads compute the wns reduction in the same sweep, so the
-        // cached grid is read exactly once; a source-only item (no
-        // adjoint) falls back to the standalone vectorized reduction.
-        if (item.mask) {
-          const double item_wns = ws.adjoint_seed_accumulate(
-              *cached, seed, seed_scale, band, ws.adjoint_accum(),
-              wns != nullptr);
-          if (wns != nullptr) (*wns)[k] = item_wns;
-        } else {
-          (*wns)[k] = kernel.weighted_norm_sum(dldi.data(), cached->data(),
-                                               cached->size());
-        }
-        continue;
+      // A field the intensity pass captured skips the forward transform.
+      const ComplexGrid* field = set.captured_field(item.component);
+      if (field == nullptr) {
+        ws.forward_field(o, band, nullptr, 0.0);
+        field = &ws.field();
       }
-      const double item_wns = ws.forward_field(
-          o, band, nullptr, 0.0, wns != nullptr ? dldi.data() : nullptr);
-      if (wns != nullptr) (*wns)[k] = item_wns;
+      if (wns != nullptr) {
+        (*wns)[k] =
+            kernel.weighted_norm_sum(dldi.data(), field->data(), field->size());
+      }
       if (item.mask) {
-        ws.adjoint_seed_accumulate(ws.field(), seed, seed_scale, band,
+        ws.adjoint_seed_accumulate(*field, seed, seed_scale, band,
                                    ws.adjoint_accum());
       }
     }

@@ -62,13 +62,6 @@ class ImagingModel {
   /// Allocation-free once `ws` is sized.
   void field_into(const ComplexGrid& o, std::size_t c, SimWorkspace& ws) const;
 
-  /// Staged adjoint reference: consume the dense cotangent in
-  /// `ws.cotangent()` and accumulate conj(K_c) .* adjoint-IFFT(cotangent)
-  /// into `go` over the component's band.  (`adjoint_pass` runs the
-  /// pipeline's fused seed+transform chain instead.)
-  void adjoint_accumulate(std::size_t c, SimWorkspace& ws,
-                          ComplexGrid& go) const;
-
   /// Borrowed thread pool (null = serial).
   virtual ThreadPool* pool() const noexcept = 0;
 
@@ -118,9 +111,8 @@ RealGrid accumulate_intensity(const ImagingModel& model, const ComplexGrid& o,
 /// adjoint chain (cotangent seed scale * dldi .* field folded into the
 /// column pass) into a per-slot g_O partial.  When `wns` is non-null it is
 /// resized to `items.size()` and entry k receives
-/// sum_i dldi[i] * |field_k,i|^2 -- computed inside the forward chain when
-/// recomputing, or as one vectorized reduction over the cached field --
-/// the source-gradient reduction without a separate field transform.
+/// sum_i dldi[i] * |field_k,i|^2 as one vectorized reduction over the
+/// field (cached or recomputed) -- the source-gradient reduction.
 /// With `wns` null, items without `mask` do no work (they only keep the
 /// item list, and hence the slot partition, identical to a pass that
 /// wants wns).  When `adjoint_uses_band_conv(model)` holds, the whole pass instead

@@ -40,30 +40,30 @@ bool ImagingPipeline::stale() const noexcept {
 // bismo-lint: no-alloc-begin
 // The fused/staged evaluation paths run per outer-loop step on every
 // lane; all buffers are caller-owned and pre-sized by SimWorkspace.
-double ImagingPipeline::forward(const ComplexGrid& o, const BandRef& band,
-                                ComplexGrid& spectrum, std::uint8_t* row_flags,
-                                ComplexGrid& field, RealGrid* acc,
-                                double acc_weight, const double* wns_weights,
-                                std::complex<double>* scratch) const {
+void ImagingPipeline::forward(const ComplexGrid& o, const BandRef& band,
+                              ComplexGrid& spectrum, std::uint8_t* row_flags,
+                              ComplexGrid& field, RealGrid* acc,
+                              double acc_weight,
+                              std::complex<double>* scratch) const {
   if (fused_) {
-    return forward_fused(o, band, spectrum, row_flags, field, acc, acc_weight,
-                         wns_weights, scratch);
+    forward_fused(o, band, spectrum, row_flags, field, acc, acc_weight,
+                  scratch);
+  } else {
+    forward_staged(o, band, field, acc, acc_weight, scratch);
   }
-  return forward_staged(o, band, field, acc, acc_weight, wns_weights, scratch);
 }
 
-double ImagingPipeline::forward_fused(const ComplexGrid& o, const BandRef& band,
-                                      ComplexGrid& spectrum,
-                                      std::uint8_t* row_flags,
-                                      ComplexGrid& field, RealGrid* acc,
-                                      double acc_weight,
-                                      const double* wns_weights,
-                                      std::complex<double>* scratch) const {
+void ImagingPipeline::forward_fused(const ComplexGrid& o, const BandRef& band,
+                                    ComplexGrid& spectrum,
+                                    std::uint8_t* row_flags,
+                                    ComplexGrid& field, RealGrid* acc,
+                                    double acc_weight,
+                                    std::complex<double>* scratch) const {
   const fft::FftKernel& kernel = fft::active_kernel();
   const std::size_t n = dim_;
 
   // Assemble the band-masked spectrum in the spectrum scratch grid.  Only
-  // occupied rows are ever read downstream (the fused column pass consults
+  // occupied rows are ever read afterwards (the fused column pass consults
   // the row flags), so only those rows need zeroing before the bin runs
   // are written.
   if (band.nrows > 0) {
@@ -92,7 +92,7 @@ double ImagingPipeline::forward_fused(const ComplexGrid& o, const BandRef& band,
   }
 
   // Row pass over occupied-row runs, then one fused column pass: the
-  // bit-reversal gather out of `spectrum`, the 1/N scale and the requested
+  // bit-reversal gather out of `spectrum`, the 1/N scale and the optional
   // |field|^2 epilogue all run inside the butterfly stages.
   for_each_index_run(band.rows, band.nrows,
                [&](std::size_t, std::uint32_t row, std::size_t count) {
@@ -103,28 +103,17 @@ double ImagingPipeline::forward_fused(const ComplexGrid& o, const BandRef& band,
   fusion.src = spectrum.data();
   fusion.row_nonzero = row_flags;
   fusion.scale = 1.0 / static_cast<double>(field.size());
-  double wns = 0.0;
   if (acc != nullptr) {
     fusion.norm_acc = acc->data();
     fusion.norm_weight = acc_weight;
-  } else if (wns_weights != nullptr) {
-    fusion.wns_weights = wns_weights;
-    fusion.wns_out = &wns;
   }
   plan_.transform_cols_fused(fusion, field, /*inverse=*/true, scratch);
-  // Both epilogues at once never happens on the hot paths; keep the rare
-  // combination correct by running the second reduction staged.
-  if (acc != nullptr && wns_weights != nullptr) {
-    wns = kernel.weighted_norm_sum(wns_weights, field.data(), field.size());
-  }
-  return wns;
 }
 
-double ImagingPipeline::forward_staged(const ComplexGrid& o,
-                                       const BandRef& band, ComplexGrid& field,
-                                       RealGrid* acc, double acc_weight,
-                                       const double* wns_weights,
-                                       std::complex<double>* scratch) const {
+void ImagingPipeline::forward_staged(const ComplexGrid& o,
+                                     const BandRef& band, ComplexGrid& field,
+                                     RealGrid* acc, double acc_weight,
+                                     std::complex<double>* scratch) const {
   const fft::FftKernel& kernel = fft::active_kernel();
   const std::size_t n = dim_;
 
@@ -155,39 +144,27 @@ double ImagingPipeline::forward_staged(const ComplexGrid& o,
   if (acc != nullptr) {
     kernel.accumulate_norm(acc->data(), field.data(), field.size(), acc_weight);
   }
-  double wns = 0.0;
-  if (wns_weights != nullptr) {
-    wns = kernel.weighted_norm_sum(wns_weights, field.data(), field.size());
-  }
-  return wns;
 }
 
-double ImagingPipeline::adjoint(const double* dldi, double scale,
-                                const ComplexGrid& field, const BandRef& band,
-                                ComplexGrid& cotangent, ComplexGrid& go,
-                                std::complex<double>* scratch,
-                                bool want_wns) const {
+void ImagingPipeline::adjoint(const double* dldi, double scale,
+                              const ComplexGrid& field, const BandRef& band,
+                              ComplexGrid& cotangent, ComplexGrid& go,
+                              std::complex<double>* scratch) const {
   const fft::FftKernel& kernel = fft::active_kernel();
   const std::size_t n = dim_;
-  double wns = 0.0;
 
   // Column pass first (adjoint(IFFT2) = (1/N) FFT2 runs columns-then-rows
   // so the row pass can be band-restricted).  Fused: the cotangent seed
   // scale * dldi .* field is computed inside the first butterfly stage's
-  // loads, so the seeded grid never materializes -- and the requested wns
-  // reduction sum dldi * |field|^2 rides along on the same loads.  Staged:
-  // seed, then transform in place, with a separate wns sweep.
+  // loads, so the seeded grid never materializes.  Staged: seed, then
+  // transform in place.
   if (fused_) {
     fft_detail::ColsFusion fusion;
     fusion.src = field.data();
     fusion.seed = dldi;
     fusion.seed_scale = scale;
-    if (want_wns) fusion.wns_out = &wns;
     plan_.transform_cols_fused(fusion, cotangent, /*inverse=*/false, scratch);
   } else {
-    if (want_wns) {
-      wns = kernel.weighted_norm_sum(dldi, field.data(), field.size());
-    }
     kernel.seed_cotangent(cotangent.data(), dldi, field.data(), field.size(),
                           scale);
     plan_.transform_cols(cotangent, /*inverse=*/false, scratch);
@@ -215,7 +192,6 @@ double ImagingPipeline::adjoint(const double* dldi, double scale,
                                 len, inv_n);
                  });
   }
-  return wns;
 }
 // bismo-lint: no-alloc-end
 

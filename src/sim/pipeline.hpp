@@ -10,8 +10,9 @@
 //
 //   * power-of-two grids run the `pow2_cols_fused` kernel entry -- the
 //     bit-reversal gather, the optional cotangent seed, the 1/N scale and
-//     the per-scenario weighted-norm epilogues all fold into the first and
-//     last butterfly stages, so the column pass touches each grid once;
+//     the per-scenario acc += w * |field|^2 epilogue all fold into the
+//     first and last butterfly stages, so the column pass touches each
+//     grid once;
 //   * mixed-radix grids (side r * 2^k, odd r <= 15, e.g. 96) fold the same
 //     gather and seed into the digit-reversing copy and the same
 //     epilogues into the odd-factor pass (`Fft2dPlan::transform_cols_fused`);
@@ -87,39 +88,32 @@ class ImagingPipeline {
   /// workspace rebuilds on its next `ensure`).
   bool stale() const noexcept;
 
-  /// Forward chain: field = (1/N) IFFT2(band .* o), with optional fused
-  /// epilogues -- when `acc` is non-null, acc += acc_weight * |field|^2;
-  /// when `wns_weights` is non-null, returns sum_i wns_weights[i] *
-  /// |field_i|^2 (0.0 otherwise).  `spectrum` and `row_flags` (length
-  /// dim) are scratch owned by the caller; `field` receives the
-  /// normalized coherent field either way.
-  double forward(const ComplexGrid& o, const BandRef& band,
-                 ComplexGrid& spectrum, std::uint8_t* row_flags,
-                 ComplexGrid& field, RealGrid* acc, double acc_weight,
-                 const double* wns_weights,
-                 std::complex<double>* scratch) const;
+  /// Forward chain: field = (1/N) IFFT2(band .* o), with an optional
+  /// fused epilogue -- when `acc` is non-null, acc += acc_weight *
+  /// |field|^2.  `spectrum` and `row_flags` (length dim) are scratch owned
+  /// by the caller; `field` receives the normalized coherent field either
+  /// way.
+  void forward(const ComplexGrid& o, const BandRef& band,
+               ComplexGrid& spectrum, std::uint8_t* row_flags,
+               ComplexGrid& field, RealGrid* acc, double acc_weight,
+               std::complex<double>* scratch) const;
 
   /// Adjoint chain: go[bins] += conj(band) .* FFT2(scale * dldi .* field)
   /// / N over the band bins, using `cotangent` as the transform buffer
   /// (contents destroyed).  The cotangent seed never materializes on the
-  /// fused path; the staged path seeds then transforms.  When `want_wns`
-  /// is set, returns sum_i dldi[i] * |field_i|^2 (the source-gradient
-  /// reduction, folded into the fused chain's seeded loads so the field
-  /// is read exactly once); 0.0 otherwise.
-  double adjoint(const double* dldi, double scale, const ComplexGrid& field,
-                 const BandRef& band, ComplexGrid& cotangent, ComplexGrid& go,
-                 std::complex<double>* scratch, bool want_wns = false) const;
+  /// fused path; the staged path seeds then transforms.
+  void adjoint(const double* dldi, double scale, const ComplexGrid& field,
+               const BandRef& band, ComplexGrid& cotangent, ComplexGrid& go,
+               std::complex<double>* scratch) const;
 
  private:
-  double forward_fused(const ComplexGrid& o, const BandRef& band,
-                       ComplexGrid& spectrum, std::uint8_t* row_flags,
-                       ComplexGrid& field, RealGrid* acc, double acc_weight,
-                       const double* wns_weights,
-                       std::complex<double>* scratch) const;
-  double forward_staged(const ComplexGrid& o, const BandRef& band,
-                        ComplexGrid& field, RealGrid* acc, double acc_weight,
-                        const double* wns_weights,
-                        std::complex<double>* scratch) const;
+  void forward_fused(const ComplexGrid& o, const BandRef& band,
+                     ComplexGrid& spectrum, std::uint8_t* row_flags,
+                     ComplexGrid& field, RealGrid* acc, double acc_weight,
+                     std::complex<double>* scratch) const;
+  void forward_staged(const ComplexGrid& o, const BandRef& band,
+                      ComplexGrid& field, RealGrid* acc, double acc_weight,
+                      std::complex<double>* scratch) const;
 
   std::size_t dim_ = 0;
   Fft2dPlan plan_;

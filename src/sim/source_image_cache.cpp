@@ -37,8 +37,7 @@ void SourceImageCache::fill(const ImagingModel& model, const ComplexGrid& o,
       RealGrid& image = images_[c];
       image.fill(0.0);
       ComplexGrid* dest = set.capturing() ? &set.capture_slot(c) : nullptr;
-      ws.forward_field(o, model.component_band(c), &image, 1.0, nullptr,
-                       dest);
+      ws.forward_field(o, model.component_band(c), &image, 1.0, dest);
     }
     // bismo-lint: no-alloc-end
   });

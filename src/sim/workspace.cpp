@@ -43,23 +43,22 @@ SimWorkspace::BandConvScratch SimWorkspace::band_conv_scratch(
 // Steady-state evaluation path: after ensure() has sized the buffers,
 // every call below must run without touching the heap (the AllocGuard
 // tests assert this dynamically).
-double SimWorkspace::forward_field(const ComplexGrid& o, const BandRef& band,
-                                   RealGrid* acc, double acc_weight,
-                                   const double* wns_weights,
-                                   ComplexGrid* field_out) {
+void SimWorkspace::forward_field(const ComplexGrid& o, const BandRef& band,
+                                 RealGrid* acc, double acc_weight,
+                                 ComplexGrid* field_out) {
   ComplexGrid* dest = field_out != nullptr ? field_out : &field_;
   // bismo-lint: allow(no-alloc) first-use growth of a caller-provided capture grid
   if (dest->rows() != dim_ || dest->cols() != dim_) dest->resize(dim_, dim_);
-  return pipeline_.forward(o, band, spectrum_, row_flags_.data(), *dest, acc,
-                           acc_weight, wns_weights, fft_scratch_.data());
+  pipeline_.forward(o, band, spectrum_, row_flags_.data(), *dest, acc,
+                    acc_weight, fft_scratch_.data());
 }
 
-double SimWorkspace::adjoint_seed_accumulate(const ComplexGrid& field,
-                                             const double* dldi, double scale,
-                                             const BandRef& band,
-                                             ComplexGrid& go, bool want_wns) {
-  return pipeline_.adjoint(dldi, scale, field, band, cotangent_, go,
-                           fft_scratch_.data(), want_wns);
+void SimWorkspace::adjoint_seed_accumulate(const ComplexGrid& field,
+                                           const double* dldi, double scale,
+                                           const BandRef& band,
+                                           ComplexGrid& go) {
+  pipeline_.adjoint(dldi, scale, field, band, cotangent_, go,
+                    fft_scratch_.data());
 }
 
 void SimWorkspace::sparse_inverse_field(const ComplexGrid& o,
@@ -102,40 +101,6 @@ void SimWorkspace::sparse_inverse_field(const ComplexGrid& o,
                1.0 / static_cast<double>(field_.size()));
 }
 
-void SimWorkspace::adjoint_band_accumulate(const std::uint32_t* bins,
-                                           const std::complex<double>* vals,
-                                           std::size_t nbins,
-                                           const std::uint32_t* band_rows,
-                                           std::size_t nrows,
-                                           ComplexGrid& go) {
-  const fft::FftKernel& kernel = fft::active_kernel();
-  const std::size_t n = dim_;
-  std::complex<double>* scratch = fft_scratch_.data();
-  // adjoint(IFFT2) = (1/N) FFT2, evaluated columns-then-rows so the row pass
-  // can be restricted to the rows whose output bins are actually read --
-  // batched over runs of adjacent occupied rows.
-  pipeline_.plan().transform_cols(cotangent_, /*inverse=*/false, scratch);
-  for_each_index_run(band_rows, nrows,
-               [&](std::size_t, std::uint32_t row, std::size_t count) {
-                 pipeline_.plan().transform_rows(cotangent_.data() + std::size_t{row} * n,
-                                      count, /*inverse=*/false, scratch);
-               });
-  const double inv_n = 1.0 / static_cast<double>(cotangent_.size());
-  if (vals != nullptr) {
-    for_each_index_run(bins, nbins,
-                 [&](std::size_t k, std::uint32_t start, std::size_t len) {
-                   kernel.cmul_conj_axpy(go.data() + start,
-                                         cotangent_.data() + start, vals + k,
-                                         len, inv_n);
-                 });
-  } else {
-    for_each_index_run(bins, nbins,
-                 [&](std::size_t, std::uint32_t start, std::size_t len) {
-                   kernel.caxpy(go.data() + start, cotangent_.data() + start,
-                                len, inv_n);
-                 });
-  }
-}
 // bismo-lint: no-alloc-end
 
 std::vector<std::uint32_t> occupied_rows(const std::vector<std::uint32_t>& bins,

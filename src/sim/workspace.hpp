@@ -5,7 +5,7 @@
 // the Abbe sum, one SOCS kernel of the Hopkins sum) needs the same scratch
 // state: a masked-spectrum grid, a coherent-field grid, a cotangent grid for
 // the reverse pass, reduction accumulators, and FFT plans + scratch.  A
-// `SimWorkspace` owns exactly that state, acquired once; a `WorkspaceSet`
+// `SimWorkspace` holds exactly that state, acquired once; a `WorkspaceSet`
 // holds one workspace per deterministic-reduction slot (parallel/
 // reduction.hpp) so the pooled loops of the engines perform zero heap
 // allocations and zero plan-cache lock acquisitions in steady state.
@@ -82,10 +82,6 @@ class SimWorkspace {
   /// Coherent-field output of `sparse_inverse_field` (dense, dim x dim).
   ComplexGrid& field() noexcept { return field_; }
 
-  /// Dense cotangent input of `adjoint_band_accumulate` (dim x dim);
-  /// the caller fills it, the call consumes it (contents are destroyed).
-  ComplexGrid& cotangent() noexcept { return cotangent_; }
-
   /// Per-slot frequency-domain gradient accumulator (g_O partial).
   ComplexGrid& adjoint_accum() noexcept { return adjoint_accum_; }
 
@@ -96,9 +92,6 @@ class SimWorkspace {
   /// two-seed field paths of sim::adjoint_pass).  Sized on first use, so
   /// workspaces that never run those paths do not hold it.
   RealGrid& seed_scratch();
-
-  /// FFT scratch sized for `plan()`.
-  std::complex<double>* fft_scratch() noexcept { return fft_scratch_.data(); }
 
   /// Per-bin scratch of the band-convolution adjoint (sim::adjoint_pass):
   /// band products and the bins' grid rows and columns.
@@ -113,30 +106,25 @@ class SimWorkspace {
   BandConvScratch band_conv_scratch(std::size_t nbins);
 
   /// Forward imaging chain through the pipeline: field() = normalized
-  /// IFFT2 of `o` restricted to `band`, with the optional epilogues fused
+  /// IFFT2 of `o` restricted to `band`, with the optional epilogue fused
   /// into the column pass -- `acc != nullptr` accumulates
-  /// acc += acc_weight * |field|^2, `wns_weights != nullptr` returns
-  /// sum_i wns_weights[i] * |field_i|^2 (0.0 otherwise).  Runs the fused
-  /// or staged chain per the pipeline built at `ensure` time.  When
-  /// `field_out` is non-null the field is written there instead of the
-  /// slot-local field() buffer (resized on first use) -- the hook the
-  /// WorkspaceSet field cache captures through.
-  double forward_field(const ComplexGrid& o, const BandRef& band,
-                       RealGrid* acc, double acc_weight,
-                       const double* wns_weights,
-                       ComplexGrid* field_out = nullptr);
+  /// acc += acc_weight * |field|^2.  Runs the fused or staged chain per
+  /// the pipeline built at `ensure` time.  When `field_out` is non-null
+  /// the field is written there instead of the slot-local field() buffer
+  /// (resized on first use) -- the hook the WorkspaceSet field cache
+  /// captures through.
+  void forward_field(const ComplexGrid& o, const BandRef& band, RealGrid* acc,
+                     double acc_weight, ComplexGrid* field_out = nullptr);
 
   /// Adjoint imaging chain through the pipeline:
   ///   go[band.bins] += conj(band) .* FFT2(scale * dldi .* field) / N.
   /// `field` is the coherent field the chain seeds from (typically
-  /// field() or a cached capture; must not alias cotangent()).  The fused
-  /// chain computes the cotangent seed on the fly inside the column pass;
-  /// the staged chain seeds cotangent() then transforms.  When `want_wns`
-  /// is set, returns sum_i dldi[i] * |field_i|^2 computed on the same
-  /// seeded loads (0.0 otherwise).  Destroys cotangent().
-  double adjoint_seed_accumulate(const ComplexGrid& field, const double* dldi,
-                                 double scale, const BandRef& band,
-                                 ComplexGrid& go, bool want_wns = false);
+  /// field() or a cached capture).  The fused chain computes the
+  /// cotangent seed on the fly inside the column pass; the staged chain
+  /// seeds the slot's cotangent buffer then transforms.
+  void adjoint_seed_accumulate(const ComplexGrid& field, const double* dldi,
+                               double scale, const BandRef& band,
+                               ComplexGrid& go);
 
   /// field() = normalized IFFT2 of `o` restricted to a sparse band:
   /// spectrum bin `bins[k]` contributes `o[bins[k]] * vals[k]` (`vals`
@@ -150,22 +138,11 @@ class SimWorkspace {
                             std::size_t nbins, const std::uint32_t* band_rows,
                             std::size_t nrows);
 
-  /// Adjoint of `sparse_inverse_field` as a linear operator, fused with the
-  /// band-restricted accumulation:
-  ///   go[bins[k]] += conj(vals[k]) * ifft2_adjoint(cotangent())[bins[k]].
-  /// Runs columns-then-rows and only transforms rows in `band_rows`, since
-  /// no other output bin is read.  Destroys `cotangent()`.
-  void adjoint_band_accumulate(const std::uint32_t* bins,
-                               const std::complex<double>* vals,
-                               std::size_t nbins,
-                               const std::uint32_t* band_rows,
-                               std::size_t nrows, ComplexGrid& go);
-
  private:
   std::size_t dim_ = 0;
   ImagingPipeline pipeline_;
   ComplexGrid field_;
-  ComplexGrid cotangent_;
+  ComplexGrid cotangent_;  ///< adjoint-chain transform buffer
   ComplexGrid spectrum_;  ///< fused-chain gather buffer (band product)
   ComplexGrid adjoint_accum_;
   RealGrid intensity_accum_;

@@ -165,12 +165,12 @@ void expect_pipeline_allocation_free(std::size_t dim) {
     RealGrid acc(dim, dim, 0.0);
 
     // Warm-up pass sizes every buffer and exercises both directions.
-    ws.forward_field(o, band.ref(), &acc, 0.5, nullptr);
+    ws.forward_field(o, band.ref(), &acc, 0.5);
     ws.adjoint_seed_accumulate(ws.field(), dldi.data(), 0.25, band.ref(), go);
 
     AllocGuard guard;
     for (int step = 0; step < 4; ++step) {
-      ws.forward_field(o, band.ref(), &acc, 0.5, nullptr);
+      ws.forward_field(o, band.ref(), &acc, 0.5);
       ws.adjoint_seed_accumulate(ws.field(), dldi.data(), 0.25, band.ref(),
                                  go);
     }

@@ -85,12 +85,12 @@ RealGrid random_real_grid(Rng& rng, std::size_t rows, std::size_t cols) {
 }
 
 /// Staged reference of the fused column pass: materialize the (flagged,
-/// optionally seeded) input into `dst`, run the per-stage ops in the
-/// documented order, and return the weighted-norm reduction (0 when off).
-double staged_cols_reference(const Fft2dPlan& plan,
-                             const fft_detail::ColsFusion& fusion,
-                             ComplexGrid& dst, bool inverse,
-                             std::complex<double>* scratch) {
+/// optionally seeded) input into `dst`, then run the per-stage ops in the
+/// documented order.
+void staged_cols_reference(const Fft2dPlan& plan,
+                           const fft_detail::ColsFusion& fusion,
+                           ComplexGrid& dst, bool inverse,
+                           std::complex<double>* scratch) {
   const fft::FftKernel& kernel = fft::active_kernel();
   const std::size_t cols = dst.cols();
   for (std::size_t r = 0; r < dst.rows(); ++r) {
@@ -111,23 +111,6 @@ double staged_cols_reference(const Fft2dPlan& plan,
     kernel.accumulate_norm(fusion.norm_acc, dst.data(), dst.size(),
                            fusion.norm_weight);
   }
-  if (fusion.wns_weights != nullptr) {
-    return kernel.weighted_norm_sum(fusion.wns_weights, dst.data(),
-                                    dst.size());
-  }
-  if (fusion.seed != nullptr && fusion.wns_out != nullptr) {
-    // Seeded input reduction: sum seed * |src|^2 over the logical input.
-    double acc = 0.0;
-    for (std::size_t r = 0; r < dst.rows(); ++r) {
-      if (fusion.row_nonzero != nullptr && fusion.row_nonzero[r] == 0) {
-        continue;
-      }
-      acc += kernel.weighted_norm_sum(fusion.seed + r * cols,
-                                      fusion.src + r * cols, cols);
-    }
-    return acc;
-  }
-  return 0.0;
 }
 
 // ---- Fused column pass vs staged ops, per backend ---------------------------
@@ -183,7 +166,7 @@ TEST(FusedColsPass, MatchesStagedAcrossBackendsAndShapes) {
   }
 }
 
-TEST(FusedColsPass, SeededAdjointAndWnsMatchStagedAcrossBackends) {
+TEST(FusedColsPass, SeededAdjointMatchesStagedAcrossBackends) {
   GlobalModeGuard guard;
   for (const std::string& backend : fft::available_backends()) {
     ASSERT_TRUE(fft::set_backend(backend));
@@ -191,45 +174,22 @@ TEST(FusedColsPass, SeededAdjointAndWnsMatchStagedAcrossBackends) {
       Rng rng(23 + n);
       const ComplexGrid field = random_complex_grid(rng, n, n);
       const RealGrid dldi = random_real_grid(rng, n, n);
-      const RealGrid wns_w = random_real_grid(rng, n, n);
       const Fft2dPlan plan(n, n);
       std::vector<std::complex<double>> scratch(plan.scratch_size());
 
       // Seeded forward-adjoint pass (cotangent seed folded into the
-      // gather), with the input-side wns reduction riding on the same
-      // loads: *wns_out = sum dldi * |field|^2, unscaled by seed_scale.
+      // gather).
       fft_detail::ColsFusion fusion;
       fusion.src = field.data();
       fusion.seed = dldi.data();
       fusion.seed_scale = 1.75;
-      double seed_wns_fused = -1.0;
-      fusion.wns_out = &seed_wns_fused;
       ComplexGrid fused(n, n);
       plan.transform_cols_fused(fusion, fused, /*inverse=*/false,
                                 scratch.data());
       ComplexGrid staged(n, n);
-      const double seed_wns_staged = staged_cols_reference(
-          plan, fusion, staged, /*inverse=*/false, scratch.data());
+      staged_cols_reference(plan, fusion, staged, /*inverse=*/false,
+                            scratch.data());
       EXPECT_LE(max_diff(fused, staged), 1e-12) << backend << " seed n=" << n;
-      EXPECT_NEAR(seed_wns_fused, seed_wns_staged,
-                  1e-12 * std::max(1.0, std::abs(seed_wns_staged)))
-          << backend << " seeded wns n=" << n;
-
-      // Weighted-norm-sum epilogue (the fused source-gradient reduction).
-      fft_detail::ColsFusion wns_fusion;
-      wns_fusion.src = field.data();
-      wns_fusion.scale = 1.0 / static_cast<double>(field.size());
-      wns_fusion.wns_weights = wns_w.data();
-      double wns_fused = -1.0;
-      wns_fusion.wns_out = &wns_fused;
-      ComplexGrid out(n, n);
-      plan.transform_cols_fused(wns_fusion, out, /*inverse=*/true,
-                                scratch.data());
-      ComplexGrid out_ref(n, n);
-      const double wns_staged = staged_cols_reference(
-          plan, wns_fusion, out_ref, /*inverse=*/true, scratch.data());
-      const double tol = 1e-12 * std::max(1.0, std::abs(wns_staged));
-      EXPECT_NEAR(wns_fused, wns_staged, tol) << backend << " wns n=" << n;
     }
   }
 }
@@ -285,7 +245,6 @@ TEST(FusedPipeline, ForwardFieldMatchesStagedReference) {
   const AbbeImaging abbe(optics, geometry);
   Rng rng(41);
   const ComplexGrid o = random_complex_grid(rng, 64, 64);
-  const RealGrid weights = random_real_grid(rng, 64, 64);
 
   for (std::size_t c = 0; c < abbe.components(); c += 5) {
     const sim::BandRef band = abbe.component_band(c);
@@ -296,29 +255,24 @@ TEST(FusedPipeline, ForwardFieldMatchesStagedReference) {
     staged_ws.ensure(optics.mask_dim);
     ASSERT_FALSE(staged_ws.pipeline().fused());
     RealGrid acc_staged(64, 64, 0.0);
-    const double wns_staged = staged_ws.forward_field(
-        o, band, &acc_staged, 0.5, weights.data());
+    staged_ws.forward_field(o, band, &acc_staged, 0.5);
     sim::SimWorkspace legacy_ws;
     legacy_ws.ensure(optics.mask_dim);
     legacy_ws.sparse_inverse_field(o, band.bins, band.vals, band.nbins,
                                    band.rows, band.nrows);
     EXPECT_EQ(legacy_ws.field(), staged_ws.field()) << "component " << c;
 
-    // Fused mode agrees to <= 1e-12 on field, accumulator, and reduction.
+    // Fused mode agrees to <= 1e-12 on field and accumulator.
     sim::set_fusion_enabled(true);
     sim::SimWorkspace fused_ws;
     fused_ws.ensure(optics.mask_dim);
     ASSERT_TRUE(fused_ws.pipeline().fused());
     RealGrid acc_fused(64, 64, 0.0);
-    const double wns_fused =
-        fused_ws.forward_field(o, band, &acc_fused, 0.5, weights.data());
+    fused_ws.forward_field(o, band, &acc_fused, 0.5);
 
     EXPECT_LE(max_diff(fused_ws.field(), staged_ws.field()), 1e-12)
         << "component " << c;
     EXPECT_LE(max_diff(acc_fused, acc_staged), 1e-12) << "component " << c;
-    EXPECT_NEAR(wns_fused, wns_staged,
-                1e-12 * std::max(1.0, std::abs(wns_staged)))
-        << "component " << c;
   }
 }
 

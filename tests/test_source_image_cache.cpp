@@ -9,6 +9,8 @@
 //     engine bit for bit, on the band-convolution and field-capture paths;
 //   * the cached source gradient matches the uncached staged reference to
 //     1e-12 relative and passes a gradcheck;
+//   * adjoint_pass's wns on the captured- and recomputed-field paths
+//     matches the cache's dots to 1e-12 relative on every backend;
 //   * engines sharing one WorkspaceSet keep their own images;
 //   * a short BiSMO-NMN run is bitwise identical at 1, 2 and 4 threads.
 #include <gtest/gtest.h>
@@ -29,9 +31,12 @@
 #include "litho/abbe.hpp"
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
+#include "parallel/reduction.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sim/imaging_model.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/source_image_cache.hpp"
+#include "sim/workspace.hpp"
 #include "test_util.hpp"
 
 namespace bismo {
@@ -219,6 +224,52 @@ TEST(SourceImageCache, KeyIsExactThetaBitsBackendAndMode) {
   for (const std::string& backend : fft::available_backends()) {
     ASSERT_TRUE(fft::set_backend(backend));
     EXPECT_EQ(cache.holds(rig.theta_m[0]), backend == filled_by) << backend;
+  }
+}
+
+TEST(SourceImageCache, AdjointPassWnsMatchesDotsOnFieldPaths) {
+  // 32x32 at 30 nm: a fused grid whose pass-bands are too wide for the
+  // band-convolution adjoint, so adjoint_pass reduces over fields -- the
+  // captured one with an armed FieldCaptureScope, a recomputed one
+  // without.  Either way wns[k] is sum_i dldi[i] |A_k,i|^2, the same sum
+  // the cache serves as dots().
+  GlobalModeGuard guard;
+  sim::set_fusion_enabled(true);
+  const OpticsConfig optics{193.0, 1.35, 32, 30.0, 0.0};
+  const SourceGeometry geometry(7, optics);
+  Rng rng(29);
+  const ComplexGrid o = testing::random_complex_grid(rng, 32, 32);
+  RealGrid dldi(32, 32, 0.0);
+  for (auto& v : dldi) v = rng.uniform(-1.0, 1.0);
+  const RealGrid key(32, 32, 0.5);
+
+  for (const std::string& backend : fft::available_backends()) {
+    ASSERT_TRUE(fft::set_backend(backend));
+    for (const bool capture : {true, false}) {
+      const AbbeImaging abbe(optics, geometry);
+      ASSERT_FALSE(sim::adjoint_uses_band_conv(abbe));
+      std::vector<sim::AdjointItem> items(abbe.components());
+      ASSERT_GT(items.size(), kReductionSlots);
+      for (std::size_t k = 0; k < items.size(); ++k) {
+        items[k].component = static_cast<std::uint32_t>(k);
+        items[k].scale = 0.1;
+        items[k].mask = k % 2 == 0;
+      }
+      sim::FieldCaptureScope scope(abbe.workspaces(), abbe.components(),
+                                   capture);
+      sim::SourceImageCache cache;
+      cache.fill(abbe, o, key);
+      std::vector<double> want;
+      cache.dots(abbe, dldi.data(), want);
+      std::vector<double> wns;
+      (void)sim::adjoint_pass(abbe, o, dldi, items, &wns);
+      ASSERT_EQ(wns.size(), want.size());
+      for (std::size_t k = 0; k < wns.size(); ++k) {
+        EXPECT_NEAR(wns[k], want[k], 1e-12 * std::abs(want[k]))
+            << backend << (capture ? " captured" : " recomputed")
+            << " component " << k;
+      }
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/alloc_guard.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/wire.hpp"
@@ -228,6 +229,28 @@ TEST(WireGrids, DegenerateAndImplausibleShapesThrow) {
     w.f64(1.0);
     net::WireReader r(w.bytes());
     EXPECT_THROW(r.grid(), net::WireError);
+  }
+  {
+    // A side-cap-legal 16384 x 16384 header over 8 bytes: the 2 GiB grid
+    // must be rejected against the bytes left, before it is allocated.
+    // Throwing allocates the exception's message, so the hostile header
+    // must cost exactly what a header rejected on its side cap costs.
+    const auto rejection_allocations = [](std::uint32_t rows,
+                                          std::uint32_t cols) {
+      net::WireWriter w;
+      w.u32(rows);
+      w.u32(cols);
+      w.f64(1.0);
+      net::WireReader r(w.bytes());
+      core::AllocGuard guard;
+      EXPECT_THROW(r.grid(), net::WireError) << rows << "x" << cols;
+      return guard.allocations();
+    };
+    const std::size_t hostile = rejection_allocations(16384, 16384);
+    const std::size_t side_cap = rejection_allocations(16385, 1);
+    if (core::AllocGuard::enforced()) {
+      EXPECT_EQ(hostile, side_cap);
+    }
   }
 }
 
