@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "fft/fft.hpp"
 #include "fft/kernels/kernel.hpp"
@@ -14,6 +15,7 @@
 #include "litho/hopkins.hpp"
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
+#include "sim/imaging_model.hpp"
 
 namespace {
 
@@ -196,6 +198,44 @@ BENCHMARK(BM_AbbeDualGradientBackend)
     ->Args({0, 128})
     ->Args({1, 128})
     ->Unit(benchmark::kMillisecond);
+
+/// BiSMO's two-seed hypergradient sweep (sim::adjoint_pass over every
+/// source point, serial) at 128^2 with an 11^2 source -- the perfbench
+/// bismo_128 shape, which takes the band-convolution adjoint -- by backend
+/// (arg: 0 = scalar, 1 = SIMD): the FftKernel::band_conv op in place.
+void BM_BandConvBackend(benchmark::State& state) {
+  BackendGuard backend(state);
+  const std::size_t n = 128;
+  const OpticsConfig optics = optics_for(n);
+  const SourceGeometry geometry(11, optics);
+  const AbbeImaging abbe(optics, geometry);
+  if (!sim::adjoint_uses_band_conv(abbe)) {
+    state.SkipWithError("128^2 / 11^2 no longer takes the band convolution");
+    return;
+  }
+  ComplexGrid o = to_complex(bench_target(n));
+  fft2(o);
+  Rng rng(5);
+  RealGrid seed(n, n);
+  RealGrid seed2(n, n);
+  for (auto& x : seed) x = rng.uniform(-1, 1);
+  for (auto& x : seed2) x = rng.uniform(-1, 1);
+  std::vector<sim::AdjointItem> items(abbe.components());
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    items[k].component = static_cast<std::uint32_t>(k);
+    items[k].scale = 0.1;
+    items[k].scale2 = -0.3;
+    items[k].mask = true;
+  }
+  for (auto _ : state) {
+    const ComplexGrid go =
+        sim::adjoint_pass(abbe, o, seed, items, nullptr, &seed2);
+    benchmark::DoNotOptimize(go.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(items.size()));
+}
+BENCHMARK(BM_BandConvBackend)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_AbbeForward(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

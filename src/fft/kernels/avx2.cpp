@@ -1022,6 +1022,111 @@ void add_complex(std::complex<double>* acc, const std::complex<double>* x,
            reinterpret_cast<const double*>(x), 2 * n);
 }
 
+// ---- band convolution -------------------------------------------------------
+//
+// Bitwise equal to the scalar op: every term is mul, permute, mul, addsub,
+// add.  Neither addsub nor the add has a product operand, so the compiler
+// cannot contract them into FMAs (which would round once where the scalar
+// form rounds twice).  Band bins are blocked for ILP: with two seeds one
+// vector holds the {D, D2} lanes of one bin and 4 bins run together; with
+// one seed a vector holds 2 bins and 8 run together.
+
+/// acc + s * w over the complex lanes of `w`, with s = (sr, si) broadcast.
+inline __m256d band_term(__m256d acc, __m256d sr, __m256d si, __m256d w) {
+  const __m256d t = _mm256_mul_pd(sr, w);                           // sr*w
+  const __m256d v = _mm256_mul_pd(si, _mm256_permute_pd(w, 0x5));   // si*w~
+  return _mm256_add_pd(acc, _mm256_addsub_pd(t, v));
+}
+inline __m128d band_term(__m128d acc, __m128d sr, __m128d si, __m128d w) {
+  const __m128d t = _mm_mul_pd(sr, w);
+  const __m128d v = _mm_mul_pd(si, _mm_permute_pd(w, 0x1));
+  return _mm_add_pd(acc, _mm_addsub_pd(t, v));
+}
+
+/// The window lanes of two bins of a one-seed window, as one vector.
+inline __m256d load_pair(const double* lo, const double* hi) {
+  return _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(lo)),
+                              _mm_loadu_pd(hi), 1);
+}
+
+/// Bins [i, i + kBins) of a two-seed band_conv, one vector per bin.
+template <std::size_t kBins>
+void two_seed_bins(const double* s, const std::int32_t* off,
+                   std::size_t nbins, const double* w, std::size_t i,
+                   double* u) {
+  const double* wi[kBins];
+  __m256d acc[kBins];
+  for (std::size_t b = 0; b < kBins; ++b) {
+    wi[b] = w + 4 * std::ptrdiff_t{off[i + b]};
+    acc[b] = _mm256_setzero_pd();
+  }
+  for (std::size_t j = 0; j < nbins; ++j) {
+    const std::ptrdiff_t dj = 4 * std::ptrdiff_t{off[j]};
+    const __m256d sr = _mm256_broadcast_sd(s + 2 * j);
+    const __m256d si = _mm256_broadcast_sd(s + 2 * j + 1);
+    for (std::size_t b = 0; b < kBins; ++b) {
+      acc[b] = band_term(acc[b], sr, si, _mm256_loadu_pd(wi[b] - dj));
+    }
+  }
+  for (std::size_t b = 0; b < kBins; ++b) {
+    _mm256_storeu_pd(u + 4 * (i + b), acc[b]);
+  }
+}
+
+/// Bins [i, i + 2 kPairs) of a one-seed band_conv, two bins per vector.
+template <std::size_t kPairs>
+void one_seed_pairs(const double* s, const std::int32_t* off,
+                    std::size_t nbins, const double* w, std::size_t i,
+                    double* u) {
+  const double* wi[2 * kPairs];
+  __m256d acc[kPairs];
+  for (std::size_t b = 0; b < 2 * kPairs; ++b) {
+    wi[b] = w + 2 * std::ptrdiff_t{off[i + b]};
+  }
+  for (std::size_t p = 0; p < kPairs; ++p) acc[p] = _mm256_setzero_pd();
+  for (std::size_t j = 0; j < nbins; ++j) {
+    const std::ptrdiff_t dj = 2 * std::ptrdiff_t{off[j]};
+    const __m256d sr = _mm256_broadcast_sd(s + 2 * j);
+    const __m256d si = _mm256_broadcast_sd(s + 2 * j + 1);
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      acc[p] = band_term(acc[p], sr, si,
+                         load_pair(wi[2 * p] - dj, wi[2 * p + 1] - dj));
+    }
+  }
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    _mm256_storeu_pd(u + 2 * (i + 2 * p), acc[p]);
+  }
+}
+
+/// The odd last bin of a one-seed band_conv, at half width.
+void one_seed_bin(const double* s, const std::int32_t* off, std::size_t nbins,
+                  const double* w, std::size_t i, double* u) {
+  const double* wi = w + 2 * std::ptrdiff_t{off[i]};
+  __m128d acc = _mm_setzero_pd();
+  for (std::size_t j = 0; j < nbins; ++j) {
+    acc = band_term(acc, _mm_set1_pd(s[2 * j]), _mm_set1_pd(s[2 * j + 1]),
+                    _mm_loadu_pd(wi - 2 * std::ptrdiff_t{off[j]}));
+  }
+  _mm_storeu_pd(u + 2 * i, acc);
+}
+
+void band_conv(const std::complex<double>* s, const std::int32_t* off,
+               std::size_t nbins, const std::complex<double>* window,
+               std::size_t seeds, std::complex<double>* u) {
+  const auto* sp = reinterpret_cast<const double*>(s);
+  const auto* w = reinterpret_cast<const double*>(window);
+  auto* o = reinterpret_cast<double*>(u);
+  std::size_t i = 0;
+  if (seeds == 2) {
+    for (; i + 4 <= nbins; i += 4) two_seed_bins<4>(sp, off, nbins, w, i, o);
+    for (; i < nbins; ++i) two_seed_bins<1>(sp, off, nbins, w, i, o);
+    return;
+  }
+  for (; i + 8 <= nbins; i += 8) one_seed_pairs<4>(sp, off, nbins, w, i, o);
+  for (; i + 2 <= nbins; i += 2) one_seed_pairs<1>(sp, off, nbins, w, i, o);
+  if (i < nbins) one_seed_bin(sp, off, nbins, w, i, o);
+}
+
 // ---- vectorized exp / sigmoid ----------------------------------------------
 
 /// Cephes-style double-precision exp over 4 lanes, ~1 ulp on the clamp
@@ -1107,6 +1212,7 @@ const FftKernel* avx2_kernel() {
     k.seed_cotangent = seed_cotangent;
     k.axpy_real = axpy_real;
     k.dot_real = dot_real;
+    k.band_conv = band_conv;
     k.add_real = add_real;
     k.add_complex = add_complex;
     k.sigmoid = sigmoid;

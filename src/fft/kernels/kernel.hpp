@@ -19,7 +19,8 @@
 // agree to tight tolerance (<= 1e-12 relative; see tests/
 // test_fft_kernels.cpp) but not bitwise -- FMA contraction reorders
 // roundoff -- which is why the backend name is surfaced in JobResult JSON
-// and bench reports.
+// and bench reports.  The one exception is `band_conv`, which avoids FMA
+// and is bitwise equal across backends.
 //
 // Switching backends while transforms are in flight is not supported; the
 // active-kernel pointer itself is an atomic, so a switch between jobs or
@@ -29,6 +30,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -143,6 +145,26 @@ struct FftKernel {
   /// sum_i w[i] * x[i] -- the cached-image source-gradient reduction.
   double (*dot_real)(const double* w, const double* x,
                      std::size_t n) = nullptr;
+
+  /// Band-restricted circular convolution of the direct adjoint
+  /// (sim::adjoint_pass): for every band bin i and seed k < `seeds` (1 or 2),
+  ///   u[i * seeds + k] = sum_{j < nbins} s[j] * W_k[off[i] - off[j]],
+  /// with j running in band order.  `off` holds one int32 window offset per
+  /// bin, and `window` points at offset 0 of a dense window holding
+  /// `seeds` interleaved complex values per offset ({D, D2} pairs for two
+  /// seeds).  The caller guarantees that every off[i] and every
+  /// off[i] - off[j] lies inside it (offsets taken relative to one bin of
+  /// the band do), so the loop has no modulo, no branch and unit-stride
+  /// loads.
+  /// Each term is re = sr*wr - si*wi, im = sr*wi + si*wr, each product
+  /// rounded, then one add into the running sum.  No backend contracts
+  /// these into FMAs: a fused multiply-add rounds once where the scalar
+  /// form rounds twice, so it would move the last bit.  The op is
+  /// therefore bitwise equal across backends (and to std::complex
+  /// arithmetic), stronger than the <= 1e-12 contract of the other ops.
+  void (*band_conv)(const std::complex<double>* s, const std::int32_t* off,
+                    std::size_t nbins, const std::complex<double>* window,
+                    std::size_t seeds, std::complex<double>* u) = nullptr;
 
   /// acc[i] += x[i] (slot-order reduction combine).
   void (*add_real)(double* acc, const double* x, std::size_t n) = nullptr;

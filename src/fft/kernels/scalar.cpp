@@ -11,6 +11,7 @@
 #include "fft/kernels/kernel.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 namespace bismo::fft {
@@ -572,6 +573,42 @@ double dot_real(const double* w, const double* x, std::size_t n) {
   return acc;
 }
 
+template <std::size_t kSeeds>
+void band_conv_seeds(const std::complex<double>* s, const std::int32_t* off,
+                     std::size_t nbins, const std::complex<double>* window,
+                     std::complex<double>* u) {
+  const auto* sp = reinterpret_cast<const double*>(s);
+  const auto* w = reinterpret_cast<const double*>(window);
+  auto* o = reinterpret_cast<double*>(u);
+  constexpr std::ptrdiff_t kStep = 2 * kSeeds;  // doubles per offset
+  for (std::size_t i = 0; i < nbins; ++i) {
+    const double* at_i = w + kStep * off[i];
+    double acc[kStep] = {};
+    for (std::size_t j = 0; j < nbins; ++j) {
+      const double sr = sp[2 * j];
+      const double si = sp[2 * j + 1];
+      const double* d = at_i - kStep * off[j];
+      for (std::size_t k = 0; k < kSeeds; ++k) {
+        const double wr = d[2 * k];
+        const double wi = d[2 * k + 1];
+        acc[2 * k] += sr * wr - si * wi;
+        acc[2 * k + 1] += sr * wi + si * wr;
+      }
+    }
+    for (std::ptrdiff_t k = 0; k < kStep; ++k) o[kStep * i + k] = acc[k];
+  }
+}
+
+void band_conv(const std::complex<double>* s, const std::int32_t* off,
+               std::size_t nbins, const std::complex<double>* window,
+               std::size_t seeds, std::complex<double>* u) {
+  if (seeds == 2) {
+    band_conv_seeds<2>(s, off, nbins, window, u);
+  } else {
+    band_conv_seeds<1>(s, off, nbins, window, u);
+  }
+}
+
 void add_real(double* acc, const double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += x[i];
 }
@@ -618,6 +655,7 @@ const FftKernel& scalar_kernel() {
     k.seed_cotangent = seed_cotangent;
     k.axpy_real = axpy_real;
     k.dot_real = dot_real;
+    k.band_conv = band_conv;
     k.add_real = add_real;
     k.add_complex = add_complex;
     k.sigmoid = sigmoid;

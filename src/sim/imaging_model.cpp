@@ -1,12 +1,13 @@
 #include "sim/imaging_model.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "fft/fft.hpp"
 #include "fft/kernels/kernel.hpp"
-#include "math/grid_ops.hpp"
 #include "parallel/reduction.hpp"
 
 namespace bismo::sim {
@@ -15,55 +16,137 @@ namespace {
 
 std::atomic<std::uint64_t> g_adjoint_passes{0};
 
-/// One item of the band-restricted direct adjoint (see adjoint_pass).
-/// With D = FFT2(dldi) and S = o .* vals over the band bins, evaluates
-/// U = (D (*) S)|_band, adds conj(vals) .* U * scale / N^2 into `accum`
-/// (when non-null) and returns the wns pairing (1/N^2) Re <S, U>.  With
-/// kTwoSeeds the same index walk also convolves S with D2 = FFT2(dldi2),
-/// and the scatter takes scale * U + scale2 * U2.
-template <bool kTwoSeeds>
-double band_conv_item(const BandRef& band, const ComplexGrid& o,
-                      const std::complex<double>* dd,
-                      const std::complex<double>* dd2, const AdjointItem& item,
-                      std::size_t n, SimWorkspace& ws,
-                      std::complex<double>* accum) {
+/// Signed frequency of index `k` on an `n`-point axis: k below n - n/2,
+/// k - n from there (the Nyquist index of an even n maps to -n/2).
+std::int32_t signed_freq(std::uint32_t k, std::uint32_t n) {
+  const auto sk = static_cast<std::int32_t>(k);
+  return k < n - n / 2 ? sk : sk - static_cast<std::int32_t>(n);
+}
+
+/// Widest signed row or column extent of a band's bins.
+std::int32_t signed_extent(const BandRef& band, std::uint32_t n) {
+  if (band.nbins == 0) return 0;
+  std::int32_t rlo = std::numeric_limits<std::int32_t>::max();
+  std::int32_t clo = rlo;
+  std::int32_t rhi = std::numeric_limits<std::int32_t>::min();
+  std::int32_t chi = rhi;
+  for (std::size_t i = 0; i < band.nbins; ++i) {
+    const std::int32_t r = signed_freq(band.bins[i] / n, n);
+    const std::int32_t c = signed_freq(band.bins[i] % n, n);
+    rlo = std::min(rlo, r);
+    rhi = std::max(rhi, r);
+    clo = std::min(clo, c);
+    chi = std::max(chi, c);
+  }
+  return std::max(rhi - rlo, chi - clo);
+}
+
+/// The dense offset window FftKernel::band_conv reads.  Bins are lifted
+/// to signed frequencies (r, c) and get the offset r * side + c; offset
+/// dr * side + dc holds D[dr mod n, dc mod n] (then D2 for two seeds) for
+/// |dr|, |dc| <= m, the widest signed extent of any band of the pass.
+/// Two bins of one band differ by at most m per axis, so their offset
+/// difference addresses exactly D[bin_i - bin_j]: the window is exact for
+/// any band because D is periodic (a band straddling the Nyquist row just
+/// widens it, to at most (2n - 1)^2 offsets).
+struct BandWindow {
+  const std::complex<double>* center = nullptr;  ///< offset (0, 0)
+  std::size_t seeds = 1;
+  std::uint32_t n = 0;
+  std::int32_t side = 1;  ///< 2m + 1
+
+  std::int32_t offset(std::uint32_t bin) const {
+    return signed_freq(bin / n, n) * side + signed_freq(bin % n, n);
+  }
+};
+
+BandWindow build_band_window(const ComplexGrid& d, const ComplexGrid* d2,
+                             std::int32_t m,
+                             std::vector<std::complex<double>>& store) {
+  const std::size_t n = d.rows();
+  const std::size_t seeds = d2 != nullptr ? 2 : 1;
+  const auto side = static_cast<std::size_t>(2 * m + 1);
+  if (store.size() < side * side * seeds) store.resize(side * side * seeds);
   // bismo-lint: no-alloc-begin
-  const std::uint32_t un = static_cast<std::uint32_t>(n);
-  const double nn = static_cast<double>(n) * static_cast<double>(n);
-  const double inv_n2 = 1.0 / (nn * nn);
+  std::complex<double>* w = store.data();
+  const auto wrap = [n](std::int32_t k) {
+    return k < 0 ? static_cast<std::size_t>(k + static_cast<std::int32_t>(n))
+                 : static_cast<std::size_t>(k);
+  };
+  for (std::int32_t dr = -m; dr <= m; ++dr) {
+    const std::size_t row = wrap(dr) * n;
+    for (std::int32_t dc = -m; dc <= m; ++dc) {
+      const std::size_t at = row + wrap(dc);
+      *w++ = d.data()[at];
+      if (d2 != nullptr) *w++ = d2->data()[at];
+    }
+  }
+  return {store.data() + (static_cast<std::size_t>(m) * side +
+                          static_cast<std::size_t>(m)) * seeds,
+          seeds, static_cast<std::uint32_t>(n),
+          static_cast<std::int32_t>(side)};
+  // bismo-lint: no-alloc-end
+}
+
+/// dspec = FFT2(seed), the arithmetic of fft2, into buffers that persist
+/// across passes.
+void transform_seed(const RealGrid& seed, const Fft2dPlan& plan,
+                    ComplexGrid& dspec,
+                    std::vector<std::complex<double>>& fft_scratch) {
+  if (dspec.rows() != seed.rows() || dspec.cols() != seed.cols()) {
+    dspec.resize(seed.rows(), seed.cols());
+  }
+  if (fft_scratch.size() < plan.scratch_size()) {
+    fft_scratch.resize(plan.scratch_size());
+  }
+  // bismo-lint: no-alloc-begin
+  for (std::size_t i = 0; i < seed.size(); ++i) {
+    dspec[i] = std::complex<double>(seed[i], 0.0);
+  }
+  plan.forward(dspec, fft_scratch.data());
+  // bismo-lint: no-alloc-end
+}
+
+/// One item of the band-restricted direct adjoint (see adjoint_pass).
+/// With S = o .* vals over the band bins, the kernel's band_conv gives
+/// U = (D (*) S)|_band (and U2 = (D2 (*) S)|_band with two seeds); this
+/// adds conj(vals) .* (scale * U [+ scale2 * U2]) / N^2 into `accum`
+/// (when non-null) and returns the wns pairing (1/N^2) Re <S, U>.
+double band_conv_scatter(const BandRef& band, const ComplexGrid& o,
+                         const BandWindow& window, const AdjointItem& item,
+                         const fft::FftKernel& kernel, SimWorkspace& ws,
+                         std::complex<double>* accum) {
+  // bismo-lint: no-alloc-begin
   const std::size_t nb = band.nbins;
+  if (nb == 0) return 0.0;
+  const double nn =
+      static_cast<double>(window.n) * static_cast<double>(window.n);
+  const double inv_n2 = 1.0 / (nn * nn);
   const SimWorkspace::BandConvScratch scratch = ws.band_conv_scratch(nb);
   std::complex<double>* sval = scratch.vals;
-  std::uint32_t* brow = scratch.rows;
-  std::uint32_t* bcol = scratch.cols;
+  // Offsets relative to the band's first bin keep every offset inside the
+  // window and leave their differences unchanged.
+  const std::int32_t base = window.offset(band.bins[0]);
   for (std::size_t i = 0; i < nb; ++i) {
     const std::uint32_t bin = band.bins[i];
-    brow[i] = bin / un;
-    bcol[i] = bin % un;
+    scratch.offsets[i] = window.offset(bin) - base;
     sval[i] =
         band.vals != nullptr ? o.data()[bin] * band.vals[i] : o.data()[bin];
   }
+  kernel.band_conv(sval, scratch.offsets, nb, window.center, window.seeds,
+                   scratch.conv);
   const double go_fac = item.scale * inv_n2;
   const double go_fac2 = item.scale2 * inv_n2;
   double wacc = 0.0;
   for (std::size_t i = 0; i < nb; ++i) {
-    const std::uint32_t ri = brow[i];
-    const std::uint32_t ci = bcol[i];
-    std::complex<double> u{};
-    std::complex<double> u2{};
-    for (std::size_t j = 0; j < nb; ++j) {
-      const std::uint32_t dr = ri >= brow[j] ? ri - brow[j] : ri + un - brow[j];
-      const std::uint32_t dc = ci >= bcol[j] ? ci - bcol[j] : ci + un - bcol[j];
-      const std::size_t at = std::size_t{dr} * n + dc;
-      u += sval[j] * dd[at];
-      if constexpr (kTwoSeeds) u2 += sval[j] * dd2[at];
-    }
+    const std::complex<double> u = scratch.conv[i * window.seeds];
     wacc += sval[i].real() * u.real() + sval[i].imag() * u.imag();
     if (accum != nullptr) {
       const std::complex<double> v = band.vals != nullptr
                                          ? std::conj(band.vals[i])
                                          : std::complex<double>{1.0, 0.0};
-      if constexpr (kTwoSeeds) {
+      if (window.seeds == 2) {
+        const std::complex<double> u2 = scratch.conv[2 * i + 1];
         accum[band.bins[i]] += v * (u * go_fac + u2 * go_fac2);
       } else {
         accum[band.bins[i]] += v * u * go_fac;
@@ -163,8 +246,11 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
   // Staged mode keeps the dense sweeps, so it stays the faithful
   // per-stage reference.
   const bool sparse_combine = any_mask && fusion_enabled();
-  std::vector<std::uint8_t> row_union(sparse_combine ? n : 0, 0);
+  WorkspaceSet& set = model.workspaces();
+  WorkspaceSet::AdjointScratch& pass = set.adjoint_scratch();
+  std::vector<std::uint8_t>& row_union = pass.row_union;
   if (sparse_combine) {
+    row_union.assign(n, 0);
     for (const AdjointItem& it : items) {
       if (!it.mask) continue;
       const BandRef band = model.component_band(it.component);
@@ -192,23 +278,31 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
   // where S_c = o .* vals over the band bins -- and the band scatter only
   // ever reads it at those same bins, so U_c = (D (*) S_c)|_band is all
   // that is needed: O(nbins^2) multiply-adds per component in place of a
-  // dense column transform.  The wns reduction is the matching Parseval
+  // dense column transform.  D (and D2) are read through one dense
+  // offset window built per pass (BandWindow), so the per-item kernel op
+  // has no modulo gather.  The wns reduction is the matching Parseval
   // pairing  sum_i dldi[i] |field_c,i|^2 = (1/N^2) Re sum_k conj(S_c[k])
   // U_c[k].  No per-component transform and no coherent field at all (the
   // gradient engines skip arming the capture; see adjoint_uses_band_conv).
   const bool band_conv = adjoint_uses_band_conv(model);
-  ComplexGrid dspec;
-  ComplexGrid dspec2;
+  BandWindow window;
   if (band_conv) {
-    dspec = to_complex(dldi);
-    fft2(dspec);
-    if (dldi2 != nullptr) {
-      dspec2 = to_complex(*dldi2);
-      fft2(dspec2);
+    const auto un = static_cast<std::uint32_t>(n);
+    std::int32_t m = 0;
+    for (const AdjointItem& it : items) {
+      if (!it.mask && wns == nullptr) continue;
+      m = std::max(m, signed_extent(model.component_band(it.component), un));
     }
+    const Fft2dPlan plan(n, n);
+    transform_seed(dldi, plan, pass.dspec, pass.fft_scratch);
+    if (dldi2 != nullptr) {
+      transform_seed(*dldi2, plan, pass.dspec2, pass.fft_scratch);
+    }
+    window = build_band_window(pass.dspec,
+                               dldi2 != nullptr ? &pass.dspec2 : nullptr, m,
+                               pass.window);
   }
 
-  WorkspaceSet& set = model.workspaces();
   const fft::FftKernel& kernel = fft::active_kernel();
   const std::size_t slots = reduction_slots(items.size());
   auto task = [&](std::size_t s) {
@@ -230,20 +324,14 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
       }
     }
     if (band_conv) {
-      const std::complex<double>* dd2 =
-          dldi2 != nullptr ? dspec2.data() : nullptr;
       for (std::size_t k = range.begin; k < range.end; ++k) {
         const AdjointItem& item = items[k];
         if (!item.mask && wns == nullptr) continue;
         std::complex<double>* accum =
             item.mask ? ws.adjoint_accum().data() : nullptr;
-        const BandRef band = model.component_band(item.component);
         const double item_wns =
-            dd2 != nullptr
-                ? band_conv_item<true>(band, o, dspec.data(), dd2, item, n,
-                                       ws, accum)
-                : band_conv_item<false>(band, o, dspec.data(), nullptr, item,
-                                        n, ws, accum);
+            band_conv_scatter(model.component_band(item.component), o,
+                              window, item, kernel, ws, accum);
         if (wns != nullptr) (*wns)[k] = item_wns;
       }
       return;

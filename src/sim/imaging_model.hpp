@@ -116,19 +116,22 @@ RealGrid accumulate_intensity(const ImagingModel& model, const ComplexGrid& o,
 /// With `wns` null, items without `mask` do no work (they only keep the
 /// item list, and hence the slot partition, identical to a pass that
 /// wants wns).  When `adjoint_uses_band_conv(model)` holds, the whole pass instead
-/// runs the band-restricted direct adjoint: one dense FFT2 of `dldi`,
-/// then per item an O(nbins^2) circular convolution evaluated only at the
-/// band bins -- no per-item transform and no field (cached or recomputed)
-/// at all.  Returns the slot-order-combined g_O, or an empty grid when no
-/// item has `mask` set.
+/// runs the band-restricted direct adjoint: one dense FFT2 of `dldi` and
+/// one dense offset window over it per pass, then per item an O(nbins^2)
+/// circular convolution evaluated only at the band bins (one
+/// FftKernel::band_conv call, bitwise equal across backends) -- no
+/// per-item transform and no field (cached or recomputed) at all.
+/// Returns the slot-order-combined g_O, or an empty grid when no item has
+/// `mask` set.
 ///
 /// A non-null `dldi2` adds a second seed grid: item k's cotangent becomes
 /// (scale * dldi + scale2 * dldi2) .* field, so one sweep returns a linear
 /// combination of two adjoints with per-item factors (BiSMO's fused
 /// hypergradient, grad/hvp.hpp).  The band-convolution path transforms
-/// both seeds once and accumulates both convolutions in the same O(nbins^2)
-/// loop; the field paths form the combined seed per item in a slot
-/// buffer.  `wns` must be null with two seeds (throws
+/// both seeds once, interleaves them in the window and convolves both in
+/// the same kernel call; the field paths form the combined seed per item
+/// in a slot buffer.  A warmed band-convolution pass allocates only the
+/// returned g_O.  `wns` must be null with two seeds (throws
 /// std::invalid_argument).  Single-seed calls are unchanged bit for bit.
 ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
                          const RealGrid& dldi,

@@ -33,10 +33,10 @@ SimWorkspace::BandConvScratch SimWorkspace::band_conv_scratch(
     std::size_t nbins) {
   if (band_vals_.size() < nbins) {
     band_vals_.resize(nbins);
-    band_row_idx_.resize(nbins);
-    band_col_idx_.resize(nbins);
+    band_offsets_.resize(nbins);
+    band_conv_.resize(2 * nbins);
   }
-  return {band_vals_.data(), band_row_idx_.data(), band_col_idx_.data()};
+  return {band_vals_.data(), band_offsets_.data(), band_conv_.data()};
 }
 
 // bismo-lint: no-alloc-begin

@@ -94,11 +94,12 @@ class SimWorkspace {
   RealGrid& seed_scratch();
 
   /// Per-bin scratch of the band-convolution adjoint (sim::adjoint_pass):
-  /// band products and the bins' grid rows and columns.
+  /// band products, the bins' window offsets (FftKernel::band_conv) and
+  /// the convolution output, two complex values per bin.
   struct BandConvScratch {
     std::complex<double>* vals;
-    std::uint32_t* rows;
-    std::uint32_t* cols;
+    std::int32_t* offsets;
+    std::complex<double>* conv;
   };
 
   /// Scratch for a band of `nbins` bins.  Grows on first use for a wider
@@ -150,8 +151,8 @@ class SimWorkspace {
   std::vector<std::uint8_t> row_flags_;  ///< fused-chain row-sparsity flags
   std::vector<std::complex<double>> fft_scratch_;
   std::vector<std::complex<double>> band_vals_;
-  std::vector<std::uint32_t> band_row_idx_;
-  std::vector<std::uint32_t> band_col_idx_;
+  std::vector<std::int32_t> band_offsets_;
+  std::vector<std::complex<double>> band_conv_;
 };
 
 /// One workspace per deterministic-reduction slot, shared by every engine
@@ -179,6 +180,19 @@ class WorkspaceSet {
   /// Reusable component-weight list running in lockstep with
   /// `component_scratch`.
   std::vector<double>& weight_scratch() noexcept { return weight_scratch_; }
+
+  /// Per-pass buffers of sim::adjoint_pass, shared by its slots (read
+  /// only inside them).  Each grows on first use and never shrinks, so a
+  /// warmed pass allocates nothing but its returned g_O.
+  struct AdjointScratch {
+    ComplexGrid dspec;   ///< FFT2 of the first seed (band-conv path)
+    ComplexGrid dspec2;  ///< FFT2 of the second seed
+    /// Dense offset window over both spectra (FftKernel::band_conv).
+    std::vector<std::complex<double>> window;
+    std::vector<std::complex<double>> fft_scratch;  ///< seed transforms
+    std::vector<std::uint8_t> row_union;  ///< rows the g_O scatter writes
+  };
+  AdjointScratch& adjoint_scratch() noexcept { return adjoint_scratch_; }
 
   // ---- Per-evaluation field cache (fused-pipeline fast path) ----------
   //
@@ -227,6 +241,7 @@ class WorkspaceSet {
   std::vector<SimWorkspace> slots_;
   std::vector<std::uint32_t> component_scratch_;
   std::vector<double> weight_scratch_;
+  AdjointScratch adjoint_scratch_;
   std::vector<ComplexGrid> field_cache_;
   std::vector<std::uint8_t> field_valid_;
   bool capturing_ = false;

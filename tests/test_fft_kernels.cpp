@@ -3,12 +3,17 @@
 // error, satisfy the round-trip property across power-of-two, mixed-radix,
 // Bluestein, and rectangular shapes, be run-to-run deterministic, and
 // pass gradient checks end to end.  The elementwise kernel ops the imaging
-// engines use are validated against plain double references.
+// engines use are validated against plain double references, and the
+// band-convolution op (alone and inside sim::adjoint_pass) bit for bit
+// against the modulo-gather loop it replaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fft/fft.hpp"
@@ -19,6 +24,8 @@
 #include "litho/activation.hpp"
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
+#include "parallel/reduction.hpp"
+#include "sim/imaging_model.hpp"
 #include "test_util.hpp"
 
 namespace bismo {
@@ -332,6 +339,299 @@ TEST(FftKernels, SigmoidMatchesReferenceWithin1e12) {
       }
     }
   }
+}
+
+// ---- Band convolution (bitwise across backends) -----------------------------
+
+bool same_bits(double a, double b) {
+  std::uint64_t x = 0;
+  std::uint64_t y = 0;
+  std::memcpy(&x, &a, sizeof x);
+  std::memcpy(&y, &b, sizeof y);
+  return x == y;
+}
+
+bool same_bits(std::complex<double> a, std::complex<double> b) {
+  return same_bits(a.real(), b.real()) && same_bits(a.imag(), b.imag());
+}
+
+/// Signed lift of index k on an n-point axis, as the spectrum sees it.
+int lift(std::size_t k, std::size_t n) {
+  const int sk = static_cast<int>(k);
+  return k < n - n / 2 ? sk : sk - static_cast<int>(n);
+}
+
+/// One pass-band on an n x n spectrum: sorted row-major bins, their
+/// occupied rows, and optional pupil values (empty = unit pupil).
+struct ConvBand {
+  std::vector<std::uint32_t> bins;
+  std::vector<std::uint32_t> rows;
+  std::vector<std::complex<double>> vals;
+
+  sim::BandRef ref() const {
+    return sim::BandRef{bins.data(), vals.empty() ? nullptr : vals.data(),
+                        bins.size(), rows.data(), rows.size()};
+  }
+};
+
+/// The bins within sqrt(r2) of spectrum point (cr, cc), distances taken
+/// periodically, so a disk near row/col 0 or the Nyquist row wraps.  With
+/// `defocus`, the pupil values carry a quadratic phase (a defocused pupil).
+ConvBand disk_band(std::size_t n, int cr, int cc, int r2, bool defocus) {
+  ConvBand band;
+  const int ni = static_cast<int>(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const int dr = lift(static_cast<std::size_t>(
+                            ((static_cast<int>(r) - cr) % ni + ni) % ni),
+                        n);
+    for (std::size_t c = 0; c < n; ++c) {
+      const int dc = lift(static_cast<std::size_t>(
+                              ((static_cast<int>(c) - cc) % ni + ni) % ni),
+                          n);
+      if (dr * dr + dc * dc > r2) continue;
+      band.bins.push_back(static_cast<std::uint32_t>(r * n + c));
+      if (band.rows.empty() || band.rows.back() != r) {
+        band.rows.push_back(static_cast<std::uint32_t>(r));
+      }
+      if (defocus) {
+        band.vals.push_back(std::polar(0.9, 0.07 * (dr * dr + dc * dc) + 0.3));
+      }
+    }
+  }
+  return band;
+}
+
+/// The band shapes every band-conv test sweeps: a disk wrapping row 0 and
+/// col 0 (unit pupil and defocused), an off-centre disk, and disks that
+/// straddle the Nyquist row.  Every one has an odd bin count, so no SIMD
+/// bin block divides it.
+std::vector<ConvBand> conv_bands(std::size_t n) {
+  const int half = static_cast<int>(n / 2);
+  return {disk_band(n, 0, 0, 20, false), disk_band(n, 0, 0, 20, true),
+          disk_band(n, 3, -2, 13, false), disk_band(n, half, 5, 10, false),
+          disk_band(n, half, -1, 17, true)};
+}
+
+/// The direct modulo-gather loop that FftKernel::band_conv replaced, kept
+/// as the oracle: with S = o .* vals over the band bins it returns
+/// U = (D (*) S)|_band (and U2 = (D2 (*) S)|_band), adds
+/// conj(vals) .* (scale U [+ scale2 U2]) / N^2 into `accum` when non-null
+/// and returns the wns pairing (1/N^2) Re <S, U>.
+template <bool kTwoSeeds>
+double naive_band_conv(const sim::BandRef& band, const ComplexGrid& o,
+                       const std::complex<double>* dd,
+                       const std::complex<double>* dd2, double scale,
+                       double scale2, std::size_t n,
+                       std::vector<std::complex<double>>* u_out,
+                       std::complex<double>* accum) {
+  const std::uint32_t un = static_cast<std::uint32_t>(n);
+  const double nn = static_cast<double>(n) * static_cast<double>(n);
+  const double inv_n2 = 1.0 / (nn * nn);
+  const std::size_t nb = band.nbins;
+  std::vector<std::complex<double>> sval(nb);
+  std::vector<std::uint32_t> brow(nb);
+  std::vector<std::uint32_t> bcol(nb);
+  for (std::size_t i = 0; i < nb; ++i) {
+    const std::uint32_t bin = band.bins[i];
+    brow[i] = bin / un;
+    bcol[i] = bin % un;
+    sval[i] =
+        band.vals != nullptr ? o.data()[bin] * band.vals[i] : o.data()[bin];
+  }
+  if (u_out != nullptr) u_out->clear();
+  const double go_fac = scale * inv_n2;
+  const double go_fac2 = scale2 * inv_n2;
+  double wacc = 0.0;
+  for (std::size_t i = 0; i < nb; ++i) {
+    const std::uint32_t ri = brow[i];
+    const std::uint32_t ci = bcol[i];
+    std::complex<double> u{};
+    std::complex<double> u2{};
+    for (std::size_t j = 0; j < nb; ++j) {
+      const std::uint32_t dr = ri >= brow[j] ? ri - brow[j] : ri + un - brow[j];
+      const std::uint32_t dc = ci >= bcol[j] ? ci - bcol[j] : ci + un - bcol[j];
+      const std::size_t at = std::size_t{dr} * n + dc;
+      u += sval[j] * dd[at];
+      if constexpr (kTwoSeeds) u2 += sval[j] * dd2[at];
+    }
+    if (u_out != nullptr) {
+      u_out->push_back(u);
+      if constexpr (kTwoSeeds) u_out->push_back(u2);
+    }
+    wacc += sval[i].real() * u.real() + sval[i].imag() * u.imag();
+    if (accum != nullptr) {
+      const std::complex<double> v = band.vals != nullptr
+                                         ? std::conj(band.vals[i])
+                                         : std::complex<double>{1.0, 0.0};
+      if constexpr (kTwoSeeds) {
+        accum[band.bins[i]] += v * (u * go_fac + u2 * go_fac2);
+      } else {
+        accum[band.bins[i]] += v * u * go_fac;
+      }
+    }
+  }
+  return wacc * inv_n2;
+}
+
+TEST(FftKernels, BandConvMatchesModuloGatherBitwise) {
+  // The kernel op against the oracle loop, through a full-period window:
+  // bins lifted to [0, n) per axis, offsets r * (2n - 1) + c, and offset
+  // (dr, dc) holding D[dr mod n, dc mod n] for |dr|, |dc| < n.
+  for (const std::size_t n : {64, 96, 128}) {
+    Rng rng(200 + n);
+    const ComplexGrid o = random_complex_grid(rng, n, n);
+    const ComplexGrid d = random_complex_grid(rng, n, n);
+    const ComplexGrid d2 = random_complex_grid(rng, n, n);
+    const std::size_t side = 2 * n - 1;
+    for (const std::size_t seeds : {1, 2}) {
+      std::vector<std::complex<double>> window(side * side * seeds);
+      for (std::size_t wr = 0; wr < side; ++wr) {
+        for (std::size_t wc = 0; wc < side; ++wc) {
+          const std::size_t at = ((wr + 1) % n) * n + (wc + 1) % n;
+          window[(wr * side + wc) * seeds] = d.data()[at];
+          if (seeds == 2) window[(wr * side + wc) * seeds + 1] = d2.data()[at];
+        }
+      }
+      const std::complex<double>* center =
+          window.data() + ((n - 1) * side + (n - 1)) * seeds;
+      for (const ConvBand& band : conv_bands(n)) {
+        const sim::BandRef ref = band.ref();
+        ASSERT_EQ(ref.nbins % 2, 1u);  // no SIMD bin block divides it
+        std::vector<std::complex<double>> expect;
+        if (seeds == 2) {
+          naive_band_conv<true>(ref, o, d.data(), d2.data(), 0.0, 0.0, n,
+                                &expect, nullptr);
+        } else {
+          naive_band_conv<false>(ref, o, d.data(), nullptr, 0.0, 0.0, n,
+                                 &expect, nullptr);
+        }
+        std::vector<std::complex<double>> s(ref.nbins);
+        std::vector<std::int32_t> off(ref.nbins);
+        for (std::size_t i = 0; i < ref.nbins; ++i) {
+          const std::uint32_t bin = ref.bins[i];
+          s[i] = ref.vals != nullptr ? o.data()[bin] * ref.vals[i]
+                                     : o.data()[bin];
+          off[i] = static_cast<std::int32_t>((bin / n) * side + bin % n);
+        }
+        for (const std::string& name : fft::available_backends()) {
+          BackendGuard guard(name);
+          ASSERT_TRUE(guard.ok()) << name;
+          std::vector<std::complex<double>> u(ref.nbins * seeds);
+          fft::active_kernel().band_conv(s.data(), off.data(), ref.nbins,
+                                         center, seeds, u.data());
+          std::size_t mismatches = 0;
+          for (std::size_t i = 0; i < u.size(); ++i) {
+            mismatches += same_bits(u[i], expect[i]) ? 0 : 1;
+          }
+          EXPECT_EQ(mismatches, 0u)
+              << name << " n=" << n << " seeds=" << seeds
+              << " nbins=" << ref.nbins;
+        }
+      }
+    }
+  }
+}
+
+/// An imaging model over explicit test bands (serial, own workspaces), so
+/// sim::adjoint_pass runs the band convolution on any band shape.
+class BandModel : public sim::ImagingModel {
+ public:
+  BandModel(std::size_t n, std::vector<ConvBand> bands)
+      : n_(n), bands_(std::move(bands)) {}
+  std::size_t grid_dim() const noexcept override { return n_; }
+  std::size_t components() const noexcept override { return bands_.size(); }
+  sim::BandRef component_band(std::size_t c) const override {
+    return bands_[c].ref();
+  }
+  ThreadPool* pool() const noexcept override { return nullptr; }
+  sim::WorkspaceSet& workspaces() const override { return set_; }
+
+ private:
+  std::size_t n_;
+  std::vector<ConvBand> bands_;
+  mutable sim::WorkspaceSet set_;
+};
+
+TEST(FftKernels, BandConvAdjointPassMatchesModuloGatherBitwise) {
+  // adjoint_pass (the per-pass window, the kernel op, the wns pairing, the
+  // g_O scatter and the slot-order combine) against the oracle loop run
+  // over the same slot partition: g_O and wns agree bit for bit, with one
+  // seed and with two, on every backend.
+  const bool initial_mode = sim::fusion_enabled();
+  sim::set_fusion_enabled(true);
+  for (const std::size_t n : {64, 96, 128}) {
+    const BandModel model(n, conv_bands(n));
+    ASSERT_TRUE(sim::adjoint_uses_band_conv(model)) << n;
+    // More items than reduction slots, so some slots run several.
+    std::vector<sim::AdjointItem> items(3 * model.components() + 2);
+    for (std::size_t k = 0; k < items.size(); ++k) {
+      items[k].component = static_cast<std::uint32_t>(k % model.components());
+      items[k].scale = 0.1 + 0.05 * static_cast<double>(k);
+      items[k].scale2 = -0.3 + 0.02 * static_cast<double>(k);
+      items[k].mask = k % 3 != 1;
+    }
+    ASSERT_GT(items.size(), kReductionSlots);
+    Rng rng(300 + n);
+    const ComplexGrid o = random_complex_grid(rng, n, n);
+    RealGrid seed(n, n);
+    RealGrid seed2(n, n);
+    for (auto& v : seed) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : seed2) v = rng.uniform(-1.0, 1.0);
+
+    for (const std::string& name : fft::available_backends()) {
+      BackendGuard guard(name);
+      ASSERT_TRUE(guard.ok()) << name;
+      ComplexGrid d = to_complex(seed);
+      fft2(d);
+      ComplexGrid d2 = to_complex(seed2);
+      fft2(d2);
+      for (const bool two : {false, true}) {
+        // The oracle over adjoint_pass's slot partition and combine order.
+        const std::size_t slots = reduction_slots(items.size());
+        ComplexGrid expect_go(n, n);
+        std::vector<double> expect_wns(items.size(), 0.0);
+        for (std::size_t s = 0; s < slots; ++s) {
+          ComplexGrid part(n, n);
+          const SlotRange range = slot_range(s, slots, items.size());
+          for (std::size_t k = range.begin; k < range.end; ++k) {
+            const sim::AdjointItem& it = items[k];
+            if (two && !it.mask) continue;
+            std::complex<double>* accum = it.mask ? part.data() : nullptr;
+            const sim::BandRef band = model.component_band(it.component);
+            expect_wns[k] =
+                two ? naive_band_conv<true>(band, o, d.data(), d2.data(),
+                                            it.scale, it.scale2, n, nullptr,
+                                            accum)
+                    : naive_band_conv<false>(band, o, d.data(), nullptr,
+                                             it.scale, 0.0, n, nullptr,
+                                             accum);
+          }
+          for (std::size_t i = 0; i < part.size(); ++i) {
+            expect_go[i] += part[i];
+          }
+        }
+        std::vector<double> wns;
+        const ComplexGrid go =
+            two ? sim::adjoint_pass(model, o, seed, items, nullptr, &seed2)
+                : sim::adjoint_pass(model, o, seed, items, &wns);
+        ASSERT_EQ(go.size(), expect_go.size()) << name;
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < go.size(); ++i) {
+          mismatches += same_bits(go[i], expect_go[i]) ? 0 : 1;
+        }
+        EXPECT_EQ(mismatches, 0u) << name << " n=" << n << " two=" << two;
+        if (!two) {
+          ASSERT_EQ(wns.size(), items.size());
+          for (std::size_t k = 0; k < items.size(); ++k) {
+            EXPECT_TRUE(same_bits(wns[k], expect_wns[k]))
+                << name << " n=" << n << " item " << k << ": " << wns[k]
+                << " vs " << expect_wns[k];
+          }
+        }
+      }
+    }
+  }
+  sim::set_fusion_enabled(initial_mode);
 }
 
 // ---- Gradcheck under every compiled backend --------------------------------
