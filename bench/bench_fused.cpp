@@ -8,8 +8,10 @@
 //   fused  -- plan-time-specialized kernel chains (sim/pipeline.hpp):
 //             bit-reversal gather + cotangent seeding folded into the
 //             first column stage, the scale and |field|^2 epilogues
-//             into the last, per-evaluation field capture, and the
-//             band-restricted direct adjoint for narrow pass-bands.
+//             into the last, per-evaluation field capture, the
+//             band-restricted direct adjoint for narrow pass-bands, and
+//             the image cache's autocorrelation fill (staged mode fills
+//             through the forward chains).
 //
 // Before timing, both modes are checked for agreement (loss and both
 // gradients) -- a mismatch is a hard failure.  The bench FAILS (non-zero
@@ -138,7 +140,8 @@ int main(int argc, char** argv) {
           init_source_params(make_source(geometry, spec), {});
       // The engine serves repeated calls at one theta_M from its image
       // cache.  Alternating between two masks makes every timed call a
-      // cache fill, so the A/B times the imaging chains, not the cache.
+      // cache fill, so the A/B times the fills and the adjoint, not the
+      // cache hits.
       const RealGrid theta_m_alt = theta_m * 0.999;
       bool alt = false;
       const auto evaluate = [&] {

@@ -1,7 +1,8 @@
 // Engineering micro-benchmarks (google-benchmark): throughput of the
 // substrates every experiment sits on -- FFTs, Abbe/Hopkins forward
-// imaging, manual gradients, exact HVPs and the BiSMO hypergradient step
-// (against its finite-difference predecessor), and the TCC/SOCS build.
+// imaging, manual gradients, the per-point image cache (its two fills and
+// its serving), exact HVPs and the BiSMO hypergradient step (against its
+// finite-difference predecessor), and the TCC/SOCS build.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -16,6 +17,7 @@
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
 #include "sim/imaging_model.hpp"
+#include "sim/source_image_cache.hpp"
 
 namespace {
 
@@ -74,7 +76,12 @@ void BM_Fft2(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n * n));
 }
-BENCHMARK(BM_Fft2)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Fft2)
+    ->Arg(64)
+    ->Arg(96)
+    ->Arg(128)
+    ->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Fft2Bluestein(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -86,7 +93,7 @@ void BM_Fft2Bluestein(benchmark::State& state) {
     benchmark::DoNotOptimize(g.data());
   }
 }
-BENCHMARK(BM_Fft2Bluestein)->Arg(96)->Arg(100)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Fft2Bluestein)->Arg(100)->Unit(benchmark::kMicrosecond);
 
 /// Legacy aerial evaluation: the pre-sim-layer path -- one ComplexGrid
 /// allocation and free-function (plan-cache-locking) IFFT per source point.
@@ -275,6 +282,75 @@ void BM_AbbeDualGradient(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AbbeDualGradient)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+
+/// One SourceImageCache fill, serial, with a 9^2 source at 8 nm pixels,
+/// through each path (path: 0 = autocorrelation, 1 = chain + projection).
+/// The label says which path the cost rule
+/// (sim::image_fill_uses_autocorrelation) picks at this size; at 512 the
+/// two paths cross.
+void BM_SourceImageFill(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool chain = state.range(1) != 0;
+  const OpticsConfig optics = optics_for(n);
+  const SourceGeometry geometry(9, optics);
+  const AbbeImaging abbe(optics, geometry);
+  ComplexGrid o = to_complex(bench_target(n));
+  fft2(o);
+  const RealGrid key(n, n, 0.0);
+  sim::SourceImageCache cache;
+  for (auto _ : state) {
+    cache.fill(abbe, o, key,
+               chain ? sim::ImageFill::kChain
+                     : sim::ImageFill::kAutocorrelation);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(sim::image_fill_uses_autocorrelation(abbe)
+                     ? "rule: autocorrelation"
+                     : "rule: chain");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(abbe.components()));
+}
+BENCHMARK(BM_SourceImageFill)
+    ->ArgNames({"n", "chain"})
+    ->ArgsProduct({{64, 128, 256, 512}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+/// Serving from a filled cache (9^2 source, serial): mode 0 is the
+/// weighted intensity over every point, mode 1 the dots of one weight
+/// grid -- the two halves of an exact HVP.
+void BM_SourceImageServe(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool dots = state.range(1) != 0;
+  const OpticsConfig optics = optics_for(n);
+  const SourceGeometry geometry(9, optics);
+  const AbbeImaging abbe(optics, geometry);
+  ComplexGrid o = to_complex(bench_target(n));
+  fft2(o);
+  sim::SourceImageCache cache;
+  cache.fill(abbe, o, RealGrid(n, n, 0.0));
+  std::vector<std::uint32_t> comps(abbe.components());
+  std::vector<double> weights(abbe.components());
+  for (std::size_t k = 0; k < comps.size(); ++k) {
+    comps[k] = static_cast<std::uint32_t>(k);
+    weights[k] = 1.0 + 0.01 * static_cast<double>(k);
+  }
+  const RealGrid w = bench_target(n);
+  RealGrid image;
+  std::vector<double> out;
+  for (auto _ : state) {
+    if (dots) {
+      cache.dots(abbe, w.data(), out);
+      benchmark::DoNotOptimize(out.data());
+    } else {
+      cache.intensity(abbe, comps, weights, image);
+      benchmark::DoNotOptimize(image.data());
+    }
+  }
+}
+BENCHMARK(BM_SourceImageServe)
+    ->ArgNames({"n", "dots"})
+    ->ArgsProduct({{64, 128, 256}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 /// A BiSMO outer step's hypergradient inputs at the bench shapes: 9^2
 /// source at 64^2, 11^2 at 128^2 (the perfbench bismo_128 shape).

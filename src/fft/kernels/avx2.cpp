@@ -13,6 +13,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -983,30 +984,6 @@ void seed_cotangent(std::complex<double>* ga, const double* dldi,
   }
 }
 
-void axpy_real(double* acc, const double* x, std::size_t n, double w) {
-  const __m256d vw = _mm256_set1_pd(w);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(acc + i, _mm256_fmadd_pd(vw, _mm256_loadu_pd(x + i),
-                                              _mm256_loadu_pd(acc + i)));
-  }
-  for (; i < n; ++i) acc[i] += w * x[i];
-}
-
-double dot_real(const double* w, const double* x, std::size_t n) {
-  __m256d vacc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vacc = _mm256_fmadd_pd(_mm256_loadu_pd(w + i), _mm256_loadu_pd(x + i),
-                           vacc);
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, vacc);
-  double acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) acc += w[i] * x[i];
-  return acc;
-}
-
 void add_real(double* acc, const double* x, std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -1127,6 +1104,47 @@ void band_conv(const std::complex<double>* s, const std::int32_t* off,
   if (i < nbins) one_seed_bin(sp, off, nbins, w, i, o);
 }
 
+// ---- segment cross-correlation ----------------------------------------------
+//
+// Lags run 4 at a time, two per vector, with the terms of band_term (so
+// bitwise equal to the scalar op).  A lane whose lag has no partner at some
+// j reads the zero padding around `x` and adds an exact zero, which leaves
+// its accumulator unchanged: accumulators start at +0, and a sum that
+// starts at +0 never becomes -0.
+
+void xcorr_accumulate(const std::complex<double>* x, std::size_t nx,
+                      const std::complex<double>* y, std::size_t ny,
+                      std::complex<double>* out) {
+  const auto* xp = reinterpret_cast<const double*>(x);
+  const auto* yp = reinterpret_cast<const double*>(y);
+  auto* o = reinterpret_cast<double*>(out);
+  const auto sx = static_cast<std::ptrdiff_t>(nx);
+  const auto sy = static_cast<std::ptrdiff_t>(ny);
+  for (std::ptrdiff_t k0 = 1 - sy; k0 < sx; k0 += 4) {
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    const std::ptrdiff_t j_hi = std::min(sy, sx - k0);
+    for (std::ptrdiff_t j = std::max<std::ptrdiff_t>(0, -3 - k0); j < j_hi;
+         ++j) {
+      const __m256d sr = _mm256_broadcast_sd(yp + 2 * j);
+      const __m256d si = _mm256_set1_pd(-yp[2 * j + 1]);
+      const double* w = xp + 2 * (j + k0);
+      acc0 = band_term(acc0, sr, si, _mm256_loadu_pd(w));
+      acc1 = band_term(acc1, sr, si, _mm256_loadu_pd(w + 4));
+    }
+    double* at = o + 2 * k0;
+    if (sx - k0 >= 4) {
+      _mm256_storeu_pd(at, _mm256_add_pd(_mm256_loadu_pd(at), acc0));
+      _mm256_storeu_pd(at + 4, _mm256_add_pd(_mm256_loadu_pd(at + 4), acc1));
+      continue;
+    }
+    alignas(32) double lanes[8];
+    _mm256_store_pd(lanes, acc0);
+    _mm256_store_pd(lanes + 4, acc1);
+    for (std::ptrdiff_t l = 0; l < 2 * (sx - k0); ++l) at[l] += lanes[l];
+  }
+}
+
 // ---- vectorized exp / sigmoid ----------------------------------------------
 
 /// Cephes-style double-precision exp over 4 lanes, ~1 ulp on the clamp
@@ -1210,9 +1228,8 @@ const FftKernel* avx2_kernel() {
     k.accumulate_norm = accumulate_norm;
     k.weighted_norm_sum = weighted_norm_sum;
     k.seed_cotangent = seed_cotangent;
-    k.axpy_real = axpy_real;
-    k.dot_real = dot_real;
     k.band_conv = band_conv;
+    k.xcorr_accumulate = xcorr_accumulate;
     k.add_real = add_real;
     k.add_complex = add_complex;
     k.sigmoid = sigmoid;

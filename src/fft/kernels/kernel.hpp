@@ -19,8 +19,9 @@
 // agree to tight tolerance (<= 1e-12 relative; see tests/
 // test_fft_kernels.cpp) but not bitwise -- FMA contraction reorders
 // roundoff -- which is why the backend name is surfaced in JobResult JSON
-// and bench reports.  The one exception is `band_conv`, which avoids FMA
-// and is bitwise equal across backends.
+// and bench reports.  The exceptions are `band_conv` and
+// `xcorr_accumulate`, which avoid FMA and are bitwise equal across
+// backends.
 //
 // Switching backends while transforms are in flight is not supported; the
 // active-kernel pointer itself is an atomic, so a switch between jobs or
@@ -136,16 +137,6 @@ struct FftKernel {
                          const std::complex<double>* a, std::size_t n,
                          double s) = nullptr;
 
-  /// acc[i] += w * x[i] -- the cached-image intensity accumulation
-  /// (sim::SourceImageCache).  Same multiply-add arithmetic as
-  /// accumulate_norm, so accumulating a stored |a|^2 reproduces it bitwise.
-  void (*axpy_real)(double* acc, const double* x, std::size_t n,
-                    double w) = nullptr;
-
-  /// sum_i w[i] * x[i] -- the cached-image source-gradient reduction.
-  double (*dot_real)(const double* w, const double* x,
-                     std::size_t n) = nullptr;
-
   /// Band-restricted circular convolution of the direct adjoint
   /// (sim::adjoint_pass): for every band bin i and seed k < `seeds` (1 or 2),
   ///   u[i * seeds + k] = sum_{j < nbins} s[j] * W_k[off[i] - off[j]],
@@ -166,6 +157,20 @@ struct FftKernel {
                     std::size_t nbins, const std::complex<double>* window,
                     std::size_t seeds, std::complex<double>* u) = nullptr;
 
+  /// Accumulated cross-correlation of two row segments -- the
+  /// autocorrelation fill of sim::SourceImageCache:
+  ///   out[k] += sum_j x[j + k] * conj(y[j]),   1 - ny <= k < nx,
+  /// with j running over [max(0, -k), min(ny, nx - k)) in ascending order
+  /// into a zero accumulator that is added to out[k] once; `out` points at
+  /// lag 0.  `x` must be readable and zero for kXcorrPad values on each
+  /// side (vector backends run whole blocks of lags).  Each term is
+  /// re = sr*xr - si*xi, im = sr*xi + si*xr with (sr, si) = conj(y[j]),
+  /// each product rounded, as in band_conv: no FMA, so the op is bitwise
+  /// equal across backends.
+  void (*xcorr_accumulate)(const std::complex<double>* x, std::size_t nx,
+                           const std::complex<double>* y, std::size_t ny,
+                           std::complex<double>* out) = nullptr;
+
   /// acc[i] += x[i] (slot-order reduction combine).
   void (*add_real)(double* acc, const double* x, std::size_t n) = nullptr;
   void (*add_complex)(std::complex<double>* acc,
@@ -180,6 +185,9 @@ struct FftKernel {
   void (*sigmoid)(double* out, const double* x, std::size_t n, double alpha,
                   double shift) = nullptr;
 };
+
+/// Zero values FftKernel::xcorr_accumulate may read on each side of `x`.
+inline constexpr std::size_t kXcorrPad = 3;
 
 /// Portable reference kernel (always available).
 const FftKernel& scalar_kernel();

@@ -10,6 +10,7 @@
 // by the standard's array-oriented access guarantee for std::complex.
 #include "fft/kernels/kernel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -563,16 +564,6 @@ void seed_cotangent(std::complex<double>* ga, const double* dldi,
   }
 }
 
-void axpy_real(double* acc, const double* x, std::size_t n, double w) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += w * x[i];
-}
-
-double dot_real(const double* w, const double* x, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += w[i] * x[i];
-  return acc;
-}
-
 template <std::size_t kSeeds>
 void band_conv_seeds(const std::complex<double>* s, const std::int32_t* off,
                      std::size_t nbins, const std::complex<double>* window,
@@ -606,6 +597,31 @@ void band_conv(const std::complex<double>* s, const std::int32_t* off,
     band_conv_seeds<2>(s, off, nbins, window, u);
   } else {
     band_conv_seeds<1>(s, off, nbins, window, u);
+  }
+}
+
+void xcorr_accumulate(const std::complex<double>* x, std::size_t nx,
+                      const std::complex<double>* y, std::size_t ny,
+                      std::complex<double>* out) {
+  const auto* xp = reinterpret_cast<const double*>(x);
+  const auto* yp = reinterpret_cast<const double*>(y);
+  auto* o = reinterpret_cast<double*>(out);
+  const auto sx = static_cast<std::ptrdiff_t>(nx);
+  const auto sy = static_cast<std::ptrdiff_t>(ny);
+  for (std::ptrdiff_t k = 1 - sy; k < sx; ++k) {
+    const std::ptrdiff_t j_hi = std::min(sy, sx - k);
+    double acc_re = 0.0;
+    double acc_im = 0.0;
+    for (std::ptrdiff_t j = std::max<std::ptrdiff_t>(0, -k); j < j_hi; ++j) {
+      const double sr = yp[2 * j];
+      const double si = -yp[2 * j + 1];
+      const double wr = xp[2 * (j + k)];
+      const double wi = xp[2 * (j + k) + 1];
+      acc_re += sr * wr - si * wi;
+      acc_im += sr * wi + si * wr;
+    }
+    o[2 * k] += acc_re;
+    o[2 * k + 1] += acc_im;
   }
 }
 
@@ -653,9 +669,8 @@ const FftKernel& scalar_kernel() {
     k.accumulate_norm = accumulate_norm;
     k.weighted_norm_sum = weighted_norm_sum;
     k.seed_cotangent = seed_cotangent;
-    k.axpy_real = axpy_real;
-    k.dot_real = dot_real;
     k.band_conv = band_conv;
+    k.xcorr_accumulate = xcorr_accumulate;
     k.add_real = add_real;
     k.add_complex = add_complex;
     k.sigmoid = sigmoid;

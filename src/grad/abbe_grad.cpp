@@ -33,9 +33,6 @@ RealGrid AbbeGradientEngine::aerial(const RealGrid& theta_m,
                                     const RealGrid& theta_j) const {
   const RealGrid source =
       activate_source(theta_j, abbe_->geometry(), activation_);
-  if (images_.holds(theta_m)) {
-    return abbe_->aerial(images_, source, source_cutoff_).intensity;
-  }
   const RealGrid mask = activate_mask(theta_m, activation_);
   ComplexGrid o = to_complex(mask);
   fft2(o);
@@ -88,38 +85,37 @@ SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
   const RealGrid source = activate_source(theta_j, geometry, activation_);
   const bool want_backprop = request.mask || request.source;
 
-  // Image-cache policy: a hit serves the intensity (and the source
-  // gradient's reductions) without a transform; a miss that wants the
-  // source gradient fills the cache and then serves exactly like a hit;
-  // any other miss runs the transform path and leaves the cache alone.
-  bool cached = images_.holds(theta_m);
-  const bool fill = !cached && request.source;
+  // Image-cache policy, by request kind alone: a call that wants the
+  // source gradient takes its intensity (and the gradient's reductions)
+  // from the cache, filling it on a miss; a mask-only call runs the
+  // transform path and never reads the cache.  Hits and misses return
+  // the same bits, so no result depends on call history.
+  const bool cached = request.source;
+  const bool fill = cached && !images_.holds(theta_m);
 
-  // The mask spectrum feeds the transform path and the mask adjoint; a
-  // source-only or loss-only hit never needs it.
+  // The mask spectrum feeds the transform path, the fill and the mask
+  // adjoint; a source-only hit never needs it.
   RealGrid mask;
   ComplexGrid o;
-  if (!cached || request.mask) {
+  if (!cached || fill || request.mask) {
     mask = activate_mask(theta_m, activation_);
     o = to_complex(mask);
     fft2(o);
   }
 
-  // When a forward transform pass runs and the mask gradient is wanted,
-  // capture each component's coherent field in it so the backward sweep
-  // seeds its adjoints from the cache instead of recomputing every
-  // transform (fused pipeline mode only -- staged mode keeps the legacy
-  // double sweep).  With narrow pass-bands the backward sweep runs the
-  // band-restricted direct adjoint and needs no fields, so capture stays
-  // disarmed.
+  // When a forward chain runs (the transform path, or a fill that takes
+  // the chain) and the mask gradient is wanted, capture each component's
+  // coherent field in it so the backward sweep seeds its adjoints from the
+  // capture instead of recomputing every transform (fused mode only).
+  // With narrow pass-bands the backward sweep runs the band-restricted
+  // direct adjoint and needs no fields, so capture stays disarmed.
   sim::FieldCaptureScope capture(
       abbe_->workspaces(), abbe_->components(),
-      !cached && request.mask && !sim::adjoint_uses_band_conv(*abbe_));
+      request.mask && !sim::adjoint_uses_band_conv(*abbe_) &&
+          (!cached ||
+           (fill && !sim::image_fill_uses_autocorrelation(*abbe_))));
 
-  if (fill) {
-    images_.fill(*abbe_, o, theta_m);
-    cached = true;
-  }
+  if (fill) images_.fill(*abbe_, o, theta_m);
   const AbbeAerial fwd = cached ? abbe_->aerial(images_, source, source_cutoff_)
                                 : abbe_->aerial(o, source, source_cutoff_);
   const double w_total = fwd.total_weight;

@@ -52,19 +52,23 @@ struct GradRequest {
 /// points via the engine's pool.
 ///
 /// The engine owns a `sim::SourceImageCache` of the per-point images
-/// |A_s|^2 for the last theta_M it filled them for.  At that exact theta_M
-/// (bitwise) every call -- any GradRequest, `loss_only`, `aerial` -- is
-/// served from the cache without a transform.  A miss that requests the
-/// source gradient fills the cache first, then serves, so hits and misses
-/// return identical bits; a miss without it (mask-only, loss-only) runs
-/// the transform path and leaves the cache alone.  The cache is mutable
-/// state behind const methods: like the shared workspaces, it follows the
+/// |A_s|^2, stored as their spectra on the doubled-pupil disk, for the last
+/// theta_M it filled them for.  Which calls read it depends on the request
+/// kind alone: a call that requests the source gradient takes its
+/// intensity and the source gradient's reductions from the cache, filling
+/// it first on a miss, so hits and misses return identical bits; mask-only
+/// calls, `loss_only` and `aerial` always run the transform path and never
+/// read the cache.  The served intensity agrees with the transform path to
+/// rounding (<= 1e-12 of its maximum), so BiSMO and AM-SMO's SO steps move
+/// at rounding level while Abbe-MO is bitwise unchanged, and no result
+/// depends on call history.  The cache is mutable state behind const
+/// methods: like the shared workspaces, it follows the
 /// one-evaluation-at-a-time contract (thread-compatible, not thread-safe).
 ///
 /// BiSMO's exact second-order operators (grad/hvp.hpp) read the same
-/// cache through `source_images`: a source HVP is one weighted sum and one
-/// set of dots over the cached images, and the hypergradient is one
-/// two-seed `mask_adjoint` sweep.
+/// cache through `source_images`: a source HVP is one served intensity and
+/// one set of served dots (two 2-D transforms), and the hypergradient is
+/// one two-seed `mask_adjoint` sweep.
 class AbbeGradientEngine {
  public:
   /// `abbe` is borrowed and must outlive the engine.

@@ -18,8 +18,9 @@
 //   dI = (sum_s dj_s P_s - dW I) / W,   dG = L'' .* dI,
 //   dgj_s = (<dG, P_s> - <dG, I> - <G, dI>) / W - gj_s dW / W,
 //   (Hv)_s = j''_s v_s gj_s + j'_s dgj_s.
-// That is one cached weighted sum, one set of cached dots and pixel
-// arithmetic: no transform and no resist sigmoid.
+// That is one served intensity and one set of served dots (two 2-D
+// transforms over the cached spectra, sim/source_image_cache.hpp) and
+// pixel arithmetic: no resist sigmoid.
 //
 // Hypergradient.  d/dthetaM <dL/dthetaJ, w> = d/dthetaM <G, dI> with
 // dj = j' .* w, which expands to per-point seeds on dP_s.  Together with

@@ -64,9 +64,10 @@ class AbbeImaging : public sim::ImagingModel {
   AbbeAerial aerial(const ComplexGrid& o, const RealGrid& j,
                     double cutoff = 1e-9) const;
 
-  /// The same image served from per-point images filled for this engine
-  /// (no transform): bitwise equal to `aerial(o, j, cutoff)` for the
-  /// spectrum `images` was filled from.
+  /// The same image served from a per-point image cache filled for this
+  /// engine (one inverse transform of the cached spectra): within rounding
+  /// (<= 1e-12 of its maximum) of `aerial(o, j, cutoff)` for the spectrum
+  /// `images` was filled from.
   AbbeAerial aerial(const sim::SourceImageCache& images, const RealGrid& j,
                     double cutoff = 1e-9) const;
 

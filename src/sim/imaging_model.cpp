@@ -16,6 +16,15 @@ namespace {
 
 std::atomic<std::uint64_t> g_adjoint_passes{0};
 
+/// Autocorrelation products per n^2 log2 n above which the image fill
+/// takes the chain (image_fill_uses_autocorrelation).  Measured serially
+/// on a 4-core x86-64 AVX2 host (BM_SourceImageFill and forced-path runs):
+/// the paths cross at a ratio of about 2.4 (64^2 at 24 nm pixels: 1.26 vs
+/// 1.12 ms) to 3.3 (128^2 at 16 nm, extrapolated from 3.8 vs 7.1 ms at a
+/// ratio of 1.8).  At 8 nm pixels the ratio is 0.11 at 128^2 (11-13x
+/// faster), 0.41 at 256^2 (4.4x) and 1.41 at 512^2 (140 vs 304 ms, 2.2x).
+constexpr double kAutocorrelationPerTransform = 2.5;
+
 /// Signed frequency of index `k` on an `n`-point axis: k below n - n/2,
 /// k - n from there (the Nyquist index of an even n maps to -n/2).
 std::int32_t signed_freq(std::uint32_t k, std::uint32_t n) {
@@ -178,6 +187,22 @@ bool adjoint_uses_band_conv(const ImagingModel& model) {
   for (std::size_t c = 0; c < comps; ++c) {
     const BandRef b = model.component_band(c);
     if (b.nbins * b.nbins > budget) return false;
+  }
+  return true;
+}
+
+bool image_fill_uses_autocorrelation(const ImagingModel& model) {
+  if (!fusion_enabled()) return false;
+  const std::size_t comps = model.components();
+  if (comps == 0) return false;
+  const double n = static_cast<double>(model.grid_dim());
+  // Autocorrelation: about nbins^2 / 2 complex multiply-adds per point.
+  // Chain + projection: a row-skipping forward chain and a disk-column
+  // forward transform, both ~n^2 log2 n.
+  const double budget = kAutocorrelationPerTransform * n * n * std::log2(n);
+  for (std::size_t c = 0; c < comps; ++c) {
+    const auto nb = static_cast<double>(model.component_band(c).nbins);
+    if (0.5 * nb * nb > budget) return false;
   }
   return true;
 }

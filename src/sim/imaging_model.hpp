@@ -151,6 +151,14 @@ std::uint64_t adjoint_pass_calls();
 /// (sim::FieldCaptureScope) when this returns true.
 bool adjoint_uses_band_conv(const ImagingModel& model);
 
+/// True when `SourceImageCache::fill` computes each point's image spectrum
+/// by autocorrelating the band (about nbins^2 / 2 complex products) rather
+/// than running the point's forward chain and one forward transform of its
+/// image: fused mode and every component band narrow enough for the
+/// product count to beat the two transforms (the crossover is measured in
+/// the definition).  Staged mode always takes the chain.
+bool image_fill_uses_autocorrelation(const ImagingModel& model);
+
 }  // namespace bismo::sim
 
 #endif  // BISMO_SIM_IMAGING_MODEL_HPP

@@ -5,9 +5,12 @@
 // pass gradient checks end to end.  The elementwise kernel ops the imaging
 // engines use are validated against plain double references, and the
 // band-convolution op (alone and inside sim::adjoint_pass) bit for bit
-// against the modulo-gather loop it replaced.
+// against the modulo-gather loop it replaced, and the segment
+// cross-correlation op of the image-cache fill bit for bit against its
+// term-by-term oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -279,28 +282,6 @@ TEST(FftKernels, ElementwiseOpsMatchPlainDoubleReference) {
                 1e-11 * n)
         << name;
 
-    // Cached-image ops: a stored |a|^2 (accumulated at weight 1 into
-    // zeros) re-accumulated through axpy_real reproduces accumulate_norm
-    // bitwise, and dot_real over it matches weighted_norm_sum.
-    std::vector<double> image(n, 0.0);
-    kernel.accumulate_norm(image.data(), a.data(), n, 1.0);
-    std::vector<double> direct(n, 0.5);
-    std::vector<double> served(n, 0.5);
-    kernel.accumulate_norm(direct.data(), a.data(), n, 0.37);
-    kernel.axpy_real(served.data(), image.data(), n, 0.37);
-    EXPECT_EQ(direct, served) << name;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(served[i], 0.5 + 0.37 * std::norm(a[i]), 1e-12) << name;
-    }
-    EXPECT_NEAR(kernel.dot_real(w.data(), image.data(), n), ref_sum,
-                1e-11 * n)
-        << name;
-    double ref_dot = 0.0;
-    for (std::size_t i = 0; i < n; ++i) ref_dot += w[i] * image[i];
-    EXPECT_NEAR(kernel.dot_real(w.data(), image.data(), n), ref_dot,
-                1e-12 * n)
-        << name;
-
     kernel.seed_cotangent(got.data(), w.data(), a.data(), n, 2.0);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_LT(std::abs(got[i] - 2.0 * w[i] * a[i]), 1e-12) << name;
@@ -527,6 +508,58 @@ TEST(FftKernels, BandConvMatchesModuloGatherBitwise) {
               << name << " n=" << n << " seeds=" << seeds
               << " nbins=" << ref.nbins;
         }
+      }
+    }
+  }
+}
+
+TEST(FftKernels, XcorrAccumulateMatchesOracleBitwise) {
+  // Every backend against the term-by-term oracle of the op's contract,
+  // on segment lengths that leave every lag-block remainder, with random
+  // values already in `out` and zero padding around `x`.
+  Rng rng(91);
+  const std::size_t pad = fft::kXcorrPad;
+  for (const std::size_t nx : {1, 2, 3, 4, 5, 7, 8, 15, 29}) {
+    for (const std::size_t ny : {1, 3, 4, 6, 15, 29}) {
+      std::vector<std::complex<double>> x(nx + 2 * pad);
+      std::vector<std::complex<double>> y(ny);
+      std::vector<std::complex<double>> out0(nx + ny - 1);
+      for (std::size_t i = 0; i < nx; ++i) {
+        x[pad + i] = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      }
+      for (auto& v : y) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      for (auto& v : out0) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      // Lag k lives at out0[ny - 1 + k].
+      std::vector<std::complex<double>> expect = out0;
+      for (std::ptrdiff_t k = 1 - static_cast<std::ptrdiff_t>(ny);
+           k < static_cast<std::ptrdiff_t>(nx); ++k) {
+        double re = 0.0;
+        double im = 0.0;
+        std::complex<double> ref = 0.0;
+        for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(ny); ++j) {
+          if (j + k < 0 || j + k >= static_cast<std::ptrdiff_t>(nx)) continue;
+          const double sr = y[j].real();
+          const double si = -y[j].imag();
+          const std::complex<double> w = x[pad + j + k];
+          re += sr * w.real() - si * w.imag();
+          im += sr * w.imag() + si * w.real();
+          ref += w * std::conj(y[j]);
+        }
+        std::complex<double>& e = expect[ny - 1 + k];
+        EXPECT_LT(std::abs(std::complex<double>(re, im) - ref), 1e-13);
+        e = {e.real() + re, e.imag() + im};
+      }
+      for (const std::string& name : fft::available_backends()) {
+        BackendGuard guard(name);
+        ASSERT_TRUE(guard.ok()) << name;
+        std::vector<std::complex<double>> got = out0;
+        fft::active_kernel().xcorr_accumulate(x.data() + pad, nx, y.data(),
+                                              ny, got.data() + ny - 1);
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          mismatches += same_bits(got[i], expect[i]) ? 0 : 1;
+        }
+        EXPECT_EQ(mismatches, 0u) << name << " nx=" << nx << " ny=" << ny;
       }
     }
   }

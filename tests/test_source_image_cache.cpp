@@ -1,8 +1,15 @@
 // Per-source-point image cache tests (sim/source_image_cache.hpp and its
 // use inside AbbeGradientEngine):
 //
-//   * the cache-served intensity is bitwise equal to AbbeImaging::aerial
-//     under every backend and in both pipeline modes;
+//   * the served intensity matches AbbeImaging::aerial to 1e-12 of the
+//     grid maximum under every backend and in both pipeline modes;
+//   * the autocorrelation fill matches the chain + projection oracle to
+//     1e-12 at 64, 96, 128 and 256, and at the sampling boundary
+//     pixel = lambda / (4 NA), where bands reach the Nyquist row and
+//     disk offsets alias;
+//   * served intensities and dots are bitwise equal at 1, 2 and 4 threads,
+//     and a warmed intensity, dots or exact HVP allocates nothing;
+//   * at 128^2 / 11^2 the cache holds at most 1/20 of the dense images;
 //   * the key is the exact bits of theta_M (plus backend and mode);
 //   * engine results do not depend on call history: shuffled sequences of
 //     full, source-only, mask-only and loss-only calls match a fresh
@@ -12,7 +19,8 @@
 //   * adjoint_pass's wns on the captured- and recomputed-field paths
 //     matches the cache's dots to 1e-12 relative on every backend;
 //   * engines sharing one WorkspaceSet keep their own images;
-//   * a short BiSMO-NMN run is bitwise identical at 1, 2 and 4 threads.
+//   * short BiSMO-NMN, BiSMO-CG and AM-SMO(A-A) runs are bitwise identical
+//     at 1, 2 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,12 +30,14 @@
 #include <string>
 #include <vector>
 
+#include "core/alloc_guard.hpp"
 #include "core/problem.hpp"
 #include "core/runner.hpp"
 #include "fft/fft.hpp"
 #include "fft/kernels/kernel.hpp"
 #include "grad/abbe_grad.hpp"
 #include "grad/gradcheck.hpp"
+#include "grad/hvp.hpp"
 #include "litho/abbe.hpp"
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
@@ -59,7 +69,9 @@ class GlobalModeGuard {
 
 /// A 64x64 clip.  At 8 nm pixels the pass-bands are narrow enough for the
 /// band-convolution adjoint; at 16 nm they are too wide, so fused mode
-/// captures fields instead.
+/// captures fields instead; at 24 nm they are also too wide for the
+/// autocorrelation fill, so a source-gradient miss fills through the
+/// chain and captures the fields there.
 struct Rig {
   OpticsConfig optics;
   SourceGeometry geometry;
@@ -168,7 +180,13 @@ RealGrid uncached_source_gradient(const AbbeImaging& abbe,
 
 // ---- The cache itself --------------------------------------------------------
 
-TEST(SourceImageCache, IntensityMatchesAerialBitwiseOnEveryBackendAndMode) {
+double max_abs(const RealGrid& g) {
+  double m = 0.0;
+  for (const double v : g) m = std::max(m, std::abs(v));
+  return m;
+}
+
+TEST(SourceImageCache, IntensityMatchesAerialOnEveryBackendAndMode) {
   GlobalModeGuard guard;
   const Rig rig(8.0);
   ComplexGrid o = to_complex(activate_mask(rig.theta_m[0], {}));
@@ -191,12 +209,207 @@ TEST(SourceImageCache, IntensityMatchesAerialBitwiseOnEveryBackendAndMode) {
       const AbbeAerial direct = abbe.aerial(o, j);
       const AbbeAerial served = abbe.aerial(cache, j);
       EXPECT_EQ(direct.total_weight, served.total_weight);
-      EXPECT_TRUE(direct.intensity == served.intensity)
-          << backend << (fused ? " fused" : " staged")
-          << " max diff " << testing::max_diff(direct.intensity,
-                                               served.intensity);
+      EXPECT_LE(testing::max_diff(direct.intensity, served.intensity),
+                1e-12 * max_abs(direct.intensity))
+          << backend << (fused ? " fused" : " staged");
     }
   }
+}
+
+/// A clip of side `n` at `pixel_nm` with a `source_dim`^2 source, a random
+/// mask spectrum and a random weight grid.
+struct SpectralRig {
+  OpticsConfig optics;
+  SourceGeometry geometry;
+  ComplexGrid o;
+  RealGrid w;
+  RealGrid key;
+
+  SpectralRig(std::size_t n, double pixel_nm, std::size_t source_dim)
+      : optics{193.0, 1.35, n, pixel_nm, 0.0},
+        geometry(source_dim, optics),
+        w(n, n),
+        key(n, n, 0.25) {
+    Rng rng(static_cast<std::uint64_t>(n) * 31 + source_dim);
+    RealGrid mask(n, n);
+    for (auto& v : mask) v = rng.uniform(0.0, 1.0);
+    o = to_complex(mask);
+    fft2(o);
+    for (auto& v : w) v = rng.uniform(-1.0, 1.0);
+  }
+};
+
+/// Every component's image served alone (unit weight), from a cache filled
+/// through `path`.
+std::vector<RealGrid> component_images(const AbbeImaging& abbe,
+                                       const SpectralRig& rig,
+                                       sim::ImageFill path,
+                                       std::vector<double>& dots) {
+  sim::SourceImageCache cache;
+  cache.fill(abbe, rig.o, rig.key, path);
+  std::vector<RealGrid> images;
+  for (std::size_t c = 0; c < abbe.components(); ++c) {
+    images.push_back(cache.intensity(
+        abbe, {static_cast<std::uint32_t>(c)}, {1.0}));
+  }
+  cache.dots(abbe, rig.w.data(), dots);
+  return images;
+}
+
+void expect_fill_matches_oracle(const SpectralRig& rig, const std::string& what) {
+  for (const std::string& backend : fft::available_backends()) {
+    ASSERT_TRUE(fft::set_backend(backend));
+    const AbbeImaging abbe(rig.optics, rig.geometry);
+    std::vector<double> dots_ac;
+    std::vector<double> dots_chain;
+    const std::vector<RealGrid> ac = component_images(
+        abbe, rig, sim::ImageFill::kAutocorrelation, dots_ac);
+    const std::vector<RealGrid> chain =
+        component_images(abbe, rig, sim::ImageFill::kChain, dots_chain);
+    ASSERT_EQ(ac.size(), chain.size());
+    ASSERT_EQ(dots_ac.size(), dots_chain.size());
+    double dot_scale = 0.0;
+    for (std::size_t c = 0; c < ac.size(); ++c) {
+      // The oracle itself: the component's field through the engine.
+      ComplexGrid field;
+      abbe.field(rig.o, c, field);
+      RealGrid direct(field.rows(), field.cols());
+      double dot = 0.0;
+      for (std::size_t i = 0; i < field.size(); ++i) {
+        direct[i] = std::norm(field[i]);
+        dot += rig.w[i] * direct[i];
+      }
+      const double scale = max_abs(direct);
+      EXPECT_LE(testing::max_diff(ac[c], chain[c]), 1e-12 * scale)
+          << what << " " << backend << " component " << c;
+      EXPECT_LE(testing::max_diff(chain[c], direct), 1e-12 * scale)
+          << what << " " << backend << " component " << c;
+      dot_scale = std::max(dot_scale, std::abs(dot));
+      EXPECT_NEAR(dots_chain[c], dot, 1e-12 * static_cast<double>(field.size()) * scale)
+          << what << " " << backend << " component " << c;
+    }
+    for (std::size_t c = 0; c < dots_ac.size(); ++c) {
+      EXPECT_NEAR(dots_ac[c], dots_chain[c], 1e-12 * dot_scale)
+          << what << " " << backend << " component " << c;
+    }
+  }
+}
+
+TEST(SourceImageCache, AutocorrelationFillMatchesChainOracle) {
+  GlobalModeGuard guard;
+  sim::set_fusion_enabled(true);
+  // 8 nm pixels: the bismo_128 and tiled_cluster band widths.  Bands of
+  // on-axis points wrap row and column 0.  100 is a Bluestein length,
+  // whose column passes gather one column at a time.
+  for (const std::size_t n : {64u, 96u, 100u, 128u, 256u}) {
+    const SpectralRig rig(n, 8.0, n >= 256 ? 7 : 9);
+    const AbbeImaging abbe(rig.optics, rig.geometry);
+    EXPECT_TRUE(sim::image_fill_uses_autocorrelation(abbe)) << n;
+    expect_fill_matches_oracle(rig, std::to_string(n));
+  }
+}
+
+TEST(SourceImageCache, AutocorrelationFillMatchesChainOracleAtNyquist) {
+  // pixel = lambda / (4 NA), the OpticsConfig::validate boundary: the
+  // doubled-pupil disk reaches +-Nyquist, edge bands straddle the Nyquist
+  // row and column, and disk offsets +-n/2 fold onto one bin.
+  GlobalModeGuard guard;
+  sim::set_fusion_enabled(true);
+  const double pixel = 193.0 / (4.0 * 1.35);
+  for (const std::size_t n : {32u, 48u}) {
+    const SpectralRig rig(n, pixel, 5);
+    ASSERT_NO_THROW(rig.optics.validate());
+    const AbbeImaging abbe(rig.optics, rig.geometry);
+    bool nyquist_row = false;
+    bool nyquist_col = false;
+    for (std::size_t c = 0; c < abbe.components(); ++c) {
+      const sim::BandRef band = abbe.component_band(c);
+      for (std::size_t i = 0; i < band.nbins; ++i) {
+        nyquist_row = nyquist_row || band.bins[i] / n == n / 2;
+        nyquist_col = nyquist_col || band.bins[i] % n == n / 2;
+      }
+    }
+    ASSERT_TRUE(nyquist_row && nyquist_col) << n;
+    expect_fill_matches_oracle(rig, "nyquist " + std::to_string(n));
+  }
+}
+
+TEST(SourceImageCache, ServedIntensityAndDotsBitwiseAcrossThreadCounts) {
+  GlobalModeGuard guard;
+  for (const bool fused : {true, false}) {  // autocorrelation, chain
+    sim::set_fusion_enabled(fused);
+    const SpectralRig rig(64, 8.0, 9);
+    RealGrid want_image;
+    std::vector<double> want_dots;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      const AbbeImaging abbe(rig.optics, rig.geometry, &pool);
+      ASSERT_EQ(sim::image_fill_uses_autocorrelation(abbe), fused);
+      sim::SourceImageCache cache;
+      cache.fill(abbe, rig.o, rig.key);
+      std::vector<std::uint32_t> comps;
+      std::vector<double> weights;
+      for (std::size_t c = 0; c < abbe.components(); ++c) {
+        comps.push_back(static_cast<std::uint32_t>(c));
+        weights.push_back(0.5 + 0.01 * static_cast<double>(c));
+      }
+      const RealGrid image = cache.intensity(abbe, comps, weights);
+      std::vector<double> dots;
+      cache.dots(abbe, rig.w.data(), dots);
+      if (threads == 1) {
+        want_image = image;
+        want_dots = dots;
+        continue;
+      }
+      EXPECT_TRUE(image == want_image) << threads << " threads";
+      EXPECT_TRUE(dots == want_dots) << threads << " threads";
+    }
+  }
+}
+
+TEST(SourceImageCache, HoldsAtMostOneTwentiethOfTheDenseImages) {
+  // The perfbench bismo_128 shape: 128^2 at 8 nm, 11^2 source.
+  const SpectralRig rig(128, 8.0, 11);
+  const AbbeImaging abbe(rig.optics, rig.geometry);
+  sim::SourceImageCache cache;
+  cache.fill(abbe, rig.o, rig.key);
+  const std::size_t dense = abbe.components() * 128 * 128 * sizeof(double);
+  EXPECT_GT(cache.bytes(), 0u);
+  EXPECT_LE(20 * cache.bytes(), dense)
+      << cache.bytes() << " bytes against " << dense;
+}
+
+TEST(AllocGuardSourceImageCache, WarmedServeAndHvpAllocateNothing) {
+  if (!core::AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
+  GlobalModeGuard guard;
+  sim::set_fusion_enabled(true);
+  const Rig rig(8.0);
+  ThreadPool pool(2);
+  const AbbeImaging abbe(rig.optics, rig.geometry, &pool);
+  const AbbeGradientEngine engine(abbe, rig.target);
+  const sim::SourceImageCache& cache = engine.source_images(rig.theta_m[0]);
+  std::vector<std::uint32_t> comps;
+  std::vector<double> weights;
+  for (std::size_t c = 0; c < abbe.components(); ++c) {
+    comps.push_back(static_cast<std::uint32_t>(c));
+    weights.push_back(1.0);
+  }
+  RealGrid image;
+  std::vector<double> dots;
+  const HypergradientOps ops(engine);
+  ops.linearize(rig.theta_m[0], rig.theta_j[0]);
+  RealGrid hv;
+  const RealGrid v = rig.theta_j[1] * 0.1;
+  for (int warm = 0; warm < 2; ++warm) {
+    cache.intensity(abbe, comps, weights, image);
+    cache.dots(abbe, rig.target.data(), dots);
+    ops.hvp(v, hv);
+  }
+  core::AllocGuard alloc;
+  cache.intensity(abbe, comps, weights, image);
+  cache.dots(abbe, rig.target.data(), dots);
+  ops.hvp(v, hv);
+  EXPECT_EQ(alloc.allocations(), 0u);
 }
 
 TEST(SourceImageCache, KeyIsExactThetaBitsBackendAndMode) {
@@ -257,8 +470,9 @@ TEST(SourceImageCache, AdjointPassWnsMatchesDotsOnFieldPaths) {
       }
       sim::FieldCaptureScope scope(abbe.workspaces(), abbe.components(),
                                    capture);
+      // The chain fill, so an armed scope captures the fields.
       sim::SourceImageCache cache;
-      cache.fill(abbe, o, key);
+      cache.fill(abbe, o, key, sim::ImageFill::kChain);
       std::vector<double> want;
       cache.dots(abbe, dldi.data(), want);
       std::vector<double> wns;
@@ -279,12 +493,14 @@ TEST(AbbeEngineImageCache, ResultsIndependentOfCallHistory) {
   GlobalModeGuard guard;
   const Rig narrow(8.0);
   const Rig wide(16.0);
+  const Rig wider(24.0);
   const struct {
     const Rig* rig;
     bool fused;
     const char* name;
   } configs[] = {{&narrow, true, "fused band-conv"},
                  {&wide, true, "fused field-capture"},
+                 {&wider, true, "fused chain fill + field capture"},
                  {&narrow, false, "staged"}};
 
   struct Call {
@@ -309,6 +525,8 @@ TEST(AbbeEngineImageCache, ResultsIndependentOfCallHistory) {
     if (cfg.fused) {
       const AbbeImaging probe(rig.optics, rig.geometry);
       ASSERT_EQ(sim::adjoint_uses_band_conv(probe), &rig == &narrow)
+          << cfg.name;
+      ASSERT_EQ(sim::image_fill_uses_autocorrelation(probe), &rig != &wider)
           << cfg.name;
     }
     ThreadPool pool(4);
@@ -403,36 +621,50 @@ TEST(AbbeEngineImageCache, EnginesSharingAWorkspaceSetKeepTheirOwnImages) {
     expect_bitwise(call(engine_a, Kind::kFull, tm, tj), want_a, "engine a");
     expect_bitwise(call(engine_b, Kind::kFull, tm, tj), want_b, "engine b");
   }
-  EXPECT_EQ(call(engine_a, Kind::kLoss, tm, tj).loss, want_a.loss);
-  EXPECT_EQ(call(engine_b, Kind::kLoss, tm, tj).loss, want_b.loss);
+  expect_bitwise(call(engine_a, Kind::kLoss, tm, tj),
+                 fresh_call(focus, Kind::kLoss, tm, tj), "engine a loss");
+  expect_bitwise(call(engine_b, Kind::kLoss, tm, tj),
+                 fresh_call(defocus, Kind::kLoss, tm, tj), "engine b loss");
 }
 
 TEST(AbbeEngineImageCache, BismoNmnBitwiseAcrossThreadCounts) {
+  // BiSMO-NMN and BiSMO-CG (every source step and hypergradient operator
+  // served from the cache) and AM-SMO(A-A) (its SO steps).
   SmoConfig config;
   config.optics = OpticsConfig{193.0, 1.35, 64, 8.0, 0.0};
   config.source_dim = 7;
   config.outer_steps = 3;
   config.unroll_steps = 2;
   config.hyper_terms = 3;
+  config.am_cycles = 2;
+  config.am_so_steps = 2;
+  config.am_mo_steps = 2;
   const Rig rig(8.0);
 
-  RunResult reference;
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    const SmoProblem problem(config, rig.target, &pool);
-    const RunResult run = run_method(problem, Method::kBismoNmn);
-    ASSERT_EQ(run.trace.size(), 3u);
-    if (threads == 1) {
-      reference = run;
-      continue;
+  for (const Method method :
+       {Method::kBismoNmn, Method::kBismoCg, Method::kAmAbbeAbbe}) {
+    RunResult reference;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      const SmoProblem problem(config, rig.target, &pool);
+      const RunResult run = run_method(problem, method);
+      ASSERT_FALSE(run.trace.empty()) << to_string(method);
+      if (threads == 1) {
+        reference = run;
+        continue;
+      }
+      const std::string what =
+          to_string(method) + ", " + std::to_string(threads) + " threads";
+      EXPECT_TRUE(run.theta_m == reference.theta_m) << what;
+      EXPECT_TRUE(run.theta_j == reference.theta_j) << what;
+      ASSERT_EQ(run.trace.size(), reference.trace.size()) << what;
+      for (std::size_t s = 0; s < run.trace.size(); ++s) {
+        EXPECT_EQ(run.trace[s].loss, reference.trace[s].loss)
+            << what << ", step " << s;
+      }
+      EXPECT_EQ(run.gradient_evaluations, reference.gradient_evaluations)
+          << what;
     }
-    EXPECT_TRUE(run.theta_m == reference.theta_m) << threads << " threads";
-    EXPECT_TRUE(run.theta_j == reference.theta_j) << threads << " threads";
-    for (std::size_t s = 0; s < run.trace.size(); ++s) {
-      EXPECT_EQ(run.trace[s].loss, reference.trace[s].loss)
-          << threads << " threads, step " << s;
-    }
-    EXPECT_EQ(run.gradient_evaluations, reference.gradient_evaluations);
   }
 }
 
