@@ -178,7 +178,7 @@ void SourceImageCache::build_layout(const ImagingModel& model) {
   }
   std::vector<std::int32_t> half_index(n * n, -1);
   half_.clear();
-  mirror_.clear();
+  std::vector<std::uint32_t> half_mirror;
   pair_weight_.clear();
   disk_rows_.clear();
   disk_cols_.clear();
@@ -193,7 +193,7 @@ void SourceImageCache::build_layout(const ImagingModel& model) {
     if (b > m) continue;
     half_index[b] = static_cast<std::int32_t>(half_.size());
     half_.push_back(b);
-    mirror_.push_back(m);
+    half_mirror.push_back(m);
     pair_weight_.push_back(b == m ? 1.0 : 2.0);
   }
   std::vector<std::uint32_t> slab_col(n, 0);
@@ -210,7 +210,7 @@ void SourceImageCache::build_layout(const ImagingModel& model) {
   slab_mirror_.clear();
   for (std::size_t t = 0; t < half_.size(); ++t) {
     slab_at_.push_back(slab_index(half_[t]));
-    slab_mirror_.push_back(slab_index(mirror_[t]));
+    slab_mirror_.push_back(slab_index(half_mirror[t]));
   }
 
   // A half bin sums every offset that folds onto it: a cell d of the
@@ -247,20 +247,23 @@ void SourceImageCache::fill(const ImagingModel& model, const ComplexGrid& o,
   const std::size_t stride = 2 * half_.size();
   spectra_.resize(comps * stride);
   half_acc_.resize(stride);
-  slab_.resize(n * disk_cols_.size());
 
   const bool autocorrelation =
       path == ImageFill::kAuto ? image_fill_uses_autocorrelation(model)
                                : path == ImageFill::kAutocorrelation;
   const std::size_t slots = reduction_slots(comps);
   if (slot_scratch_.size() < slots) slot_scratch_.resize(slots);
-  slot_scratch_[0].rows.resize(kRowBlock / 2 * n);
   const std::size_t rect = rect_rows_ * (2 * static_cast<std::size_t>(rect_half_) + 1);
   for (std::size_t s = 0; s < slots; ++s) {
+    // Slot 0's slab and row buffer also serve intensity() and dots().
     SlotScratch& scratch = slot_scratch_[s];
     if (autocorrelation) {
       scratch.rect.resize(rect);
       scratch.vals.resize(padded_values_);
+    }
+    if (!autocorrelation || s == 0) {
+      scratch.slab.resize(n * disk_cols_.size());
+      scratch.rows.resize(kRowBlock / 2 * n);
     }
     scratch.fft.resize(plan_.scratch_size());
   }
@@ -355,59 +358,77 @@ void SourceImageCache::fill_chain(const ImagingModel& model,
   image.fill(0.0);
   ComplexGrid* dest = set.capturing() ? &set.capture_slot(c) : nullptr;
   ws.forward_field(o, model.component_band(c), &image, 1.0, dest);
-  // The slot's field buffer is free again (the field went to the capture
-  // entry or was folded into the image already).
-  ComplexGrid& spectrum = ws.field();
-  for (std::size_t i = 0; i < image.size(); ++i) {
-    spectrum[i] = std::complex<double>(image[i], 0.0);
-  }
-  forward_disk_columns(spectrum, scratch.fft.data());
+  project(image.data(), scratch);
   double* dst = spectra_.data() + c * 2 * half_.size();
   for (std::size_t t = 0; t < half_.size(); ++t) {
-    dst[2 * t] = spectrum[half_[t]].real();
-    dst[2 * t + 1] = spectrum[half_[t]].imag();
+    dst[2 * t] = scratch.slab[slab_at_[t]].real();
+    dst[2 * t + 1] = scratch.slab[slab_at_[t]].imag();
   }
-}
-
-void SourceImageCache::forward_disk_columns(
-    ComplexGrid& g, std::complex<double>* scratch) const {
-  plan_.transform_rows(g.data(), dim_, /*inverse=*/false, scratch);
-  if (!col_plan_.lockstep_columns()) {
-    plan_.transform_cols(g, /*inverse=*/false, scratch);
-    return;
-  }
-  for_each_index_run(disk_cols_.data(), disk_cols_.size(),
-                     [&](std::size_t, std::uint32_t col, std::size_t len) {
-                       col_plan_.transform_columns(g.data() + col, len, dim_,
-                                                   /*inverse=*/false);
-                     });
 }
 // bismo-lint: no-alloc-end
 
 template <typename Body>
-void SourceImageCache::for_row_blocks(const Body& body) const {
-  SlotScratch& scratch = slot_scratch_[0];
+void SourceImageCache::for_row_blocks(SlotScratch& scratch,
+                                      const Body& body) const {
   for (std::size_t row = 0; row < dim_; row += kRowBlock) {
     body(scratch.rows.data(), scratch.fft.data(), row,
          std::min(kRowBlock, dim_ - row));
   }
 }
 
-void SourceImageCache::slab_columns(bool inverse) const {
+void SourceImageCache::slab_columns(SlotScratch& scratch,
+                                    bool inverse) const {
   // bismo-lint: no-alloc-begin
   const std::size_t width = disk_cols_.size();
+  std::complex<double>* slab = scratch.slab.data();
   if (col_plan_.lockstep_columns()) {
-    col_plan_.transform_columns(slab_.data(), width, width, inverse);
+    col_plan_.transform_columns(slab, width, width, inverse);
     return;
   }
   // Bluestein lengths: one gathered column at a time.
-  SlotScratch& scratch = slot_scratch_[0];
   std::complex<double>* column = scratch.rows.data();
   for (std::size_t c = 0; c < width; ++c) {
-    for (std::size_t r = 0; r < dim_; ++r) column[r] = slab_[r * width + c];
+    for (std::size_t r = 0; r < dim_; ++r) column[r] = slab[r * width + c];
     col_plan_.transform(column, inverse, scratch.fft.data());
-    for (std::size_t r = 0; r < dim_; ++r) slab_[r * width + c] = column[r];
+    for (std::size_t r = 0; r < dim_; ++r) slab[r * width + c] = column[r];
   }
+  // bismo-lint: no-alloc-end
+}
+
+void SourceImageCache::project(const double* w, SlotScratch& scratch) const {
+  // bismo-lint: no-alloc-begin
+  // Row transforms per block, kept on the disk columns, then the slab's
+  // column transforms.  The rows are real, so row pairs share one complex
+  // transform Z = FFT(w_r + i w_r+1) and split as
+  // W_r(c) = (Z(c) + conj Z(-c)) / 2,  W_r+1(c) = (Z(c) - conj Z(-c)) / 2i.
+  const std::size_t n = dim_;
+  const std::size_t width = disk_cols_.size();
+  for_row_blocks(scratch, [&](std::complex<double>* buf,
+                              std::complex<double>* fft, std::size_t row,
+                              std::size_t rows) {
+    const std::size_t pairs = (rows + 1) / 2;
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const double* re = w + (row + 2 * p) * n;
+      const double* im = 2 * p + 1 < rows ? re + n : nullptr;
+      for (std::size_t c = 0; c < n; ++c) {
+        buf[p * n + c] = std::complex<double>(re[c], im != nullptr ? im[c] : 0.0);
+      }
+    }
+    plan_.transform_rows(buf, pairs, /*inverse=*/false, fft);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::complex<double>* z = buf + (r / 2) * n;
+      std::complex<double>* to = scratch.slab.data() + (row + r) * width;
+      for (std::size_t c = 0; c < width; ++c) {
+        const std::uint32_t col = disk_cols_[c];
+        const std::complex<double> zc = z[col];
+        const std::complex<double> zm = std::conj(z[col == 0 ? 0 : n - col]);
+        to[c] = r % 2 == 0 ? 0.5 * (zc + zm)
+                           : std::complex<double>(0.5 * (zc - zm).imag(),
+                                                  -0.5 * (zc - zm).real());
+      }
+    }
+  });
+  slab_columns(scratch, /*inverse=*/false);
   // bismo-lint: no-alloc-end
 }
 
@@ -446,21 +467,24 @@ void SourceImageCache::intensity(const ImagingModel& model,
   // of a row are non-zero, and every row transforms to a real row, so row
   // pairs share one complex transform (row r in the real part, r + 1 in
   // the imaginary part).
-  std::fill(slab_.begin(), slab_.end(), std::complex<double>{});
+  SlotScratch& scratch = slot_scratch_[0];
+  std::vector<std::complex<double>>& slab = scratch.slab;
+  std::fill(slab.begin(), slab.end(), std::complex<double>{});
   for (std::size_t t = 0; t < half_.size(); ++t) {
     const std::complex<double> v(acc[2 * t], acc[2 * t + 1]);
-    slab_[slab_at_[t]] = v;
-    if (mirror_[t] != half_[t]) slab_[slab_mirror_[t]] = std::conj(v);
+    slab[slab_at_[t]] = v;
+    if (slab_mirror_[t] != slab_at_[t]) slab[slab_mirror_[t]] = std::conj(v);
   }
-  slab_columns(/*inverse=*/true);
+  slab_columns(scratch, /*inverse=*/true);
   const std::size_t width = disk_cols_.size();
   const double inv_n2 = 1.0 / (static_cast<double>(n) * static_cast<double>(n));
-  for_row_blocks([&](std::complex<double>* buf, std::complex<double>* fft,
-                     std::size_t row, std::size_t rows) {
+  for_row_blocks(scratch, [&](std::complex<double>* buf,
+                              std::complex<double>* fft, std::size_t row,
+                              std::size_t rows) {
     const std::size_t pairs = (rows + 1) / 2;
     std::fill_n(buf, pairs * n, std::complex<double>{});
     for (std::size_t r = 0; r < rows; ++r) {
-      const std::complex<double>* from = slab_.data() + (row + r) * width;
+      const std::complex<double>* from = slab.data() + (row + r) * width;
       std::complex<double>* to = buf + (r / 2) * n;
       if (r % 2 == 0) {
         for (std::size_t c = 0; c < width; ++c) to[disk_cols_[c]] = from[c];
@@ -491,43 +515,15 @@ void SourceImageCache::dots(const ImagingModel& model, const double* w,
   out.resize(comps_);
   // bismo-lint: no-alloc-begin
   // sum_i w[i] P_c[i] = (1/n^2) sum_q P^_c(q) conj W^(q) over the disk;
-  // a conjugate pair contributes twice the real part of one term.  W^ on
-  // the disk: row transforms per block, kept on the disk columns, then the
-  // slab's column transforms.  The rows are real, so row pairs share one
-  // complex transform Z = FFT(w_r + i w_r+1) and split as
-  // W_r(c) = (Z(c) + conj Z(-c)) / 2,  W_r+1(c) = (Z(c) - conj Z(-c)) / 2i.
+  // a conjugate pair contributes twice the real part of one term.
+  SlotScratch& scratch = slot_scratch_[0];
+  project(w, scratch);
   const std::size_t n = dim_;
-  const std::size_t width = disk_cols_.size();
-  for_row_blocks([&](std::complex<double>* buf, std::complex<double>* fft,
-                     std::size_t row, std::size_t rows) {
-    const std::size_t pairs = (rows + 1) / 2;
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const double* re = w + (row + 2 * p) * n;
-      const double* im = 2 * p + 1 < rows ? re + n : nullptr;
-      for (std::size_t c = 0; c < n; ++c) {
-        buf[p * n + c] = std::complex<double>(re[c], im != nullptr ? im[c] : 0.0);
-      }
-    }
-    plan_.transform_rows(buf, pairs, /*inverse=*/false, fft);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::complex<double>* z = buf + (r / 2) * n;
-      std::complex<double>* to = slab_.data() + (row + r) * width;
-      for (std::size_t c = 0; c < width; ++c) {
-        const std::uint32_t col = disk_cols_[c];
-        const std::complex<double> zc = z[col];
-        const std::complex<double> zm = std::conj(z[col == 0 ? 0 : n - col]);
-        to[c] = r % 2 == 0 ? 0.5 * (zc + zm)
-                           : std::complex<double>(0.5 * (zc - zm).imag(),
-                                                  -0.5 * (zc - zm).real());
-      }
-    }
-  });
-  slab_columns(/*inverse=*/false);
   const double inv_n2 =
       1.0 / (static_cast<double>(n) * static_cast<double>(n));
   double* pair = half_acc_.data();
   for (std::size_t t = 0; t < half_.size(); ++t) {
-    const std::complex<double> v = slab_[slab_at_[t]];
+    const std::complex<double> v = scratch.slab[slab_at_[t]];
     const double s = pair_weight_[t] * inv_n2;
     pair[2 * t] = s * v.real();
     pair[2 * t + 1] = s * v.imag();

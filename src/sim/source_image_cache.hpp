@@ -133,6 +133,7 @@ class SourceImageCache {
     std::vector<std::complex<double>> rect;  ///< correlation rectangle
     std::vector<std::complex<double>> vals;  ///< padded band values
     std::vector<std::complex<double>> rows;  ///< kRowBlock / 2 grid rows
+    std::vector<std::complex<double>> slab;  ///< dim x disk columns
     std::vector<std::complex<double>> fft;
   };
   /// Grid rows one serving task transforms together.
@@ -143,15 +144,14 @@ class SourceImageCache {
                             std::size_t c, SlotScratch& scratch);
   void fill_chain(const ImagingModel& model, const ComplexGrid& o,
                   std::size_t c, SimWorkspace& ws, SlotScratch& scratch);
-  /// Forward transform of `g` in place, exact on the disk columns only.
-  void forward_disk_columns(ComplexGrid& g,
-                            std::complex<double>* scratch) const;
+  /// scratch.slab = FFT2(w) on the disk columns, for a real dim x dim `w`.
+  void project(const double* w, SlotScratch& scratch) const;
   /// `body(rows buffer, fft scratch, first row, rows)` for every block of
-  /// kRowBlock grid rows, in order, on slot 0's scratch.
+  /// kRowBlock grid rows, in order.
   template <typename Body>
-  void for_row_blocks(const Body& body) const;
-  /// In-place column transforms of the disk-column slab.
-  void slab_columns(bool inverse) const;
+  void for_row_blocks(SlotScratch& scratch, const Body& body) const;
+  /// In-place column transforms of scratch.slab.
+  void slab_columns(SlotScratch& scratch, bool inverse) const;
 
   // Disk layout, derived from the model's bands (build_layout).
   const ImagingModel* model_ = nullptr;
@@ -167,7 +167,6 @@ class SourceImageCache {
   std::int32_t rect_half_ = 0;  ///< column offsets -rect_half_ .. rect_half_
   std::vector<Gather> gather_;  ///< sorted by bin
   std::vector<std::uint32_t> half_;     ///< flat grid bin of each half bin
-  std::vector<std::uint32_t> mirror_;   ///< flat bin of its conjugate
   std::vector<double> pair_weight_;     ///< 1 when self-conjugate, else 2
   std::vector<std::uint32_t> disk_rows_;  ///< sorted grid rows of the disk
   std::vector<std::uint32_t> disk_cols_;  ///< sorted grid cols of the disk
@@ -185,9 +184,8 @@ class SourceImageCache {
   bool valid_ = false;
 
   // Serving scratch (const methods; one evaluation at a time): the half
-  // disk, and the grid restricted to the disk columns (dim x columns).
+  // disk here, the slab and row buffer in slot 0's scratch.
   mutable std::vector<double> half_acc_;
-  mutable std::vector<std::complex<double>> slab_;
 };
 
 }  // namespace bismo::sim
