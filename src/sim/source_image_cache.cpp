@@ -295,8 +295,8 @@ void SourceImageCache::fill(const ImagingModel& model, const ComplexGrid& o,
 }
 
 // bismo-lint: no-alloc-begin
-// Fill and serve bodies: every buffer is sized by fill() before its pooled
-// pass, so neither path touches the heap once warmed.
+// Fill bodies: every buffer is sized by fill() before its pooled pass, so
+// neither path touches the heap once warmed.
 void SourceImageCache::fill_autocorrelation(const ImagingModel& model,
                                             const ComplexGrid& o,
                                             std::size_t c,
