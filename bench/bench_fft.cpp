@@ -16,12 +16,10 @@
 // power-of-two 2-D transforms; the JSON records the measured ratios plus a
 // cross-backend agreement check so a silently-diverging backend fails loud.
 //
-// A second sweep times non-power-of-two 2-D transforms, each labelled with
-// the plan it takes (mixed radix for r * 2^k with odd r <= 15, Bluestein
-// otherwise), in ns/pixel; an advisory line checks that 96^2 costs at most
-// 2x the 128^2 per-pixel time.  Last, 120-point rows (r = 15, the largest
-// odd factor a mixed plan takes) run mixed radix against a Bluestein
-// transform of the same length, the check behind that cap.
+// A second sweep times mixed-radix 2-D transforms (sides r * 2^k with odd
+// r <= 15, the only non-power-of-two lengths the library plans) in
+// ns/pixel; an advisory line checks that 96^2 costs at most 2x the 128^2
+// per-pixel time.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -166,56 +164,6 @@ std::string simd_backend() {
   return {};
 }
 
-/// Plan kind a length takes: "pow2", "mixed" or "bluestein" (read from
-/// the plan, so the label follows the library's selection rule).
-std::string plan_kind(std::size_t n) {
-  if ((n & (n - 1)) == 0) return "pow2";
-  return Fft1dPlan(n).lockstep_columns() ? "mixed" : "bluestein";
-}
-
-/// Bluestein forward transform of one length, built from the public
-/// power-of-two plan: the reference the mixed-radix cap is timed against.
-class BluesteinRef {
- public:
-  explicit BluesteinRef(std::size_t n) : n_(n) {
-    while (m_ < 2 * n - 1) m_ <<= 1;
-    sub_ = Fft1dPlan(m_);
-    chirp_.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const double ang = -M_PI * static_cast<double>((j * j) % (2 * n)) /
-                         static_cast<double>(n);
-      chirp_[j] = {std::cos(ang), std::sin(ang)};
-    }
-    b_spectrum_.assign(m_, {0.0, 0.0});
-    b_spectrum_[0] = std::conj(chirp_[0]);
-    for (std::size_t j = 1; j < n; ++j) {
-      b_spectrum_[j] = std::conj(chirp_[j]);
-      b_spectrum_[m_ - j] = std::conj(chirp_[j]);
-    }
-    sub_.transform(b_spectrum_.data(), /*inverse=*/false);
-    work_.resize(m_);
-  }
-
-  void forward(std::complex<double>* x) {
-    for (std::size_t j = 0; j < n_; ++j) work_[j] = x[j] * chirp_[j];
-    std::fill(work_.begin() + n_, work_.end(), std::complex<double>{});
-    sub_.transform(work_.data(), /*inverse=*/false);
-    fft::active_kernel().cmul_inplace(work_.data(), b_spectrum_.data(), m_,
-                                      /*conj_b=*/false);
-    sub_.transform(work_.data(), /*inverse=*/true);
-    const double scale = 1.0 / static_cast<double>(m_);
-    for (std::size_t k = 0; k < n_; ++k) x[k] = work_[k] * scale * chirp_[k];
-  }
-
- private:
-  std::size_t n_;
-  std::size_t m_ = 1;
-  Fft1dPlan sub_;
-  std::vector<std::complex<double>> chirp_;
-  std::vector<std::complex<double>> b_spectrum_;
-  std::vector<std::complex<double>> work_;
-};
-
 /// Fft2dPlan forward driven one row at a time plus gather/scatter columns:
 /// the per-row execution pattern on the new kernels, to isolate the
 /// batching/transpose win.
@@ -229,7 +177,7 @@ void per_row_forward(const Fft2dPlan& plan, ComplexGrid& g,
   Fft1dPlan col_plan(n);
   for (std::size_t c = 0; c < n; ++c) {
     for (std::size_t r = 0; r < n; ++r) col[r] = g(r, c);
-    col_plan.transform(col.data(), /*inverse=*/false, scratch.data() + n);
+    col_plan.transform(col.data(), /*inverse=*/false, scratch.data());
     for (std::size_t r = 0; r < n; ++r) g(r, c) = col[r];
   }
 }
@@ -314,11 +262,10 @@ int main(int argc, char** argv) {
                  std::max(agree_scalar, agree_simd)}});
   }
 
-  // ---- 2-D non-power-of-two sweep: mixed radix and Bluestein ---------------
+  // ---- 2-D mixed-radix sweep -----------------------------------------------
   double ns_px_96 = 0.0;
   for (const std::size_t n : {std::size_t{80}, std::size_t{96},
-                              std::size_t{100}, std::size_t{160},
-                              std::size_t{192}}) {
+                              std::size_t{160}, std::size_t{192}}) {
     const ComplexGrid base = random_grid(n, 2000 + n);
     const Fft2dPlan plan(n, n);
     std::vector<std::complex<double>> scratch(plan.scratch_size());
@@ -341,53 +288,18 @@ int main(int argc, char** argv) {
       agree = max_rel_diff(work, ref);
     }
     fft::set_backend("auto");
-    const std::string kind = plan_kind(n);
     const double ns_px = 1e9 * t_simd / static_cast<double>(n * n);
     if (n == 96) ns_px_96 = ns_px;
     std::printf(
-        "2-D %4zux%-4zu (%s)  scalar %9.1f us  simd %9.1f us  %.2fx  "
+        "2-D %4zux%-4zu (mixed)  scalar %9.1f us  simd %9.1f us  %.2fx  "
         "%6.2f ns/px  agree %.1e\n",
-        n, n, kind.c_str(), 1e6 * t_scalar, 1e6 * t_simd, t_scalar / t_simd,
-        ns_px, agree);
-    report.add("fft2_" + kind + "_" + std::to_string(n),
+        n, n, 1e6 * t_scalar, 1e6 * t_simd, t_scalar / t_simd, ns_px, agree);
+    report.add("fft2_mixed_" + std::to_string(n),
                {{"us_scalar", 1e6 * t_scalar},
                 {"us_simd", 1e6 * t_simd},
                 {"ns_per_pixel_simd", ns_px},
                 {"speedup_simd_vs_scalar", t_scalar / t_simd},
                 {"max_rel_diff_scalar_vs_simd", agree}});
-  }
-
-  // ---- odd-factor cap: 120-point rows (r = 15), mixed radix vs Bluestein ----
-  {
-    const std::size_t n = 120;
-    const ComplexGrid base = random_grid(n, 2500);
-    const Fft1dPlan plan(n);
-    std::vector<std::complex<double>> scratch(plan.scratch_size());
-    BluesteinRef bluestein(n);
-    ComplexGrid work = base;
-    const double t_mixed = time_per_call([&] {
-      work = base;
-      plan.transform_many(work.data(), n, n, /*inverse=*/false,
-                          scratch.data());
-    });
-    const ComplexGrid mixed_out = work;
-    const double t_bluestein = time_per_call([&] {
-      work = base;
-      for (std::size_t r = 0; r < n; ++r) {
-        bluestein.forward(work.data() + r * n);
-      }
-    });
-    const double agree = max_rel_diff(work, mixed_out);
-    std::printf(
-        "1-D %4zu x %zu rows (%s, r = 15)  mixed %8.1f us  bluestein %8.1f us  "
-        "mixed-vs-bluestein %.2fx  agree %.1e\n",
-        n, n, plan_kind(n).c_str(), 1e6 * t_mixed, 1e6 * t_bluestein,
-        t_bluestein / t_mixed, agree);
-    report.add("fft1_rows_120_cap",
-               {{"us_mixed", 1e6 * t_mixed},
-                {"us_bluestein", 1e6 * t_bluestein},
-                {"speedup_mixed_vs_bluestein", t_bluestein / t_mixed},
-                {"max_rel_diff_mixed_vs_bluestein", agree}});
   }
 
   // ---- 1-D radix-2 vs radix-4 vs SIMD --------------------------------------

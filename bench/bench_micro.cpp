@@ -83,18 +83,6 @@ BENCHMARK(BM_Fft2)
     ->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_Fft2Bluestein(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  ComplexGrid g(n, n);
-  for (auto& v : g) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-  for (auto _ : state) {
-    fft2(g);
-    benchmark::DoNotOptimize(g.data());
-  }
-}
-BENCHMARK(BM_Fft2Bluestein)->Arg(100)->Unit(benchmark::kMicrosecond);
-
 /// Legacy aerial evaluation: the pre-sim-layer path -- one ComplexGrid
 /// allocation and free-function (plan-cache-locking) IFFT per source point.
 /// Kept as the baseline the workspace speedup is tracked against; compare

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <stdexcept>
+#include <string>
 
 #include "fft/kernels/kernel.hpp"
 
@@ -15,7 +16,6 @@ namespace bismo {
 
 namespace {
 
-using fft_detail::BluesteinPlan;
 using fft_detail::MixedPlan;
 using fft_detail::Pow2Plan;
 using fft_detail::Pow2Stage;
@@ -24,23 +24,12 @@ constexpr double kPi = 3.141592653589793238462643383279502884;
 
 bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-/// Largest odd factor a mixed-radix plan takes; lengths whose odd part is
-/// larger run Bluestein.
-constexpr std::size_t kMaxOddFactor = 15;
-
 std::size_t odd_part(std::size_t n) {
   while (n % 2 == 0) n /= 2;
   return n;
 }
 
-std::size_t next_power_of_two(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-/// Plan-cache lookup shared by the power-of-two, mixed-radix and Bluestein
-/// caches:
+/// Plan-cache lookup shared by the power-of-two and mixed-radix caches:
 /// existing plans are served under a shared lock (the common case after
 /// warm-up); only a first-time build takes the exclusive lock.
 template <typename Plan, typename Build>
@@ -150,64 +139,6 @@ const MixedPlan* mixed_plan(std::size_t n) {
   });
 }
 
-const BluesteinPlan* bluestein_plan(std::size_t n) {
-  static std::shared_mutex mu;
-  static std::map<std::size_t, std::unique_ptr<BluesteinPlan>> cache;
-  return cached_plan(mu, cache, n, [n] {
-    auto plan = std::make_unique<BluesteinPlan>();
-    plan->n = n;
-    plan->m = next_power_of_two(2 * n - 1);
-    plan->sub = pow2_plan(plan->m);
-    plan->chirp.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      // j^2 mod 2n keeps the argument small; exp is 2n-periodic in j^2.
-      const std::size_t jsq = (j * j) % (2 * n);
-      const double ang = -kPi * static_cast<double>(jsq) / static_cast<double>(n);
-      plan->chirp[j] = {std::cos(ang), std::sin(ang)};
-    }
-    std::vector<std::complex<double>> b(plan->m, {0.0, 0.0});
-    b[0] = std::conj(plan->chirp[0]);
-    for (std::size_t j = 1; j < n; ++j) {
-      b[j] = std::conj(plan->chirp[j]);
-      b[plan->m - j] = std::conj(plan->chirp[j]);
-    }
-    // The reciprocal-chirp spectrum is backend-independent reference data:
-    // build it with the scalar kernel so plans are identical no matter
-    // which backend happened to be active at first use.
-    fft::scalar_kernel().pow2_many(*plan->sub, b.data(), 1, plan->m,
-                                   /*inverse=*/false);
-    plan->b_spectrum = std::move(b);
-    return plan;
-  });
-}
-
-/// Bluestein transform into caller scratch of length plan.m (no allocation,
-/// no plan-cache access).  Sub-FFTs and the length-m spectrum product run
-/// through the active kernel.
-void bluestein_run(const BluesteinPlan& plan, std::complex<double>* x,
-                   bool inverse, std::complex<double>* scratch) {
-  const fft::FftKernel& kernel = fft::active_kernel();
-  const std::size_t n = plan.n;
-  std::complex<double>* a = scratch;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::complex<double> c =
-        inverse ? std::conj(plan.chirp[j]) : plan.chirp[j];
-    a[j] = x[j] * c;
-  }
-  for (std::size_t j = n; j < plan.m; ++j) a[j] = {0.0, 0.0};
-  kernel.pow2_many(*plan.sub, a, 1, plan.m, /*inverse=*/false);
-  // The inverse chirp spectrum is the conjugate-symmetric counterpart;
-  // conj(b_spectrum) transforms the convolution kernel accordingly.
-  kernel.cmul_inplace(a, plan.b_spectrum.data(), plan.m, /*conj_b=*/inverse);
-  kernel.pow2_many(*plan.sub, a, 1, plan.m, /*inverse=*/true);
-  const double scale = 1.0 / static_cast<double>(plan.m);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::complex<double> c =
-        inverse ? std::conj(plan.chirp[k]) : plan.chirp[k];
-    x[k] = a[k] * scale * c;
-  }
-}
-
 // bismo-lint: no-alloc-begin
 // Mixed-radix execution (see fft_detail::MixedPlan): every step runs in
 // place on caller data, so a warmed transform allocates nothing.
@@ -293,22 +224,35 @@ void transform_1d(std::complex<double>* x, std::size_t n, bool inverse) {
 
 }  // namespace
 
+// ---- Smooth lengths ---------------------------------------------------------
+
+bool is_smooth_length(std::size_t n) {
+  return n != 0 && odd_part(n) <= kMaxOddFactor;
+}
+
+std::size_t next_smooth_length(std::size_t n) {
+  if (n == 0) return 1;
+  while (!is_smooth_length(n)) ++n;
+  return n;
+}
+
 // ---- Plan handles -----------------------------------------------------------
 
 Fft1dPlan::Fft1dPlan(std::size_t n) : n_(n) {
-  if (n == 0) throw std::invalid_argument("Fft1dPlan: zero length");
+  if (!is_smooth_length(n)) {
+    throw std::invalid_argument("Fft1dPlan: length " + std::to_string(n) +
+                                " is not r * 2^k with odd r <= " +
+                                std::to_string(kMaxOddFactor));
+  }
   if (n == 1) return;
   if (is_power_of_two(n)) {
     pow2_ = pow2_plan(n);
-  } else if (odd_part(n) <= kMaxOddFactor) {
-    mixed_ = mixed_plan(n);
   } else {
-    bluestein_ = bluestein_plan(n);
+    mixed_ = mixed_plan(n);
   }
 }
 
 std::size_t Fft1dPlan::scratch_size() const noexcept {
-  if (bluestein_ != nullptr) return bluestein_->m;
   return mixed_ != nullptr ? n_ : 0;
 }
 
@@ -317,10 +261,8 @@ void Fft1dPlan::transform(std::complex<double>* data, bool inverse,
   if (n_ <= 1) return;
   if (pow2_ != nullptr) {
     fft::active_kernel().pow2_many(*pow2_, data, 1, n_, inverse);
-  } else if (mixed_ != nullptr) {
-    mixed_row(*mixed_, data, inverse, scratch);
   } else {
-    bluestein_run(*bluestein_, data, inverse, scratch);
+    mixed_row(*mixed_, data, inverse, scratch);
   }
 }
 
@@ -330,14 +272,10 @@ void Fft1dPlan::transform_many(std::complex<double>* data, std::size_t count,
   if (n_ <= 1 || count == 0) return;
   if (pow2_ != nullptr) {
     fft::active_kernel().pow2_many(*pow2_, data, count, stride, inverse);
-  } else if (mixed_ != nullptr) {
+  } else {
     // Row by row, so each row stays in L1 across the three steps.
     for (std::size_t r = 0; r < count; ++r) {
       mixed_row(*mixed_, data + r * stride, inverse, scratch);
-    }
-  } else {
-    for (std::size_t r = 0; r < count; ++r) {
-      bluestein_run(*bluestein_, data + r * stride, inverse, scratch);
     }
   }
 }
@@ -348,13 +286,9 @@ void Fft1dPlan::transform_columns(std::complex<double>* data,
   if (n_ <= 1 || width == 0) return;
   if (pow2_ != nullptr) {
     fft::active_kernel().pow2_cols(*pow2_, data, width, stride, inverse);
-  } else if (mixed_ != nullptr) {
+  } else {
     mixed_permute_rows(*mixed_, data, width, stride);
     mixed_cols_blocks(*mixed_, data, width, stride, inverse, nullptr);
-  } else {
-    throw std::logic_error(
-        "Fft1dPlan::transform_columns: Bluestein lengths have no lock-step "
-        "column transform");
   }
 }
 
@@ -368,8 +302,9 @@ void Fft1dPlan::transform_columns_fused(const fft_detail::ColsFusion& fusion,
                                         bool inverse) const {
   if (!fused_columns()) {
     throw std::logic_error(
-        "Fft1dPlan::transform_columns_fused: mixed-radix lengths and "
-        "power-of-two lengths >= 8 only");
+        "transform_columns_fused: no fused pass for length " +
+        std::to_string(n_) + " (power-of-two lengths >= 8 and mixed-radix "
+        "lengths only)");
   }
   if (width == 0) return;
   if (mixed_ != nullptr) {
@@ -384,89 +319,30 @@ Fft2dPlan::Fft2dPlan(std::size_t rows, std::size_t cols)
     : row_plan_(cols), col_plan_(rows) {}
 
 std::size_t Fft2dPlan::scratch_size() const noexcept {
-  return rows() +
-         std::max(row_plan_.scratch_size(), col_plan_.scratch_size());
+  return row_plan_.scratch_size();
 }
 
 void Fft2dPlan::transform_row(std::complex<double>* row, bool inverse,
                               std::complex<double>* scratch) const {
-  row_plan_.transform(row, inverse, scratch + rows());
+  row_plan_.transform(row, inverse, scratch);
 }
 
 void Fft2dPlan::transform_rows(std::complex<double>* rows_ptr,
                                std::size_t nrows, bool inverse,
                                std::complex<double>* scratch) const {
-  row_plan_.transform_many(rows_ptr, nrows, cols(), inverse,
-                           scratch + rows());
+  row_plan_.transform_many(rows_ptr, nrows, cols(), inverse, scratch);
 }
 
-void Fft2dPlan::transform_cols(ComplexGrid& g, bool inverse,
-                               std::complex<double>* scratch) const {
-  const std::size_t r_count = rows();
-  const std::size_t c_count = cols();
-  if (col_plan_.lockstep_columns()) {
-    // All columns in lock-step over whole rows: unit-stride butterflies
-    // with broadcast twiddles, no gather/scatter.
-    col_plan_.transform_columns(g.data(), c_count, c_count, inverse);
-    return;
-  }
-  // Bluestein fallback: per-column gather/scatter through the leading
-  // `rows()` scratch elements.
-  std::complex<double>* col = scratch;
-  std::complex<double>* scratch_1d = scratch + r_count;
-  for (std::size_t c = 0; c < c_count; ++c) {
-    for (std::size_t r = 0; r < r_count; ++r) col[r] = g(r, c);
-    col_plan_.transform(col, inverse, scratch_1d);
-    for (std::size_t r = 0; r < r_count; ++r) g(r, c) = col[r];
-  }
-}
-
-bool Fft2dPlan::fused_cols() const noexcept {
-  return col_plan_.fused_columns();
+void Fft2dPlan::transform_cols(ComplexGrid& g, bool inverse) const {
+  // All columns in lock-step over whole rows: unit-stride butterflies
+  // with broadcast twiddles, no gather/scatter.
+  col_plan_.transform_columns(g.data(), cols(), cols(), inverse);
 }
 
 void Fft2dPlan::transform_cols_fused(const fft_detail::ColsFusion& fusion,
-                                     ComplexGrid& dst, bool inverse,
-                                     std::complex<double>* scratch) const {
-  const fft::FftKernel& kernel = fft::active_kernel();
-  const std::size_t r_count = rows();
-  const std::size_t c_count = cols();
-  const std::size_t size = r_count * c_count;
-  if (fused_cols()) {
-    col_plan_.transform_columns_fused(fusion, dst.data(), c_count, c_count,
-                                      inverse);
-    return;
-  }
-  // Staged fallback (Bluestein row counts and power-of-two counts below
-  // 8): materialize the gathered/seeded input into `dst`, run the staged
-  // column pass, then the epilogue per-stage ops.
-  if (fusion.row_nonzero != nullptr) {
-    for (std::size_t r = 0; r < r_count; ++r) {
-      std::complex<double>* out_row = dst.data() + r * c_count;
-      if (fusion.row_nonzero[r]) {
-        const std::complex<double>* src_row = fusion.src + r * c_count;
-        if (fusion.seed != nullptr) {
-          kernel.seed_cotangent(out_row, fusion.seed + r * c_count, src_row,
-                                c_count, fusion.seed_scale);
-        } else {
-          std::copy(src_row, src_row + c_count, out_row);
-        }
-      } else {
-        std::fill(out_row, out_row + c_count, std::complex<double>{0.0, 0.0});
-      }
-    }
-  } else if (fusion.seed != nullptr) {
-    kernel.seed_cotangent(dst.data(), fusion.seed, fusion.src, size,
-                          fusion.seed_scale);
-  } else {
-    std::copy(fusion.src, fusion.src + size, dst.data());
-  }
-  transform_cols(dst, inverse, scratch);
-  if (fusion.scale != 1.0) kernel.scale(dst.data(), size, fusion.scale);
-  if (fusion.norm_acc != nullptr) {
-    kernel.accumulate_norm(fusion.norm_acc, dst.data(), size,
-                           fusion.norm_weight);
-  }
+                                     ComplexGrid& dst, bool inverse) const {
+  col_plan_.transform_columns_fused(fusion, dst.data(), cols(), cols(),
+                                    inverse);
 }
 
 void Fft2dPlan::transform(ComplexGrid& g, bool inverse,
@@ -475,7 +351,7 @@ void Fft2dPlan::transform(ComplexGrid& g, bool inverse,
     throw std::invalid_argument("Fft2dPlan: grid shape mismatch");
   }
   transform_rows(g.data(), rows(), inverse, scratch);
-  transform_cols(g, inverse, scratch);
+  transform_cols(g, inverse);
 }
 
 void Fft2dPlan::forward(ComplexGrid& g, std::complex<double>* scratch) const {

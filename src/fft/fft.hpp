@@ -11,12 +11,14 @@
 //   adjoint(fft)  = N * ifft      adjoint(ifft) = (1/N) * fft
 // which `fft2_adjoint` / `ifft2_adjoint` implement directly.
 //
-// Power-of-two sizes run an iterative radix-4 (plus one radix-2 stage for
-// odd log2) decimation-in-time transform.  Sizes r * 2^k with odd r <= 15
-// (12, 24, 80, 96, 120, ...) run a mixed-radix plan: a digit reversal, the
-// power-of-two kernels on the r sub-blocks, then one odd-factor pass.
-// Every other size (odd part above 15: primes >= 17, 34, 100, ...) falls
-// back to Bluestein's chirp-z algorithm, so any grid size is supported.
+// Every length is *smooth*: r * 2^k with odd r <= kMaxOddFactor (15).
+// Power-of-two lengths run an iterative radix-4 (plus one radix-2 stage for
+// odd log2) decimation-in-time transform; the others (12, 24, 80, 96, 120,
+// ...) run a mixed-radix plan: a digit reversal, the power-of-two kernels
+// on the r sub-blocks, then one odd-factor pass.  Planning any other length
+// (odd part above 15: 17, 34, 100, ...) throws; `OpticsConfig::validate`
+// rejects such a mask_dim and shard::TilePlan rounds its windows up to the
+// next smooth side, so no grid the library builds reaches that error.
 // Butterfly execution lives in the SIMD multi-backend kernel layer
 // (fft/kernels/): a scalar reference kernel plus an AVX2 kernel selected
 // once at startup by runtime CPU detection, overridable via the
@@ -32,11 +34,10 @@
 // Hot paths should not pay even the shared lock per transform: `Fft1dPlan` /
 // `Fft2dPlan` resolve the cached plan data once at construction and then
 // execute transforms with zero lock acquisitions and zero heap allocations
-// (Bluestein scratch is caller-provided).  `Fft2dPlan` executes all row
-// transforms of a pass in one batched kernel call (`transform_rows`) and
-// runs the column pass with all columns in lock-step over whole rows
-// (any power-of-two or mixed-radix row count; no per-column
-// gather/scatter, no transpose).  `sim::SimWorkspace` holds one
+// (mixed-radix row scratch is caller-provided).  `Fft2dPlan` executes all
+// row transforms of a pass in one batched kernel call (`transform_rows`)
+// and runs the column pass with all columns in lock-step over whole rows
+// (no per-column gather/scatter, no transpose).  `sim::SimWorkspace` holds one
 // `Fft2dPlan` plus scratch per worker slot, which is how the imaging
 // engines keep their steady-state loops allocation- and lock-free.
 #ifndef BISMO_FFT_FFT_HPP
@@ -53,9 +54,20 @@ namespace bismo {
 namespace fft_detail {
 struct Pow2Plan;
 struct MixedPlan;
-struct BluesteinPlan;
 struct ColsFusion;
 }  // namespace fft_detail
+
+/// Largest odd factor of a smooth FFT length.  At r = 15 a mixed-radix
+/// plan measured 3.0-3.5x faster than a chirp-z one (README, FFT section);
+/// larger odd factors are not planned at all.
+inline constexpr std::size_t kMaxOddFactor = 15;
+
+/// True when `n` is a plannable FFT length: n = r * 2^k with odd
+/// r <= kMaxOddFactor (every power of two, 12, 24, 80, 96, 104, ...).
+bool is_smooth_length(std::size_t n);
+
+/// Smallest smooth length >= n (1 for n == 0).
+std::size_t next_smooth_length(std::size_t n);
 
 /// Preplanned in-place 1-D DFT of a fixed length.
 ///
@@ -68,14 +80,14 @@ class Fft1dPlan {
   /// Empty handle; `transform` on it is invalid.
   Fft1dPlan() = default;
 
-  /// Plan a transform of length `n` (> 0).
+  /// Plan a transform of length `n`; throws std::invalid_argument unless
+  /// `is_smooth_length(n)`.
   explicit Fft1dPlan(std::size_t n);
 
   std::size_t length() const noexcept { return n_; }
 
   /// Scratch elements `transform` needs: 0 for power-of-two lengths, the
-  /// length itself for mixed-radix ones (the digit reversal's copy), the
-  /// padded length for Bluestein ones.
+  /// length itself for mixed-radix ones (the digit reversal's copy).
   std::size_t scratch_size() const noexcept;
 
   /// In-place transform of `data[0..length())`.  Forward is unnormalized;
@@ -92,14 +104,9 @@ class Fft1dPlan {
                       std::size_t stride, bool inverse,
                       std::complex<double>* scratch = nullptr) const;
 
-  /// True when `transform_columns` is available: every length except the
-  /// Bluestein ones.
-  bool lockstep_columns() const noexcept { return bluestein_ == nullptr; }
-
   /// In-place transforms of `width` interleaved sequences ("columns"):
   /// element j of sequence c is `data[j * stride + c]`.  All columns run
   /// in lock-step over whole rows (no gather/scatter, no transpose).
-  /// Requires `lockstep_columns()`.
   void transform_columns(std::complex<double>* data, std::size_t width,
                          std::size_t stride, bool inverse) const;
 
@@ -111,10 +118,8 @@ class Fft1dPlan {
   /// reads `fusion.src` through the input permutation (inside the first
   /// butterfly stage for power-of-two lengths, in the digit-reversing
   /// copy for mixed-radix ones) and applies the scale / weighted-norm
-  /// epilogue inside the last stage or the odd pass.  Requires
-  /// `fused_columns()` (callers go through
-  /// `Fft2dPlan::transform_cols_fused`, which falls back to the staged
-  /// sequence for other shapes).
+  /// epilogue inside the last stage or the odd pass.  Throws
+  /// std::logic_error unless `fused_columns()`.
   void transform_columns_fused(const fft_detail::ColsFusion& fusion,
                                std::complex<double>* dst, std::size_t width,
                                std::size_t stride, bool inverse) const;
@@ -123,17 +128,13 @@ class Fft1dPlan {
   std::size_t n_ = 0;
   const fft_detail::Pow2Plan* pow2_ = nullptr;
   const fft_detail::MixedPlan* mixed_ = nullptr;
-  const fft_detail::BluesteinPlan* bluestein_ = nullptr;
 };
 
 /// Preplanned 2-D DFT for a fixed (rows x cols) grid shape.
 ///
-/// The scratch buffer layout is: `rows()` elements for the column
-/// gather/scatter fallback (Bluestein row counts only) followed by the
-/// worst-case 1-D scratch.  A single buffer of `scratch_size()` elements
-/// serves every method.  Power-of-two and mixed-radix row counts never
-/// touch the gather area: their column pass runs all columns in lock-step
-/// over whole rows through the batched kernel layer.
+/// Only the row transforms take scratch (`scratch_size()` elements, the
+/// row plan's); the column pass runs all columns in lock-step over whole
+/// rows through the batched kernel layer, in place.
 class Fft2dPlan {
  public:
   Fft2dPlan() = default;
@@ -169,30 +170,21 @@ class Fft2dPlan {
                       bool inverse, std::complex<double>* scratch) const;
 
   /// In-place unnormalized 1-D transforms of every column.
-  void transform_cols(ComplexGrid& g, bool inverse,
-                      std::complex<double>* scratch) const;
-
-  /// True when the fused column pass handles this shape: a mixed-radix
-  /// row count, or a power-of-two one of at least 8.  `transform_cols_fused`
-  /// works either way; this tells callers which path it will take, and is
-  /// the one shape gate of the imaging pipeline (sim::ImagingPipeline,
-  /// sim::adjoint_uses_band_conv).
-  bool fused_cols() const noexcept;
+  void transform_cols(ComplexGrid& g, bool inverse) const;
 
   /// Fused out-of-place column pass (see fft_detail::ColsFusion):
   /// `fusion.src` is a rows() x cols() grid (same stride as `dst`) read
   /// through the input permutation -- rows flagged zero are never
   /// touched, the optional cotangent seed is applied on the fly -- every
   /// column is transformed into `dst`, and the scale / weighted-norm
-  /// epilogue runs inside the final stage's stores.  For shapes without
-  /// fused kernels (`!fused_cols()`) the equivalent staged sequence runs
-  /// instead: materialize the input into `dst`, `transform_cols`, then
-  /// the per-stage epilogue ops.  Either way the result matches the
-  /// staged per-stage sequence to <= 1e-12 (identical per-element
-  /// arithmetic up to compiler FMA contraction).
+  /// epilogue runs inside the final stage's stores.  The result matches
+  /// the staged per-stage sequence (materialize the input, `transform_cols`,
+  /// then the epilogue ops) to <= 1e-12 (identical per-element arithmetic
+  /// up to compiler FMA contraction).  Row counts are mixed-radix or
+  /// powers of two >= 8 (every validated mask_dim); others throw
+  /// std::logic_error.
   void transform_cols_fused(const fft_detail::ColsFusion& fusion,
-                            ComplexGrid& dst, bool inverse,
-                            std::complex<double>* scratch) const;
+                            ComplexGrid& dst, bool inverse) const;
 
  private:
   Fft1dPlan row_plan_;  ///< length cols (transforms along a row)

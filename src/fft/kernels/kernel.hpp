@@ -72,8 +72,7 @@ struct FftKernel {
   /// elementwise stages costs one read and one write of the grid instead
   /// of one per stage.  Precondition: `plan.n >= 8` (first and last
   /// stages are distinct); `Fft2dPlan::transform_cols_fused` runs the
-  /// mixed-radix pass for lengths r * 2^k and the equivalent staged
-  /// sequence for Bluestein and sub-8 power-of-two shapes.
+  /// mixed-radix pass for the other lengths r * 2^k.
   /// Arithmetic is per-element identical to the staged sequence (gather,
   /// pow2_cols, scale, accumulate_norm), except that
   /// rows flagged zero produce literal +0.0 where the staged path may
@@ -106,11 +105,6 @@ struct FftKernel {
   /// dst[i] = a[i] * b[i].
   void (*cmul)(std::complex<double>* dst, const std::complex<double>* a,
                const std::complex<double>* b, std::size_t n) = nullptr;
-
-  /// dst[i] *= b[i], or dst[i] *= conj(b[i]) when `conj_b`.
-  void (*cmul_inplace)(std::complex<double>* dst,
-                       const std::complex<double>* b, std::size_t n,
-                       bool conj_b) = nullptr;
 
   /// dst[i] += s * a[i].
   void (*caxpy)(std::complex<double>* dst, const std::complex<double>* a,

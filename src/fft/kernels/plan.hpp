@@ -7,10 +7,10 @@
 // consecutive radix-2 stages, the input permutation stays the plain base-2
 // bit reversal.
 //
-// A length n = r * 2^k with odd r <= 15 is a mixed-radix plan: one
+// A length n = r * 2^k with odd r in [3, 15] is a mixed-radix plan: one
 // odd-factor pass over r power-of-two sub-transforms that run through the
-// power-of-two kernels unchanged.  Every other length is a Bluestein plan
-// (a chirp convolution through a padded power-of-two transform).
+// power-of-two kernels unchanged.  No other length is planned (see
+// is_smooth_length in fft/fft.hpp).
 //
 // Twiddles are stored per stage in structure-of-arrays layout (w1/w2/w3,
 // indexed by the butterfly offset k) so vector kernels load them with
@@ -118,19 +118,6 @@ struct MixedPlan {
   std::vector<double> cosr;              // h * h
   std::vector<double> sinr;              // h * h
   std::vector<std::uint32_t> swaps;      // (a, b) pairs, step 1 in place
-};
-
-/// Bluestein (chirp-z) data for arbitrary length n: chirp[j] =
-/// exp(-i*pi*j^2/n) (index squared reduced mod 2n to avoid precision loss)
-/// and the forward FFT of the zero-padded reciprocal chirp at length m.
-/// `sub` is the power-of-two plan for the padded length, resolved at build
-/// time so executing a Bluestein transform never touches the plan cache.
-struct BluesteinPlan {
-  std::size_t n = 0;
-  std::size_t m = 0;  // padded power-of-two length >= 2n-1
-  std::vector<std::complex<double>> chirp;       // length n
-  std::vector<std::complex<double>> b_spectrum;  // length m
-  const Pow2Plan* sub = nullptr;
 };
 
 }  // namespace bismo::fft_detail

@@ -498,21 +498,6 @@ void cmul(std::complex<double>* dst, const std::complex<double>* a,
   }
 }
 
-void cmul_inplace(std::complex<double>* dst, const std::complex<double>* b,
-                  std::size_t n, bool conj_b) {
-  auto* o = reinterpret_cast<double*>(dst);
-  const auto* q = reinterpret_cast<const double*>(b);
-  const double cs = conj_b ? -1.0 : 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ar = o[2 * i];
-    const double ai = o[2 * i + 1];
-    const double br = q[2 * i];
-    const double bi = cs * q[2 * i + 1];
-    o[2 * i] = ar * br - ai * bi;
-    o[2 * i + 1] = ar * bi + ai * br;
-  }
-}
-
 void caxpy(std::complex<double>* dst, const std::complex<double>* a,
            std::size_t n, double s) {
   auto* o = reinterpret_cast<double*>(dst);
@@ -663,7 +648,6 @@ const FftKernel& scalar_kernel() {
     k.mixed_odd = mixed_odd;
     k.scale = scale;
     k.cmul = cmul;
-    k.cmul_inplace = cmul_inplace;
     k.caxpy = caxpy;
     k.cmul_conj_axpy = cmul_conj_axpy;
     k.accumulate_norm = accumulate_norm;

@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "fft/fft.hpp"
+
 namespace bismo {
 
 /// Projection-system and discretization parameters.
@@ -39,9 +41,11 @@ struct OpticsConfig {
     return static_cast<double>(mask_dim) * pixel_nm;
   }
 
-  /// Validate the configuration; throws std::invalid_argument when the
-  /// sampling cannot represent the doubled pupil band (|f| <= 2 NA/lambda
-  /// must fit below Nyquist, i.e. pixel_nm <= lambda / (4 NA)).
+  /// Validate the configuration; throws std::invalid_argument when
+  /// mask_dim is below 8 or not a smooth FFT length (is_smooth_length), or
+  /// when the sampling cannot represent the doubled pupil band
+  /// (|f| <= 2 NA/lambda must fit below Nyquist, i.e. pixel_nm <=
+  /// lambda / (4 NA)).
   void validate() const {
     if (wavelength_nm <= 0) {
       throw std::invalid_argument("OpticsConfig: wavelength_nm = " +
@@ -61,6 +65,16 @@ struct OpticsConfig {
       throw std::invalid_argument("OpticsConfig: mask_dim = " +
                                   std::to_string(mask_dim) +
                                   " invalid (need >= 8)");
+    }
+    if (!is_smooth_length(mask_dim)) {
+      std::size_t below = mask_dim;
+      while (!is_smooth_length(below)) --below;
+      throw std::invalid_argument(
+          "OpticsConfig: mask_dim = " + std::to_string(mask_dim) +
+          " invalid (need r * 2^k with odd r <= " +
+          std::to_string(kMaxOddFactor) + "; nearest are " +
+          std::to_string(below) + " and " +
+          std::to_string(next_smooth_length(mask_dim)) + ")");
     }
     const double nyquist = 1.0 / (2.0 * pixel_nm);
     if (2.0 * cutoff_frequency() > nyquist) {

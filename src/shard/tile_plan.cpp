@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "fft/fft.hpp"
+
 namespace bismo::shard {
 
 TilePlan TilePlan::make(double layout_nm, std::size_t full_dim,
@@ -37,15 +39,13 @@ TilePlan TilePlan::make(double layout_nm, std::size_t full_dim,
   const std::size_t core_h = full_dim / rows;
   const std::size_t core_w = full_dim / cols;
   // One shared window side: the larger core axis plus the halo on both
-  // sides, capped at the full grid.  Sharing one side across all tiles
-  // (even for non-square cores of an R != C grid) is what keeps every tile
-  // job the same shape.
-  // Note on FFT cost: windows whose side is not r * 2^k with odd r <= 15
-  // run on the Bluestein path (several times a radix-2 transform of
-  // similar length), so per-tile throughput is best when core + 2*halo_px
-  // has that form; correctness does not depend on it.
-  plan.tile_dim_ =
-      std::min(full_dim, std::max(core_h, core_w) + 2 * plan.halo_px_);
+  // sides, rounded up to a smooth FFT length (a wider halo only helps),
+  // capped at the full grid.  Sharing one side across all tiles (even for
+  // non-square cores of an R != C grid) is what keeps every tile job the
+  // same shape.
+  plan.tile_dim_ = std::min(
+      full_dim,
+      next_smooth_length(std::max(core_h, core_w) + 2 * plan.halo_px_));
 
   plan.tiles_.reserve(rows * cols);
   for (std::size_t r = 0; r < rows; ++r) {

@@ -44,7 +44,8 @@ class TilePlan {
   /// Build the plan.  Requirements (throws std::invalid_argument):
   /// layout_nm > 0, full_dim divisible by rows and by cols (cores must be
   /// whole pixels), rows/cols >= 1, halo_nm >= 0.  The halo is rounded up
-  /// to whole pixels.
+  /// to whole pixels, and the window side (core + 2 * halo) up to the next
+  /// smooth FFT length (next_smooth_length), capped at full_dim.
   static TilePlan make(double layout_nm, std::size_t full_dim,
                        std::size_t rows, std::size_t cols, double halo_nm);
 

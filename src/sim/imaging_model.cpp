@@ -175,9 +175,6 @@ std::uint64_t adjoint_pass_calls() {
 bool adjoint_uses_band_conv(const ImagingModel& model) {
   if (!fusion_enabled()) return false;
   const std::size_t n = model.grid_dim();
-  // Same shape gate as ImagingPipeline::build: Bluestein and tiny grids
-  // take the staged path in both modes, identically.
-  if (!Fft2dPlan(n, n).fused_cols()) return false;
   const std::size_t comps = model.components();
   if (comps == 0) return false;
   // Direct convolution is O(nbins^2) per component against ~N log N for

@@ -144,11 +144,11 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
 std::uint64_t adjoint_pass_calls();
 
 /// True when `adjoint_pass` will run the band-restricted direct adjoint
-/// for this model: fused mode, a fused-capable grid (Fft2dPlan::fused_cols),
-/// and every component band narrow enough that the O(nbins^2) circular
-/// convolution beats a dense column transform.  The direct adjoint needs
-/// no coherent fields, so callers can skip arming the field capture
-/// (sim::FieldCaptureScope) when this returns true.
+/// for this model: fused mode and every component band narrow enough that
+/// the O(nbins^2) circular convolution beats a dense column transform.
+/// The direct adjoint needs no coherent fields, so callers can skip
+/// arming the field capture (sim::FieldCaptureScope) when this returns
+/// true.
 bool adjoint_uses_band_conv(const ImagingModel& model);
 
 /// True when `SourceImageCache::fill` computes each point's image spectrum

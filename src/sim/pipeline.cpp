@@ -29,12 +29,11 @@ const char* fusion_mode_name() { return fusion_enabled() ? "fused" : "staged"; }
 void ImagingPipeline::build(std::size_t dim) {
   dim_ = dim;
   plan_ = Fft2dPlan(dim, dim);
-  built_mode_ = fusion_enabled();
-  fused_ = built_mode_ && plan_.fused_cols();
+  fused_ = fusion_enabled();
 }
 
 bool ImagingPipeline::stale() const noexcept {
-  return dim_ != 0 && built_mode_ != fusion_enabled();
+  return dim_ != 0 && fused_ != fusion_enabled();
 }
 
 // bismo-lint: no-alloc-begin
@@ -107,7 +106,7 @@ void ImagingPipeline::forward_fused(const ComplexGrid& o, const BandRef& band,
     fusion.norm_acc = acc->data();
     fusion.norm_weight = acc_weight;
   }
-  plan_.transform_cols_fused(fusion, field, /*inverse=*/true, scratch);
+  plan_.transform_cols_fused(fusion, field, /*inverse=*/true);
 }
 
 void ImagingPipeline::forward_staged(const ComplexGrid& o,
@@ -138,7 +137,7 @@ void ImagingPipeline::forward_staged(const ComplexGrid& o,
                  plan_.transform_rows(field.data() + std::size_t{row} * n,
                                       count, /*inverse=*/true, scratch);
                });
-  plan_.transform_cols(field, /*inverse=*/true, scratch);
+  plan_.transform_cols(field, /*inverse=*/true);
   kernel.scale(field.data(), field.size(),
                1.0 / static_cast<double>(field.size()));
   if (acc != nullptr) {
@@ -163,11 +162,11 @@ void ImagingPipeline::adjoint(const double* dldi, double scale,
     fusion.src = field.data();
     fusion.seed = dldi;
     fusion.seed_scale = scale;
-    plan_.transform_cols_fused(fusion, cotangent, /*inverse=*/false, scratch);
+    plan_.transform_cols_fused(fusion, cotangent, /*inverse=*/false);
   } else {
     kernel.seed_cotangent(cotangent.data(), dldi, field.data(), field.size(),
                           scale);
-    plan_.transform_cols(cotangent, /*inverse=*/false, scratch);
+    plan_.transform_cols(cotangent, /*inverse=*/false);
   }
 
   // Shared tail: band-restricted row pass, then the scatter-accumulate

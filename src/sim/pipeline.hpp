@@ -17,11 +17,10 @@
 //     gather and seed into the digit-reversing copy and the same
 //     epilogues into the odd-factor pass (`Fft2dPlan::transform_cols_fused`);
 //   * the row-sparsity pattern of the pass-band (tracked as per-row flags)
-//     lets the fused gather skip rows that are exactly zero;
-//   * Bluestein shapes (odd part above 15) and power-of-two shapes below 8
-//     fall back to the equivalent staged sequence inside the same entry
-//     points, so callers never branch.  `Fft2dPlan::fused_cols()` is the
-//     one gate that decides which.
+//     lets the fused gather skip rows that are exactly zero.
+//
+// Every validated grid (OpticsConfig::validate: a smooth mask_dim >= 8) has
+// a fused column pass, so the process fusion mode alone picks the chain.
 //
 // The per-stage ops remain as the staged reference the fused chains are
 // verified against (tests/test_fused_pipeline.cpp), and the legacy staged
@@ -80,8 +79,8 @@ class ImagingPipeline {
   std::size_t dim() const noexcept { return dim_; }
   const Fft2dPlan& plan() const noexcept { return plan_; }
 
-  /// True when the fused chains were selected at build time (mode on and
-  /// `plan().fused_cols()`).
+  /// True when the fused chains were selected at build time (the process
+  /// fusion mode then).
   bool fused() const noexcept { return fused_; }
 
   /// True when the process fusion mode changed since `build` (the owning
@@ -117,8 +116,7 @@ class ImagingPipeline {
 
   std::size_t dim_ = 0;
   Fft2dPlan plan_;
-  bool fused_ = false;
-  bool built_mode_ = true;  ///< fusion_enabled() observed at build time
+  bool fused_ = false;  ///< fusion_enabled() observed at build time
 };
 
 }  // namespace bismo::sim

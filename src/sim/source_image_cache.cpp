@@ -380,18 +380,7 @@ void SourceImageCache::slab_columns(SlotScratch& scratch,
                                     bool inverse) const {
   // bismo-lint: no-alloc-begin
   const std::size_t width = disk_cols_.size();
-  std::complex<double>* slab = scratch.slab.data();
-  if (col_plan_.lockstep_columns()) {
-    col_plan_.transform_columns(slab, width, width, inverse);
-    return;
-  }
-  // Bluestein lengths: one gathered column at a time.
-  std::complex<double>* column = scratch.rows.data();
-  for (std::size_t c = 0; c < width; ++c) {
-    for (std::size_t r = 0; r < dim_; ++r) column[r] = slab[r * width + c];
-    col_plan_.transform(column, inverse, scratch.fft.data());
-    for (std::size_t r = 0; r < dim_; ++r) slab[r * width + c] = column[r];
-  }
+  col_plan_.transform_columns(scratch.slab.data(), width, width, inverse);
   // bismo-lint: no-alloc-end
 }
 

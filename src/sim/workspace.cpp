@@ -96,7 +96,7 @@ void SimWorkspace::sparse_inverse_field(const ComplexGrid& o,
                  pipeline_.plan().transform_rows(field_.data() + std::size_t{row} * n,
                                       count, /*inverse=*/true, scratch);
                });
-  pipeline_.plan().transform_cols(field_, /*inverse=*/true, scratch);
+  pipeline_.plan().transform_cols(field_, /*inverse=*/true);
   kernel.scale(field_.data(), field_.size(),
                1.0 / static_cast<double>(field_.size()));
 }

@@ -68,7 +68,9 @@ TEST(JobSpecOverrides, ApplyInOrderAndCoverEveryKey) {
   std::vector<std::pair<std::size_t, std::size_t>> ranges;  // [first, last]
   for (const api::ConfigKeyInfo& info : keys) {
     bool applied = false;
-    for (const char* value : {"17", "0.37", "200", "adam", "sgd", "point"}) {
+    // 192 is the first smooth FFT side in the list (mask_dim's probe).
+    for (const char* value :
+         {"17", "0.37", "200", "adam", "sgd", "point", "192"}) {
       SmoConfig changed;
       try {
         api::apply_config_override(changed, info.key + "=" + value);
@@ -222,6 +224,20 @@ TEST(SessionRun, RawGridFixesMaskDimAndRejectsNonSquare) {
   const api::JobResult result = session.run(spec);
   EXPECT_FALSE(result.ok());
   EXPECT_NE(result.error.find("square"), std::string::npos);
+}
+
+TEST(SessionRun, NonSmoothMaskDimFailsTheJobNamingTheNearestSizes) {
+  api::Session session;
+  api::JobSpec spec;
+  spec.clip = api::ClipSource::generated(DatasetKind::kIccad13, 1);
+  spec.method = Method::kAbbeMo;
+  spec.config_overrides = {"mask_dim=100", "source_dim=5", "outer_steps=1"};
+  const api::JobResult result = session.run(spec);
+  EXPECT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("mask_dim = 100"), std::string::npos)
+      << result.error;
+  EXPECT_NE(result.error.find("96 and 104"), std::string::npos)
+      << result.error;
 }
 
 TEST(SessionRun, LayoutClipDerivesPixelPitchFromTile) {

@@ -1,9 +1,12 @@
-// FFT engine validation: reference-DFT agreement (including mixed-radix and
-// Bluestein sizes), round trips, Parseval, linearity, the shift theorem, and
-// the adjoint identities the manual gradients depend on.
+// FFT engine validation: reference-DFT agreement (including mixed-radix
+// sizes), round trips, Parseval, linearity, the shift theorem, the adjoint
+// identities the manual gradients depend on, and the smooth-length rule
+// (r * 2^k with odd r <= 15) that decides which lengths are planned.
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <stdexcept>
+#include <vector>
 
 #include "fft/fft.hpp"
 #include "math/grid_ops.hpp"
@@ -61,13 +64,38 @@ TEST_P(Fft1dAgainstNaive, RoundTripIsIdentity) {
 
 // Power-of-two sizes exercise radix-2/4.  Sizes r * 2^k with odd r <= 15
 // run the mixed-radix plan: every odd factor 3..15, alone (3, 5, 7, 13) or
-// over power-of-two blocks (6 ... 192).  Sizes whose odd part exceeds 15
-// run Bluestein: primes (17, 31) and composites (34, 100).
+// over power-of-two blocks (6 ... 192).
 INSTANTIATE_TEST_SUITE_P(Sizes, Fft1dAgainstNaive,
                          ::testing::Values<std::size_t>(
-                             1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 16, 17, 20, 24,
-                             31, 32, 34, 36, 40, 44, 48, 64, 80, 96, 100, 104,
-                             112, 120, 128, 160, 192));
+                             1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 16, 20, 24, 32,
+                             36, 40, 44, 48, 64, 80, 96, 104, 112, 120, 128,
+                             160, 192));
+
+TEST(Fft1d, SmoothLengthRule) {
+  for (const std::size_t n : {1u, 2u, 3u, 15u, 16u, 24u, 96u, 104u, 120u,
+                              128u, 480u, 512u}) {
+    EXPECT_TRUE(is_smooth_length(n)) << n;
+  }
+  for (const std::size_t n : {0u, 17u, 34u, 50u, 76u, 100u, 136u}) {
+    EXPECT_FALSE(is_smooth_length(n)) << n;
+  }
+  EXPECT_EQ(next_smooth_length(0), 1u);
+  EXPECT_EQ(next_smooth_length(96), 96u);
+  EXPECT_EQ(next_smooth_length(17), 18u);
+  EXPECT_EQ(next_smooth_length(76), 80u);
+  EXPECT_EQ(next_smooth_length(100), 104u);
+  EXPECT_EQ(next_smooth_length(129), 144u);
+}
+
+TEST(Fft1d, NonSmoothLengthsAreRejected) {
+  EXPECT_THROW(Fft1dPlan(0), std::invalid_argument);
+  EXPECT_THROW(Fft1dPlan(17), std::invalid_argument);
+  EXPECT_THROW(Fft1dPlan(100), std::invalid_argument);
+  std::vector<std::complex<double>> x(34);
+  EXPECT_THROW(fft_1d(x), std::invalid_argument);
+  ComplexGrid g(8, 50);
+  EXPECT_THROW(fft2(g), std::invalid_argument);
+}
 
 TEST(Fft1d, DeltaTransformsToConstant) {
   std::vector<std::complex<double>> x(8, {0.0, 0.0});

@@ -1,7 +1,7 @@
 // FFT backend equivalence suite: every compiled kernel backend (scalar,
 // AVX2) must agree with the scalar reference to <= 1e-12 relative
 // error, satisfy the round-trip property across power-of-two, mixed-radix,
-// Bluestein, and rectangular shapes, be run-to-run deterministic, and
+// and rectangular shapes, be run-to-run deterministic, and
 // pass gradient checks end to end.  The elementwise kernel ops the imaging
 // engines use are validated against plain double references, and the
 // band-convolution op (alone and inside sim::adjoint_pass) bit for bit
@@ -65,14 +65,12 @@ double max_rel_diff(const ComplexGrid& a, const ComplexGrid& b) {
 }
 
 /// Shapes covering radix-4 (even log2), radix-2+4 (odd log2), mixed radix
-/// (r * 2^k, odd r <= 15), Bluestein (odd part above 15), and rectangular
-/// mixes of all of them.
+/// (r * 2^k, odd r <= 15), and rectangular mixes of all of them.
 const std::vector<std::pair<std::size_t, std::size_t>>& test_shapes() {
   static const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
       {4, 4},   {8, 8},    {16, 16},  {32, 32},  {64, 64}, {128, 128},
-      {7, 7},   {31, 31},  {12, 20},  {16, 12},  {5, 64},  {64, 5},
-      {2, 2},   {1, 1},    {8, 32},   {96, 96},  {80, 160}, {192, 24},
-      {120, 40}, {34, 100},
+      {7, 7},   {12, 20},  {16, 12},  {5, 64},   {64, 5},  {2, 2},
+      {1, 1},   {8, 32},   {96, 96},  {80, 160}, {192, 24}, {120, 40},
   };
   return shapes;
 }
@@ -248,12 +246,6 @@ TEST(FftKernels, ElementwiseOpsMatchPlainDoubleReference) {
     kernel.cmul(got.data(), a.data(), b.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_LT(std::abs(got[i] - a[i] * b[i]), 1e-12) << name;
-    }
-
-    got = a;
-    kernel.cmul_inplace(got.data(), b.data(), n, /*conj_b=*/true);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_LT(std::abs(got[i] - a[i] * std::conj(b[i])), 1e-12) << name;
     }
 
     got = a;

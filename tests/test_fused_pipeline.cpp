@@ -5,10 +5,8 @@
 //     in one kernel chain) agrees with the staged per-stage sequence to
 //     <= 1e-12 on every available backend, across square, rectangular,
 //     seeded-adjoint, and row-sparse configurations;
-//   * mixed-radix shapes (r * 2^k, odd r <= 15) run the fused mixed pass,
-//     and Bluestein and sub-8 power-of-two shapes take the exact staged
-//     fallback inside the same entry point (bitwise equal to the staged
-//     sequence);
+//   * mixed-radix shapes (r * 2^k, odd r <= 15) run the fused mixed pass;
+//     sub-8 power-of-two shapes have no fused pass and throw;
 //   * the full engine stack with fusion on/off agrees to <= 1e-12,
 //     and each mode is bitwise deterministic across thread counts and
 //     repeated runs;
@@ -89,8 +87,7 @@ RealGrid random_real_grid(Rng& rng, std::size_t rows, std::size_t cols) {
 /// documented order.
 void staged_cols_reference(const Fft2dPlan& plan,
                            const fft_detail::ColsFusion& fusion,
-                           ComplexGrid& dst, bool inverse,
-                           std::complex<double>* scratch) {
+                           ComplexGrid& dst, bool inverse) {
   const fft::FftKernel& kernel = fft::active_kernel();
   const std::size_t cols = dst.cols();
   for (std::size_t r = 0; r < dst.rows(); ++r) {
@@ -105,7 +102,7 @@ void staged_cols_reference(const Fft2dPlan& plan,
       std::copy(src, src + cols, row);
     }
   }
-  plan.transform_cols(dst, inverse, scratch);
+  plan.transform_cols(dst, inverse);
   if (fusion.scale != 1.0) kernel.scale(dst.data(), dst.size(), fusion.scale);
   if (fusion.norm_acc != nullptr) {
     kernel.accumulate_norm(fusion.norm_acc, dst.data(), dst.size(),
@@ -135,8 +132,6 @@ TEST(FusedColsPass, MatchesStagedAcrossBackendsAndShapes) {
       flags[0] = 1;  // keep at least one live row
 
       const Fft2dPlan plan(shape.rows, shape.cols);
-      ASSERT_TRUE(plan.fused_cols());
-      std::vector<std::complex<double>> scratch(plan.scratch_size());
 
       for (bool inverse : {false, true}) {
         fft_detail::ColsFusion fusion;
@@ -149,11 +144,11 @@ TEST(FusedColsPass, MatchesStagedAcrossBackendsAndShapes) {
 
         ComplexGrid fused(shape.rows, shape.cols);
         fusion.norm_acc = acc_fused.data();
-        plan.transform_cols_fused(fusion, fused, inverse, scratch.data());
+        plan.transform_cols_fused(fusion, fused, inverse);
 
         ComplexGrid staged(shape.rows, shape.cols);
         fusion.norm_acc = acc_staged.data();
-        staged_cols_reference(plan, fusion, staged, inverse, scratch.data());
+        staged_cols_reference(plan, fusion, staged, inverse);
 
         EXPECT_LE(max_diff(fused, staged), 1e-12)
             << backend << " " << shape.rows << "x" << shape.cols
@@ -175,7 +170,6 @@ TEST(FusedColsPass, SeededAdjointMatchesStagedAcrossBackends) {
       const ComplexGrid field = random_complex_grid(rng, n, n);
       const RealGrid dldi = random_real_grid(rng, n, n);
       const Fft2dPlan plan(n, n);
-      std::vector<std::complex<double>> scratch(plan.scratch_size());
 
       // Seeded forward-adjoint pass (cotangent seed folded into the
       // gather).
@@ -184,55 +178,30 @@ TEST(FusedColsPass, SeededAdjointMatchesStagedAcrossBackends) {
       fusion.seed = dldi.data();
       fusion.seed_scale = 1.75;
       ComplexGrid fused(n, n);
-      plan.transform_cols_fused(fusion, fused, /*inverse=*/false,
-                                scratch.data());
+      plan.transform_cols_fused(fusion, fused, /*inverse=*/false);
       ComplexGrid staged(n, n);
-      staged_cols_reference(plan, fusion, staged, /*inverse=*/false,
-                            scratch.data());
+      staged_cols_reference(plan, fusion, staged, /*inverse=*/false);
       EXPECT_LE(max_diff(fused, staged), 1e-12) << backend << " seed n=" << n;
     }
   }
 }
 
 TEST(FusedColsPass, FusedColsGateCoversMixedRadixShapes) {
-  // Mixed-radix row counts take the fused pass; Bluestein ones (odd part
-  // above 15) and power-of-two ones below 8 do not.
+  // Mixed-radix row counts and power-of-two ones from 8 take the fused
+  // pass; power-of-two ones below 8 have none, and lengths whose odd part
+  // exceeds 15 are not planned at all.
   for (const std::size_t rows : {24u, 80u, 96u, 8u, 64u}) {
-    EXPECT_TRUE(Fft2dPlan(rows, 16).fused_cols()) << rows;
+    EXPECT_TRUE(Fft1dPlan(rows).fused_columns()) << rows;
   }
-  for (const std::size_t rows : {34u, 100u, 4u}) {
-    EXPECT_FALSE(Fft2dPlan(rows, 16).fused_cols()) << rows;
-  }
-}
-
-TEST(FusedColsPass, BluesteinAndTinyShapesTakeExactStagedFallback) {
-  // Shapes without a fused pass (Bluestein rows, power-of-two rows < 8)
-  // run the staged sequence inside transform_cols_fused -- bitwise, not
-  // approximately.
-  for (std::size_t rows : {4u, 34u, 50u}) {
-    Rng rng(31 + rows);
-    const std::size_t cols = 16;
-    const ComplexGrid src = random_complex_grid(rng, rows, cols);
-    const Fft2dPlan plan(rows, cols);
-    EXPECT_FALSE(plan.fused_cols()) << rows;
-    std::vector<std::complex<double>> scratch(plan.scratch_size());
-
-    fft_detail::ColsFusion fusion;
-    fusion.src = src.data();
-    fusion.scale = 0.5;
-    RealGrid acc_a(rows, cols, 0.0);
-    RealGrid acc_b(rows, cols, 0.0);
-    fusion.norm_weight = 2.0;
-
-    ComplexGrid a(rows, cols);
-    fusion.norm_acc = acc_a.data();
-    plan.transform_cols_fused(fusion, a, /*inverse=*/true, scratch.data());
-    ComplexGrid b(rows, cols);
-    fusion.norm_acc = acc_b.data();
-    staged_cols_reference(plan, fusion, b, /*inverse=*/true, scratch.data());
-
-    EXPECT_EQ(a, b) << "rows=" << rows;
-    EXPECT_EQ(acc_a, acc_b) << "rows=" << rows;
+  EXPECT_FALSE(Fft1dPlan(4).fused_columns());
+  const ComplexGrid src(4, 16);
+  ComplexGrid dst(4, 16);
+  fft_detail::ColsFusion fusion;
+  fusion.src = src.data();
+  EXPECT_THROW(Fft2dPlan(4, 16).transform_cols_fused(fusion, dst, false),
+               std::logic_error);
+  for (const std::size_t rows : {34u, 100u}) {
+    EXPECT_THROW(Fft2dPlan(rows, 16), std::invalid_argument) << rows;
   }
 }
 
@@ -338,25 +307,6 @@ void expect_modes_agree(std::size_t dim, std::uint64_t seed) {
 
 TEST(FusedPipeline, AerialAndGradientAgreeAcrossModes) {
   expect_modes_agree(64, 51);
-}
-
-TEST(FusedPipeline, BluesteinGridFallsBackIdenticallyInBothModes) {
-  // 50 = 25 * 2 runs Bluestein: the pipeline has no fused chain for it, so
-  // fused mode must take the exact staged path -- bitwise equal results.
-  GlobalModeGuard guard;
-  const OpticsConfig optics = small_optics(50);
-  const SourceGeometry geometry(7, optics);
-  Rng rng(61);
-  const ComplexGrid o = random_complex_grid(rng, 50, 50);
-  const RealGrid source = make_source(geometry, SourceSpec{});
-
-  RealGrid by_mode[2];
-  for (int fused = 0; fused < 2; ++fused) {
-    sim::set_fusion_enabled(fused == 1);
-    const AbbeImaging abbe(optics, geometry);
-    by_mode[fused] = abbe.aerial(o, source).intensity;
-  }
-  EXPECT_EQ(by_mode[0], by_mode[1]);
 }
 
 TEST(FusedPipeline, MixedRadixGridRunsFused) {

@@ -43,7 +43,7 @@ TEST_P(FftAdjointSweep, ParsevalHolds) {
   EXPECT_NEAR(spatial, spectral, 1e-9 * spatial) << n;
 }
 
-// Power-of-two and Bluestein sizes alike.
+// Power-of-two and mixed-radix sizes alike.
 INSTANTIATE_TEST_SUITE_P(Sizes, FftAdjointSweep,
                          ::testing::Values<std::size_t>(8, 12, 16, 24, 32,
                                                         48, 64, 96));

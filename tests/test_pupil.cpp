@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "fft/fft.hpp"
 #include "litho/optics.hpp"
@@ -37,6 +38,38 @@ TEST(OpticsConfig, ValidationRejectsBadParameters) {
   o.pixel_nm = 40.0;  // coarser than lambda/(4 NA) ~ 35.7 nm
   EXPECT_THROW(o.validate(), std::invalid_argument);
   EXPECT_NO_THROW(small_optics().validate());
+}
+
+TEST(OpticsConfig, MaskDimMustBeSmoothAndTheErrorNamesTheNearestSizes) {
+  // Non-smooth sides (odd part above 15) are rejected with the nearest
+  // smooth sizes below and above.
+  const struct {
+    std::size_t dim, below, above;
+  } rejected[] = {
+      {17, 16, 18}, {34, 32, 36}, {50, 48, 52}, {76, 72, 80}, {100, 96, 104}};
+  for (const auto& c : rejected) {
+    OpticsConfig o = small_optics();
+    o.mask_dim = c.dim;
+    try {
+      o.validate();
+      ADD_FAILURE() << c.dim << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("mask_dim = " + std::to_string(c.dim)),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("nearest are " + std::to_string(c.below) + " and " +
+                         std::to_string(c.above)),
+                std::string::npos)
+          << msg;
+    }
+  }
+  for (const std::size_t dim :
+       {8u, 12u, 24u, 80u, 96u, 120u, 128u, 192u, 256u, 512u}) {
+    OpticsConfig o = small_optics();
+    o.mask_dim = dim;
+    EXPECT_NO_THROW(o.validate()) << dim;
+  }
 }
 
 TEST(OpticsConfig, DoseFactors) {

@@ -4,10 +4,12 @@
 // clip extraction, multi-tile sweeps, and cooperative cancellation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "api/api.hpp"
+#include "fft/fft.hpp"
 #include "math/grid_ops.hpp"
 #include "shard/shard.hpp"
 #include "test_util.hpp"
@@ -40,8 +42,9 @@ TEST(TilePlan, CoresPartitionAndWindowsContainCores) {
       shard::TilePlan::make(512.0, 128, 2, 4, 24.0);
   EXPECT_EQ(plan.tile_count(), 8u);
   EXPECT_EQ(plan.halo_px(), 6u);  // 24 nm / 4 nm pixels
-  // Shared square window: max core axis (64 rows) + 2*halo.
-  EXPECT_EQ(plan.tile_dim(), 64u + 12u);
+  // Shared square window: max core axis (64 rows) + 2*halo = 76, rounded
+  // up to the next smooth FFT side, 80 = 5 * 16.
+  EXPECT_EQ(plan.tile_dim(), 80u);
   EXPECT_DOUBLE_EQ(plan.pixel_nm(), 4.0);
 
   Grid2D<int> owner(128, 128, 0);
@@ -69,6 +72,39 @@ TEST(TilePlan, SingleTileWindowIsTheFullGridRegardlessOfHalo) {
   EXPECT_EQ(plan.tile_dim(), 64u);
   EXPECT_EQ(plan.tiles()[0].win_r0, 0u);
   EXPECT_DOUBLE_EQ(plan.window_nm(), 512.0);
+}
+
+TEST(TilePlan, WindowRoundsUpToSmoothSideCappedAtFullGrid) {
+  // 4x4 cores of 64 px: every halo gives the next smooth side >= core +
+  // 2 * halo, capped at the 256 px grid.
+  for (std::size_t halo = 0; halo <= 100; ++halo) {
+    const shard::TilePlan plan = shard::TilePlan::make(
+        1024.0, 256, 4, 4, 4.0 * static_cast<double>(halo));
+    ASSERT_EQ(plan.halo_px(), halo);
+    const std::size_t want =
+        std::min<std::size_t>(256, next_smooth_length(64 + 2 * halo));
+    EXPECT_EQ(plan.tile_dim(), want) << "halo " << halo;
+    EXPECT_TRUE(is_smooth_length(plan.tile_dim())) << "halo " << halo;
+    EXPECT_GE(plan.tile_dim(), std::min<std::size_t>(256, 64 + 2 * halo));
+  }
+  // 32 + 2 * 20 = 72 exceeds the 64 px grid: the window is the full grid.
+  const shard::TilePlan capped =
+      shard::TilePlan::make(512.0, 64, 2, 2, 160.0);
+  EXPECT_EQ(capped.halo_px(), 20u);
+  EXPECT_EQ(capped.tile_dim(), 64u);
+
+  // Constant tiles still stitch to the constant on a rounded window
+  // (76 -> 80 px, so each window reaches 2 px past its nominal halo).
+  const shard::TilePlan rounded =
+      shard::TilePlan::make(512.0, 128, 2, 4, 24.0);
+  ASSERT_EQ(rounded.tile_dim(), 80u);
+  const std::vector<RealGrid> tiles(
+      rounded.tile_count(),
+      RealGrid(rounded.tile_dim(), rounded.tile_dim(), 0.7));
+  const RealGrid out = shard::stitch(rounded, tiles);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_NEAR(out[i], 0.7, 1e-12);
+  }
 }
 
 TEST(TilePlan, RejectsNonDivisibleGrids) {

@@ -62,7 +62,7 @@ ComplexGrid random_spectrum(std::uint64_t seed) {
 // ---- Fft2dPlan vs free functions -------------------------------------------
 
 TEST(Fft2dPlan, MatchesFreeFunctionsBitwise) {
-  for (std::size_t n : {8u, 12u}) {  // radix-2 and Bluestein paths
+  for (std::size_t n : {8u, 12u}) {  // radix-2 and mixed-radix paths
     Rng rng(7 + n);
     const ComplexGrid g0 = testing::random_complex_grid(rng, n, n);
     const Fft2dPlan plan(n, n);

@@ -299,9 +299,9 @@ TEST(SourceImageCache, AutocorrelationFillMatchesChainOracle) {
   GlobalModeGuard guard;
   sim::set_fusion_enabled(true);
   // 8 nm pixels: the bismo_128 and tiled_cluster band widths.  Bands of
-  // on-axis points wrap row and column 0.  100 is a Bluestein length,
-  // whose column passes gather one column at a time.
-  for (const std::size_t n : {64u, 96u, 100u, 128u, 256u}) {
+  // on-axis points wrap row and column 0.  96 and 104 = 13 * 8 are
+  // mixed-radix lengths.
+  for (const std::size_t n : {64u, 96u, 104u, 128u, 256u}) {
     const SpectralRig rig(n, 8.0, n >= 256 ? 7 : 9);
     const AbbeImaging abbe(rig.optics, rig.geometry);
     EXPECT_TRUE(sim::image_fill_uses_autocorrelation(abbe)) << n;
