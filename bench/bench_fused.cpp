@@ -1,23 +1,23 @@
 // Fused-pipeline A/B bench: the same serial dual-gradient workload as
-// BM_AbbeDualGradientBackend (bench_micro), evaluated per FFT backend in
-// both pipeline modes --
+// BM_AbbeDualGradientBackend (bench_micro), evaluated per FFT backend by
 //
-//   staged -- sim::set_fusion_enabled(false): per-stage reference chains
-//             (gather, transform, epilogue as separate kernel sweeps,
-//             forward recompute in the backward pass),
-//   fused  -- plan-time-specialized kernel chains (sim/pipeline.hpp):
-//             bit-reversal gather + cotangent seeding folded into the
-//             first column stage, the scale and |field|^2 epilogues
-//             into the last, per-evaluation field capture, the
-//             band-restricted direct adjoint for narrow pass-bands, and
-//             the image cache's autocorrelation fill (staged mode fills
-//             through the forward chains).
+//   reference -- the per-point imaging reference of the test suite
+//                (tests/imaging_reference.hpp): per source point, the
+//                band-masked spectrum, one generic ifft2, |field|^2, and
+//                the direct adjoint (the field again, one generic fft2),
+//   fused     -- the gradient engine: plan-time-specialized kernel chains
+//                (sim/pipeline.hpp) with the bit-reversal gather and
+//                cotangent seeding folded into the first column stage and
+//                the scale and |field|^2 epilogues into the last,
+//                per-evaluation field capture, the band-restricted direct
+//                adjoint for narrow pass-bands, and the image cache's
+//                autocorrelation fill.
 //
-// Before timing, both modes are checked for agreement (loss and both
-// gradients) -- a mismatch is a hard failure.  The bench FAILS (non-zero
-// exit) when a SIMD backend is available and its fused dual-gradient
-// speedup at the primary size falls under the 1.5x gate this refactor
-// ships against; on scalar-only hosts the gate is advisory.
+// Before timing, the two are checked for agreement (loss and both
+// gradients to 1e-9) -- a mismatch is a hard failure.  The bench FAILS
+// (non-zero exit) when a SIMD backend is available and its fused
+// dual-gradient speedup over the reference at the primary size falls
+// under the 1.5x gate; on scalar-only hosts the gate is advisory.
 //
 // Results land in BENCH_fused.json.  `--quick` runs the primary size
 // only with fewer repetitions for CI smoke runs.
@@ -36,7 +36,7 @@
 #include "grad/abbe_grad.hpp"
 #include "io/table.hpp"
 #include "math/grid_ops.hpp"
-#include "sim/pipeline.hpp"
+#include "tests/imaging_reference.hpp"
 
 namespace {
 
@@ -73,14 +73,10 @@ double max_abs_diff(const bismo::RealGrid& a, const bismo::RealGrid& b) {
   return m;
 }
 
-/// Restore the process fusion mode and FFT backend on scope exit.
-struct GlobalModeGuard {
-  bool fusion = bismo::sim::fusion_enabled();
+/// Restore the FFT backend on scope exit.
+struct BackendGuard {
   std::string backend = bismo::fft::backend_name();
-  ~GlobalModeGuard() {
-    bismo::sim::set_fusion_enabled(fusion);
-    bismo::fft::set_backend(backend);
-  }
+  ~BackendGuard() { bismo::fft::set_backend(backend); }
 };
 
 }  // namespace
@@ -103,12 +99,12 @@ int main(int argc, char** argv) {
   }
   BenchArgs args =
       BenchArgs::parse(static_cast<int>(filtered.size()), filtered.data());
-  args.print_banner("fused pipelines: staged vs plan-specialized chains");
+  args.print_banner("fused pipelines: per-point reference vs fused chains");
 
-  GlobalModeGuard restore;
+  BackendGuard restore;
   BenchReport report("fused", args);
   TablePrinter table(
-      {"backend", "n", "staged ms", "fused ms", "speedup", "gate"});
+      {"backend", "n", "reference ms", "fused ms", "speedup", "gate"});
 
   std::vector<std::string> backends = {"scalar"};
   for (const std::string& b : fft::available_backends()) {
@@ -138,59 +134,59 @@ int main(int argc, char** argv) {
       SourceSpec spec;
       const RealGrid theta_j =
           init_source_params(make_source(geometry, spec), {});
-      // The engine serves repeated calls at one theta_M from its image
-      // cache.  Alternating between two masks makes every timed call a
-      // cache fill, so the A/B times the fills and the adjoint, not the
-      // cache hits.
-      const RealGrid theta_m_alt = theta_m * 0.999;
-      bool alt = false;
-      const auto evaluate = [&] {
-        alt = !alt;
-        const SmoGradient g = engine.evaluate(alt ? theta_m_alt : theta_m,
-                                              theta_j, GradRequest{});
-        static volatile double sink;
-        sink = g.loss;
-      };
-
-      // Cross-mode agreement before any timing: the fused chains and the
-      // band-restricted direct adjoint must reproduce the staged
-      // reference to rounding noise.  A fresh engine per mode keeps the
-      // comparison independent of any cached images.
-      const auto gradient_in_mode = [&](bool fused) {
-        sim::set_fusion_enabled(fused);
-        const AbbeGradientEngine fresh(abbe, target);
-        return fresh.evaluate(theta_m, theta_j, GradRequest{});
-      };
-      const SmoGradient staged_g = gradient_in_mode(false);
-      const SmoGradient fused_g = gradient_in_mode(true);
+      // Agreement before any timing: the fused chains, the field capture,
+      // the band-restricted direct adjoint and the cache fill must
+      // reproduce the per-point reference to rounding noise.  A fresh
+      // engine keeps the comparison independent of any cached images.
+      const SmoGradient ref_g =
+          reference::abbe_gradient(engine, theta_m, theta_j);
+      const SmoGradient fused_g = AbbeGradientEngine(abbe, target)
+                                      .evaluate(theta_m, theta_j, GradRequest{});
       const double diff = std::max(
-          {std::abs(staged_g.loss - fused_g.loss),
-           max_abs_diff(staged_g.grad_theta_m, fused_g.grad_theta_m),
-           max_abs_diff(staged_g.grad_theta_j, fused_g.grad_theta_j)});
+          {std::abs(ref_g.loss - fused_g.loss),
+           max_abs_diff(ref_g.grad_theta_m, fused_g.grad_theta_m),
+           max_abs_diff(ref_g.grad_theta_j, fused_g.grad_theta_j)});
       if (diff > 1e-9) {
-        std::printf("FAIL: %s n=%zu fused/staged gradient mismatch %.3e\n",
+        std::printf("FAIL: %s n=%zu fused/reference gradient mismatch %.3e\n",
                     backend.c_str(), n, diff);
         agree_ok = false;
       }
 
+      // The engine serves repeated calls at one theta_M from its image
+      // cache.  Alternating between two masks makes every timed call a
+      // cache fill, so the A/B times the fills and the adjoint, not the
+      // cache hits.
       const int reps = quick ? 5 : (n <= 64 ? 20 : 8);
-      sim::set_fusion_enabled(false);
-      const double staged_ms = time_ms(evaluate, reps);
-      sim::set_fusion_enabled(true);
-      const double fused_ms = time_ms(evaluate, reps);
-      const double speedup = staged_ms / fused_ms;
+      const RealGrid theta_m_alt = theta_m * 0.999;
+      const auto alternating_ms = [&](const auto& gradient_at) {
+        bool alt = false;
+        return time_ms(
+            [&] {
+              alt = !alt;
+              static volatile double sink;
+              sink = gradient_at(alt ? theta_m_alt : theta_m).loss;
+            },
+            reps);
+      };
+      const double reference_ms = alternating_ms([&](const RealGrid& tm) {
+        return reference::abbe_gradient(engine, tm, theta_j);
+      });
+      const double fused_ms = alternating_ms([&](const RealGrid& tm) {
+        return engine.evaluate(tm, theta_j, GradRequest{});
+      });
+      const double speedup = reference_ms / fused_ms;
 
       const bool gated =
           have_simd && backend != "scalar" && n == kGateSize;
       if (gated && speedup < kGate) gate_ok = false;
       table.add_row({backend, std::to_string(n),
-                     TablePrinter::num(staged_ms, 2),
+                     TablePrinter::num(reference_ms, 2),
                      TablePrinter::num(fused_ms, 2),
                      TablePrinter::num(speedup, 2) + "x",
                      gated ? (speedup >= kGate ? "pass" : "FAIL")
                            : "advisory"});
       report.add(backend + "/" + std::to_string(n),
-                 {{"staged_ms", staged_ms},
+                 {{"reference_ms", reference_ms},
                   {"fused_ms", fused_ms},
                   {"speedup", speedup},
                   {"gated", gated ? 1.0 : 0.0},
@@ -201,7 +197,7 @@ int main(int argc, char** argv) {
   report.write();
 
   if (!agree_ok) {
-    std::printf("FAIL: fused pipelines disagree with the staged reference\n");
+    std::printf("FAIL: fused pipelines disagree with the per-point reference\n");
     return 1;
   }
   if (!gate_ok) {

@@ -1,6 +1,7 @@
 #include "core/mask_opt.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "grad/hopkins_grad.hpp"
 #include "litho/hopkins.hpp"
@@ -39,7 +40,25 @@ RealGrid upsample_params(const RealGrid& grid, std::size_t factor) {
   return out;
 }
 
+/// Optics of a level that runs `factor` times coarser than `optics`.
+OpticsConfig coarsened(const OpticsConfig& optics, std::size_t factor) {
+  OpticsConfig out = optics;
+  out.mask_dim = optics.mask_dim / factor;
+  out.pixel_nm = optics.pixel_nm * static_cast<double>(factor);
+  return out;
+}
+
 }  // namespace
+
+int hopkins_mo_levels(Method method, const OpticsConfig& optics) {
+  if (method == Method::kNiltProxy) return 1;
+  try {
+    coarsened(optics, 2).validate();
+  } catch (const std::invalid_argument&) {
+    return 1;
+  }
+  return 2;
+}
 
 RunResult run_abbe_mo(const SmoProblem& problem, Method /*method*/,
                       const RunControl& control) {
@@ -63,7 +82,7 @@ RunResult run_hopkins_mo(const SmoProblem& problem, Method method,
   // the weakest baseline of Table 3, by design of the original (Hopkins,
   // printability-only objective).  DAC23: the "multi-level" of DAC23-MILT.
   const bool nilt = method == Method::kNiltProxy;
-  const int levels = nilt ? 1 : 2;
+  const int levels = hopkins_mo_levels(method, cfg.optics);
   const std::size_t kernels =
       nilt ? std::max<std::size_t>(1, cfg.socs_kernels / 3) : cfg.socs_kernels;
   LossWeights weights = cfg.weights;
@@ -92,10 +111,7 @@ RunResult run_hopkins_mo(const SmoProblem& problem, Method method,
                           : cfg.outer_steps - coarse_steps * (levels - 1);
     if (steps == 0 || rec.stopped()) continue;
 
-    OpticsConfig optics = cfg.optics;
-    optics.mask_dim = cfg.optics.mask_dim / factor;
-    optics.pixel_nm = cfg.optics.pixel_nm * static_cast<double>(factor);
-    optics.validate();
+    const OpticsConfig optics = coarsened(cfg.optics, factor);
 
     // Coarse levels run at a different grid dimension, so they get their
     // own workspace set; the final (full-resolution) level shares the

@@ -178,9 +178,10 @@ class Fft2dPlan {
   /// touched, the optional cotangent seed is applied on the fly -- every
   /// column is transformed into `dst`, and the scale / weighted-norm
   /// epilogue runs inside the final stage's stores.  The result matches
-  /// the staged per-stage sequence (materialize the input, `transform_cols`,
-  /// then the epilogue ops) to <= 1e-12 (identical per-element arithmetic
-  /// up to compiler FMA contraction).  Row counts are mixed-radix or
+  /// the per-stage sequence (materialize the input, `transform_cols`, then
+  /// the epilogue ops; the test oracle `per_stage_cols_reference` in
+  /// tests/test_fused_pipeline.cpp) to <= 1e-12 (identical per-element
+  /// arithmetic up to compiler FMA contraction).  Row counts are mixed-radix or
   /// powers of two >= 8 (every validated mask_dim); others throw
   /// std::logic_error.
   void transform_cols_fused(const fft_detail::ColsFusion& fusion,

@@ -192,7 +192,7 @@ void cols_stage_radix2(double* base_d, std::size_t n, std::size_t dstride,
 }
 
 /// In-place radix-4 column stage with broadcast twiddles: shared by the
-/// staged pass and the middle stages of the fused pass, so both run
+/// in-place pass and the middle stages of the fused pass, so both run
 /// identical arithmetic.
 template <bool kInv>
 void cols_stage_radix4(const Pow2Stage& st, double* base_d, std::size_t n,
@@ -436,7 +436,7 @@ void fused_stage_r4_first(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
 
 /// Per-row epilogue on one 2-complex chunk y (already scaled): kNorm
 /// accumulates w * |y|^2 into acc_row.  Norms of the two complex lanes
-/// are built with the same mul/hadd arithmetic as accumulate_norm.
+/// are built with the same mul/hadd arithmetic as weighted_norm_sum.
 template <bool kNorm>
 inline void fused_epilogue2(__m256d y, double* acc_row, std::size_t c,
                             __m128d vw) {
@@ -894,26 +894,6 @@ void cmul_conj_axpy(std::complex<double>* dst, const std::complex<double>* a,
   }
 }
 
-void accumulate_norm(double* acc, const std::complex<double>* a,
-                     std::size_t n, double w) {
-  const auto* p = reinterpret_cast<const double*>(a);
-  const __m256d vw = _mm256_set1_pd(w);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d va = _mm256_loadu_pd(p + 2 * i);
-    const __m256d vb = _mm256_loadu_pd(p + 2 * i + 4);
-    // hadd pairs within lanes -> norms in order [0, 2, 1, 3]; restore.
-    const __m256d h = _mm256_hadd_pd(_mm256_mul_pd(va, va),
-                                     _mm256_mul_pd(vb, vb));
-    const __m256d norms = _mm256_permute4x64_pd(h, 0xD8);
-    _mm256_storeu_pd(acc + i,
-                     _mm256_fmadd_pd(vw, norms, _mm256_loadu_pd(acc + i)));
-  }
-  for (; i < n; ++i) {
-    acc[i] += w * (p[2 * i] * p[2 * i] + p[2 * i + 1] * p[2 * i + 1]);
-  }
-}
-
 double weighted_norm_sum(const double* w, const std::complex<double>* a,
                          std::size_t n) {
   const auto* p = reinterpret_cast<const double*>(a);
@@ -1197,7 +1177,6 @@ const FftKernel* avx2_kernel() {
     k.cmul = cmul;
     k.caxpy = caxpy;
     k.cmul_conj_axpy = cmul_conj_axpy;
-    k.accumulate_norm = accumulate_norm;
     k.weighted_norm_sum = weighted_norm_sum;
     k.seed_cotangent = seed_cotangent;
     k.band_conv = band_conv;

@@ -73,10 +73,11 @@ struct FftKernel {
   /// of one per stage.  Precondition: `plan.n >= 8` (first and last
   /// stages are distinct); `Fft2dPlan::transform_cols_fused` runs the
   /// mixed-radix pass for the other lengths r * 2^k.
-  /// Arithmetic is per-element identical to the staged sequence (gather,
-  /// pow2_cols, scale, accumulate_norm), except that
-  /// rows flagged zero produce literal +0.0 where the staged path may
-  /// round to -0.0.
+  /// Arithmetic is per-element identical to the per-stage sequence
+  /// (gather, pow2_cols, scale, acc += w * |y|^2) that the test oracle
+  /// `per_stage_cols_reference` (tests/test_fused_pipeline.cpp) runs,
+  /// except that rows flagged zero produce literal +0.0 where the
+  /// per-stage sequence may round to -0.0.
   void (*pow2_cols_fused)(const fft_detail::Pow2Plan& plan,
                           const fft_detail::ColsFusion& fusion,
                           std::complex<double>* dst, std::size_t width,
@@ -116,10 +117,6 @@ struct FftKernel {
                          const std::complex<double>* a,
                          const std::complex<double>* b, std::size_t n,
                          double s) = nullptr;
-
-  /// acc[i] += w * |a[i]|^2 -- the weighted intensity accumulation.
-  void (*accumulate_norm)(double* acc, const std::complex<double>* a,
-                          std::size_t n, double w) = nullptr;
 
   /// sum_i w[i] * |a[i]|^2 -- the source-gradient reduction.
   double (*weighted_norm_sum)(const double* w, const std::complex<double>* a,

@@ -108,7 +108,7 @@ void cols_stage_radix2(double* base_d, std::size_t n, std::size_t dstride,
   }
 }
 
-// In-place radix-4 column stage: shared by the staged pass and by the
+// In-place radix-4 column stage: shared by the in-place pass and by the
 // middle stages of the fused pass, so both run identical arithmetic.
 void cols_stage_radix4(const Pow2Stage& st, double* base_d, std::size_t n,
                        std::size_t dstride, std::size_t width, double cs) {
@@ -183,7 +183,7 @@ void pow2_cols(const Pow2Plan& plan, std::complex<double>* data,
 // cotangent seed folded into the loads); the last stage applies the
 // scale/weighted-norm epilogue as it stores.  Middle stages are the
 // shared in-place helpers above, so the fused pass computes the same
-// per-element arithmetic as the staged sequence.
+// per-element arithmetic as the per-stage sequence.
 
 // Source-row base pointer, or null when the row is flagged zero (loads
 // then become literal 0.0 without touching memory).
@@ -230,7 +230,7 @@ void fused_stage_r2(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
 }
 
 // Gathered first radix-4 stage (q == 1, unity twiddles -- bitwise equal
-// to the staged multiply by W^0): output rows (b..b+3) combine source
+// to the in-place pass's multiply by W^0): output rows (b..b+3) combine source
 // rows bitrev[b..b+3].
 template <bool kSeed>
 void fused_stage_r4_first(const Pow2Plan& plan, const fft_detail::ColsFusion& f,
@@ -520,14 +520,6 @@ void cmul_conj_axpy(std::complex<double>* dst, const std::complex<double>* a,
   }
 }
 
-void accumulate_norm(double* acc, const std::complex<double>* a,
-                     std::size_t n, double w) {
-  const auto* p = reinterpret_cast<const double*>(a);
-  for (std::size_t i = 0; i < n; ++i) {
-    acc[i] += w * (p[2 * i] * p[2 * i] + p[2 * i + 1] * p[2 * i + 1]);
-  }
-}
-
 double weighted_norm_sum(const double* w, const std::complex<double>* a,
                          std::size_t n) {
   const auto* p = reinterpret_cast<const double*>(a);
@@ -650,7 +642,6 @@ const FftKernel& scalar_kernel() {
     k.cmul = cmul;
     k.caxpy = caxpy;
     k.cmul_conj_axpy = cmul_conj_axpy;
-    k.accumulate_norm = accumulate_norm;
     k.weighted_norm_sum = weighted_norm_sum;
     k.seed_cotangent = seed_cotangent;
     k.band_conv = band_conv;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fft/fft.hpp"
-#include "fft/kernels/kernel.hpp"
 #include "linalg/cmatrix.hpp"
 #include "linalg/hermitian_eig.hpp"
 #include "parallel/reduction.hpp"
@@ -167,31 +165,6 @@ HopkinsImaging::HopkinsImaging(const OpticsConfig& optics,
   if (workspaces_ == nullptr) {
     workspaces_ = std::make_shared<sim::WorkspaceSet>();
   }
-}
-
-void HopkinsImaging::field(const ComplexGrid& o, std::size_t q,
-                           ComplexGrid& out) const {
-  if (o.rows() != optics_.mask_dim || o.cols() != optics_.mask_dim) {
-    throw std::invalid_argument("HopkinsImaging::field: spectrum shape");
-  }
-  const auto& band = socs_.band();
-  const auto& socs_kernel = socs_.kernels().at(q);
-  if (!out.same_shape(o)) out.resize(o.rows(), o.cols());
-  out.fill(std::complex<double>{});
-  const fft::FftKernel& kernel = fft::active_kernel();
-  sim::for_each_index_run(
-      band.data(), band.size(),
-      [&](std::size_t k, std::uint32_t start, std::size_t len) {
-        kernel.cmul(out.data() + start, o.data() + start,
-                    socs_kernel.values.data() + k, len);
-      });
-  ifft2(out);
-}
-
-ComplexGrid HopkinsImaging::field(const ComplexGrid& o, std::size_t q) const {
-  ComplexGrid masked;
-  field(o, q, masked);
-  return masked;
 }
 
 sim::BandRef HopkinsImaging::component_band(std::size_t c) const {

@@ -83,16 +83,6 @@ class HopkinsImaging : public sim::ImagingModel {
   /// Aerial intensity for mask spectrum `o` (= fft2 of activated mask).
   RealGrid aerial(const ComplexGrid& o) const;
 
-  /// Coherent field for kernel q: IFFT(phi_q .* O).  Allocating reference
-  /// path; hot loops use `field_into`.
-  ComplexGrid field(const ComplexGrid& o, std::size_t q) const;
-
-  /// Out-param variant: writes the field into `out` (resized on first
-  /// use, reused afterwards), removing the per-call grid allocation.
-  /// The transform still runs through the convenience `ifft2`; hot loops
-  /// use `field_into`, which is fully allocation-free via the workspace.
-  void field(const ComplexGrid& o, std::size_t q, ComplexGrid& out) const;
-
   const SocsDecomposition& socs() const noexcept { return socs_; }
   const OpticsConfig& optics() const noexcept { return optics_; }
 

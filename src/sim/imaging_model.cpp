@@ -173,7 +173,6 @@ std::uint64_t adjoint_pass_calls() {
 }
 
 bool adjoint_uses_band_conv(const ImagingModel& model) {
-  if (!fusion_enabled()) return false;
   const std::size_t n = model.grid_dim();
   const std::size_t comps = model.components();
   if (comps == 0) return false;
@@ -189,7 +188,6 @@ bool adjoint_uses_band_conv(const ImagingModel& model) {
 }
 
 bool image_fill_uses_autocorrelation(const ImagingModel& model) {
-  if (!fusion_enabled()) return false;
   const std::size_t comps = model.components();
   if (comps == 0) return false;
   const double n = static_cast<double>(model.grid_dim());
@@ -261,17 +259,14 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
   if (wns != nullptr) wns->assign(items.size(), 0.0);
 
   // The band scatter only ever writes rows in the union of the mask
-  // items' band rows, so in fused mode the per-slot accumulator zeroing
-  // and the final combine are restricted to that row set.  The pattern
-  // depends only on the item list (never on the slot partition), and rows
-  // outside it are exactly zero either way, so results are unchanged.
-  // Staged mode keeps the dense sweeps, so it stays the faithful
-  // per-stage reference.
-  const bool sparse_combine = any_mask && fusion_enabled();
+  // items' band rows, so the per-slot accumulator zeroing and the final
+  // combine are restricted to that row set.  The pattern depends only on
+  // the item list (never on the slot partition), and rows outside it are
+  // exactly zero either way.
   WorkspaceSet& set = model.workspaces();
   WorkspaceSet::AdjointScratch& pass = set.adjoint_scratch();
   std::vector<std::uint8_t>& row_union = pass.row_union;
-  if (sparse_combine) {
+  if (any_mask) {
     row_union.assign(n, 0);
     for (const AdjointItem& it : items) {
       if (!it.mask) continue;
@@ -293,9 +288,8 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
     }
   };
 
-  // Band-restricted direct adjoint (fused mode, narrow bands).  With
-  // D = FFT2(dldi), the cotangent spectrum of component c is the circular
-  // convolution
+  // Band-restricted direct adjoint (narrow bands).  With D = FFT2(dldi),
+  // the cotangent spectrum of component c is the circular convolution
   //   FFT2(dldi .* field_c)[k] = (1/N) sum_j S_c[j] D[k - j],
   // where S_c = o .* vals over the band bins -- and the band scatter only
   // ever reads it at those same bins, so U_c = (D (*) S_c)|_band is all
@@ -336,14 +330,9 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
     ws.ensure(n);
     if (any_mask) {
       ComplexGrid& accum = ws.adjoint_accum();
-      if (sparse_combine) {
-        for_each_union_run([&](std::size_t row, std::size_t count) {
-          std::fill_n(accum.data() + row * n, count * n,
-                      std::complex<double>{});
-        });
-      } else {
-        accum.fill(std::complex<double>{});
-      }
+      for_each_union_run([&](std::size_t row, std::size_t count) {
+        std::fill_n(accum.data() + row * n, count * n, std::complex<double>{});
+      });
     }
     if (band_conv) {
       for (std::size_t k = range.begin; k < range.end; ++k) {
@@ -394,21 +383,14 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
   run_slots(model, slots, task);
 
   if (!any_mask) return ComplexGrid{};
-  if (sparse_combine) {
-    ComplexGrid go(n, n);  // rows outside the band union stay exactly zero
-    for (std::size_t s = 0; s < slots; ++s) {
-      const ComplexGrid& partial = set.at(s).adjoint_accum();
-      for_each_union_run([&](std::size_t row, std::size_t count) {
-        kernel.add_complex(go.data() + row * n, partial.data() + row * n,
-                           count * n);
-      });
-    }
-    return go;
+  ComplexGrid go(n, n);  // rows outside the band union stay exactly zero
+  for (std::size_t s = 0; s < slots; ++s) {
+    const ComplexGrid& partial = set.at(s).adjoint_accum();
+    for_each_union_run([&](std::size_t row, std::size_t count) {
+      kernel.add_complex(go.data() + row * n, partial.data() + row * n,
+                         count * n);
+    });
   }
-  ComplexGrid go = set.at(0).adjoint_accum();
-  combine_slot_partials(go, slots - 1, [&](std::size_t s) -> const ComplexGrid& {
-    return set.at(s + 1).adjoint_accum();
-  });
   return go;
 }
 

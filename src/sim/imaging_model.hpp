@@ -17,10 +17,10 @@
 // here once (`accumulate_intensity`, `adjoint_pass`), run allocation-free
 // over per-slot workspaces, and route every component through the
 // workspace's `ImagingPipeline` -- the plan-time-specialized kernel
-// chains of sim/pipeline.hpp, fused or staged per the process fusion
-// mode.  Adding a new imaging backend means implementing the pure
-// virtuals below -- the parallel loops, reduction policy, fused chains,
-// and gradient plumbing come for free.
+// chains of sim/pipeline.hpp, checked against the per-point reference in
+// tests/imaging_reference.hpp.  Adding a new imaging backend means
+// implementing the pure virtuals below -- the parallel loops, reduction
+// policy, fused chains, and gradient plumbing come for free.
 #ifndef BISMO_SIM_IMAGING_MODEL_HPP
 #define BISMO_SIM_IMAGING_MODEL_HPP
 
@@ -58,7 +58,7 @@ class ImagingModel {
   virtual BandRef component_band(std::size_t c) const = 0;
 
   /// Coherent field of component `c` for mask spectrum `o`, written to
-  /// `ws.field()` through the workspace pipeline (fused or staged).
+  /// `ws.field()` through the workspace pipeline.
   /// Allocation-free once `ws` is sized.
   void field_into(const ComplexGrid& o, std::size_t c, SimWorkspace& ws) const;
 
@@ -144,8 +144,8 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
 std::uint64_t adjoint_pass_calls();
 
 /// True when `adjoint_pass` will run the band-restricted direct adjoint
-/// for this model: fused mode and every component band narrow enough that
-/// the O(nbins^2) circular convolution beats a dense column transform.
+/// for this model: every component band is narrow enough that the
+/// O(nbins^2) circular convolution beats a dense column transform.
 /// The direct adjoint needs no coherent fields, so callers can skip
 /// arming the field capture (sim::FieldCaptureScope) when this returns
 /// true.
@@ -154,9 +154,8 @@ bool adjoint_uses_band_conv(const ImagingModel& model);
 /// True when `SourceImageCache::fill` computes each point's image spectrum
 /// by autocorrelating the band (about nbins^2 / 2 complex products) rather
 /// than running the point's forward chain and one forward transform of its
-/// image: fused mode and every component band narrow enough for the
-/// product count to beat the two transforms (the crossover is measured in
-/// the definition).  Staged mode always takes the chain.
+/// image: every component band is narrow enough for the product count to
+/// beat the two transforms (the crossover is measured in the definition).
 bool image_fill_uses_autocorrelation(const ImagingModel& model);
 
 }  // namespace bismo::sim

@@ -1,7 +1,6 @@
 #include "sim/pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "fft/kernels/kernel.hpp"
@@ -10,54 +9,21 @@
 
 namespace bismo::sim {
 
-namespace {
-
-/// Process fusion mode: fused unless a test or bench selects the staged
-/// reference with set_fusion_enabled(false).
-std::atomic<bool> g_fused{true};
-
-}  // namespace
-
-bool fusion_enabled() { return g_fused.load(std::memory_order_acquire); }
-
-void set_fusion_enabled(bool on) {
-  g_fused.store(on, std::memory_order_release);
-}
-
-const char* fusion_mode_name() { return fusion_enabled() ? "fused" : "staged"; }
+const char* fusion_mode_name() { return "fused"; }
 
 void ImagingPipeline::build(std::size_t dim) {
   dim_ = dim;
   plan_ = Fft2dPlan(dim, dim);
-  fused_ = fusion_enabled();
-}
-
-bool ImagingPipeline::stale() const noexcept {
-  return dim_ != 0 && fused_ != fusion_enabled();
 }
 
 // bismo-lint: no-alloc-begin
-// The fused/staged evaluation paths run per outer-loop step on every
-// lane; all buffers are caller-owned and pre-sized by SimWorkspace.
+// The evaluation chains run per outer-loop step on every lane; all
+// buffers are caller-owned and pre-sized by SimWorkspace.
 void ImagingPipeline::forward(const ComplexGrid& o, const BandRef& band,
                               ComplexGrid& spectrum, std::uint8_t* row_flags,
                               ComplexGrid& field, RealGrid* acc,
                               double acc_weight,
                               std::complex<double>* scratch) const {
-  if (fused_) {
-    forward_fused(o, band, spectrum, row_flags, field, acc, acc_weight,
-                  scratch);
-  } else {
-    forward_staged(o, band, field, acc, acc_weight, scratch);
-  }
-}
-
-void ImagingPipeline::forward_fused(const ComplexGrid& o, const BandRef& band,
-                                    ComplexGrid& spectrum,
-                                    std::uint8_t* row_flags,
-                                    ComplexGrid& field, RealGrid* acc,
-                                    double acc_weight,
-                                    std::complex<double>* scratch) const {
   const fft::FftKernel& kernel = fft::active_kernel();
   const std::size_t n = dim_;
 
@@ -109,42 +75,6 @@ void ImagingPipeline::forward_fused(const ComplexGrid& o, const BandRef& band,
   plan_.transform_cols_fused(fusion, field, /*inverse=*/true);
 }
 
-void ImagingPipeline::forward_staged(const ComplexGrid& o,
-                                     const BandRef& band, ComplexGrid& field,
-                                     RealGrid* acc, double acc_weight,
-                                     std::complex<double>* scratch) const {
-  const fft::FftKernel& kernel = fft::active_kernel();
-  const std::size_t n = dim_;
-
-  // The legacy staged sequence, stage by stage: gather, row pass, column
-  // pass, scale, then the separate epilogue ops.
-  field.fill(std::complex<double>{});
-  if (band.vals != nullptr) {
-    for_each_index_run(band.bins, band.nbins,
-                 [&](std::size_t k, std::uint32_t start, std::size_t len) {
-                   kernel.cmul(field.data() + start, o.data() + start,
-                               band.vals + k, len);
-                 });
-  } else {
-    for_each_index_run(band.bins, band.nbins,
-                 [&](std::size_t, std::uint32_t start, std::size_t len) {
-                   std::copy(o.data() + start, o.data() + start + len,
-                             field.data() + start);
-                 });
-  }
-  for_each_index_run(band.rows, band.nrows,
-               [&](std::size_t, std::uint32_t row, std::size_t count) {
-                 plan_.transform_rows(field.data() + std::size_t{row} * n,
-                                      count, /*inverse=*/true, scratch);
-               });
-  plan_.transform_cols(field, /*inverse=*/true);
-  kernel.scale(field.data(), field.size(),
-               1.0 / static_cast<double>(field.size()));
-  if (acc != nullptr) {
-    kernel.accumulate_norm(acc->data(), field.data(), field.size(), acc_weight);
-  }
-}
-
 void ImagingPipeline::adjoint(const double* dldi, double scale,
                               const ComplexGrid& field, const BandRef& band,
                               ComplexGrid& cotangent, ComplexGrid& go,
@@ -153,24 +83,17 @@ void ImagingPipeline::adjoint(const double* dldi, double scale,
   const std::size_t n = dim_;
 
   // Column pass first (adjoint(IFFT2) = (1/N) FFT2 runs columns-then-rows
-  // so the row pass can be band-restricted).  Fused: the cotangent seed
+  // so the row pass can be band-restricted).  The cotangent seed
   // scale * dldi .* field is computed inside the first butterfly stage's
-  // loads, so the seeded grid never materializes.  Staged: seed, then
-  // transform in place.
-  if (fused_) {
-    fft_detail::ColsFusion fusion;
-    fusion.src = field.data();
-    fusion.seed = dldi;
-    fusion.seed_scale = scale;
-    plan_.transform_cols_fused(fusion, cotangent, /*inverse=*/false);
-  } else {
-    kernel.seed_cotangent(cotangent.data(), dldi, field.data(), field.size(),
-                          scale);
-    plan_.transform_cols(cotangent, /*inverse=*/false);
-  }
+  // loads, so the seeded grid never materializes.
+  fft_detail::ColsFusion fusion;
+  fusion.src = field.data();
+  fusion.seed = dldi;
+  fusion.seed_scale = scale;
+  plan_.transform_cols_fused(fusion, cotangent, /*inverse=*/false);
 
-  // Shared tail: band-restricted row pass, then the scatter-accumulate
-  // into the frequency-domain gradient over contiguous bin runs.
+  // Band-restricted row pass, then the scatter-accumulate into the
+  // frequency-domain gradient over contiguous bin runs.
   for_each_index_run(band.rows, band.nrows,
                [&](std::size_t, std::uint32_t row, std::size_t count) {
                  plan_.transform_rows(cotangent.data() + std::size_t{row} * n,

@@ -20,14 +20,12 @@
 //     lets the fused gather skip rows that are exactly zero.
 //
 // Every validated grid (OpticsConfig::validate: a smooth mask_dim >= 8) has
-// a fused column pass, so the process fusion mode alone picks the chain.
-//
-// The per-stage ops remain as the staged reference the fused chains are
-// verified against (tests/test_fused_pipeline.cpp), and the legacy staged
-// path stays selectable in-process: `set_fusion_enabled(false)` rebuilds
-// pipelines in staged mode (tests and benches use it as the oracle).  A fixed
-// (backend, mode) pair is bitwise deterministic across thread and lane
-// counts; fused and staged agree to <= 1e-12.
+// a fused column pass, so there is one chain per direction.  The fused
+// chains are verified against a per-point reference built on the generic
+// transforms (tests/imaging_reference.hpp) and the per-stage column ops
+// (tests/test_fused_pipeline.cpp); a fixed backend is bitwise
+// deterministic across thread and lane counts, and the chains agree with
+// the reference to <= 1e-12.
 #ifndef BISMO_SIM_PIPELINE_HPP
 #define BISMO_SIM_PIPELINE_HPP
 
@@ -52,40 +50,23 @@ struct BandRef {
   std::size_t nrows = 0;
 };
 
-/// Process-wide fusion mode (default on).
-bool fusion_enabled();
-
-/// Override the fusion mode (tests and benches).  Pipelines built under
-/// the old mode report `stale()` and are rebuilt by `SimWorkspace::ensure`;
-/// must not race with in-flight evaluations.
-void set_fusion_enabled(bool on);
-
-/// Name of the active mode ("fused" or "staged") -- stamped into benchmark
+/// Name of the imaging pipeline ("fused") -- stamped into benchmark
 /// reports alongside the FFT backend.
 const char* fusion_mode_name();
 
 /// Plan-time-specialized kernel chains for one grid shape.  Built by
-/// `SimWorkspace::ensure`; immutable afterwards (rebuild to change shape
-/// or mode).  All methods are allocation-free and touch only the caller's
+/// `SimWorkspace::ensure`; immutable afterwards (rebuild to change
+/// shape).  All methods are allocation-free and touch only the caller's
 /// buffers.
 class ImagingPipeline {
  public:
   ImagingPipeline() = default;
 
-  /// Plan and specialize for dim x dim grids, capturing the process
-  /// fusion mode at build time.
+  /// Plan and specialize for dim x dim grids.
   void build(std::size_t dim);
 
   std::size_t dim() const noexcept { return dim_; }
   const Fft2dPlan& plan() const noexcept { return plan_; }
-
-  /// True when the fused chains were selected at build time (the process
-  /// fusion mode then).
-  bool fused() const noexcept { return fused_; }
-
-  /// True when the process fusion mode changed since `build` (the owning
-  /// workspace rebuilds on its next `ensure`).
-  bool stale() const noexcept;
 
   /// Forward chain: field = (1/N) IFFT2(band .* o), with an optional
   /// fused epilogue -- when `acc` is non-null, acc += acc_weight *
@@ -99,24 +80,15 @@ class ImagingPipeline {
 
   /// Adjoint chain: go[bins] += conj(band) .* FFT2(scale * dldi .* field)
   /// / N over the band bins, using `cotangent` as the transform buffer
-  /// (contents destroyed).  The cotangent seed never materializes on the
-  /// fused path; the staged path seeds then transforms.
+  /// (contents destroyed).  The cotangent seed never materializes: it is
+  /// computed inside the column pass's loads.
   void adjoint(const double* dldi, double scale, const ComplexGrid& field,
                const BandRef& band, ComplexGrid& cotangent, ComplexGrid& go,
                std::complex<double>* scratch) const;
 
  private:
-  void forward_fused(const ComplexGrid& o, const BandRef& band,
-                     ComplexGrid& spectrum, std::uint8_t* row_flags,
-                     ComplexGrid& field, RealGrid* acc, double acc_weight,
-                     std::complex<double>* scratch) const;
-  void forward_staged(const ComplexGrid& o, const BandRef& band,
-                      ComplexGrid& field, RealGrid* acc, double acc_weight,
-                      std::complex<double>* scratch) const;
-
   std::size_t dim_ = 0;
   Fft2dPlan plan_;
-  bool fused_ = false;  ///< fusion_enabled() observed at build time
 };
 
 }  // namespace bismo::sim

@@ -38,8 +38,7 @@ std::uint32_t lift_start(const std::uint32_t* v, std::size_t m,
 }  // namespace
 
 bool SourceImageCache::holds(const RealGrid& key) const {
-  return valid_ && kernel_ == &fft::active_kernel() &&
-         fused_ == fusion_enabled() && key_.same_shape(key) &&
+  return valid_ && kernel_ == &fft::active_kernel() && key_.same_shape(key) &&
          std::memcmp(key_.data(), key.data(), key.size() * sizeof(double)) ==
              0;
 }
@@ -290,7 +289,6 @@ void SourceImageCache::fill(const ImagingModel& model, const ComplexGrid& o,
   });
   key_ = key;
   kernel_ = &fft::active_kernel();
-  fused_ = fusion_enabled();
   valid_ = true;
 }
 

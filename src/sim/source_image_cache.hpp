@@ -25,16 +25,17 @@
 //
 // Fill.  Two paths, chosen by sim::image_fill_uses_autocorrelation (the
 // cost rule and its measured crossover live there):
-//   * autocorrelation (fused mode, narrow bands): with F_c = o .* pupil over
-//     the point's BandRef bins,
+//   * autocorrelation (narrow bands): with F_c = o .* pupil over the
+//     point's BandRef bins,
 //       P^_c(q) = (1/n^2) sum_k F_c(k + q) conj F_c(k),
 //     about nbins^2 / 2 complex products per point, one
 //     FftKernel::xcorr_accumulate per pair of band row segments, with no
 //     transform at all;
-//   * chain + projection (staged mode, wide bands): the point's forward
-//     chain (which still writes the field into an armed FieldCaptureScope),
-//     then one forward transform of |A_c|^2 restricted to the disk columns.
-//     This path is also the test oracle of the first.
+//   * chain + projection (wide bands): the point's forward chain (which
+//     still writes the field into an armed FieldCaptureScope), then one
+//     forward transform of |A_c|^2 restricted to the disk columns.
+// Tests check both against |field|^2 of the per-point reference
+// (tests/imaging_reference.hpp), and each against the other.
 // Both run one point per task over the reduction slots with no cross-point
 // partials, so the spectra are bitwise identical for any thread count.
 //
@@ -50,7 +51,7 @@
 // (grad/abbe_grad.hpp), so mask-only results never see these roundings.
 //
 // The cache is keyed by the exact bits of the caller's mask parameters
-// plus the FFT backend and pipeline mode that produced the spectra.  The
+// plus the FFT backend that produced the spectra.  The
 // disk layout is derived from the model's bands at the first fill for a
 // model and rebuilt when the model changes.  It is not thread-safe: like
 // the workspaces it uses, one evaluation at a time.
@@ -77,7 +78,7 @@ enum class ImageFill { kAuto, kAutocorrelation, kChain };
 class SourceImageCache {
  public:
   /// True when the spectra were filled for exactly these key bits under
-  /// the active FFT backend and pipeline mode.
+  /// the active FFT backend.
   bool holds(const RealGrid& key) const;
 
   /// Store P^_c = FFT2(|field(o, c)|^2) on the half disk for every
@@ -180,7 +181,6 @@ class SourceImageCache {
   mutable std::vector<SlotScratch> slot_scratch_;
   RealGrid key_;
   const fft::FftKernel* kernel_ = nullptr;
-  bool fused_ = false;
   bool valid_ = false;
 
   // Serving scratch (const methods; one evaluation at a time): the half

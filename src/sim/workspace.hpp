@@ -68,9 +68,8 @@ class SimWorkspace {
   SimWorkspace() = default;
 
   /// Size every buffer and build the imaging pipeline (FFT plan + fused
-  /// kernel chain selection) for `dim` x `dim` grids.  No-op when already
-  /// sized and the pipeline matches the process fusion mode; this is the
-  /// only method that allocates.
+  /// kernel chains) for `dim` x `dim` grids.  No-op when already sized;
+  /// this is the only method that allocates.
   void ensure(std::size_t dim);
 
   std::size_t dim() const noexcept { return dim_; }
@@ -79,7 +78,7 @@ class SimWorkspace {
   /// The plan-time-specialized kernel chains this workspace runs.
   const ImagingPipeline& pipeline() const noexcept { return pipeline_; }
 
-  /// Coherent-field output of `sparse_inverse_field` (dense, dim x dim).
+  /// Coherent-field output of `forward_field` (dense, dim x dim).
   ComplexGrid& field() noexcept { return field_; }
 
   /// Per-slot frequency-domain gradient accumulator (g_O partial).
@@ -109,8 +108,7 @@ class SimWorkspace {
   /// Forward imaging chain through the pipeline: field() = normalized
   /// IFFT2 of `o` restricted to `band`, with the optional epilogue fused
   /// into the column pass -- `acc != nullptr` accumulates
-  /// acc += acc_weight * |field|^2.  Runs the fused or staged chain per
-  /// the pipeline built at `ensure` time.  When `field_out` is non-null
+  /// acc += acc_weight * |field|^2.  When `field_out` is non-null
   /// the field is written there instead of the slot-local field() buffer
   /// (resized on first use) -- the hook the WorkspaceSet field cache
   /// captures through.
@@ -120,35 +118,22 @@ class SimWorkspace {
   /// Adjoint imaging chain through the pipeline:
   ///   go[band.bins] += conj(band) .* FFT2(scale * dldi .* field) / N.
   /// `field` is the coherent field the chain seeds from (typically
-  /// field() or a cached capture).  The fused chain computes the
-  /// cotangent seed on the fly inside the column pass; the staged chain
-  /// seeds the slot's cotangent buffer then transforms.
+  /// field() or a cached capture).  The chain computes the cotangent seed
+  /// on the fly inside the column pass.
   void adjoint_seed_accumulate(const ComplexGrid& field, const double* dldi,
                                double scale, const BandRef& band,
                                ComplexGrid& go);
-
-  /// field() = normalized IFFT2 of `o` restricted to a sparse band:
-  /// spectrum bin `bins[k]` contributes `o[bins[k]] * vals[k]` (`vals`
-  /// null means unit pupil values).  `band_rows` lists the sorted distinct
-  /// grid rows covered by `bins` (see `occupied_rows`); rows outside it are
-  /// exactly zero and their row transform is skipped.  Always runs the
-  /// staged per-stage sequence -- the reference the fused chains are
-  /// verified against.
-  void sparse_inverse_field(const ComplexGrid& o, const std::uint32_t* bins,
-                            const std::complex<double>* vals,
-                            std::size_t nbins, const std::uint32_t* band_rows,
-                            std::size_t nrows);
 
  private:
   std::size_t dim_ = 0;
   ImagingPipeline pipeline_;
   ComplexGrid field_;
   ComplexGrid cotangent_;  ///< adjoint-chain transform buffer
-  ComplexGrid spectrum_;  ///< fused-chain gather buffer (band product)
+  ComplexGrid spectrum_;  ///< forward-chain gather buffer (band product)
   ComplexGrid adjoint_accum_;
   RealGrid intensity_accum_;
   RealGrid seed_scratch_;
-  std::vector<std::uint8_t> row_flags_;  ///< fused-chain row-sparsity flags
+  std::vector<std::uint8_t> row_flags_;  ///< forward-chain row flags
   std::vector<std::complex<double>> fft_scratch_;
   std::vector<std::complex<double>> band_vals_;
   std::vector<std::int32_t> band_offsets_;
@@ -194,7 +179,7 @@ class WorkspaceSet {
   };
   AdjointScratch& adjoint_scratch() noexcept { return adjoint_scratch_; }
 
-  // ---- Per-evaluation field cache (fused-pipeline fast path) ----------
+  // ---- Per-evaluation field cache ------------------------------------
   //
   // A gradient evaluation runs the forward chain twice per component:
   // once in the intensity pass and once in the backward sweep, which
@@ -248,14 +233,14 @@ class WorkspaceSet {
 };
 
 /// RAII arm/disarm of a WorkspaceSet's field cache for one evaluation.
-/// Arms only when the fused pipeline mode is active (`enable` lets a
-/// caller skip capture entirely, e.g. loss-only evaluations): the staged
-/// mode keeps the legacy recompute sweep it is benchmarked against.
+/// Arms only when `enable` is set, so a caller can skip capture entirely
+/// (e.g. loss-only evaluations, or a band-convolution adjoint that reads
+/// no fields).
 class FieldCaptureScope {
  public:
   FieldCaptureScope(WorkspaceSet& set, std::size_t components,
                     bool enable = true)
-      : set_(enable && fusion_enabled() ? &set : nullptr) {
+      : set_(enable ? &set : nullptr) {
     if (set_ != nullptr) set_->begin_field_capture(components);
   }
   ~FieldCaptureScope() {

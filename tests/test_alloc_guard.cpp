@@ -1,8 +1,10 @@
 // core::AllocGuard tests: the runtime cross-check of the static no-alloc
-// lint regions.  The guarded hot paths -- the fused/staged pipeline
-// forward+adjoint at 64x64 (power of two) and 96x96 (mixed radix), the
-// JobQueue MPMC push/pop fast path -- must execute with zero heap
-// allocations once warmed up; a warmed band-convolution adjoint_pass (one
+// lint regions.  The guarded hot paths -- the pipeline forward+adjoint
+// chains at 64x64 (power of two) and 96x96 (mixed radix), the JobQueue
+// MPMC push/pop fast path -- must execute with zero heap allocations once
+// warmed up; a warmed intensity + adjoint pass allocates only its two
+// returned grids on the band-convolution and on the field-capture path,
+// at both sizes; a warmed band-convolution adjoint_pass (one
 // seed or two) must allocate only its returned g_O, for 2 items as for
 // every source point; a warmed exact source HVP and a warmed InverseHvp
 // solve (Neumann or CG) must allocate nothing; and a steady-state
@@ -31,7 +33,6 @@
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
 #include "sim/imaging_model.hpp"
-#include "sim/pipeline.hpp"
 #include "sim/workspace.hpp"
 #include "test_util.hpp"
 
@@ -147,37 +148,69 @@ struct TestBand {
   }
 };
 
-/// Warmed forward + adjoint chains at dim x dim allocate nothing, in the
-/// fused and the staged mode.
+/// Warmed forward + adjoint chains at dim x dim allocate nothing.  Then,
+/// per adjoint path -- band convolution (8 nm pixels: narrow bands) and
+/// field capture (24 nm: bands too wide, so the intensity pass captures
+/// every field and the adjoint seeds from it) -- a warmed intensity pass
+/// plus mask adjoint pass allocates only the two grids it returns.
 void expect_pipeline_allocation_free(std::size_t dim) {
-  const bool initial_mode = sim::fusion_enabled();
   Rng rng(17);
   const ComplexGrid o = testing::random_complex_grid(rng, dim, dim);
   RealGrid dldi(dim, dim, 0.0);
   for (auto& v : dldi) v = rng.uniform(-1.0, 1.0);
   const TestBand band(static_cast<std::uint32_t>(dim));
 
-  for (const bool fused : {true, false}) {
-    sim::set_fusion_enabled(fused);
-    sim::SimWorkspace ws;
-    ws.ensure(dim);
-    ComplexGrid go(dim, dim);
-    RealGrid acc(dim, dim, 0.0);
-
-    // Warm-up pass sizes every buffer and exercises both directions.
-    ws.forward_field(o, band.ref(), &acc, 0.5);
-    ws.adjoint_seed_accumulate(ws.field(), dldi.data(), 0.25, band.ref(), go);
-
+  sim::SimWorkspace ws;
+  ws.ensure(dim);
+  ComplexGrid go(dim, dim);
+  RealGrid acc(dim, dim, 0.0);
+  // Warm-up pass sizes every buffer and exercises both directions.
+  ws.forward_field(o, band.ref(), &acc, 0.5);
+  ws.adjoint_seed_accumulate(ws.field(), dldi.data(), 0.25, band.ref(), go);
+  {
     AllocGuard guard;
     for (int step = 0; step < 4; ++step) {
       ws.forward_field(o, band.ref(), &acc, 0.5);
       ws.adjoint_seed_accumulate(ws.field(), dldi.data(), 0.25, band.ref(),
                                  go);
     }
-    EXPECT_EQ(guard.allocations(), 0u)
-        << (fused ? "fused" : "staged") << " pipeline allocated at " << dim;
+    EXPECT_EQ(guard.allocations(), 0u) << "pipeline allocated at " << dim;
   }
-  sim::set_fusion_enabled(initial_mode);
+
+  for (const double pixel_nm : {8.0, 24.0}) {
+    OpticsConfig optics;
+    optics.mask_dim = dim;
+    optics.pixel_nm = pixel_nm;
+    const SourceGeometry geometry(7, optics);
+    const AbbeImaging abbe(optics, geometry);  // serial: one thread counts
+    const bool band_conv = sim::adjoint_uses_band_conv(abbe);
+    ASSERT_EQ(band_conv, pixel_nm == 8.0) << dim;
+    std::vector<std::uint32_t> comps;
+    std::vector<double> weights;
+    std::vector<sim::AdjointItem> items;
+    for (std::size_t c = 0; c < abbe.components(); ++c) {
+      comps.push_back(static_cast<std::uint32_t>(c));
+      weights.push_back(1.0);
+      sim::AdjointItem item;
+      item.component = static_cast<std::uint32_t>(c);
+      item.mask = true;
+      item.scale = 0.1;
+      items.push_back(item);
+    }
+    const auto step = [&] {
+      sim::FieldCaptureScope capture(abbe.workspaces(), abbe.components(),
+                                     !band_conv);
+      const RealGrid image = sim::accumulate_intensity(abbe, o, comps, weights);
+      const ComplexGrid g = sim::adjoint_pass(abbe, o, dldi, items);
+      return image.size() + g.size();
+    };
+    (void)step();
+    (void)step();
+    AllocGuard guard;
+    (void)step();
+    EXPECT_EQ(guard.allocations(), 2u)
+        << (band_conv ? "band-conv" : "field-capture") << " pass at " << dim;
+  }
 }
 
 TEST(AllocGuardPipeline, ForwardAndAdjointAt64AreAllocationFree) {
@@ -186,15 +219,13 @@ TEST(AllocGuardPipeline, ForwardAndAdjointAt64AreAllocationFree) {
 }
 
 TEST(AllocGuardPipeline, ForwardAndAdjointAt96AreAllocationFree) {
-  // 96 = 3 * 32: the mixed-radix plan, fused and staged.
+  // 96 = 3 * 32: the mixed-radix plan.
   if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
   expect_pipeline_allocation_free(96);
 }
 
 TEST(AllocGuardPipeline, BandConvAdjointPassAllocationsDoNotGrowWithItems) {
   if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
-  const bool initial_mode = sim::fusion_enabled();
-  sim::set_fusion_enabled(true);
   OpticsConfig optics;
   optics.mask_dim = 64;
   optics.pixel_nm = 8.0;
@@ -233,15 +264,12 @@ TEST(AllocGuardPipeline, BandConvAdjointPassAllocationsDoNotGrowWithItems) {
   // Only the returned g_O allocates.
   EXPECT_EQ(allocations(all), 1u);
   EXPECT_EQ(allocations(few), 1u);
-  sim::set_fusion_enabled(initial_mode);
 }
 
 TEST(AllocGuardPipeline, TwoSeedBandConvAdjointPassAllocationsDoNotGrowWithItems) {
   // BiSMO's fused hypergradient sweep: both seeds ride one per-item kernel
   // op, and a warmed pass allocates nothing but the returned g_O.
   if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
-  const bool initial_mode = sim::fusion_enabled();
-  sim::set_fusion_enabled(true);
   OpticsConfig optics;
   optics.mask_dim = 64;
   optics.pixel_nm = 8.0;
@@ -278,7 +306,6 @@ TEST(AllocGuardPipeline, TwoSeedBandConvAdjointPassAllocationsDoNotGrowWithItems
   (void)allocations(few);
   EXPECT_EQ(allocations(all), 1u);
   EXPECT_EQ(allocations(few), 1u);
-  sim::set_fusion_enabled(initial_mode);
 }
 
 /// An exact-HVP operator linearized at 64^2 with a 7 x 7 source.

@@ -3,12 +3,14 @@
 // (BiSMO-FD == BiSMO-NMN at K = 0).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 
+#include "core/mask_opt.hpp"
 #include "core/problem.hpp"
 #include "core/runner.hpp"
 #include "math/grid_ops.hpp"
@@ -182,6 +184,42 @@ TEST(MaskOpt, HopkinsMoMultiLevelRunsAllLevels) {
   // the final level.
   EXPECT_LT(r.trace.back().loss, r.trace[4].loss * 1.5);
   EXPECT_EQ(r.theta_m.rows(), 64u);
+}
+
+TEST(MaskOpt, Dac23SkipsACoarseLevelThatWouldNotValidate) {
+  // The coarse level halves mask_dim and doubles pixel_nm.  Below 16 the
+  // half grid is under 8, and above lambda / (8 NA) ~ 17.9 nm the doubled
+  // pixel cannot sample the shifted pupil band; either way DAC23 runs one
+  // full-resolution level for every outer step.
+  const struct {
+    std::size_t dim;
+    double pixel_nm;
+    int levels;
+  } cases[] = {{12, 8.0, 1}, {32, 24.0, 1}, {32, 32.0, 1}, {16, 8.0, 2}};
+  for (const auto& c : cases) {
+    SmoConfig cfg = small_config();
+    cfg.optics.mask_dim = c.dim;
+    cfg.optics.pixel_nm = c.pixel_nm;
+    cfg.source_dim = 5;
+    cfg.outer_steps = 2;
+    const std::string what =
+        std::to_string(c.dim) + " at " + std::to_string(c.pixel_nm) + " nm";
+    EXPECT_EQ(hopkins_mo_levels(Method::kDac23Proxy, cfg.optics), c.levels)
+        << what;
+    EXPECT_EQ(hopkins_mo_levels(Method::kNiltProxy, cfg.optics), 1) << what;
+    RealGrid target(c.dim, c.dim, 0.0);
+    for (std::size_t r = c.dim / 4; r < 3 * c.dim / 4; ++r) {
+      target(r, c.dim / 2) = 1.0;
+    }
+    const SmoProblem problem(cfg, target);
+    RunResult r;
+    ASSERT_NO_THROW(r = run_method(problem, Method::kDac23Proxy)) << what;
+    EXPECT_EQ(r.trace.size(), 2u) << what;
+    EXPECT_EQ(r.theta_m.rows(), c.dim) << what;
+    for (const StepRecord& step : r.trace) {
+      EXPECT_TRUE(std::isfinite(step.loss)) << what;
+    }
+  }
 }
 
 TEST(AmSmo, BothModesReduceLoss) {

@@ -34,24 +34,8 @@
 namespace bismo {
 namespace {
 
+using testing::BackendGuard;
 using testing::random_complex_grid;
-
-/// Pin a backend for one test and restore the previously active backend
-/// afterwards (so a BISMO_FFT_BACKEND pin keeps governing other tests when
-/// several run in one process).
-class BackendGuard {
- public:
-  explicit BackendGuard(const std::string& name)
-      : previous_(fft::backend_name()) {
-    ok_ = fft::set_backend(name);
-  }
-  ~BackendGuard() { fft::set_backend(previous_); }
-  bool ok() const noexcept { return ok_; }
-
- private:
-  std::string previous_;
-  bool ok_ = false;
-};
 
 double max_rel_diff(const ComplexGrid& a, const ComplexGrid& b) {
   double scale = 0.0;
@@ -260,12 +244,6 @@ TEST(FftKernels, ElementwiseOpsMatchPlainDoubleReference) {
       EXPECT_LT(std::abs(got[i] - (a[i] + 0.25 * b[i] * std::conj(a[i]))),
                 1e-12)
           << name;
-    }
-
-    std::vector<double> acc(n, 0.5);
-    kernel.accumulate_norm(acc.data(), a.data(), n, 1.5);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(acc[i], 0.5 + 1.5 * std::norm(a[i]), 1e-12) << name;
     }
 
     double ref_sum = 0.0;
@@ -582,8 +560,6 @@ TEST(FftKernels, BandConvAdjointPassMatchesModuloGatherBitwise) {
   // g_O scatter and the slot-order combine) against the oracle loop run
   // over the same slot partition: g_O and wns agree bit for bit, with one
   // seed and with two, on every backend.
-  const bool initial_mode = sim::fusion_enabled();
-  sim::set_fusion_enabled(true);
   for (const std::size_t n : {64, 96, 128}) {
     const BandModel model(n, conv_bands(n));
     ASSERT_TRUE(sim::adjoint_uses_band_conv(model)) << n;
@@ -656,7 +632,6 @@ TEST(FftKernels, BandConvAdjointPassMatchesModuloGatherBitwise) {
       }
     }
   }
-  sim::set_fusion_enabled(initial_mode);
 }
 
 // ---- Gradcheck under every compiled backend --------------------------------

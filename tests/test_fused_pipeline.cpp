@@ -2,14 +2,16 @@
 // `pow2_cols_fused` kernel entry):
 //
 //   * the fused column pass (gather + transform + scale + |.|^2 epilogues
-//     in one kernel chain) agrees with the staged per-stage sequence to
+//     in one kernel chain) agrees with the per-stage op sequence to
 //     <= 1e-12 on every available backend, across square, rectangular,
 //     seeded-adjoint, and row-sparse configurations;
 //   * mixed-radix shapes (r * 2^k, odd r <= 15) run the fused mixed pass;
 //     sub-8 power-of-two shapes have no fused pass and throw;
-//   * the full engine stack with fusion on/off agrees to <= 1e-12,
-//     and each mode is bitwise deterministic across thread counts and
-//     repeated runs;
+//   * the forward chain and the full engine stack agree with the per-point
+//     reference (imaging_reference.hpp) to <= 1e-12 on the aerial image
+//     and loss and <= 1e-10 on the gradients, on a band-convolution rig and
+//     a field-capture rig, and are bitwise deterministic across thread
+//     counts and repeated runs;
 //   * gradcheck passes through the fused adjoint chain (mask + source
 //     gradients for Abbe, mask for Hopkins sharing workspaces).
 #include <gtest/gtest.h>
@@ -32,31 +34,16 @@
 #include "math/rng.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/imaging_model.hpp"
-#include "sim/pipeline.hpp"
 #include "sim/workspace.hpp"
+#include "imaging_reference.hpp"
 #include "test_util.hpp"
 
 namespace bismo {
 namespace {
 
+using testing::BackendGuard;
 using testing::max_diff;
 using testing::random_complex_grid;
-
-/// Restore the process fusion mode and FFT backend on scope exit: the
-/// suite mutates both globals, and sibling suites assume the defaults.
-class GlobalModeGuard {
- public:
-  GlobalModeGuard()
-      : fusion_(sim::fusion_enabled()), backend_(fft::backend_name()) {}
-  ~GlobalModeGuard() {
-    sim::set_fusion_enabled(fusion_);
-    fft::set_backend(backend_);
-  }
-
- private:
-  bool fusion_;
-  std::string backend_;
-};
 
 OpticsConfig small_optics(std::size_t dim = 64) {
   OpticsConfig o;
@@ -82,10 +69,10 @@ RealGrid random_real_grid(Rng& rng, std::size_t rows, std::size_t cols) {
   return g;
 }
 
-/// Staged reference of the fused column pass: materialize the (flagged,
+/// Per-stage reference of the fused column pass: materialize the (flagged,
 /// optionally seeded) input into `dst`, then run the per-stage ops in the
 /// documented order.
-void staged_cols_reference(const Fft2dPlan& plan,
+void per_stage_cols_reference(const Fft2dPlan& plan,
                            const fft_detail::ColsFusion& fusion,
                            ComplexGrid& dst, bool inverse) {
   const fft::FftKernel& kernel = fft::active_kernel();
@@ -105,15 +92,16 @@ void staged_cols_reference(const Fft2dPlan& plan,
   plan.transform_cols(dst, inverse);
   if (fusion.scale != 1.0) kernel.scale(dst.data(), dst.size(), fusion.scale);
   if (fusion.norm_acc != nullptr) {
-    kernel.accumulate_norm(fusion.norm_acc, dst.data(), dst.size(),
-                           fusion.norm_weight);
+    for (std::size_t i = 0; i < dst.size(); ++i) {
+      fusion.norm_acc[i] += fusion.norm_weight * std::norm(dst[i]);
+    }
   }
 }
 
-// ---- Fused column pass vs staged ops, per backend ---------------------------
+// ---- Fused column pass vs per-stage ops, per backend ------------------------
 
 TEST(FusedColsPass, MatchesStagedAcrossBackendsAndShapes) {
-  GlobalModeGuard guard;
+  BackendGuard guard;
   const struct {
     std::size_t rows, cols;
   } shapes[] = {{8, 8},   {16, 8},  {32, 16}, {64, 64},
@@ -148,7 +136,7 @@ TEST(FusedColsPass, MatchesStagedAcrossBackendsAndShapes) {
 
         ComplexGrid staged(shape.rows, shape.cols);
         fusion.norm_acc = acc_staged.data();
-        staged_cols_reference(plan, fusion, staged, inverse);
+        per_stage_cols_reference(plan, fusion, staged, inverse);
 
         EXPECT_LE(max_diff(fused, staged), 1e-12)
             << backend << " " << shape.rows << "x" << shape.cols
@@ -162,7 +150,7 @@ TEST(FusedColsPass, MatchesStagedAcrossBackendsAndShapes) {
 }
 
 TEST(FusedColsPass, SeededAdjointMatchesStagedAcrossBackends) {
-  GlobalModeGuard guard;
+  BackendGuard guard;
   for (const std::string& backend : fft::available_backends()) {
     ASSERT_TRUE(fft::set_backend(backend));
     for (std::size_t n : {8u, 16u, 64u, 24u, 48u, 96u}) {
@@ -180,7 +168,7 @@ TEST(FusedColsPass, SeededAdjointMatchesStagedAcrossBackends) {
       ComplexGrid fused(n, n);
       plan.transform_cols_fused(fusion, fused, /*inverse=*/false);
       ComplexGrid staged(n, n);
-      staged_cols_reference(plan, fusion, staged, /*inverse=*/false);
+      per_stage_cols_reference(plan, fusion, staged, /*inverse=*/false);
       EXPECT_LE(max_diff(fused, staged), 1e-12) << backend << " seed n=" << n;
     }
   }
@@ -205,130 +193,106 @@ TEST(FusedColsPass, FusedColsGateCoversMixedRadixShapes) {
   }
 }
 
-// ---- Engine stack: fused vs staged mode -------------------------------------
+// ---- Engine stack vs the per-point reference -------------------------------
 
-TEST(FusedPipeline, ForwardFieldMatchesStagedReference) {
-  GlobalModeGuard guard;
-  const OpticsConfig optics = small_optics();
-  const SourceGeometry geometry(7, optics);
-  const AbbeImaging abbe(optics, geometry);
-  Rng rng(41);
-  const ComplexGrid o = random_complex_grid(rng, 64, 64);
+/// Pixel pitch at which a dim^2 grid's pass-bands are too wide for the
+/// band-convolution adjoint, so gradients run the field-capture path.
+constexpr double kFieldPathPixelNm = 16.0;
 
-  for (std::size_t c = 0; c < abbe.components(); c += 5) {
-    const sim::BandRef band = abbe.component_band(c);
+TEST(FusedPipeline, ForwardFieldMatchesReference) {
+  for (const double pixel_nm : {8.0, kFieldPathPixelNm}) {
+    OpticsConfig optics = small_optics();
+    optics.pixel_nm = pixel_nm;
+    const SourceGeometry geometry(7, optics);
+    const AbbeImaging abbe(optics, geometry);
+    Rng rng(41);
+    const ComplexGrid o = random_complex_grid(rng, 64, 64);
 
-    // Staged mode must reproduce the legacy staged op sequence bitwise.
-    sim::set_fusion_enabled(false);
-    sim::SimWorkspace staged_ws;
-    staged_ws.ensure(optics.mask_dim);
-    ASSERT_FALSE(staged_ws.pipeline().fused());
-    RealGrid acc_staged(64, 64, 0.0);
-    staged_ws.forward_field(o, band, &acc_staged, 0.5);
-    sim::SimWorkspace legacy_ws;
-    legacy_ws.ensure(optics.mask_dim);
-    legacy_ws.sparse_inverse_field(o, band.bins, band.vals, band.nbins,
-                                   band.rows, band.nrows);
-    EXPECT_EQ(legacy_ws.field(), staged_ws.field()) << "component " << c;
+    for (std::size_t c = 0; c < abbe.components(); c += 5) {
+      const sim::BandRef band = abbe.component_band(c);
+      sim::SimWorkspace ws;
+      ws.ensure(optics.mask_dim);
+      RealGrid acc(64, 64, 0.25);
+      ws.forward_field(o, band, &acc, 0.5);
 
-    // Fused mode agrees to <= 1e-12 on field and accumulator.
-    sim::set_fusion_enabled(true);
-    sim::SimWorkspace fused_ws;
-    fused_ws.ensure(optics.mask_dim);
-    ASSERT_TRUE(fused_ws.pipeline().fused());
-    RealGrid acc_fused(64, 64, 0.0);
-    fused_ws.forward_field(o, band, &acc_fused, 0.5);
-
-    EXPECT_LE(max_diff(fused_ws.field(), staged_ws.field()), 1e-12)
-        << "component " << c;
-    EXPECT_LE(max_diff(acc_fused, acc_staged), 1e-12) << "component " << c;
+      const ComplexGrid want = reference::field(o, band);
+      RealGrid want_acc(64, 64, 0.25);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        want_acc[i] += 0.5 * std::norm(want[i]);
+      }
+      EXPECT_LE(max_diff(ws.field(), want), 1e-12)
+          << pixel_nm << " nm, component " << c;
+      EXPECT_LE(max_diff(acc, want_acc), 1e-12)
+          << pixel_nm << " nm, component " << c;
+    }
   }
 }
 
-TEST(FusedPipeline, WorkspaceRebuildsWhenModeToggles) {
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
-  sim::SimWorkspace ws;
-  ws.ensure(64);
-  EXPECT_TRUE(ws.pipeline().fused());
-  sim::set_fusion_enabled(false);
-  EXPECT_TRUE(ws.pipeline().stale());
-  ws.ensure(64);
-  EXPECT_FALSE(ws.pipeline().fused());
-  EXPECT_FALSE(ws.pipeline().stale());
-}
+/// Aerial, loss and gradients of a dim x dim Abbe engine agree with the
+/// per-point reference (1e-12 on aerial and loss, 1e-10 on the
+/// gradients) in both adjoint modes: a band-convolution rig and a
+/// field-capture rig.
+void expect_matches_reference(std::size_t dim, std::uint64_t seed) {
+  for (const double pixel_nm : {8.0, kFieldPathPixelNm}) {
+    OpticsConfig optics = small_optics(dim);
+    optics.pixel_nm = pixel_nm;
+    const SourceGeometry geometry(7, optics);
+    const RealGrid target = cross_target(dim);
+    Rng rng(seed);
+    RealGrid theta_m = init_mask_params(target, {});
+    for (auto& v : theta_m) v += rng.uniform(-0.3, 0.3);
+    RealGrid theta_j =
+        init_source_params(make_source(geometry, SourceSpec{}), {});
+    for (auto& v : theta_j) v += rng.uniform(-0.5, 0.5);
 
-/// Aerial, loss and gradients of a dim x dim Abbe engine agree between
-/// the fused and the staged mode (1e-12 on aerial and loss, 1e-10 on the
-/// gradients).
-void expect_modes_agree(std::size_t dim, std::uint64_t seed) {
-  GlobalModeGuard guard;
-  const OpticsConfig optics = small_optics(dim);
-  const SourceGeometry geometry(7, optics);
-  const RealGrid target = cross_target(dim);
-  Rng rng(seed);
-  RealGrid theta_m = init_mask_params(target, {});
-  for (auto& v : theta_m) v += rng.uniform(-0.3, 0.3);
-  RealGrid theta_j =
-      init_source_params(make_source(geometry, SourceSpec{}), {});
-  for (auto& v : theta_j) v += rng.uniform(-0.5, 0.5);
-
-  // Each call runs on its own fresh engine so no mode is ever served from
-  // images another call cached: `aerial` and the mask-only evaluation run
-  // the transform path, the full evaluation fills and serves.
-  SmoGradient by_mode[2];
-  SmoGradient mask_by_mode[2];
-  RealGrid aerial_by_mode[2];
-  GradRequest mask_only;
-  mask_only.source = false;
-  for (int fused = 0; fused < 2; ++fused) {
-    sim::set_fusion_enabled(fused == 1);
+    // Each call runs on its own fresh engine so nothing is served from
+    // images another call cached: `aerial` and the mask-only evaluation
+    // run the transform path, the full evaluation fills and serves.
     const AbbeImaging abbe(optics, geometry);
-    aerial_by_mode[fused] =
+    const bool band_conv = sim::adjoint_uses_band_conv(abbe);
+    ASSERT_EQ(band_conv, pixel_nm == 8.0) << dim;
+    const std::string what = std::to_string(dim) +
+                             (band_conv ? " band-conv" : " field-capture");
+    const AbbeGradientEngine ref_engine(abbe, target);
+    const SmoGradient want =
+        reference::abbe_gradient(ref_engine, theta_m, theta_j);
+    const RealGrid want_aerial =
+        reference::abbe_forward(ref_engine, theta_m, theta_j).intensity;
+
+    GradRequest mask_only;
+    mask_only.source = false;
+    const RealGrid aerial =
         AbbeGradientEngine(abbe, target).aerial(theta_m, theta_j);
-    mask_by_mode[fused] =
+    const SmoGradient mask_g =
         AbbeGradientEngine(abbe, target).evaluate(theta_m, theta_j, mask_only);
-    by_mode[fused] =
+    const SmoGradient full_g =
         AbbeGradientEngine(abbe, target).evaluate(theta_m, theta_j,
                                                   GradRequest{});
-  }
 
-  EXPECT_LE(max_diff(aerial_by_mode[0], aerial_by_mode[1]), 1e-12) << dim;
-  for (const SmoGradient* g : {by_mode, mask_by_mode}) {
-    EXPECT_NEAR(g[0].loss, g[1].loss,
-                1e-12 * std::max(1.0, std::abs(g[0].loss)))
-        << dim;
-    EXPECT_LE(max_diff(g[0].grad_theta_m, g[1].grad_theta_m), 1e-10) << dim;
+    EXPECT_LE(max_diff(aerial, want_aerial), 1e-12) << what;
+    for (const SmoGradient* g : {&mask_g, &full_g}) {
+      EXPECT_NEAR(g->loss, want.loss, 1e-12 * std::max(1.0, std::abs(want.loss)))
+          << what;
+      EXPECT_LE(max_diff(g->grad_theta_m, want.grad_theta_m), 1e-10) << what;
+    }
+    EXPECT_LE(max_diff(full_g.grad_theta_j, want.grad_theta_j), 1e-10)
+        << what;
   }
-  EXPECT_LE(max_diff(by_mode[0].grad_theta_j, by_mode[1].grad_theta_j),
-            1e-10)
-      << dim;
 }
 
 TEST(FusedPipeline, AerialAndGradientAgreeAcrossModes) {
-  expect_modes_agree(64, 51);
+  expect_matches_reference(64, 51);
 }
 
 TEST(FusedPipeline, MixedRadixGridRunsFused) {
-  // 96 = 3 * 32 runs the mixed-radix plan: the pipeline is fused, the
-  // adjoint takes the band convolution, and aerial and gradients match
-  // the staged mode as closely as at 64^2.
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
-  const OpticsConfig optics = small_optics(96);
-  sim::SimWorkspace ws;
-  ws.ensure(96);
-  EXPECT_TRUE(ws.pipeline().fused());
-  EXPECT_TRUE(sim::adjoint_uses_band_conv(
-      AbbeImaging(optics, SourceGeometry(7, optics))));
-  expect_modes_agree(96, 63);
+  // 96 = 3 * 32 runs the mixed-radix plan: aerial and gradients match the
+  // reference as closely as at 64^2, on both adjoint paths.
+  expect_matches_reference(96, 63);
 }
 
 // ---- Determinism ------------------------------------------------------------
 
 TEST(FusedPipeline, FusedModeBitwiseDeterministicAcrossThreadCounts) {
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
   const OpticsConfig optics = small_optics();
   const SourceGeometry geometry(7, optics);
   const RealGrid target = cross_target(64);
@@ -343,7 +307,7 @@ TEST(FusedPipeline, FusedModeBitwiseDeterministicAcrossThreadCounts) {
   const AbbeGradientEngine serial_engine(serial, target);
   const SmoGradient reference =
       serial_engine.evaluate(theta_m, theta_j, GradRequest{});
-  // Run-to-run repeatability on one engine (fixed backend + mode).
+  // Run-to-run repeatability on one engine (fixed backend).
   const SmoGradient repeat =
       serial_engine.evaluate(theta_m, theta_j, GradRequest{});
   EXPECT_EQ(reference.grad_theta_m, repeat.grad_theta_m);
@@ -365,8 +329,6 @@ TEST(FusedPipeline, FusedModeBitwiseDeterministicAcrossThreadCounts) {
 // ---- Gradcheck through the fused adjoint ------------------------------------
 
 TEST(FusedPipeline, GradcheckThroughFusedAdjointAbbe) {
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
   ThreadPool pool(4);
   const OpticsConfig optics = small_optics();
   const SourceGeometry geometry(7, optics);
@@ -398,8 +360,6 @@ TEST(FusedPipeline, GradcheckThroughFusedAdjointAbbe) {
 }
 
 TEST(FusedPipeline, GradcheckThroughFusedAdjointHopkins) {
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
   ThreadPool pool(4);
   const OpticsConfig optics = small_optics();
   const SourceGeometry geometry(7, optics);

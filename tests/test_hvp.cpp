@@ -27,17 +27,20 @@
 #include "math/rng.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/imaging_model.hpp"
-#include "sim/pipeline.hpp"
 
 namespace bismo {
 namespace {
 
-OpticsConfig tiny_optics() {
+OpticsConfig tiny_optics(double pixel_nm = 8.0) {
   OpticsConfig o;
   o.mask_dim = 32;
-  o.pixel_nm = 8.0;
+  o.pixel_nm = pixel_nm;
   return o;
 }
+
+/// HvpRig pixel at which the 32^2 pass-bands are too wide for the
+/// band-convolution adjoint, so adjoint_pass runs the field path.
+constexpr double kFieldPathPixelNm = 24.0;
 
 RealGrid tiny_target(std::size_t n) {
   RealGrid t(n, n, 0.0);
@@ -54,7 +57,7 @@ enum class SourceState {
 };
 
 struct HvpRig {
-  SourceGeometry geometry{5, tiny_optics()};
+  SourceGeometry geometry;
   AbbeImaging abbe;
   RealGrid target = tiny_target(32);
   ActivationConfig activation;
@@ -64,8 +67,10 @@ struct HvpRig {
 
   explicit HvpRig(ThreadPool* pool = nullptr,
                   ActivationKind kind = ActivationKind::kSigmoid,
-                  SourceState state = SourceState::kSaturated)
-      : abbe(tiny_optics(), SourceGeometry(5, tiny_optics()), pool),
+                  SourceState state = SourceState::kSaturated,
+                  double pixel_nm = 8.0)
+      : geometry(5, tiny_optics(pixel_nm)),
+        abbe(tiny_optics(pixel_nm), geometry, pool),
         activation(make_activation(kind)),
         engine(abbe, target, {}, activation) {
     Rng rng(77);
@@ -308,10 +313,12 @@ TEST(Hvp, PointBelowSourceCutoffMatchesOracle) {
 // ---- The fused one-sweep hypergradient -------------------------------------
 
 TEST(Hvp, FusedHypergradientEqualsDirectMinusMixed) {
-  for (const bool fused : {true, false}) {
-    const bool initial_mode = sim::fusion_enabled();
-    sim::set_fusion_enabled(fused);  // band convolution vs field paths
-    HvpRig rig(nullptr, ActivationKind::kSigmoid, SourceState::kDesaturated);
+  for (const double pixel_nm : {8.0, kFieldPathPixelNm}) {
+    HvpRig rig(nullptr, ActivationKind::kSigmoid, SourceState::kDesaturated,
+               pixel_nm);
+    const bool band_conv = sim::adjoint_uses_band_conv(rig.abbe);
+    ASSERT_EQ(band_conv, pixel_nm == 8.0);
+    const char* path = band_conv ? "band conv" : "field path";
     const HypergradientOps ops(rig.engine);
     const RealGrid w = rig.random_source_dir(83);
     const SmoGradient full = rig.engine.evaluate(rig.theta_m, rig.theta_j);
@@ -322,7 +329,7 @@ TEST(Hvp, FusedHypergradientEqualsDirectMinusMixed) {
     const SmoGradient& lin = ops.linearize(rig.theta_m, rig.theta_j);
     const RealGrid got = ops.hypergradient(w);
     EXPECT_EQ(sim::adjoint_pass_calls() - before, 1u);
-    EXPECT_LT(rel_error(got, want), 1e-12) << (fused ? "fused" : "staged");
+    EXPECT_LT(rel_error(got, want), 1e-12) << path;
 
     // The linearization is the cache-hit source-only evaluation.
     GradRequest source_only;
@@ -334,17 +341,16 @@ TEST(Hvp, FusedHypergradientEqualsDirectMinusMixed) {
     // A zero w leaves only the direct term.
     const RealGrid direct =
         ops.hypergradient(RealGrid(w.rows(), w.cols(), 0.0));
-    EXPECT_LT(rel_error(direct, full.grad_theta_m), 1e-12);
-    sim::set_fusion_enabled(initial_mode);
+    EXPECT_LT(rel_error(direct, full.grad_theta_m), 1e-12) << path;
   }
 }
 
 TEST(Hvp, TwoSeedAdjointPassEqualsSumOfSingleSeedPasses) {
-  for (const bool fused : {true, false}) {
-    const bool initial_mode = sim::fusion_enabled();
-    sim::set_fusion_enabled(fused);
-    HvpRig rig;
-    ASSERT_EQ(sim::adjoint_uses_band_conv(rig.abbe), fused);
+  for (const double pixel_nm : {8.0, kFieldPathPixelNm}) {
+    HvpRig rig(nullptr, ActivationKind::kSigmoid, SourceState::kSaturated,
+               pixel_nm);
+    const bool band_conv = sim::adjoint_uses_band_conv(rig.abbe);
+    ASSERT_EQ(band_conv, pixel_nm == 8.0);
     Rng rng(84);
     RealGrid d1(32, 32), d2(32, 32);
     for (auto& x : d1) x = rng.uniform(-1.0, 1.0);
@@ -373,11 +379,10 @@ TEST(Hvp, TwoSeedAdjointPassEqualsSumOfSingleSeedPasses) {
       err = std::max(err, std::abs(got[i] - want[i]));
       ref = std::max(ref, std::abs(want[i]));
     }
-    EXPECT_LT(err, 1e-12 * ref) << (fused ? "band conv" : "field path");
+    EXPECT_LT(err, 1e-12 * ref) << (band_conv ? "band conv" : "field path");
     std::vector<double> wns;
     EXPECT_THROW(sim::adjoint_pass(rig.abbe, o, d1, both, &wns, &d2),
                  std::invalid_argument);
-    sim::set_fusion_enabled(initial_mode);
   }
 }
 

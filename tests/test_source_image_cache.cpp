@@ -2,20 +2,22 @@
 // use inside AbbeGradientEngine):
 //
 //   * the served intensity matches AbbeImaging::aerial to 1e-12 of the
-//     grid maximum under every backend and in both pipeline modes;
-//   * the autocorrelation fill matches the chain + projection oracle to
-//     1e-12 at 64, 96, 128 and 256, and at the sampling boundary
+//     grid maximum under every backend and from both fill paths;
+//   * the autocorrelation fill matches the chain + projection fill, and
+//     both match |field|^2 of the per-point reference
+//     (imaging_reference.hpp), to 1e-12 at 64, 96, 128 and 256, and at the
+//     sampling boundary
 //     pixel = lambda / (4 NA), where bands reach the Nyquist row and
 //     disk offsets alias;
 //   * served intensities and dots are bitwise equal at 1, 2 and 4 threads,
 //     and a warmed intensity, dots or exact HVP allocates nothing;
 //   * at 128^2 / 11^2 the cache holds at most 1/20 of the dense images;
-//   * the key is the exact bits of theta_M (plus backend and mode);
+//   * the key is the exact bits of theta_M (plus the backend);
 //   * engine results do not depend on call history: shuffled sequences of
 //     full, source-only, mask-only and loss-only calls match a fresh
 //     engine bit for bit, on the band-convolution and field-capture paths;
-//   * the cached source gradient matches the uncached staged reference to
-//     1e-12 relative and passes a gradcheck;
+//   * the cached source gradient matches the per-point reference to 1e-12
+//     relative, from either fill, and passes a gradcheck;
 //   * adjoint_pass's wns on the captured- and recomputed-field paths
 //     matches the cache's dots to 1e-12 relative on every backend;
 //   * engines sharing one WorkspaceSet keep their own images;
@@ -44,32 +46,19 @@
 #include "parallel/reduction.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/imaging_model.hpp"
-#include "sim/pipeline.hpp"
 #include "sim/source_image_cache.hpp"
 #include "sim/workspace.hpp"
+#include "imaging_reference.hpp"
 #include "test_util.hpp"
 
 namespace bismo {
 namespace {
 
-/// Restore the process fusion mode and FFT backend on scope exit.
-class GlobalModeGuard {
- public:
-  GlobalModeGuard()
-      : fusion_(sim::fusion_enabled()), backend_(fft::backend_name()) {}
-  ~GlobalModeGuard() {
-    sim::set_fusion_enabled(fusion_);
-    fft::set_backend(backend_);
-  }
-
- private:
-  bool fusion_;
-  std::string backend_;
-};
+using testing::BackendGuard;
 
 /// A 64x64 clip.  At 8 nm pixels the pass-bands are narrow enough for the
-/// band-convolution adjoint; at 16 nm they are too wide, so fused mode
-/// captures fields instead; at 24 nm they are also too wide for the
+/// band-convolution adjoint; at 16 nm they are too wide, so gradients
+/// capture fields instead; at 24 nm they are also too wide for the
 /// autocorrelation fill, so a source-gradient miss fills through the
 /// chain and captures the fields there.
 struct Rig {
@@ -150,34 +139,6 @@ Outcome fresh_call(const Rig& rig, Kind kind, const RealGrid& tm,
   return call(engine, kind, tm, tj);
 }
 
-/// The source gradient without the cache: the adjoint pass's wns
-/// reductions (the pre-cache engine path).
-RealGrid uncached_source_gradient(const AbbeImaging& abbe,
-                                  const RealGrid& target, const RealGrid& tm,
-                                  const RealGrid& tj) {
-  const ActivationConfig act;
-  const SourceGeometry& geometry = abbe.geometry();
-  const RealGrid source = activate_source(tj, geometry, act);
-  ComplexGrid o = to_complex(activate_mask(tm, act));
-  fft2(o);
-  const AbbeAerial fwd = abbe.aerial(o, source);
-  const SmoLoss loss = evaluate_smo_loss(fwd.intensity, target, {}, {}, {},
-                                         /*want_backprop=*/true);
-  std::vector<sim::AdjointItem> items(geometry.points().size());
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    items[k].component = static_cast<std::uint32_t>(k);
-  }
-  std::vector<double> wns;
-  (void)sim::adjoint_pass(abbe, o, loss.dl_di, items, &wns);
-  const double c_term = dot(loss.dl_di, fwd.intensity);
-  RealGrid gj(geometry.dim(), geometry.dim(), 0.0);
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    const SourcePoint& pt = geometry.points()[k];
-    gj(pt.row, pt.col) = (wns[k] - c_term) / fwd.total_weight;
-  }
-  return gj * source_activation_derivative(tj, source, geometry, act);
-}
-
 // ---- The cache itself --------------------------------------------------------
 
 double max_abs(const RealGrid& g) {
@@ -187,7 +148,7 @@ double max_abs(const RealGrid& g) {
 }
 
 TEST(SourceImageCache, IntensityMatchesAerialOnEveryBackendAndMode) {
-  GlobalModeGuard guard;
+  BackendGuard guard;
   const Rig rig(8.0);
   ComplexGrid o = to_complex(activate_mask(rig.theta_m[0], {}));
   fft2(o);
@@ -200,18 +161,19 @@ TEST(SourceImageCache, IntensityMatchesAerialOnEveryBackendAndMode) {
   }
   for (const std::string& backend : fft::available_backends()) {
     ASSERT_TRUE(fft::set_backend(backend));
-    for (const bool fused : {true, false}) {
-      sim::set_fusion_enabled(fused);
+    for (const sim::ImageFill path :
+         {sim::ImageFill::kAutocorrelation, sim::ImageFill::kChain}) {
+      const bool chain = path == sim::ImageFill::kChain;
       const AbbeImaging abbe(rig.optics, rig.geometry);
       sim::SourceImageCache cache;
-      cache.fill(abbe, o, rig.theta_m[0]);
+      cache.fill(abbe, o, rig.theta_m[0], path);
       ASSERT_TRUE(cache.holds(rig.theta_m[0]));
       const AbbeAerial direct = abbe.aerial(o, j);
       const AbbeAerial served = abbe.aerial(cache, j);
       EXPECT_EQ(direct.total_weight, served.total_weight);
       EXPECT_LE(testing::max_diff(direct.intensity, served.intensity),
                 1e-12 * max_abs(direct.intensity))
-          << backend << (fused ? " fused" : " staged");
+          << backend << (chain ? " chain" : " autocorrelation");
     }
   }
 }
@@ -270,9 +232,9 @@ void expect_fill_matches_oracle(const SpectralRig& rig, const std::string& what)
     ASSERT_EQ(dots_ac.size(), dots_chain.size());
     double dot_scale = 0.0;
     for (std::size_t c = 0; c < ac.size(); ++c) {
-      // The oracle itself: the component's field through the engine.
-      ComplexGrid field;
-      abbe.field(rig.o, c, field);
+      // The oracle itself: the component's per-point reference field.
+      const ComplexGrid field =
+          reference::field(rig.o, abbe.component_band(c));
       RealGrid direct(field.rows(), field.cols());
       double dot = 0.0;
       for (std::size_t i = 0; i < field.size(); ++i) {
@@ -296,8 +258,7 @@ void expect_fill_matches_oracle(const SpectralRig& rig, const std::string& what)
 }
 
 TEST(SourceImageCache, AutocorrelationFillMatchesChainOracle) {
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
+  BackendGuard guard;
   // 8 nm pixels: the bismo_128 and tiled_cluster band widths.  Bands of
   // on-axis points wrap row and column 0.  96 and 104 = 13 * 8 are
   // mixed-radix lengths.
@@ -313,8 +274,7 @@ TEST(SourceImageCache, AutocorrelationFillMatchesChainOracleAtNyquist) {
   // pixel = lambda / (4 NA), the OpticsConfig::validate boundary: the
   // doubled-pupil disk reaches +-Nyquist, edge bands straddle the Nyquist
   // row and column, and disk offsets +-n/2 fold onto one bin.
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
+  BackendGuard guard;
   const double pixel = 193.0 / (4.0 * 1.35);
   for (const std::size_t n : {32u, 48u}) {
     const SpectralRig rig(n, pixel, 5);
@@ -335,18 +295,16 @@ TEST(SourceImageCache, AutocorrelationFillMatchesChainOracleAtNyquist) {
 }
 
 TEST(SourceImageCache, ServedIntensityAndDotsBitwiseAcrossThreadCounts) {
-  GlobalModeGuard guard;
-  for (const bool fused : {true, false}) {  // autocorrelation, chain
-    sim::set_fusion_enabled(fused);
+  for (const sim::ImageFill path :
+       {sim::ImageFill::kAutocorrelation, sim::ImageFill::kChain}) {
     const SpectralRig rig(64, 8.0, 9);
     RealGrid want_image;
     std::vector<double> want_dots;
     for (const std::size_t threads : {1u, 2u, 4u}) {
       ThreadPool pool(threads);
       const AbbeImaging abbe(rig.optics, rig.geometry, &pool);
-      ASSERT_EQ(sim::image_fill_uses_autocorrelation(abbe), fused);
       sim::SourceImageCache cache;
-      cache.fill(abbe, rig.o, rig.key);
+      cache.fill(abbe, rig.o, rig.key, path);
       std::vector<std::uint32_t> comps;
       std::vector<double> weights;
       for (std::size_t c = 0; c < abbe.components(); ++c) {
@@ -381,8 +339,6 @@ TEST(SourceImageCache, HoldsAtMostOneTwentiethOfTheDenseImages) {
 
 TEST(AllocGuardSourceImageCache, WarmedServeAndHvpAllocateNothing) {
   if (!core::AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
   const Rig rig(8.0);
   ThreadPool pool(2);
   const AbbeImaging abbe(rig.optics, rig.geometry, &pool);
@@ -412,8 +368,8 @@ TEST(AllocGuardSourceImageCache, WarmedServeAndHvpAllocateNothing) {
   EXPECT_EQ(alloc.allocations(), 0u);
 }
 
-TEST(SourceImageCache, KeyIsExactThetaBitsBackendAndMode) {
-  GlobalModeGuard guard;
+TEST(SourceImageCache, KeyIsExactThetaBitsAndBackend) {
+  BackendGuard guard;
   const Rig rig(8.0);
   const AbbeImaging abbe(rig.optics, rig.geometry);
   ComplexGrid o = to_complex(activate_mask(rig.theta_m[0], {}));
@@ -429,10 +385,6 @@ TEST(SourceImageCache, KeyIsExactThetaBitsBackendAndMode) {
   EXPECT_FALSE(cache.holds(ulp));
   EXPECT_FALSE(cache.holds(rig.theta_m[1]));
   EXPECT_FALSE(cache.holds(RealGrid(32, 32, 0.0)));
-
-  sim::set_fusion_enabled(!sim::fusion_enabled());
-  EXPECT_FALSE(cache.holds(rig.theta_m[0]));
-  sim::set_fusion_enabled(!sim::fusion_enabled());
   EXPECT_TRUE(cache.holds(rig.theta_m[0]));
   for (const std::string& backend : fft::available_backends()) {
     ASSERT_TRUE(fft::set_backend(backend));
@@ -441,13 +393,12 @@ TEST(SourceImageCache, KeyIsExactThetaBitsBackendAndMode) {
 }
 
 TEST(SourceImageCache, AdjointPassWnsMatchesDotsOnFieldPaths) {
-  // 32x32 at 30 nm: a fused grid whose pass-bands are too wide for the
+  // 32x32 at 30 nm: a grid whose pass-bands are too wide for the
   // band-convolution adjoint, so adjoint_pass reduces over fields -- the
   // captured one with an armed FieldCaptureScope, a recomputed one
   // without.  Either way wns[k] is sum_i dldi[i] |A_k,i|^2, the same sum
   // the cache serves as dots().
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
+  BackendGuard guard;
   const OpticsConfig optics{193.0, 1.35, 32, 30.0, 0.0};
   const SourceGeometry geometry(7, optics);
   Rng rng(29);
@@ -490,18 +441,15 @@ TEST(SourceImageCache, AdjointPassWnsMatchesDotsOnFieldPaths) {
 // ---- Engine policy -----------------------------------------------------------
 
 TEST(AbbeEngineImageCache, ResultsIndependentOfCallHistory) {
-  GlobalModeGuard guard;
   const Rig narrow(8.0);
   const Rig wide(16.0);
   const Rig wider(24.0);
   const struct {
     const Rig* rig;
-    bool fused;
     const char* name;
-  } configs[] = {{&narrow, true, "fused band-conv"},
-                 {&wide, true, "fused field-capture"},
-                 {&wider, true, "fused chain fill + field capture"},
-                 {&narrow, false, "staged"}};
+  } configs[] = {{&narrow, "band-conv"},
+                 {&wide, "field-capture"},
+                 {&wider, "chain fill + field capture"}};
 
   struct Call {
     Kind kind;
@@ -520,15 +468,12 @@ TEST(AbbeEngineImageCache, ResultsIndependentOfCallHistory) {
   }
 
   for (const auto& cfg : configs) {
-    sim::set_fusion_enabled(cfg.fused);
     const Rig& rig = *cfg.rig;
-    if (cfg.fused) {
-      const AbbeImaging probe(rig.optics, rig.geometry);
-      ASSERT_EQ(sim::adjoint_uses_band_conv(probe), &rig == &narrow)
-          << cfg.name;
-      ASSERT_EQ(sim::image_fill_uses_autocorrelation(probe), &rig != &wider)
-          << cfg.name;
-    }
+    const AbbeImaging probe(rig.optics, rig.geometry);
+    ASSERT_EQ(sim::adjoint_uses_band_conv(probe), &rig == &narrow)
+        << cfg.name;
+    ASSERT_EQ(sim::image_fill_uses_autocorrelation(probe), &rig != &wider)
+        << cfg.name;
     ThreadPool pool(4);
     const AbbeImaging abbe(rig.optics, rig.geometry, &pool);
     const AbbeGradientEngine engine(abbe, rig.target);
@@ -548,8 +493,6 @@ TEST(AbbeEngineImageCache, ResultsIndependentOfCallHistory) {
 }
 
 TEST(AbbeEngineImageCache, OneUlpThetaMMissesAndMatchesFreshEngine) {
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
   const Rig rig(8.0);
   const AbbeImaging abbe(rig.optics, rig.geometry);
   const AbbeGradientEngine engine(abbe, rig.target);
@@ -565,28 +508,27 @@ TEST(AbbeEngineImageCache, OneUlpThetaMMissesAndMatchesFreshEngine) {
   }
 }
 
-TEST(AbbeEngineImageCache, SourceGradientMatchesStagedReferenceAndGradchecks) {
-  GlobalModeGuard guard;
-  const Rig rig(8.0);
-  const RealGrid& tm = rig.theta_m[0];
-  const RealGrid& tj = rig.theta_j[0];
-  sim::set_fusion_enabled(false);
-  const AbbeImaging staged(rig.optics, rig.geometry);
-  const RealGrid reference = uncached_source_gradient(staged, rig.target, tm, tj);
-  double scale = 0.0;
-  for (const double v : reference) scale = std::max(scale, std::abs(v));
-  ASSERT_GT(scale, 0.0);
-
-  for (const bool fused : {true, false}) {
-    sim::set_fusion_enabled(fused);
+TEST(AbbeEngineImageCache, SourceGradientMatchesReferenceAndGradchecks) {
+  // 8 nm fills by autocorrelation, 24 nm through the chain.
+  for (const double pixel_nm : {8.0, 24.0}) {
+    const Rig rig(pixel_nm);
+    const RealGrid& tm = rig.theta_m[0];
+    const RealGrid& tj = rig.theta_j[0];
     ThreadPool pool(4);
     const AbbeImaging abbe(rig.optics, rig.geometry, &pool);
     const AbbeGradientEngine engine(abbe, rig.target);
+    const std::string what =
+        sim::image_fill_uses_autocorrelation(abbe) ? "autocorrelation" : "chain";
+    const RealGrid want = reference::abbe_gradient(engine, tm, tj).grad_theta_j;
+    double scale = 0.0;
+    for (const double v : want) scale = std::max(scale, std::abs(v));
+    ASSERT_GT(scale, 0.0);
+
     GradRequest source_only;
     source_only.mask = false;
     const SmoGradient g = engine.evaluate(tm, tj, source_only);
-    EXPECT_LE(testing::max_diff(g.grad_theta_j, reference), 1e-12 * scale)
-        << (fused ? "fused" : "staged");
+    EXPECT_LE(testing::max_diff(g.grad_theta_j, want), 1e-12 * scale)
+        << what;
 
     Rng rng(77);
     auto loss_j = [&](const RealGrid& t) {
@@ -594,13 +536,11 @@ TEST(AbbeEngineImageCache, SourceGradientMatchesStagedReferenceAndGradchecks) {
     };
     const GradCheckResult r =
         check_gradient(loss_j, tj, g.grad_theta_j, rng, 16, 1e-4);
-    EXPECT_LT(r.max_rel_error, 1e-3) << (fused ? "fused" : "staged");
+    EXPECT_LT(r.max_rel_error, 1e-3) << what;
   }
 }
 
 TEST(AbbeEngineImageCache, EnginesSharingAWorkspaceSetKeepTheirOwnImages) {
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
   // Same grid, same theta bits, different optics: a cache keyed by theta
   // alone but stored in the shared set would hand one engine the other's
   // images.

@@ -1,5 +1,5 @@
 // Shared helpers for the BiSMO test suite: reference (naive) DFTs, random
-// grid factories, and grid comparison assertions.
+// grid factories, grid comparison assertions, and the FFT backend guard.
 #ifndef BISMO_TESTS_TEST_UTIL_HPP
 #define BISMO_TESTS_TEST_UTIL_HPP
 
@@ -7,11 +7,34 @@
 
 #include <cmath>
 #include <complex>
+#include <string>
 
+#include "fft/kernels/kernel.hpp"
 #include "math/grid2d.hpp"
 #include "math/rng.hpp"
 
 namespace bismo::testing {
+
+/// Restore the active FFT backend on scope exit, so a test that switches
+/// backends leaves the default (or a BISMO_FFT_BACKEND pin) governing the
+/// tests after it.  The named form also pins `name` for the scope.
+class BackendGuard {
+ public:
+  BackendGuard() : previous_(fft::backend_name()) {}
+  explicit BackendGuard(const std::string& name) : BackendGuard() {
+    ok_ = fft::set_backend(name);
+  }
+  ~BackendGuard() { fft::set_backend(previous_); }
+  BackendGuard(const BackendGuard&) = delete;
+  BackendGuard& operator=(const BackendGuard&) = delete;
+
+  /// False when the named backend could not be selected.
+  bool ok() const noexcept { return ok_; }
+
+ private:
+  std::string previous_;
+  bool ok_ = true;
+};
 
 /// O(N^2) reference DFT used to validate the FFT engine on small sizes.
 inline std::vector<std::complex<double>> naive_dft(
