@@ -18,7 +18,7 @@
 //                  mid-batch and every job must still complete via
 //                  automatic retry.
 //
-// Correctness gates (always enforced, non-zero exit on failure):
+// Correctness gates (always enforced, exit 1 on failure):
 //   * cluster results bitwise-identical to the in-process run (same FFT
 //     backend in every forked worker),
 //   * tiled sweep through the dispatcher bitwise-identical per tile,
@@ -27,7 +27,8 @@
 //
 // Scaling gate (enforced only when the machine can express it, i.e.
 // hardware_concurrency() >= 4; advisory otherwise): cluster_4 must reach
-// >= 2.5x cluster_1 jobs/sec.
+// >= 2.5x cluster_1 jobs/sec.  A wall-clock failure alone exits 2, so a
+// caller on shared hardware can tolerate it and still fail on exit 1.
 //
 // Results land in BENCH_cluster.json.  `--quick` shrinks the job list
 // (and so the fault case) for CI smoke runs.
@@ -360,10 +361,11 @@ int main(int argc, char** argv) {
   // Scaling gate: only meaningful when 4 worker processes can actually
   // run in parallel on this machine.
   const double scale = cluster4_jps / std::max(cluster1_jps, 1e-9);
+  bool scaling_ok = true;
   if (std::thread::hardware_concurrency() >= 4) {
     if (scale < 2.5) {
       std::printf("GATE FAILED: cluster_4 %.2fx cluster_1 (< 2.5x)\n", scale);
-      gate_ok = false;
+      scaling_ok = false;
     } else {
       std::printf("scaling gate: cluster_4 %.2fx cluster_1 (>= 2.5x)\n",
                   scale);
@@ -373,5 +375,6 @@ int main(int argc, char** argv) {
                 "advisory 1->4 scaling %.2fx\n",
                 std::thread::hardware_concurrency(), scale);
   }
-  return gate_ok ? 0 : 1;
+  if (!gate_ok) return 1;
+  return scaling_ok ? 0 : 2;
 }

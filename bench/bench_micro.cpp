@@ -18,6 +18,7 @@
 #include "math/rng.hpp"
 #include "sim/imaging_model.hpp"
 #include "sim/source_image_cache.hpp"
+#include "tests/imaging_reference.hpp"
 
 namespace {
 
@@ -83,24 +84,25 @@ BENCHMARK(BM_Fft2)
     ->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
-/// Legacy aerial evaluation: the pre-sim-layer path -- one ComplexGrid
-/// allocation and free-function (plan-cache-locking) IFFT per source point.
-/// Kept as the baseline the workspace speedup is tracked against; compare
+/// Legacy aerial evaluation: the per-point reference
+/// (tests/imaging_reference.hpp) -- one ComplexGrid allocation and
+/// free-function (plan-cache-locking) IFFT per source point.  Kept as the
+/// baseline the workspace speedup is tracked against; compare
 /// BM_AbbeAerialLegacy vs BM_AbbeAerialWorkspace in BENCH_*.json.
 RealGrid legacy_aerial(const AbbeImaging& abbe, const ComplexGrid& o,
                        const RealGrid& j) {
   const auto& pts = abbe.geometry().points();
-  RealGrid intensity(o.rows(), o.cols(), 0.0);
+  std::vector<std::uint32_t> comps;
+  std::vector<double> weights;
   double total_weight = 0.0;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const double w = j(pts[i].row, pts[i].col);
     total_weight += w;
     if (w <= 1e-9) continue;
-    const ComplexGrid a = abbe.field(o, i);  // allocating reference path
-    for (std::size_t q = 0; q < intensity.size(); ++q) {
-      intensity[q] += w * std::norm(a[q]);
-    }
+    comps.push_back(static_cast<std::uint32_t>(i));
+    weights.push_back(w);
   }
+  RealGrid intensity = reference::intensity(abbe, o, comps, weights);
   intensity *= 1.0 / total_weight;
   return intensity;
 }

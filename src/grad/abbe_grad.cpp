@@ -33,10 +33,8 @@ RealGrid AbbeGradientEngine::aerial(const RealGrid& theta_m,
                                     const RealGrid& theta_j) const {
   const RealGrid source =
       activate_source(theta_j, abbe_->geometry(), activation_);
-  const RealGrid mask = activate_mask(theta_m, activation_);
-  ComplexGrid o = to_complex(mask);
-  fft2(o);
-  return abbe_->aerial(o, source, source_cutoff_).intensity;
+  return abbe_->aerial(source_images(theta_m), source, source_cutoff_)
+      .intensity;
 }
 
 const sim::SourceImageCache& AbbeGradientEngine::source_images(
@@ -85,39 +83,33 @@ SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
   const RealGrid source = activate_source(theta_j, geometry, activation_);
   const bool want_backprop = request.mask || request.source;
 
-  // Image-cache policy, by request kind alone: a call that wants the
-  // source gradient takes its intensity (and the gradient's reductions)
-  // from the cache, filling it on a miss; a mask-only call runs the
-  // transform path and never reads the cache.  Hits and misses return
-  // the same bits, so no result depends on call history.
-  const bool cached = request.source;
-  const bool fill = cached && !images_.holds(theta_m);
+  // Every call images through the cache, filling it on a miss.  Hits and
+  // misses return the same bits, so no result depends on call history.
+  const bool fill = !images_.holds(theta_m);
 
-  // The mask spectrum feeds the transform path, the fill and the mask
-  // adjoint; a source-only hit never needs it.
+  // The mask spectrum feeds the fill and the mask adjoint; a hit that
+  // wants no mask gradient never needs it.
   RealGrid mask;
   ComplexGrid o;
-  if (!cached || fill || request.mask) {
+  if (fill || request.mask) {
     mask = activate_mask(theta_m, activation_);
     o = to_complex(mask);
     fft2(o);
   }
 
-  // When a forward chain runs (the transform path, or a fill that takes
-  // the chain) and the mask gradient is wanted, capture each component's
-  // coherent field in it so the backward sweep seeds its adjoints from the
-  // capture instead of recomputing every transform (fused mode only).
-  // With narrow pass-bands the backward sweep runs the band-restricted
-  // direct adjoint and needs no fields, so capture stays disarmed.
+  // When the fill takes the forward chain and the mask gradient is wanted,
+  // capture each component's coherent field in it so the backward sweep
+  // seeds its adjoints from the capture instead of recomputing every
+  // transform.  With narrow pass-bands the backward sweep runs the
+  // band-restricted direct adjoint and needs no fields, so capture stays
+  // disarmed.
   sim::FieldCaptureScope capture(
       abbe_->workspaces(), abbe_->components(),
-      request.mask && !sim::adjoint_uses_band_conv(*abbe_) &&
-          (!cached ||
-           (fill && !sim::image_fill_uses_autocorrelation(*abbe_))));
+      fill && request.mask && !sim::adjoint_uses_band_conv(*abbe_) &&
+          !sim::image_fill_uses_autocorrelation(*abbe_));
 
   if (fill) images_.fill(*abbe_, o, theta_m);
-  const AbbeAerial fwd = cached ? abbe_->aerial(images_, source, source_cutoff_)
-                                : abbe_->aerial(o, source, source_cutoff_);
+  const AbbeAerial fwd = abbe_->aerial(images_, source, source_cutoff_);
   const double w_total = fwd.total_weight;
   if (w_total <= 0.0) {
     throw std::runtime_error("AbbeGradientEngine: source has no power");
@@ -141,17 +133,15 @@ SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
     // statically partitioned for determinism, seeded from the captured
     // forward fields when a capture ran.
     //
-    // A request that also wants the source gradient lists every point
-    // (source-only items do no work here: the cache serves their
-    // reductions), which keeps the slot partition -- and so the mask
-    // gradient's summation order -- independent of the cache.
+    // Every point is listed (points below the cutoff do no work here),
+    // so mask-only and full calls share one slot partition -- and so one
+    // summation order for the mask gradient.
     const std::size_t npts = pts.size();
     std::vector<sim::AdjointItem> items;
     items.reserve(npts);
     for (std::size_t k = 0; k < npts; ++k) {
       const double jw = source(pts[k].row, pts[k].col);
       const bool mask_path = jw > source_cutoff_;
-      if (!mask_path && !request.source) continue;
       sim::AdjointItem item;
       item.component = static_cast<std::uint32_t>(k);
       item.mask = mask_path;

@@ -53,17 +53,17 @@ struct GradRequest {
 ///
 /// The engine owns a `sim::SourceImageCache` of the per-point images
 /// |A_s|^2, stored as their spectra on the doubled-pupil disk, for the last
-/// theta_M it filled them for.  Which calls read it depends on the request
-/// kind alone: a call that requests the source gradient takes its
-/// intensity and the source gradient's reductions from the cache, filling
-/// it first on a miss, so hits and misses return identical bits; mask-only
-/// calls, `loss_only` and `aerial` always run the transform path and never
-/// read the cache.  The served intensity agrees with the transform path to
-/// rounding (<= 1e-12 of its maximum), so BiSMO and AM-SMO's SO steps move
-/// at rounding level while Abbe-MO is bitwise unchanged, and no result
-/// depends on call history.  The cache is mutable state behind const
-/// methods: like the shared workspaces, it follows the
-/// one-evaluation-at-a-time contract (thread-compatible, not thread-safe).
+/// theta_M it filled them for, and it is the engine's only forward: every
+/// call -- `evaluate` of any request kind, `loss_only` and `aerial` --
+/// fills it on a miss and takes its intensity (and the source gradient's
+/// reductions) from it.  Hits and misses return identical bits, and the
+/// mask adjoint lists every point whatever the request, so a mask-only
+/// call returns the full call's loss and mask gradient bit for bit and no
+/// result depends on call history.  The served intensity agrees with a
+/// per-point transform chain to rounding (<= 1e-12 of its maximum).  The
+/// cache is mutable state behind const methods: like the shared
+/// workspaces, it follows the one-evaluation-at-a-time contract
+/// (thread-compatible, not thread-safe).
 ///
 /// BiSMO's exact second-order operators (grad/hvp.hpp) read the same
 /// cache through `source_images`: a source HVP is one served intensity and

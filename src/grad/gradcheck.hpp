@@ -40,7 +40,8 @@ RealGrid fd_hvp_source(const AbbeGradientEngine& engine,
 
 /// Finite-difference oracle for [d2 L / dthetaM dthetaJ] w: central
 /// differences of the analytic mask gradient at theta_J +/- eps w (two
-/// mask-only evaluations), eps as in fd_hvp_source.
+/// mask-only evaluations at one theta_M, so one image-cache fill serves
+/// both), eps as in fd_hvp_source.
 RealGrid fd_mixed_mask_source(const AbbeGradientEngine& engine,
                               const RealGrid& theta_m,
                               const RealGrid& theta_j, const RealGrid& w,

@@ -1,11 +1,7 @@
 #include "litho/abbe.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "fft/fft.hpp"
-#include "fft/kernels/kernel.hpp"
-#include "parallel/reduction.hpp"
+#include <utility>
 
 namespace bismo {
 
@@ -32,41 +28,6 @@ AbbeImaging::AbbeImaging(const OpticsConfig& optics,
   } else {
     for (std::size_t i = 0; i < pts.size(); ++i) build(i);
   }
-}
-
-void AbbeImaging::field(const ComplexGrid& o, std::size_t point_index,
-                        ComplexGrid& out) const {
-  if (o.rows() != optics_.mask_dim || o.cols() != optics_.mask_dim) {
-    throw std::invalid_argument("AbbeImaging::field: spectrum shape mismatch");
-  }
-  // out = H_sigma .* o over contiguous bin runs, then the inverse transform.
-  const PassBand& band = passbands_[point_index];
-  if (!out.same_shape(o)) out.resize(o.rows(), o.cols());
-  out.fill(std::complex<double>{});
-  const fft::FftKernel& kernel = fft::active_kernel();
-  if (band.values.empty()) {
-    sim::for_each_index_run(
-        band.indices.data(), band.indices.size(),
-        [&](std::size_t, std::uint32_t start, std::size_t len) {
-          std::copy(o.data() + start, o.data() + start + len,
-                    out.data() + start);
-        });
-  } else {
-    sim::for_each_index_run(
-        band.indices.data(), band.indices.size(),
-        [&](std::size_t k, std::uint32_t start, std::size_t len) {
-          kernel.cmul(out.data() + start, o.data() + start,
-                      band.values.data() + k, len);
-        });
-  }
-  ifft2(out);
-}
-
-ComplexGrid AbbeImaging::field(const ComplexGrid& o,
-                               std::size_t point_index) const {
-  ComplexGrid a;
-  field(o, point_index, a);
-  return a;
 }
 
 sim::BandRef AbbeImaging::component_band(std::size_t c) const {

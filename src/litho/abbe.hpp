@@ -71,19 +71,6 @@ class AbbeImaging : public sim::ImagingModel {
   AbbeAerial aerial(const sim::SourceImageCache& images, const RealGrid& j,
                     double cutoff = 1e-9) const;
 
-  /// Coherent field A_sigma for one source point (by index into
-  /// `geometry().points()`), i.e. IFFT of the pass-band-masked spectrum.
-  /// Allocating reference path; hot loops use `field_into`.
-  ComplexGrid field(const ComplexGrid& o, std::size_t point_index) const;
-
-  /// Out-param variant: writes the field into `out` (resized on first
-  /// use, reused afterwards), so the per-call grid allocation is gone.
-  /// The transform itself still runs through the convenience `ifft2`
-  /// (one internal scratch allocation per call); hot loops use
-  /// `field_into`, which is fully allocation-free via the workspace.
-  void field(const ComplexGrid& o, std::size_t point_index,
-             ComplexGrid& out) const;
-
   /// Sparse pass-band of one source point.
   const PassBand& passband(std::size_t point_index) const {
     return passbands_[point_index];

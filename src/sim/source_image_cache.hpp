@@ -47,8 +47,8 @@
 //     columns only), then one disk-sized pairing per point (Parseval).
 // Both are allocation-free once warmed and match the transform path to
 // rounding (<= 1e-12 of the grid maximum), not bitwise.  The gradient
-// engine reads the cache only for calls that want the source gradient
-// (grad/abbe_grad.hpp), so mask-only results never see these roundings.
+// engine images every call through the cache (grad/abbe_grad.hpp), so all
+// its results carry these roundings alike.
 //
 // The cache is keyed by the exact bits of the caller's mask parameters
 // plus the FFT backend that produced the spectra.  The

@@ -245,9 +245,9 @@ void expect_matches_reference(std::size_t dim, std::uint64_t seed) {
         init_source_params(make_source(geometry, SourceSpec{}), {});
     for (auto& v : theta_j) v += rng.uniform(-0.5, 0.5);
 
-    // Each call runs on its own fresh engine so nothing is served from
-    // images another call cached: `aerial` and the mask-only evaluation
-    // run the transform path, the full evaluation fills and serves.
+    // Each call runs on its own fresh engine, so each fills the image
+    // cache and serves its own intensity from it: `aerial`, the mask-only
+    // and the full evaluation are each checked from a fill.
     const AbbeImaging abbe(optics, geometry);
     const bool band_conv = sim::adjoint_uses_band_conv(abbe);
     ASSERT_EQ(band_conv, pixel_nm == 8.0) << dim;

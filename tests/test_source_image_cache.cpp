@@ -14,15 +14,18 @@
 //   * at 128^2 / 11^2 the cache holds at most 1/20 of the dense images;
 //   * the key is the exact bits of theta_M (plus the backend);
 //   * engine results do not depend on call history: shuffled sequences of
-//     full, source-only, mask-only and loss-only calls match a fresh
-//     engine bit for bit, on the band-convolution and field-capture paths;
+//     full, source-only, mask-only and loss-only calls (every one served
+//     from the cache) match a fresh engine bit for bit, on the
+//     band-convolution and field-capture paths;
+//   * a mask-only call returns the full call's loss and mask gradient bit
+//     for bit, also with a raised source cutoff;
 //   * the cached source gradient matches the per-point reference to 1e-12
 //     relative, from either fill, and passes a gradcheck;
 //   * adjoint_pass's wns on the captured- and recomputed-field paths
 //     matches the cache's dots to 1e-12 relative on every backend;
 //   * engines sharing one WorkspaceSet keep their own images;
-//   * short BiSMO-NMN, BiSMO-CG and AM-SMO(A-A) runs are bitwise identical
-//     at 1, 2 and 4 threads.
+//   * short BiSMO-NMN, BiSMO-CG, AM-SMO(A-A) and Abbe-MO runs are bitwise
+//     identical at 1, 2 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -130,8 +133,8 @@ void expect_bitwise(const Outcome& got, const Outcome& want,
   EXPECT_TRUE(got.grad_j == want.grad_j) << what;
 }
 
-/// The same call on a brand-new engine over a private workspace set: a
-/// mask-only or loss-only call there runs the uncached transform path.
+/// The same call on a brand-new engine over a private workspace set, which
+/// fills its own cache first.
 Outcome fresh_call(const Rig& rig, Kind kind, const RealGrid& tm,
                    const RealGrid& tj) {
   const AbbeImaging abbe(rig.optics, rig.geometry);
@@ -492,6 +495,47 @@ TEST(AbbeEngineImageCache, ResultsIndependentOfCallHistory) {
   }
 }
 
+TEST(AbbeEngineImageCache, MaskOnlyCallMatchesFullCallBitwise) {
+  // Every request kind images through the cache and lists every point in
+  // the adjoint, so a mask-only call returns the full call's loss and mask
+  // gradient bit for bit -- also when a raised cutoff drops points from
+  // the mask path.  8 nm runs the band-convolution adjoint, 16 nm captures
+  // fields, 24 nm also fills through the chain.
+  for (const double pixel_nm : {8.0, 16.0, 24.0}) {
+    const Rig rig(pixel_nm);
+    const RealGrid& tm = rig.theta_m[0];
+    const RealGrid& tj = rig.theta_j[0];
+    // The median point weight as the cutoff: about half the points sit
+    // at or below it.
+    const RealGrid source = activate_source(tj, rig.geometry, {});
+    std::vector<double> weights;
+    for (const SourcePoint& p : rig.geometry.points()) {
+      weights.push_back(source(p.row, p.col));
+    }
+    std::nth_element(weights.begin(), weights.begin() + weights.size() / 2,
+                     weights.end());
+    const double cutoff = weights[weights.size() / 2];
+    ASSERT_GT(cutoff, 1e-9);
+
+    ThreadPool pool(4);
+    const AbbeImaging abbe_mask(rig.optics, rig.geometry, &pool);
+    const AbbeImaging abbe_full(rig.optics, rig.geometry, &pool);
+    const AbbeGradientEngine mask_engine(abbe_mask, rig.target, {}, {}, {},
+                                         {}, cutoff);
+    const AbbeGradientEngine full_engine(abbe_full, rig.target, {}, {}, {},
+                                         {}, cutoff);
+    const Outcome mask = call(mask_engine, Kind::kMask, tm, tj);
+    const Outcome full = call(full_engine, Kind::kFull, tm, tj);
+    const std::string what =
+        std::to_string(static_cast<int>(pixel_nm)) + " nm";
+    EXPECT_EQ(mask.loss, full.loss) << what;
+    EXPECT_EQ(mask.l2, full.l2) << what;
+    EXPECT_EQ(mask.pvb, full.pvb) << what;
+    ASSERT_FALSE(mask.grad_m.empty()) << what;
+    EXPECT_TRUE(mask.grad_m == full.grad_m) << what;
+  }
+}
+
 TEST(AbbeEngineImageCache, OneUlpThetaMMissesAndMatchesFreshEngine) {
   const Rig rig(8.0);
   const AbbeImaging abbe(rig.optics, rig.geometry);
@@ -569,7 +613,7 @@ TEST(AbbeEngineImageCache, EnginesSharingAWorkspaceSetKeepTheirOwnImages) {
 
 TEST(AbbeEngineImageCache, BismoNmnBitwiseAcrossThreadCounts) {
   // BiSMO-NMN and BiSMO-CG (every source step and hypergradient operator
-  // served from the cache) and AM-SMO(A-A) (its SO steps).
+  // served from the cache), AM-SMO(A-A) and Abbe-MO (every step).
   SmoConfig config;
   config.optics = OpticsConfig{193.0, 1.35, 64, 8.0, 0.0};
   config.source_dim = 7;
@@ -582,7 +626,8 @@ TEST(AbbeEngineImageCache, BismoNmnBitwiseAcrossThreadCounts) {
   const Rig rig(8.0);
 
   for (const Method method :
-       {Method::kBismoNmn, Method::kBismoCg, Method::kAmAbbeAbbe}) {
+       {Method::kBismoNmn, Method::kBismoCg, Method::kAmAbbeAbbe,
+        Method::kAbbeMo}) {
     RunResult reference;
     for (const std::size_t threads : {1u, 2u, 4u}) {
       ThreadPool pool(threads);
