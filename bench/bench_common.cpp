@@ -26,7 +26,7 @@ void usage_and_exit(const char* argv0, bool operands) {
       "  --threads N         worker threads (default: hardware)\n"
       "  --seed S            base RNG seed (default 2024)\n",
       argv0, operands ? "[case ...] " : "");
-  std::exit(2);
+  std::exit(kUsageExit);
 }
 
 BenchArgs BenchArgs::parse(int argc, char** argv,

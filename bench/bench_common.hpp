@@ -39,7 +39,7 @@ struct BenchArgs {
   bool full = false;         ///< --full: paper-closer scale
 
   /// Parse known flags with the checked number parsers.  Prints the usage
-  /// and exits 2 on --help, a malformed or out-of-range value, or a
+  /// and exits kUsageExit on --help, a malformed or out-of-range value, or a
   /// configuration SmoConfig::validate rejects.  Bare words (not flags)
   /// are appended to `operands` when it is given, and rejected otherwise.
   static BenchArgs parse(int argc, char** argv,
@@ -52,8 +52,13 @@ struct BenchArgs {
   void print_banner(const std::string& bench_name) const;
 };
 
+/// Exit status of a usage error (sysexits.h EX_USAGE): distinct from a
+/// failed correctness gate (1) and from bench_cluster's wall-clock-only
+/// failure (2).
+constexpr int kUsageExit = 64;
+
 /// Print the usage ("[case ...]" before the flags when `operands`) and
-/// exit 2.
+/// exit kUsageExit.
 [[noreturn]] void usage_and_exit(const char* argv0, bool operands = false);
 
 /// Machine-readable bench results: accumulates labeled metric rows and

@@ -2,48 +2,23 @@
 // sweep (and, as the extension axis, through focus) before vs after SMO --
 // the motivation for the PVB term (Eq. 8) in the unified objective.
 //
-// All (dose, defocus) corners are evaluated through one
-// `sim::ScenarioBatch`: a single mask-spectrum FFT and one pooled engine
-// pass per distinct defocus serve the whole table (dose corners reuse the
-// defocus aerial via I_c = d^2 * I), instead of rebuilding the imaging
-// stack per corner.  The SMO run and the sweep problem share one
-// api::Session (same pool, same warm workspaces).
-#include <algorithm>
+// Each focus condition is its own problem (Session::make_problem with a
+// `defocus_nm` override) and one aerial image; its dose corners rescale
+// that image (I_c = d^2 * I, as SmoProblem::resist_image applies it), so
+// 10 (dose, defocus) corners need one aerial image per focus condition.
+// The SMO run and the sweep problems share one api::Session (same pool,
+// warm workspaces).
 #include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "api/api.hpp"
-#include "fft/fft.hpp"
 #include "math/grid_ops.hpp"
 #include "metrics/metrics.hpp"
-#include "sim/scenario.hpp"
-
-namespace {
-
-using namespace bismo;
-
-/// Printed-pattern L2 error per scenario, one batched evaluation.
-std::vector<double> l2_per_scenario(const SmoProblem& problem,
-                                    const sim::ScenarioBatch& batch,
-                                    const RealGrid& theta_m,
-                                    const RealGrid& theta_j) {
-  const RealGrid mask = problem.mask_image(theta_m, /*binary=*/true);
-  const RealGrid source = problem.source_image(theta_j);
-  ComplexGrid o = to_complex(mask);
-  fft2(o);
-  const std::vector<RealGrid> intensities = batch.aerial(o, source);
-  std::vector<double> l2(intensities.size());
-  for (std::size_t s = 0; s < intensities.size(); ++s) {
-    const RealGrid print = problem.config().resist.print(intensities[s]);
-    l2[s] = squared_l2_nm2(print, problem.target(),
-                           problem.config().optics.pixel_nm);
-  }
-  return l2;
-}
-
-}  // namespace
 
 int main() {
+  using namespace bismo;
   api::JobSpec spec;
   spec.clip = api::ClipSource::generated(DatasetKind::kIccadL, /*seed=*/3);
   spec.method = Method::kBismoNmn;
@@ -54,10 +29,6 @@ int main() {
                            "hyper_terms=3"};
 
   api::Session session;
-  const auto problem = session.make_problem(spec);
-  const RealGrid theta_m0 = problem->initial_theta_m();
-  const RealGrid theta_j0 = problem->initial_theta_j();
-
   const api::JobResult result = session.run(spec);
   if (!result.ok()) {
     std::fprintf(stderr, "job failed: %s\n", result.error.c_str());
@@ -65,28 +36,34 @@ int main() {
   }
   const RunResult& run = result.run;
 
-  // One batch covers the dose sweep at nominal focus plus the defocus sweep
-  // at nominal dose: 10 corners, 4 engine passes.
+  // The dose sweep at nominal focus plus the defocus sweep at nominal dose:
+  // one problem per focus condition, nominal first.
   const std::vector<double> doses = {0.94, 0.96, 0.98, 1.00, 1.02, 1.04, 1.06};
-  const std::size_t nominal_index = static_cast<std::size_t>(
-      std::find(doses.begin(), doses.end(), 1.0) - doses.begin());
-  const std::vector<double> defocuses = {40.0, 80.0, 120.0};
-  std::vector<sim::Scenario> scenarios;
-  for (double dose : doses) scenarios.push_back({dose, 0.0});
-  for (double dz : defocuses) scenarios.push_back({1.0, dz});
-  const sim::ScenarioBatch batch = problem->scenario_batch(scenarios);
-
-  const std::vector<double> before =
-      l2_per_scenario(*problem, batch, theta_m0, theta_j0);
-  const std::vector<double> after =
-      l2_per_scenario(*problem, batch, run.theta_m, run.theta_j);
+  const std::vector<double> defocuses = {0.0, 40.0, 80.0, 120.0};
+  std::vector<std::shared_ptr<SmoProblem>> focus;
+  for (const double dz : defocuses) {
+    api::JobSpec at = spec;
+    at.config_overrides.push_back("defocus_nm=" + std::to_string(dz));
+    focus.push_back(session.make_problem(at));
+  }
+  const SmoProblem& nominal = *focus.front();
+  const SmoConfig& cfg = nominal.config();
+  // Printed-pattern L2 error vs target of an aerial image at dose d.
+  const auto printed_l2 = [&](const RealGrid& intensity, double d) {
+    const RealGrid print = cfg.resist.print(intensity * (d * d));
+    return squared_l2_nm2(print, nominal.target(), cfg.optics.pixel_nm);
+  };
+  const RealGrid before = nominal.aerial_image(nominal.initial_theta_m(),
+                                               nominal.initial_theta_j());
+  const RealGrid after = nominal.aerial_image(run.theta_m, run.theta_j);
 
   std::printf("batched process window: %zu corners in %zu engine passes\n\n",
-              scenarios.size(), batch.distinct_defocus_count());
+              doses.size() + defocuses.size() - 1, focus.size());
   std::printf("dose sweep (printed L2 error vs target, nm^2):\n");
   std::printf("  dose   | before SMO | after SMO\n");
-  for (std::size_t i = 0; i < doses.size(); ++i) {
-    std::printf("  %.2f   | %10.0f | %9.0f\n", doses[i], before[i], after[i]);
+  for (const double d : doses) {
+    std::printf("  %.2f   | %10.0f | %9.0f\n", d, printed_l2(before, d),
+                printed_l2(after, d));
   }
   std::printf("\nPVB (+/-2%% dose band): %.0f -> %.0f nm^2\n",
               result.before.pvb_nm2, result.after.pvb_nm2);
@@ -95,9 +72,10 @@ int main() {
   // the classic process-window read-out.
   std::printf("\ndefocus sweep (evaluating the SMO solution off-focus):\n");
   std::printf("  defocus | printed L2 (nm^2)\n");
-  std::printf("    0 nm  | %.0f\n", after[nominal_index]);
-  for (std::size_t i = 0; i < defocuses.size(); ++i) {
-    std::printf("  %5.0f nm | %.0f\n", defocuses[i], after[doses.size() + i]);
+  std::printf("    0 nm  | %.0f\n", printed_l2(after, 1.0));
+  for (std::size_t i = 1; i < focus.size(); ++i) {
+    const RealGrid off = focus[i]->aerial_image(run.theta_m, run.theta_j);
+    std::printf("  %5.0f nm | %.0f\n", defocuses[i], printed_l2(off, 1.0));
   }
   std::printf("\nexpected: error grows smoothly with dose offset and"
               " defocus; SMO tightens the whole window, not only the"

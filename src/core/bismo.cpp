@@ -12,7 +12,8 @@ RunResult run_bismo(const SmoProblem& problem, Method method,
   const AbbeGradientEngine& engine = problem.engine();
   const HypergradientOps hyper(engine);
   RunRecorder rec(cfg, control);
-  // FD is Neumann at K = 0, T = 1; CG warm-starts from w (Alg. 2 line 10).
+  // FD is Neumann at K = 0, T = 1.  CG starts every solve from w = 0, not
+  // from the last step's w (Alg. 2 line 10): see grad/inverse_hvp.hpp.
   const bool fd = method == Method::kBismoFd;
   const int unroll_steps = fd ? 1 : cfg.unroll_steps;
   const int hyper_terms = fd ? 0 : cfg.hyper_terms;
@@ -24,8 +25,7 @@ RunResult run_bismo(const SmoProblem& problem, Method method,
   const GradRequest source_only{false, true};
 
   InverseHvp solver;
-  RealGrid w(theta_j.rows(), theta_j.cols(), 0.0);
-  const RealGrid zero = w;
+  RealGrid w;
   const auto hvp = [&hyper](const RealGrid& x, RealGrid& out) {
     hyper.hvp(x, out);
   };
@@ -47,16 +47,17 @@ RunResult run_bismo(const SmoProblem& problem, Method method,
     const RealGrid& v = g.grad_theta_j;  // dLmo/dthetaJ
 
     // w ~ [d2Lso/dthetaJ^2]^{-1} v; a vanishing v sweeps with w = 0.
-    const bool solve = norm2(v) > 1e-30;
-    if (solve && method == Method::kBismoCg) {
+    if (!(norm2(v) > 1e-30)) {
+      w.resize(v.rows(), v.cols());
+    } else if (method == Method::kBismoCg) {
       solver.cg(hvp, v, hyper_terms, cfg.cg_damping, 1e-10, w);
-    } else if (solve) {
+    } else {
       solver.neumann(hvp, v, cfg.lr_source, hyper_terms, w);
     }
 
     // Gradient fusion in one backward sweep:
     //   hyper = dLmo/dthetaM - [d2Lso/dthetaM dthetaJ] w.
-    const RealGrid hypergrad = hyper.hypergradient(solve ? w : zero);
+    const RealGrid hypergrad = hyper.hypergradient(w);
 
     // ---- Upper level: MO update (Alg. 2 line 13). ----
     outer_opt->step(theta_m, hypergrad);

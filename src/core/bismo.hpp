@@ -11,7 +11,7 @@
 //      solve (grad/inverse_hvp.hpp):
 //        NMN (Eq. 16): neumann, w = alpha * sum_{k<=K} (I - alpha H)^k v
 //        FD  (Eq. 13): neumann at K = 0 (and T = 1), w = alpha * v
-//        CG  (Eq. 18): cg, K steps on (H + damping I) w = v, warm-started
+//        CG  (Eq. 18): cg, K steps on (H + damping I) w = v from w = 0
 //   3. update theta_M with the outer optimizer.
 //
 // Step 2 is exact (grad/hvp.hpp): one linearization from the engine's

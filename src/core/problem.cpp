@@ -30,12 +30,6 @@ SmoProblem::SmoProblem(const SmoConfig& config, RealGrid target,
       config_.process_window, config_.source_cutoff);
 }
 
-sim::ScenarioBatch SmoProblem::scenario_batch(
-    std::vector<sim::Scenario> scenarios) const {
-  return sim::ScenarioBatch(config_.optics, *geometry_, std::move(scenarios),
-                            pool_, workspaces_);
-}
-
 SmoProblem::SmoProblem(const SmoConfig& config, const Layout& clip,
                        ThreadPool* pool,
                        std::shared_ptr<sim::WorkspaceSet> workspaces)

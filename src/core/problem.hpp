@@ -14,7 +14,6 @@
 #include "metrics/epe.hpp"
 #include "metrics/solution.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sim/scenario.hpp"
 #include "sim/workspace.hpp"
 
 namespace bismo {
@@ -49,16 +48,11 @@ class SmoProblem {
   ThreadPool* pool() const noexcept { return pool_; }
 
   /// Per-slot workspaces shared by every engine evaluating this problem
-  /// (the Abbe engine, AM-SMO's per-cycle Hopkins rebuilds, scenario
-  /// batches) so re-built engines reuse warm buffers instead of
-  /// reallocating.
+  /// (the Abbe engine, AM-SMO's per-cycle Hopkins rebuilds) so re-built
+  /// engines reuse warm buffers instead of reallocating.
   const std::shared_ptr<sim::WorkspaceSet>& workspaces() const noexcept {
     return workspaces_;
   }
-
-  /// Batched process-window evaluation over this problem's optics and
-  /// geometry, sharing the pool and workspaces.
-  sim::ScenarioBatch scenario_batch(std::vector<sim::Scenario> scenarios) const;
 
   /// theta_M0 from the target pattern (Table 1).
   RealGrid initial_theta_m() const;

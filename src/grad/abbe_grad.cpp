@@ -74,15 +74,46 @@ SmoLoss AbbeGradientEngine::loss_only(const RealGrid& theta_m,
                            weights_, pw_, /*want_backprop=*/false);
 }
 
+void AbbeGradientEngine::evaluate_source(const RealGrid& theta_m,
+                                         const RealGrid& theta_j,
+                                         const GradRequest& request,
+                                         SourceEvaluation& out,
+                                         RealGrid* d2l_di2) const {
+  const SourceGeometry& geometry = abbe_->geometry();
+  const auto& pts = geometry.points();
+  const sim::SourceImageCache& images = source_images(theta_m);
+  out.source = activate_source(theta_j, geometry, activation_);
+  AbbeAerial fwd = abbe_->aerial(images, out.source, source_cutoff_);
+  if (fwd.total_weight <= 0.0) {
+    throw std::runtime_error("AbbeGradientEngine: source has no power");
+  }
+  out.total_weight = fwd.total_weight;
+  out.intensity = std::move(fwd.intensity);
+  SmoLoss loss = evaluate_smo_loss(out.intensity, target_, resist_, weights_,
+                                   pw_, request.mask || request.source,
+                                   d2l_di2);
+  out.grad = {loss.total, loss.l2, loss.pvb, {}, {}};
+  out.dl_di = std::move(loss.dl_di);
+  if (!request.source) return;
+
+  // dL/dj_s = (sum dL/dI |A_s|^2 - sum dL/dI * I) / W over every valid
+  // point (a point with j ~ 0 still needs its image so SO can revive it),
+  // then the activation chain rule (zero at invalid sigma points).
+  images.dots(*abbe_, out.dl_di.data(), out.gj);
+  const double c_term = dot(out.dl_di, out.intensity);
+  RealGrid gj(geometry.dim(), geometry.dim(), 0.0);
+  for (std::size_t k = 0; k < pts.size(); ++k) {
+    out.gj[k] = (out.gj[k] - c_term) / out.total_weight;
+    gj(pts[k].row, pts[k].col) = out.gj[k];
+  }
+  out.dact = source_activation_derivative(theta_j, out.source, geometry,
+                                          activation_);
+  out.grad.grad_theta_j = gj * out.dact;
+}
+
 SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
                                          const RealGrid& theta_j,
                                          const GradRequest& request) const {
-  const SourceGeometry& geometry = abbe_->geometry();
-  const auto& pts = geometry.points();
-
-  const RealGrid source = activate_source(theta_j, geometry, activation_);
-  const bool want_backprop = request.mask || request.source;
-
   // Every call images through the cache, filling it on a miss.  Hits and
   // misses return the same bits, so no result depends on call history.
   const bool fill = !images_.holds(theta_m);
@@ -109,23 +140,8 @@ SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
           !sim::image_fill_uses_autocorrelation(*abbe_));
 
   if (fill) images_.fill(*abbe_, o, theta_m);
-  const AbbeAerial fwd = abbe_->aerial(images_, source, source_cutoff_);
-  const double w_total = fwd.total_weight;
-  if (w_total <= 0.0) {
-    throw std::runtime_error("AbbeGradientEngine: source has no power");
-  }
-
-  const SmoLoss loss = evaluate_smo_loss(fwd.intensity, target_, resist_,
-                                         weights_, pw_, want_backprop);
-
-  SmoGradient out;
-  out.loss = loss.total;
-  out.l2 = loss.l2;
-  out.pvb = loss.pvb;
-  if (!want_backprop) return out;
-
-  const RealGrid& dldi = loss.dl_di;
-
+  SourceEvaluation eval;
+  evaluate_source(theta_m, theta_j, request, eval);
   if (request.mask) {
     // Backward sweep: one adjoint chain per mask-path source point, run
     // through the unified engine layer (sim::adjoint_pass) over the
@@ -136,37 +152,22 @@ SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
     // Every point is listed (points below the cutoff do no work here),
     // so mask-only and full calls share one slot partition -- and so one
     // summation order for the mask gradient.
-    const std::size_t npts = pts.size();
+    const auto& pts = abbe_->geometry().points();
     std::vector<sim::AdjointItem> items;
-    items.reserve(npts);
-    for (std::size_t k = 0; k < npts; ++k) {
-      const double jw = source(pts[k].row, pts[k].col);
+    items.reserve(pts.size());
+    for (std::size_t k = 0; k < pts.size(); ++k) {
+      const double jw = eval.source(pts[k].row, pts[k].col);
       const bool mask_path = jw > source_cutoff_;
       sim::AdjointItem item;
       item.component = static_cast<std::uint32_t>(k);
       item.mask = mask_path;
-      item.scale = mask_path ? 2.0 * jw / w_total : 0.0;
+      item.scale = mask_path ? 2.0 * jw / eval.total_weight : 0.0;
       items.push_back(item);
     }
-    out.grad_theta_m = mask_gradient(theta_m, mask, o, dldi, items, nullptr);
+    eval.grad.grad_theta_m =
+        mask_gradient(theta_m, mask, o, eval.dl_di, items, nullptr);
   }
-
-  if (request.source) {
-    // dL/dj_s = (sum dL/dI |A_s|^2 - sum dL/dI * I) / W over every valid
-    // point (a point with j ~ 0 still needs its image so SO can revive
-    // it), then the activation chain rule (zero at invalid sigma points).
-    std::vector<double> gj_raw;
-    images_.dots(*abbe_, dldi.data(), gj_raw);
-    const double c_term = dot(dldi, fwd.intensity);
-    RealGrid gj(geometry.dim(), geometry.dim(), 0.0);
-    for (std::size_t k = 0; k < pts.size(); ++k) {
-      gj(pts[k].row, pts[k].col) = (gj_raw[k] - c_term) / w_total;
-    }
-    const RealGrid dact =
-        source_activation_derivative(theta_j, source, geometry, activation_);
-    out.grad_theta_j = gj * dact;
-  }
-  return out;
+  return std::move(eval.grad);
 }
 
 }  // namespace bismo

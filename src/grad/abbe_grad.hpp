@@ -47,6 +47,19 @@ struct GradRequest {
   bool source = true;
 };
 
+/// What `AbbeGradientEngine::evaluate_source` returns and keeps: the served
+/// forward and the source gradient's intermediates, which BiSMO's
+/// second-order operators (grad/hvp.hpp) linearize around.
+struct SourceEvaluation {
+  SmoGradient grad;         ///< loss terms; grad_theta_j when asked
+  RealGrid source;          ///< J = activated theta_J
+  double total_weight = 0;  ///< W = sum_s j_s
+  RealGrid intensity;       ///< I = sum_s j_s P_s / W
+  RealGrid dl_di;           ///< G = dL/dI (empty without a gradient)
+  RealGrid dact;            ///< j' on the source grid (source gradient only)
+  std::vector<double> gj;   ///< dL/dj_s per point (source gradient only)
+};
+
 /// Differentiable Abbe-based SMO objective: forward evaluation and manual
 /// adjoint gradients.  Evaluations are internally parallel over source
 /// points via the engine's pool.
@@ -80,6 +93,16 @@ class AbbeGradientEngine {
   /// Loss and gradients at (theta_M, theta_J).
   SmoGradient evaluate(const RealGrid& theta_m, const RealGrid& theta_j,
                        const GradRequest& request = {}) const;
+
+  /// `evaluate` without the mask adjoint: activate theta_J, serve I from
+  /// the cache (filled on a miss), the loss, and with `request.source`
+  /// gj_s = (<G, P_s> - <G, I>) / W and dL/dthetaJ = j' .* gj.  `out`
+  /// keeps every intermediate (reusing its buffers); `d2l_di2`, when
+  /// non-null, receives d2L/dI2 (evaluate_smo_loss).  Throws
+  /// std::runtime_error when the source has no power.
+  void evaluate_source(const RealGrid& theta_m, const RealGrid& theta_j,
+                       const GradRequest& request, SourceEvaluation& out,
+                       RealGrid* d2l_di2 = nullptr) const;
 
   /// Loss only (no gradients; cheaper backward pass skipped entirely).
   SmoLoss loss_only(const RealGrid& theta_m, const RealGrid& theta_j) const;

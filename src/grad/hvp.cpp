@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "litho/activation.hpp"
-#include "math/grid_ops.hpp"
 
 namespace bismo {
 namespace {
@@ -29,63 +28,34 @@ HypergradientOps::HypergradientOps(const AbbeGradientEngine& engine,
 
 const SmoGradient& HypergradientOps::linearize(const RealGrid& theta_m,
                                                const RealGrid& theta_j) const {
-  const AbbeImaging& abbe = engine_->abbe();
-  const SourceGeometry& geometry = abbe.geometry();
+  // The engine's source-only evaluation, keeping L'' besides what it keeps
+  // itself; the per-point copies below are what the HVPs and the sweep read.
+  engine_->evaluate_source(theta_m, theta_j, {false, true}, lin_, &d2l_di2_);
+  const SourceGeometry& geometry = engine_->abbe().geometry();
   const auto& pts = geometry.points();
-  const ActivationConfig& act = engine_->activation();
-
-  // The same arithmetic as a cache-hit source-only evaluate, keeping the
-  // intermediates the second-order products need.
-  const sim::SourceImageCache& images = engine_->source_images(theta_m);
-  const RealGrid source = activate_source(theta_j, geometry, act);
-  AbbeAerial fwd = abbe.aerial(images, source, engine_->source_cutoff());
-  if (fwd.total_weight <= 0.0) {
-    throw std::runtime_error("HypergradientOps: source has no power");
-  }
-  SmoLoss loss = evaluate_smo_loss(fwd.intensity, engine_->target(),
-                                   engine_->resist(), engine_->weights(),
-                                   engine_->process_window(),
-                                   /*want_backprop=*/true, &d2l_di2_);
-  w_total_ = fwd.total_weight;
-  intensity_ = std::move(fwd.intensity);
-  dl_di_ = std::move(loss.dl_di);
-
-  images.dots(abbe, dl_di_.data(), gj_);
-  const double c_term = dot(dl_di_, intensity_);
-  const RealGrid dact =
-      source_activation_derivative(theta_j, source, geometry, act);
-  const RealGrid d2act =
-      source_activation_second_derivative(theta_j, source, geometry, act);
+  const RealGrid d2act = source_activation_second_derivative(
+      theta_j, lin_.source, geometry, engine_->activation());
   const std::size_t npts = pts.size();
   j_.resize(npts);
   dj_.resize(npts);
   d2j_.resize(npts);
   comps_.resize(npts);
   dir_dj_.resize(npts);
-  di_.resize(intensity_.rows(), intensity_.cols());
-  seed_.resize(intensity_.rows(), intensity_.cols());
-  RealGrid gj(geometry.dim(), geometry.dim(), 0.0);
+  di_.resize(lin_.intensity.rows(), lin_.intensity.cols());
+  seed_.resize(lin_.intensity.rows(), lin_.intensity.cols());
   for (std::size_t k = 0; k < npts; ++k) {
     const std::size_t r = pts[k].row;
     const std::size_t c = pts[k].col;
-    gj_[k] = (gj_[k] - c_term) / w_total_;
-    gj(r, c) = gj_[k];
-    j_[k] = source(r, c);
-    dj_[k] = dact(r, c);
+    j_[k] = lin_.source(r, c);
+    dj_[k] = lin_.dact(r, c);
     d2j_[k] = d2act(r, c);
     comps_[k] = static_cast<std::uint32_t>(k);
   }
-
-  lin_.loss = loss.total;
-  lin_.l2 = loss.l2;
-  lin_.pvb = loss.pvb;
-  lin_.grad_theta_m = RealGrid{};
-  lin_.grad_theta_j = gj * dact;
   key_m_ = theta_m;
   key_j_ = theta_j;
   linearized_ = true;
   ++evals_;
-  return lin_;
+  return lin_.grad;
 }
 
 void HypergradientOps::ensure_linearized(const RealGrid& theta_m,
@@ -111,9 +81,9 @@ double HypergradientOps::seed_direction(const sim::SourceImageCache& images,
     dw += dir_dj_[k];
   }
   images.intensity(engine_->abbe(), comps_, dir_dj_, weighted_);
-  const double inv_w = 1.0 / w_total_;
+  const double inv_w = 1.0 / lin_.total_weight;
   for (std::size_t i = 0; i < di_.size(); ++i) {
-    di_[i] = (weighted_[i] - dw * intensity_[i]) * inv_w;
+    di_[i] = (weighted_[i] - dw * lin_.intensity[i]) * inv_w;
   }
   return dw;
   // bismo-lint: no-alloc-end
@@ -129,23 +99,24 @@ void HypergradientOps::hvp(const RealGrid& v, RealGrid& out) const {
   const sim::SourceImageCache& images = engine_->source_images(key_m_);
   const double dw = seed_direction(images, v);
   // bismo-lint: no-alloc-begin
-  const double inv_w = 1.0 / w_total_;
+  const double inv_w = 1.0 / lin_.total_weight;
   // dG = L'' .* dI (in seed_), with the two scalar pairings.
   double dg_i = 0.0;
   double g_di = 0.0;
   for (std::size_t i = 0; i < di_.size(); ++i) {
     seed_[i] = d2l_di2_[i] * di_[i];
-    dg_i += seed_[i] * intensity_[i];
-    g_di += dl_di_[i] * di_[i];
+    dg_i += seed_[i] * lin_.intensity[i];
+    g_di += lin_.dl_di[i] * di_[i];
   }
   images.dots(engine_->abbe(), seed_.data(), dots_);
 
   const auto& pts = engine_->abbe().geometry().points();
   out.fill(0.0);
   for (std::size_t k = 0; k < pts.size(); ++k) {
-    const double dgj = (dots_[k] - dg_i - g_di) * inv_w - gj_[k] * dw * inv_w;
+    const double dgj =
+        (dots_[k] - dg_i - g_di) * inv_w - lin_.gj[k] * dw * inv_w;
     const double vk = v(pts[k].row, pts[k].col);
-    out(pts[k].row, pts[k].col) = d2j_[k] * vk * gj_[k] + dj_[k] * dgj;
+    out(pts[k].row, pts[k].col) = d2j_[k] * vk * lin_.gj[k] + dj_[k] * dgj;
   }
   // bismo-lint: no-alloc-end
 }
@@ -158,14 +129,14 @@ RealGrid HypergradientOps::hvp(const RealGrid& v) const {
 
 RealGrid HypergradientOps::sweep(const RealGrid& w, bool direct) const {
   const double dw = seed_direction(engine_->source_images(key_m_), w);
-  const double inv_w = 1.0 / w_total_;
+  const double inv_w = 1.0 / lin_.total_weight;
   // Mixed-term seeds: m1 = L'' .* dI - (dW/W) G on the 2 j/W scale, and G
   // on the 2 dj/W scale.  `direct` turns the first into G - m1 (Ghat) and
   // negates the second.
   const double ratio = dw * inv_w;
   for (std::size_t i = 0; i < seed_.size(); ++i) {
-    const double m1 = d2l_di2_[i] * di_[i] - ratio * dl_di_[i];
-    seed_[i] = direct ? dl_di_[i] - m1 : m1;
+    const double m1 = d2l_di2_[i] * di_[i] - ratio * lin_.dl_di[i];
+    seed_[i] = direct ? lin_.dl_di[i] - m1 : m1;
   }
   const double sign = direct ? -1.0 : 1.0;
   const double cutoff = engine_->source_cutoff();
@@ -180,7 +151,7 @@ RealGrid HypergradientOps::sweep(const RealGrid& w, bool direct) const {
     items_.push_back(item);
   }
   ++evals_;
-  return engine_->mask_adjoint(key_m_, seed_, items_, &dl_di_);
+  return engine_->mask_adjoint(key_m_, seed_, items_, &lin_.dl_di);
 }
 
 RealGrid HypergradientOps::hypergradient(const RealGrid& w) const {

@@ -11,8 +11,9 @@
 // and j'' are the source activation's derivatives, and
 //   gj_s = (<G, P_s> - <G, I>) / W           (= dL/dj_s).
 //
-// Linearization.  One cache-hit source-only evaluation yields the loss,
-// v = dL/dthetaJ = j' .* gj, and keeps j, j', j'', W, I, G, L'' and gj.
+// Linearization.  The engine's source-only evaluation (evaluate_source)
+// yields the loss and v = dL/dthetaJ = j' .* gj and keeps j, j', W, I, G
+// and gj; the linearization adds L'' and j''.
 //
 // Source HVP.  With dj = j' .* v, dW = sum dj,
 //   dI = (sum_s dj_s P_s - dW I) / W,   dG = L'' .* dI,
@@ -62,11 +63,11 @@ class HypergradientOps {
   explicit HypergradientOps(const AbbeGradientEngine& engine,
                             double unused = 0.0);
 
-  /// Linearize at (theta_m, theta_j): one source-only evaluation served
-  /// from the engine's image cache (filled on a miss).  Returns the loss
-  /// terms and dL/dthetaJ (grad_theta_m empty), bitwise equal to
-  /// `engine.evaluate(theta_m, theta_j, {mask=false, source=true})`.  The
-  /// reference is valid until the next linearization.
+  /// Linearize at (theta_m, theta_j): the engine's source-only
+  /// evaluation (`evaluate_source`, served from its image cache, filled on
+  /// a miss).  Returns the loss terms and dL/dthetaJ (grad_theta_m empty),
+  /// so bitwise equal to `engine.evaluate(theta_m, theta_j, {mask=false,
+  /// source=true})`.  The reference is valid until the next linearization.
   const SmoGradient& linearize(const RealGrid& theta_m,
                                const RealGrid& theta_j) const;
 
@@ -113,13 +114,11 @@ class HypergradientOps {
   mutable bool linearized_ = false;
   mutable RealGrid key_m_;  ///< theta_M of the linearization
   mutable RealGrid key_j_;  ///< theta_J of the linearization
-  mutable SmoGradient lin_;
-  // Linearization state (I, G, L'' per pixel; per source point below).
-  mutable double w_total_ = 0.0;
-  mutable RealGrid intensity_;
-  mutable RealGrid dl_di_;
+  // Linearization state: the source evaluation, L'' per pixel, and per
+  // source point j, j', j''.
+  mutable SourceEvaluation lin_;
   mutable RealGrid d2l_di2_;
-  mutable std::vector<double> j_, dj_, d2j_, gj_;
+  mutable std::vector<double> j_, dj_, d2j_;
   mutable std::vector<std::uint32_t> comps_;  ///< every point, in order
   // Direction buffers, reused across calls.
   mutable std::vector<double> dir_dj_;

@@ -1,15 +1,18 @@
 // w ~ H^{-1} v for the bilevel hypergradient (paper Sec. 3.2), H =
 // d2Lso/dthetaJ^2 applied only as hvp(x, out) (out resized as needed):
-// Neumann (Eq. 16; FD, Eq. 13, is K = 0) or CG (Eqs. 17-18).  Buffers are
-// members, so a reused solver sizes them once and a warmed solve
-// allocates nothing.  In-place updates keep the grid operators' float
-// expressions (x + s * y as in axpy): results equal theirs bitwise.
+// Neumann (Eq. 16; FD, Eq. 13, is K = 0) or CG (Eqs. 17-18).  Both write
+// w and read nothing from it: CG starts cold, not from the previous outer
+// step's w as Alg. 2 does, because that w solves another (thetaM,
+// thetaJ)'s system and warm-started runs ended above their initial loss
+// (README, "Exact hypergradients").  Buffers are members, so a reused
+// solver sizes them once and a warmed solve allocates nothing.  In-place
+// updates keep the grid operators' float expressions (x + s * y as in
+// axpy): results equal theirs bitwise.
 #ifndef BISMO_GRAD_INVERSE_HVP_HPP
 #define BISMO_GRAD_INVERSE_HVP_HPP
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "math/grid_ops.hpp"
 
@@ -64,33 +67,27 @@ class InverseHvp {
     return report;
   }
 
-  /// At most `iterations` CG steps on (A + damping I) w = b from the warm
-  /// start in w (shaped like b, else std::invalid_argument), stopping at
-  /// ||r|| / ||b|| <= tol or, keeping the iterate, on p^T A p <= 0 (A
-  /// indefinite along p: CG's variance in the paper's Fig. 5).
+  /// At most `iterations` CG steps on (A + damping I) w = b from w = 0
+  /// (w is output only, resized to b's shape), stopping at ||r|| / ||b||
+  /// <= tol or, keeping the iterate, on p^T A p <= 0 (A indefinite along
+  /// p: CG's variance in the paper's Fig. 5).  Each step applies the
+  /// operator once, so a solve makes at most `iterations` products.
   template <typename Hvp>
   SolveReport cg(Hvp&& hvp, const RealGrid& b, int iterations, double damping,
                  double tol, RealGrid& w) {
-    if (!b.same_shape(w)) {
-      throw std::invalid_argument("InverseHvp::cg: b/w shape mismatch");
-    }
-    const auto apply_damped = [&](const RealGrid& x) {
-      hvp(x, ap_);
-      for (std::size_t i = 0; damping != 0.0 && i < ap_.size(); ++i) {
-        ap_[i] = ap_[i] + x[i] * damping;
-      }
-    };
+    w.resize(b.rows(), b.cols());  // all zeros; keeps a warmed w's storage
     SolveReport report;
     // bismo-lint: no-alloc-begin
-    apply_damped(w);
     r_ = b;
-    r_ -= ap_;
     p_ = r_;
     double rs = dot(r_, r_);
     const double b_norm = std::max(norm2(b), 1e-300);
     for (; report.iterations < iterations; ++report.iterations) {
       if (std::sqrt(rs) / b_norm <= tol) break;
-      apply_damped(p_);
+      hvp(p_, ap_);
+      for (std::size_t i = 0; damping != 0.0 && i < ap_.size(); ++i) {
+        ap_[i] = ap_[i] + p_[i] * damping;
+      }
       const double p_ap = dot(p_, ap_);
       if (p_ap <= 0.0 || !std::isfinite(p_ap)) {
         report.exit = SolveExit::kCurvature;

@@ -2,12 +2,11 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string>
 
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
-
-#include "io/json.hpp"
 
 namespace bismo::net {
 namespace {
@@ -161,17 +160,6 @@ void write_frame(int fd, MsgType type,
                  const std::vector<std::uint8_t>& payload) {
   const std::vector<std::uint8_t> bytes = encode_frame(type, payload);
   write_all(fd, bytes.data(), bytes.size());
-}
-
-void describe_frame(std::ostream& out, const Frame& frame) {
-  JsonWriter w(out);
-  w.begin_object();
-  w.key("type").value(std::string(to_string(frame.type)));
-  w.key("version").value(std::size_t{kProtocolVersion});
-  w.key("payload_bytes").value(frame.payload.size());
-  w.key("checksum")
-      .value(frame_checksum(frame.payload.data(), frame.payload.size()));
-  w.end_object();
 }
 
 const char* to_string(MsgType type) noexcept {

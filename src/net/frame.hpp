@@ -14,15 +14,11 @@
 // stream) from corruption (bad magic/version/type, an implausible length,
 // or a checksum mismatch), which always throws WireError; a stream that
 // ends inside a frame is reported as truncation by the fd readers.
-// `describe_frame` renders a header as a JSON object via io::JsonWriter
-// for logs and debugging -- the human-facing side of the protocol stays
-// on the repo's JSON emitters.
 #ifndef BISMO_NET_FRAME_HPP
 #define BISMO_NET_FRAME_HPP
 
 #include <cstddef>
 #include <cstdint>
-#include <ostream>
 #include <vector>
 
 #include "net/wire.hpp"
@@ -77,9 +73,6 @@ bool read_frame(int fd, Frame* out);
 /// Blocking fd writer (handles partial writes; throws WireError on error).
 void write_frame(int fd, MsgType type,
                  const std::vector<std::uint8_t>& payload);
-
-/// Render a frame header as a JSON object (io::JsonWriter) for logging.
-void describe_frame(std::ostream& out, const Frame& frame);
 
 /// Short label for a message type ("hello", "submit", ...).
 const char* to_string(MsgType type) noexcept;

@@ -352,8 +352,9 @@ TEST(AllocGuardHypergradient, WarmedExactHvpIsAllocationFree) {
 }
 
 TEST(AllocGuardHypergradient, WarmedInverseHvpSolveIsAllocationFree) {
-  // One warm-up of each variant sizes the solver's buffers and w; every
-  // later Neumann or warm-started CG solve then runs in place.
+  // One warm-up of each variant sizes the solver's buffers and each w;
+  // every later Neumann or CG solve (CG zeroes its w in place) then runs
+  // in place.
   if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
   const LinearizedHvp at;
   const auto hvp = [&at](const RealGrid& x, RealGrid& out) {
@@ -361,7 +362,7 @@ TEST(AllocGuardHypergradient, WarmedInverseHvpSolveIsAllocationFree) {
   };
   InverseHvp solver;
   RealGrid w_neumann;
-  RealGrid w_cg = at.v * 1e-3;
+  RealGrid w_cg;
   solver.neumann(hvp, at.v, 0.1, 5, w_neumann);
   solver.cg(hvp, at.v, 5, 1.0, 1e-10, w_cg);
   AllocGuard guard;

@@ -3,6 +3,10 @@
 // at small scale (SMO beats MO; optimization improves printed metrics).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "api/api.hpp"
 #include "core/problem.hpp"
 #include "core/runner.hpp"
 #include "layout/generators.hpp"
@@ -101,6 +105,40 @@ TEST(Integration, TraceTimesAreMonotone) {
     EXPECT_GE(r.trace[i].seconds, r.trace[i - 1].seconds);
   }
   EXPECT_GE(r.wall_seconds, r.trace.back().seconds);
+}
+
+TEST(Integration, BismoCgEndsBelowItsInitialLossOnEveryClip) {
+  // The 6-clip matrix (seeds 11-12 x ICCAD13 / ICCAD-L / ISPD19) as
+  // bismo_cli runs it, at 64^2 / 9^2, T = 2, K = 3, 60 steps.  Warm-starting each CG solve from
+  // the previous outer step's w ended 5 of these 6 clips above their
+  // initial loss while every run still reported done.
+  std::vector<api::JobSpec> specs;
+  std::vector<std::string> clips;
+  for (const DatasetKind kind :
+       {DatasetKind::kIccad13, DatasetKind::kIccadL, DatasetKind::kIspd19}) {
+    for (const std::uint64_t seed : {11u, 12u}) {
+      clips.push_back(to_string(kind) + " seed " + std::to_string(seed));
+      api::JobSpec spec;
+      spec.clip = api::ClipSource::generated(kind, seed);
+      spec.method = Method::kBismoCg;
+      spec.config.initial_source.shape = SourceShape::kConventional;
+      spec.config.activation.source_init = 1.5;
+      spec.config_overrides = {"mask_dim=64", "source_dim=9",
+                               "outer_steps=60", "unroll_steps=2",
+                               "hyper_terms=3"};
+      specs.push_back(std::move(spec));
+    }
+  }
+  api::Session::Options options;
+  options.threads = 2;
+  api::Session session(options);
+  const std::vector<api::JobResult> results = session.run_batch(specs);
+  ASSERT_EQ(results.size(), specs.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const api::JobResult& r = results[i];
+    ASSERT_TRUE(r.ok()) << clips[i] << ": " << r.error;
+    EXPECT_LT(r.after.loss, r.before.loss) << clips[i];
+  }
 }
 
 }  // namespace

@@ -206,17 +206,49 @@ TEST(ConjugateGradient, StopsAtTheIterationBudget) {
   EXPECT_LT(res.residual, norm2(b));
 }
 
-TEST(ConjugateGradient, WarmStartAtSolutionConvergesImmediately) {
-  RealGrid b(1, 3);
-  b[0] = 1.0;
-  b[1] = 2.0;
-  b[2] = 3.0;
-  auto apply = [](const RealGrid& v) { return v; };  // identity
-  RealGrid x = b;
+TEST(ConjugateGradient, ZeroRightHandSideConvergesImmediately) {
+  // The solve starts from w = 0, whatever w held: with b = 0 that is the
+  // solution, so no step runs and the operator is never applied.
+  const RealGrid b(1, 3, 0.0);
+  int calls = 0;
+  auto apply = [&calls](const RealGrid& v) {
+    ++calls;
+    return v;
+  };
+  RealGrid x(1, 3, 5.0);
   InverseHvp solver;
   const SolveReport res = solver.cg(as_hvp(apply), b, 5, 0.0, 1e-10, x);
   EXPECT_EQ(res.exit, SolveExit::kConverged);
   EXPECT_EQ(res.iterations, 0);
+  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(x == b);
+}
+
+TEST(ConjugateGradient, AppliesTheOperatorAtMostOncePerStep) {
+  // K steps that cannot converge (a generic SPD system of dimension 6)
+  // apply the operator exactly K times: no product is spent on the zero
+  // initial iterate.
+  Rng rng(777);
+  const std::size_t n = 6;
+  const SpdOperator spd(rng, n);
+  RealGrid b(1, n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-2, 2);
+  for (const int k : {1, 2, 4}) {
+    for (const double damping : {0.0, 1.0}) {
+      int calls = 0;
+      auto apply = [&calls, &spd](const RealGrid& v) {
+        ++calls;
+        return spd(v);
+      };
+      RealGrid x;
+      InverseHvp solver;
+      const SolveReport res =
+          solver.cg(as_hvp(apply), b, k, damping, 1e-10, x);
+      EXPECT_EQ(res.exit, SolveExit::kBudget) << k;
+      EXPECT_EQ(res.iterations, k);
+      EXPECT_EQ(calls, k) << "K=" << k << " damping=" << damping;
+    }
+  }
 }
 
 TEST(ConjugateGradient, DampingShiftsTheSystem) {
@@ -242,12 +274,17 @@ TEST(ConjugateGradient, StopsOnNegativeCurvature) {
   EXPECT_DOUBLE_EQ(x[0], 0.0);
 }
 
-TEST(ConjugateGradient, ShapeMismatchThrows) {
+TEST(ConjugateGradient, ResizesTheOutputToTheRightHandSide) {
+  // w is output only: a misshaped w is resized to b's shape, not an error.
   auto apply = [](const RealGrid& v) { return v; };
-  RealGrid x(2, 2);
+  const RealGrid b(1, 2, 1.0);
+  RealGrid x(2, 2, 3.0);
   InverseHvp solver;
-  EXPECT_THROW(solver.cg(as_hvp(apply), RealGrid(1, 2), 5, 0.0, 1e-10, x),
-               std::invalid_argument);
+  const SolveReport res = solver.cg(as_hvp(apply), b, 5, 0.0, 1e-10, x);
+  EXPECT_EQ(res.exit, SolveExit::kConverged);
+  ASSERT_TRUE(x.same_shape(b));
+  EXPECT_NEAR(x[0], 1.0, 1e-12);
+  EXPECT_NEAR(x[1], 1.0, 1e-12);
 }
 
 TEST(Neumann, GrowingTermKeepsThePartialSum) {

@@ -8,8 +8,7 @@
 //   * gradcheck through the workspace path for both Abbe and Hopkins
 //     engines (pooled, shared workspaces), so the refactor cannot silently
 //     break the hand-derived adjoints;
-//   * Fft2dPlan handles match the free-function transforms;
-//   * ScenarioBatch matches per-corner evaluation.
+//   * Fft2dPlan handles match the free-function transforms.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +25,6 @@
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sim/scenario.hpp"
 #include "sim/workspace.hpp"
 #include "test_util.hpp"
 
@@ -312,59 +310,6 @@ TEST(WorkspaceGradCheck, AbbeDefocusPooledGradient) {
   const GradCheckResult r =
       check_gradient(loss_m, theta_m, g.grad_theta_m, rng, 12, 1e-4);
   EXPECT_LT(r.max_rel_error, 1e-3);
-}
-
-// ---- ScenarioBatch ----------------------------------------------------------
-
-TEST(ScenarioBatch, MatchesPerCornerEvaluation) {
-  const OpticsConfig optics = small_optics();
-  const SourceGeometry geometry(7, optics);
-  SourceSpec spec;
-  const RealGrid source = make_source(geometry, spec);
-  const ComplexGrid o = random_spectrum(31);
-
-  const std::vector<sim::Scenario> scenarios = {
-      {0.98, 0.0}, {1.0, 0.0}, {1.02, 0.0}, {1.0, 80.0}};
-  const sim::ScenarioBatch batch(optics, geometry, scenarios);
-  EXPECT_EQ(batch.distinct_defocus_count(), 2u);
-  const std::vector<RealGrid> got = batch.aerial(o, source);
-  ASSERT_EQ(got.size(), scenarios.size());
-
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    OpticsConfig corner = optics;
-    corner.defocus_nm = scenarios[s].defocus_nm;
-    const AbbeImaging abbe(corner, geometry);
-    const double d = scenarios[s].dose;
-    const RealGrid expect = abbe.aerial(o, source).intensity * (d * d);
-    EXPECT_LE(max_diff(expect, got[s]), 1e-12) << "scenario " << s;
-  }
-}
-
-TEST(ScenarioBatch, DedupsAnalyticallyEqualDefocusCorners) {
-  const OpticsConfig optics = small_optics();
-  const SourceGeometry geometry(7, optics);
-
-  // Computed corners that are analytically zero / analytically 80 but
-  // carry double-rounding noise: exact comparison would build four
-  // engines for two physical conditions.
-  const double noisy_zero = (0.1 + 0.2) - 0.3;  // 5.55e-17, != 0.0
-  ASSERT_NE(noisy_zero, 0.0);
-  const double noisy_eighty = 80.0 * ((1.0 / 3.0) * 3.0);
-  const std::vector<sim::Scenario> scenarios = {
-      {1.0, 0.0}, {0.98, noisy_zero}, {1.0, 80.0}, {1.0, noisy_eighty}};
-  const sim::ScenarioBatch batch(optics, geometry, scenarios);
-  EXPECT_EQ(batch.distinct_defocus_count(), 2u);
-
-  // Same-dose scenarios of one deduplicated condition share the engine
-  // pass, so their aerials are bitwise identical.
-  const RealGrid source = make_source(geometry, SourceSpec{});
-  const ComplexGrid o = random_spectrum(21);
-  const std::vector<RealGrid> got = batch.aerial(o, source);
-  EXPECT_TRUE(got[2] == got[3]);
-
-  // Genuinely distinct corners must stay distinct.
-  const sim::ScenarioBatch two(optics, geometry, {{1.0, 0.0}, {1.0, 25.0}});
-  EXPECT_EQ(two.distinct_defocus_count(), 2u);
 }
 
 }  // namespace
